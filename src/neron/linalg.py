@@ -1,100 +1,100 @@
-"""Small exact linear algebra over Q (Fraction entries throughout)."""
+"""Sparse exact linear algebra over Q.  Callers pass dense row lists; inside,
+a row is a dict {column: Fraction} of its nonzero entries, so zeros are
+never converted, multiplied or stored."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 
-def rref(matrix, width):
-    """Row-reduce in place semantics-free: returns (rows, pivot columns)."""
-    rows = [list(map(Fraction, r)) for r in matrix]
+def _sparse(row):
+    return {c: Fraction(x) for c, x in enumerate(row) if x}
+
+
+def _normalise(row, c):
+    inv = 1 / row[c]
+    for k in row:
+        row[k] *= inv
+
+
+def _subtract(row, f, pivot_row):
+    """row -= f * pivot_row in place, dropping entries that cancel."""
+    for c, y in pivot_row.items():
+        x = row.get(c, 0) - f * y
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
+def _reduce(matrix, rhs, tracked):
+    """Gauss-Jordan on [A | b | I]: (solution with free variables zero, [])
+    or (None, the input rows combined into 0 = nonzero, when tracked).  The
+    pivot of column c is the first remaining row, in current order, with an
+    entry there; the solution does not depend on that rule, but which rows
+    combine does."""
+    width = len(matrix[0])
+    rows = [_sparse([*row, b]) for row, b in zip(matrix, rhs)]
+    if tracked:  # input row i carries a 1 in column width+1+i
+        for i, aug in enumerate(rows):
+            aug[width + 1 + i] = Fraction(1)
     pivots = []
-    r = 0
     for c in range(width):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        _normalise(rows[r], c)
+        for i, row in enumerate(rows):
+            if i != r and c in row:
+                _subtract(row, row[c], rows[r])
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    for row in rows[len(pivots):]:  # zero below width
+        if width in row:
+            return None, [k - width - 1 for k in sorted(row) if k > width]
+    x = [Fraction(0)] * width
+    for row, c in zip(rows, pivots):
+        x[c] = row.get(width, Fraction(0))
+    return x, []
 
 
 def solve(matrix, rhs):
     """One solution of A x = b with free variables set to zero, or None."""
     if not matrix:
         return [] if not any(rhs) else None
-    width = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = rref(aug, width)
-    for row in rows:
-        if not any(row[:width]) and row[width]:
-            return None
-    x = [Fraction(0)] * width
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][width]
-    return x
+    return _reduce(matrix, rhs, False)[0]
 
 
 def solve_tracked(matrix, rhs, labels):
-    """Solve A x = b; on inconsistency report which input rows combine to 0 = 1.
-
-    Returns ("ok", solution) or ("inconsistent", offending label list).
-    """
+    """("ok", a solution of A x = b) or ("inconsistent", the labels of the
+    input rows that combine to 0 = 1)."""
     if not matrix:
         return ("ok", [])
-    width = len(matrix[0])
-    m = len(matrix)
-    aug = []
-    for i, (row, b) in enumerate(zip(matrix, rhs)):
-        combo = [Fraction(0)] * m
-        combo[i] = Fraction(1)
-        aug.append(list(row) + [b] + combo)
-    rows, pivots = rref(aug, width)
-    for row in rows:
-        if not any(row[:width]) and row[width]:
-            involved = [labels[j] for j in range(m) if row[width + 1 + j]]
-            return ("inconsistent", involved)
-    x = [Fraction(0)] * width
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][width]
+    x, bad = _reduce(matrix, rhs, True)
+    if x is None:
+        return ("inconsistent", [labels[i] for i in bad])
     return ("ok", x)
 
 
-def nullspace(matrix, width):
-    """Basis of the kernel of A as lists of Fractions."""
-    rows, pivots = rref(matrix, width)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * width
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(v)
-    return basis
-
-
 def independent_rows(matrix, width):
-    """Indices of a maximal independent subset, scanning in order."""
+    """Indices of a maximal independent subset, scanning in order: each row
+    is reduced once against the kept rows, held in reduced echelon form."""
     kept = []
-    staged = []
+    basis = {}  # pivot column -> row with a 1 there, the others with 0
     for i, row in enumerate(matrix):
-        trial = staged + [list(row)]
-        rows, pivots = rref(trial, width)
-        if len(pivots) > len(staged):
+        row = _sparse(row[:width])
+        for c, prow in basis.items():
+            if c in row:
+                _subtract(row, row[c], prow)
+        if row:
+            c = min(row)
+            _normalise(row, c)
+            for prow in basis.values():
+                if c in prow:
+                    _subtract(prow, prow[c], row)
+            basis[c] = row
             kept.append(i)
-            staged = [r for r in rows if any(r)]
     return kept

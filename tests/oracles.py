@@ -274,39 +274,43 @@ def _monomials_upto(nslots, degree):
     return out
 
 
-def _solve_q(rows, rhs):
-    """One solution of the exact rational system, or None."""
+def solve_q(rows, rhs):
+    """One solution of the exact rational system, or None.
+
+    Sparse forward elimination: each equation, a dict {column: value} with
+    its right-hand side in column `width`, is reduced by the stored pivot
+    equations until its leading column is new, then stored under it.  An
+    equation left with only the right-hand side is 0 = nonzero.  Back
+    substitution sets the free unknowns to zero.
+    """
     if not rows:
         return [] if not any(rhs) else None
     width = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(width):
-        p = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if p is None:
+    pivots = {}
+    for row, b in zip(rows, rhs):
+        eq = {c: Fraction(v) for c, v in enumerate(list(row) + [b]) if v}
+        while eq:
+            lead = min(eq)
+            if lead not in pivots:
+                break
+            f = eq[lead]
+            for c, v in pivots[lead].items():
+                new = eq.get(c, 0) - f * v
+                if new:
+                    eq[c] = new
+                else:
+                    del eq[c]
+        if not eq:
             continue
-        aug[r], aug[p] = aug[p], aug[r]
-        lead = aug[r][c]
-        aug[r] = [x / lead for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    for row in aug[r:]:
-        if row[-1]:
+        if lead == width:
             return None
-    for i in range(r):
-        if not any(row for row in aug[i][:-1]):
-            if aug[i][-1]:
-                return None
+        scale = eq[lead]
+        pivots[lead] = {c: v / scale for c, v in eq.items()}
     x = [Fraction(0)] * width
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][-1]
+    for lead in sorted(pivots, reverse=True):
+        eq = pivots[lead]
+        x[lead] = eq.get(width, Fraction(0)) - sum(
+            (v * x[c] for c, v in eq.items() if lead < c < width), Fraction(0))
     return x
 
 
@@ -386,4 +390,4 @@ def membership_linear(f, gens, degree: int) -> bool:
         for m, c in col.items():
             rows[index[m]][j] = c
     rhs = [f.terms.get(m, Fraction(0)) for m in support]
-    return _solve_q(rows, rhs) is not None
+    return solve_q(rows, rhs) is not None
