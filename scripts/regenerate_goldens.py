@@ -4,6 +4,7 @@
 Each file below is checked to parse, to satisfy the axioms it claims
 (Hopf, flatness, comodule, morphism compatibility), and to survive a
 print/parse round trip, so the corpus cannot drift from the library.
+Every file is checked before any is written: one failure writes none.
 """
 
 import sys
@@ -243,7 +244,6 @@ STOCK = {
 
 
 def main() -> int:
-    GOLDEN.mkdir(exist_ok=True)
     bad = 0
     for fname, text in sorted(FILES.items()):
         pf = parse(text)
@@ -271,10 +271,14 @@ def main() -> int:
             if want_file == fname and not same_group(pf.groups[gname], stock):
                 print(f"{fname}: group {gname} drifted from the library")
                 bad += 1
-        if not bad:
-            (GOLDEN / fname).write_text(text, encoding="utf-8")
-            print(f"wrote golden/{fname}")
-    return 1 if bad else 0
+    if bad:
+        print("nothing written")
+        return 1
+    GOLDEN.mkdir(exist_ok=True)
+    for fname, text in sorted(FILES.items()):
+        (GOLDEN / fname).write_text(text, encoding="utf-8")
+        print(f"wrote golden/{fname}")
+    return 0
 
 
 if __name__ == "__main__":

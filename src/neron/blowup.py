@@ -8,13 +8,13 @@ of the centre generators by pi^k with certified exactness.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DivisionObstruction, LiftFailure, NotASubgroup
 from .groebner import Ideal, certified_pi_division, contract, saturate_pi, subalgebra_member
 from .hopf import (PRIME1, PRIME2, SCALARS, GroupMorphism, HopfPresentation,
-                   check_morphism, hopf_ideal_report, prune, tensor_ideal, tensor_ring)
+                   hopf_ideal_report, prune, tensor_ideal, tensor_ring)
 from .report import Report
 from .ring import Poly, PolyRing, Substitution, format_poly
 
@@ -228,6 +228,24 @@ def automatic_member(h: HopfPresentation, numerator: Poly, power: int) -> bool:
     return h.eps_of(g).pi_valuation() >= power
 
 
+def _lift_pullback(pull: Substitution, b: BlowupResult, relations: Ideal,
+                   limits: Limits, failure: str) -> Substitution:
+    """Lift a pullback into b.blown: each fresh coordinate maps to the
+    certified pi^level division of its centre generator's image.  A failed
+    division raises LiftFailure with `failure` and the coordinate."""
+    images = {}
+    for v in b.blown.ring.variables:
+        if v in b.xi_map:
+            try:
+                images[v] = certified_pi_division(pull(b.xi_map[v]), b.level,
+                                                  relations, limits)
+            except DivisionObstruction as e:
+                raise LiftFailure(f"{failure} at {v!r}", witness=e.witness) from e
+        else:
+            images[v] = pull.images[v]
+    return Substitution(b.blown.ring, pull.target, images)
+
+
 def universal_lift(m: GroupMorphism, b: BlowupResult,
                    limits: Limits = DEFAULT_LIMITS) -> GroupMorphism:
     """Factor a morphism into the target through its blowup.
@@ -238,22 +256,9 @@ def universal_lift(m: GroupMorphism, b: BlowupResult,
     steps = b.chain or (b,)
     cur = m
     for step in steps:
-        src = cur.source
-        images = {}
-        for v in step.blown.ring.variables:
-            if v in step.xi_map:
-                value = cur.pullback(step.xi_map[v])
-                try:
-                    images[v] = certified_pi_division(value, step.level,
-                                                      src.relations, limits)
-                except DivisionObstruction as e:
-                    raise LiftFailure(
-                        f"morphism does not land in the centre at {v!r}",
-                        witness=e.witness) from e
-            else:
-                images[v] = cur.pullback.images[v]
-        cur = GroupMorphism(f"{m.name}^", src, step.blown,
-                            Substitution(step.blown.ring, src.ring, images))
+        pull = _lift_pullback(cur.pullback, step, cur.source.relations, limits,
+                              "morphism does not land in the centre")
+        cur = GroupMorphism(f"{m.name}^", cur.source, step.blown, pull)
     return cur
 
 
@@ -279,22 +284,12 @@ def standard_sequence(rho: GroupMorphism, depth: int,
     stages = []
     current = rho.target
     pull = rho.pullback
+    fibre_ideal = src.fibre_ideal()
     for i in range(depth):
-        fibre_ideal = Ideal(src.ring, list(src.relations.generators) + [src.ring.pi()])
         centre = contract(pull, fibre_ideal, limits)
         b = neron_blowup(current, centre, f"{rho.target.name}[{i + 1}]", limits)
-        images = {}
-        for v in b.blown.ring.variables:
-            if v in b.xi_map:
-                try:
-                    images[v] = certified_pi_division(pull(b.xi_map[v]), 1,
-                                                      src.relations, limits)
-                except DivisionObstruction as e:
-                    raise LiftFailure(f"stage {i + 1} lift fails at {v!r}",
-                                      witness=e.witness) from e
-            else:
-                images[v] = pull.images[v]
-        pull = Substitution(b.blown.ring, src.ring, images)
+        pull = _lift_pullback(pull, b, src.relations, limits,
+                              f"stage {i + 1} lift fails")
         stages.append(Stage(b.blown, centre, b.projection))
         current = b.blown
     lifted = GroupMorphism(f"{rho.name}[{depth}]", src, current, pull)

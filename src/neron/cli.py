@@ -23,8 +23,7 @@ from .hopf import (check_flat, check_hopf, check_morphism, prune, reduce_mod,
                    special_fibre)
 from .images import image_hopf, saturated_image, triptych
 from .parser import (RepBlock, parse, parse_fraction, parse_matrix,
-                     parse_poly, parse_poly_list, print_group, print_laurent,
-                     print_morphism, print_rep)
+                     parse_poly, parse_poly_list, print_group, print_laurent)
 from .report import Report
 from .reps import (RepMatrix, conormal_rep, direct_sum, identity_blowup_rep,
                    line_blowup_rep, rescaled_rep, scaling_conjugation_report,
@@ -35,14 +34,9 @@ SCHEMA_VERSION = 1
 
 
 def _limits(args) -> Limits:
-    return Limits(
-        max_pairs=args.max_pairs if args.max_pairs else DEFAULT_LIMITS.max_pairs,
-        max_degree=args.degree_bound if args.degree_bound else DEFAULT_LIMITS.max_degree)
-
-
-def _load(args):
-    with open(args.file, encoding="utf-8") as fh:
-        return parse(fh.read())
+    pairs, degree = args.max_pairs, args.degree_bound
+    return Limits(DEFAULT_LIMITS.max_pairs if pairs is None else pairs,
+                  DEFAULT_LIMITS.max_degree if degree is None else degree)
 
 
 def _group_json(h) -> dict:
@@ -77,15 +71,14 @@ def _matrix_lines(entries, head: str):
     return lines
 
 
-def _finish(args, command: str, ok: bool, report: Report = None,
-            data: dict = None, lines=None) -> int:
+def _finish(args, ok: bool, report: Report, data: dict, lines) -> int:
     if args.format == "json":
         envelope = {
             "schema_version": SCHEMA_VERSION,
-            "command": command,
+            "command": args.command,
             "ok": bool(ok),
             "report": report.to_json() if report is not None else None,
-            "data": data or {},
+            "data": data,
         }
         sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
     else:
@@ -106,48 +99,44 @@ def _rep_payload(v: RepMatrix) -> dict:
             "witness": format_poly(v.det_inverse_witness)}
 
 
-def cmd_check_hopf(args) -> int:
-    h = _load(args).lookup("group", args.name)
-    rep = check_hopf(h, _limits(args))
-    return _finish(args, "check-hopf", rep.ok, rep, {"group": h.name})
+# Each handler takes its looked-up block (a RepMatrix for `rep` commands,
+# the whole file for `rep-sum`), the parsed arguments and the budgets, and
+# returns (ok, report, data, text lines) for `_finish`.
 
 
-def cmd_check_flat(args) -> int:
-    h = _load(args).lookup("group", args.name)
-    rep = check_flat(h, _limits(args))
-    return _finish(args, "check-flat", rep.ok, rep, {"group": h.name})
+def cmd_check_hopf(h, args, limits):
+    rep = check_hopf(h, limits)
+    return rep.ok, rep, {"group": h.name}, None
 
 
-def cmd_check_morphism(args) -> int:
-    m = _load(args).lookup("morphism", args.name)
-    rep = check_morphism(m, _limits(args))
-    return _finish(args, "check-morphism", rep.ok, rep, {"morphism": m.name})
+def cmd_check_flat(h, args, limits):
+    rep = check_flat(h, limits)
+    return rep.ok, rep, {"group": h.name}, None
 
 
-def cmd_fibre(args) -> int:
-    h = _load(args).lookup("group", args.name)
-    limits = _limits(args)
+def cmd_check_morphism(m, args, limits):
+    rep = check_morphism(m, limits)
+    return rep.ok, rep, {"morphism": m.name}, None
+
+
+def cmd_fibre(h, args, limits):
     fibre = special_fibre(h).rename(f"{h.name}_k")
     pruned, eliminated = prune(fibre, limits=limits)
     data = {"group": _group_json(pruned),
             "eliminated": {v: format_poly(f) for v, f in eliminated.items()}}
-    return _finish(args, "fibre", True, None, data,
-                   print_group(pruned).splitlines())
+    return True, None, data, print_group(pruned).splitlines()
 
 
-def cmd_reduce_mod(args) -> int:
-    h = _load(args).lookup("group", args.name)
-    res = reduce_mod(h, args.modulus, _limits(args))
+def cmd_reduce_mod(h, args, limits):
+    res = reduce_mod(h, args.modulus, limits)
     lines = [f"trivial modulo pi^{args.modulus + 1}: "
              + ("yes" if res.trivial else "no")]
     data = {"trivial": res.trivial, "level": args.modulus,
             "group": _group_json(res.presentation)}
-    return _finish(args, "reduce-mod", res.trivial, res.report, data, lines)
+    return res.trivial, res.report, data, lines
 
 
-def cmd_blowup(args) -> int:
-    h = _load(args).lookup("group", args.name)
-    limits = _limits(args)
+def cmd_blowup(h, args, limits):
     centre = Ideal(h.ring, parse_poly_list(args.centre, h.ring))
     b = neron_blowup(h, centre, limits=limits)
     lines = print_group(b.blown).splitlines()
@@ -155,32 +144,28 @@ def cmd_blowup(args) -> int:
     data = {"group": _group_json(b.blown),
             "centre": [format_poly(g) for g in centre.generators],
             "projection": _morphism_json(b.projection)}
-    return _finish(args, "blowup", b.report.ok, b.report, data, lines)
+    return b.report.ok, b.report, data, lines
 
 
-def cmd_partial_blowup(args) -> int:
-    h = _load(args).lookup("group", args.name)
-    limits = _limits(args)
+def cmd_partial_blowup(h, args, limits):
     sub = Ideal(h.ring, parse_poly_list(args.ideal, h.ring))
     b = partial_blowup(h, sub, args.level, limits=limits)
     lines = print_group(b.blown).splitlines()
     data = {"group": _group_json(b.blown), "level": args.level,
             "subgroup": [format_poly(g) for g in sub.generators],
             "projection": _morphism_json(b.projection)}
-    return _finish(args, "partial-blowup", b.report.ok, b.report, data, lines)
+    return b.report.ok, b.report, data, lines
 
 
-def cmd_auto_trunc(args) -> int:
-    h = _load(args).lookup("group", args.name)
-    b = automatic_truncation(h, args.level, limits=_limits(args))
+def cmd_auto_trunc(h, args, limits):
+    b = automatic_truncation(h, args.level, limits=limits)
     lines = print_group(b.blown).splitlines()
     data = {"group": _group_json(b.blown), "level": b.level,
             "projection": _morphism_json(b.projection)}
-    return _finish(args, "auto-trunc", b.report.ok, b.report, data, lines)
+    return b.report.ok, b.report, data, lines
 
 
-def cmd_auto_member(args) -> int:
-    h = _load(args).lookup("group", args.name)
+def cmd_auto_member(h, args, limits):
     numerator, power = parse_fraction(args.element, h.ring)
     member = automatic_member(h, numerator, power)
     eps = h.eps_of(numerator)
@@ -190,12 +175,11 @@ def cmd_auto_member(args) -> int:
     data = {"member": member, "power": power,
             "numerator": format_poly(numerator),
             "counit_numerator": format_scalar(eps)}
-    return _finish(args, "auto-member", member, None, data, lines)
+    return member, None, data, lines
 
 
-def cmd_standard_seq(args) -> int:
-    rho = _load(args).lookup("morphism", args.name)
-    seq = standard_sequence(rho, args.depth, _limits(args))
+def cmd_standard_seq(rho, args, limits):
+    seq = standard_sequence(rho, args.depth, limits)
     lines = []
     stages = []
     for i, stage in enumerate(seq.stages):
@@ -210,68 +194,52 @@ def cmd_standard_seq(args) -> int:
     lines.append(f"lifted morphism: {seq.lifted.name}")
     data = {"depth": seq.depth, "stages": stages,
             "lifted": _morphism_json(seq.lifted)}
-    return _finish(args, "standard-seq", True, None, data, lines)
+    return True, None, data, lines
 
 
-def cmd_strict_transform(args) -> int:
-    h = _load(args).lookup("group", args.name)
-    limits = _limits(args)
+def cmd_strict_transform(h, args, limits):
     centre = Ideal(h.ring, parse_poly_list(args.centre, h.ring))
     sub = Ideal(h.ring, parse_poly_list(args.ideal, h.ring))
     b = neron_blowup(h, centre, limits=limits)
     t = strict_transform(b, sub, limits)
     gens = [format_poly(g) for g in t.basis(limits)]
     lines = ["strict transform: " + ", ".join(gens)]
-    data = {"generators": gens, "blown_group": b.blown.name}
-    return _finish(args, "strict-transform", True, None, data, lines)
+    return True, None, {"generators": gens, "blown_group": b.blown.name}, lines
 
 
-def cmd_check_constancy(args) -> int:
-    h = _load(args).lookup("group", args.name)
-    limits = _limits(args)
+def cmd_check_constancy(h, args, limits):
     sub = Ideal(h.ring, parse_poly_list(args.ideal, h.ring))
     rep = check_constancy(h, sub, args.depth, limits)
-    return _finish(args, "check-constancy", rep.ok, rep,
-                   {"group": h.name, "depth": args.depth})
+    return rep.ok, rep, {"group": h.name, "depth": args.depth}, None
 
 
-def cmd_rep_validate(args) -> int:
-    v = _to_matrix(_load(args).lookup("rep", args.name))
-    rep = validate_rep(v, _limits(args))
-    return _finish(args, "rep-validate", rep.ok, rep, _rep_payload(v),
-                   _matrix_lines(v.entries, "matrix:"))
+def cmd_rep_validate(v, args, limits):
+    rep = validate_rep(v, limits)
+    return rep.ok, rep, _rep_payload(v), _matrix_lines(v.entries, "matrix:")
 
 
-def cmd_rep_faithful(args) -> int:
-    v = _to_matrix(_load(args).lookup("rep", args.name))
-    res = verify_faithful(v, _limits(args))
-    ok = res.verdict == "faithful"
+def cmd_rep_faithful(v, args, limits):
+    res = verify_faithful(v, limits)
     lines = [f"verdict: {res.verdict}"]
     if res.undecided:
         lines.append("undecided variables: " + ", ".join(res.undecided))
     data = {"verdict": res.verdict, "undecided": res.undecided}
-    return _finish(args, "rep-faithful", ok, res.report, data, lines)
+    return res.verdict == "faithful", res.report, data, lines
 
 
-def cmd_rep_blowup_identity(args) -> int:
-    block = _load(args).lookup("rep", args.name)
-    limits = _limits(args)
-    v = _to_matrix(block)
-    b = automatic_truncation(block.group, args.level, limits=limits)
+def cmd_rep_blowup_identity(v, args, limits):
+    b = automatic_truncation(v.group, args.level, limits=limits)
     doubled = identity_blowup_rep(v, b, limits)
     rep = validate_rep(doubled, limits)
     rep.extend(scaling_conjugation_report(v, b, doubled, limits))
     lines = _matrix_lines(doubled.entries, f"doubled matrix over {doubled.group.name}:")
     data = _rep_payload(doubled)
     data["level"] = args.level
-    return _finish(args, "rep-blowup-identity", rep.ok, rep, data, lines)
+    return rep.ok, rep, data, lines
 
 
-def cmd_rep_blowup_line(args) -> int:
-    block = _load(args).lookup("rep", args.name)
-    limits = _limits(args)
-    v = _to_matrix(block)
-    b = neron_blowup(block.group, stabilizer_ideal(v, args.column), limits=limits)
+def cmd_rep_blowup_line(v, args, limits):
+    b = neron_blowup(v.group, stabilizer_ideal(v, args.column), limits=limits)
     e = None
     if args.e_matrix:
         entries = parse_matrix(args.e_matrix, b.blown.ring)
@@ -283,14 +251,11 @@ def cmd_rep_blowup_line(args) -> int:
     lines = _matrix_lines(glued.entries, f"glued matrix over {glued.group.name}:")
     data = _rep_payload(glued)
     data["column"] = args.column
-    return _finish(args, "rep-blowup-line", rep.ok, rep, data, lines)
+    return rep.ok, rep, data, lines
 
 
-def cmd_rep_rescale(args) -> int:
-    block = _load(args).lookup("rep", args.name)
-    limits = _limits(args)
-    v = _to_matrix(block)
-    b = neron_blowup(block.group, stabilizer_ideal(v, args.column), limits=limits)
+def cmd_rep_rescale(v, args, limits):
+    b = neron_blowup(v.group, stabilizer_ideal(v, args.column), limits=limits)
     rescaled, summed = rescaled_rep(v, b, args.column, limits)
     rep = validate_rep(rescaled, limits)
     rep.extend(validate_rep(summed, limits))
@@ -299,22 +264,19 @@ def cmd_rep_rescale(args) -> int:
     lines.extend(_matrix_lines(summed.entries, "direct sum with the original:"))
     data = {"rescaled": _rep_payload(rescaled), "sum": _rep_payload(summed),
             "column": args.column}
-    return _finish(args, "rep-rescale", rep.ok, rep, data, lines)
+    return rep.ok, rep, data, lines
 
 
-def cmd_rep_sum(args) -> int:
-    pf = _load(args)
+def cmd_rep_sum(pf, args, limits):
     v = _to_matrix(pf.lookup("rep", args.left))
     w = _to_matrix(pf.lookup("rep", args.right))
     s = direct_sum(v, w)
-    rep = validate_rep(s, _limits(args))
+    rep = validate_rep(s, limits)
     lines = _matrix_lines(s.entries, f"direct sum over {s.group.name}:")
-    return _finish(args, "rep-sum", rep.ok, rep, _rep_payload(s), lines)
+    return rep.ok, rep, _rep_payload(s), lines
 
 
-def cmd_conormal(args) -> int:
-    h = _load(args).lookup("group", args.name)
-    limits = _limits(args)
+def cmd_conormal(h, args, limits):
     gk = special_fibre(h).rename(f"{h.name}_k")
     sub = Ideal(gk.ring, parse_poly_list(args.ideal, gk.ring))
     data_obj = conormal_rep(gk, sub, limits)
@@ -326,22 +288,20 @@ def cmd_conormal(args) -> int:
                                f"coaction matrix over {data_obj.group.name}:"))
     data = {"basis": basis, "group": _group_json(data_obj.group),
             "rows": _rows_json(data_obj.matrix)}
-    return _finish(args, "conormal", rep.ok, rep, data, lines)
+    return rep.ok, rep, data, lines
 
 
-def cmd_image(args) -> int:
-    rho = _load(args).lookup("morphism", args.name)
-    res = image_hopf(rho, _limits(args))
+def cmd_image(rho, args, limits):
+    res = image_hopf(rho, limits)
     lines = print_group(res.group).splitlines()
     data = {"group": _group_json(res.group),
             "embed": _morphism_json(res.embed),
             "cover": _morphism_json(res.cover)}
-    return _finish(args, "image", True, None, data, lines)
+    return True, None, data, lines
 
 
-def cmd_diptych(args) -> int:
-    rho = _load(args).lookup("morphism", args.name)
-    d = saturated_image(rho, args.steps, _limits(args))
+def cmd_diptych(rho, args, limits):
+    d = saturated_image(rho, args.steps, limits)
     lines = []
     stages = []
     for stage in [d.image.group] + d.stages:
@@ -349,37 +309,33 @@ def cmd_diptych(args) -> int:
                      + ", ".join(stage.ring.variables))
         stages.append(_group_json(stage))
     lines.append("stabilized: " + ("yes" if d.stabilized else "no"))
-    ok = d.report.ok and d.stabilized
     data = {"stages": stages, "stabilized": d.stabilized}
-    return _finish(args, "diptych", ok, d.report, data, lines)
+    return d.report.ok and d.stabilized, d.report, data, lines
 
 
-def cmd_triptych(args) -> int:
-    rho = _load(args).lookup("morphism", args.name)
-    t = triptych(rho, args.steps, _limits(args))
+def cmd_triptych(rho, args, limits):
+    t = triptych(rho, args.steps, limits)
     lines = []
     for h in (t.saturated_fibre, t.mod_pi_image, t.image_fibre):
         lines.extend(print_group(h).splitlines())
         lines.append("")
     report = Report(f"triptych of {rho.name}")
     report.extend(t.report)
-    ok = report.ok and t.diptych.stabilized
     data = {"saturated_fibre": _group_json(t.saturated_fibre),
             "mod_pi_image": _group_json(t.mod_pi_image),
             "image_fibre": _group_json(t.image_fibre),
             "stabilized": t.diptych.stabilized}
-    return _finish(args, "triptych", ok, report, data, lines)
+    return report.ok and t.diptych.stabilized, report, data, lines
 
 
-def cmd_dgal_solve(args) -> int:
-    c = _load(args).lookup("connection", args.name)
+def cmd_dgal_solve(c, args, limits):
     y = formal_solution(c, args.order)
     lines = ["fundamental solution modulo x^" + str(args.order + 1) + ":"]
     for row in y:
         lines.append("  [" + ", ".join(print_laurent(e) for e in row) + "]")
     data = {"order": args.order,
             "rows": [[print_laurent(e) for e in row] for row in y]}
-    return _finish(args, "dgal-solve", True, None, data, lines)
+    return True, None, data, lines
 
 
 def _entry_json(entry) -> dict:
@@ -401,18 +357,14 @@ def _entry_lines(entry):
     return lines
 
 
-def cmd_dgal_trivial(args) -> int:
-    c = _load(args).lookup("connection", args.name)
+def cmd_dgal_trivial(c, args, limits):
     entry = triviality_mod(c, args.level, args.degree_bound)
     if entry.trivial and not check_gauge(c, entry):
         raise NeronError("gauge replay failed")
-    lines = _entry_lines(entry)
-    return _finish(args, "dgal-trivial", entry.trivial, None,
-                   _entry_json(entry), lines)
+    return entry.trivial, None, _entry_json(entry), _entry_lines(entry)
 
 
-def cmd_dgal_diagnose(args) -> int:
-    c = _load(args).lookup("connection", args.name)
+def cmd_dgal_diagnose(c, args, limits):
     rep, level_report, verdict = galois_diagnostic(c, args.levels,
                                                    args.degree_bound)
     lines = []
@@ -423,19 +375,7 @@ def cmd_dgal_diagnose(args) -> int:
                        for n in range(args.levels + 1)],
             "trivial_through": rep.trivial_through(),
             "verdict": verdict}
-    return _finish(args, "dgal-diagnose", True, level_report, data, lines)
-
-
-def _common(p: argparse.ArgumentParser, name=True):
-    p.add_argument("file", help="presentation file")
-    if name:
-        p.add_argument("name", nargs="?", default=None,
-                       help="block name (optional when unambiguous)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-pairs", type=int, default=None,
-                   help="basis computation pair budget")
-    p.add_argument("--degree-bound", type=int, default=None,
-                   help="degree budget (gauge window for dgal-* commands)")
+    return True, level_report, data, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,126 +384,113 @@ def build_parser() -> argparse.ArgumentParser:
         description="Flat group schemes over a discrete valuation ring, "
                     "presented as Hopf algebras.")
     sub = root.add_subparsers(dest="command", required=True)
+    column = ("--column", dict(type=int, default=1))
+    steps = ("--steps", dict(type=int, default=8))
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, help=kwargs.pop("help", None))
-        _common(p, name=kwargs.pop("named", True))
-        p.set_defaults(func=fn)
-        return p
-
-    add("check-hopf", cmd_check_hopf, help="verify the Hopf algebra axioms")
-    add("check-flat", cmd_check_flat, help="certify flatness over the base")
-    add("check-morphism", cmd_check_morphism,
-        help="verify a pullback is a Hopf algebra map")
-    add("fibre", cmd_fibre, help="pruned special fibre of a group")
-
-    p = add("reduce-mod", cmd_reduce_mod, help="base change to R/(pi^(n+1))")
-    p.add_argument("--modulus", type=int, required=True,
-                   help="reduce modulo pi^(modulus+1)")
-
-    p = add("blowup", cmd_blowup, help="dilatation at a subgroup of the fibre")
-    p.add_argument("--centre", required=True,
-                   help="generators of the centre ideal, comma separated")
-
-    p = add("partial-blowup", cmd_partial_blowup,
-            help="dilatation at a flat subgroup reduced mod pi^(level+1)")
-    p.add_argument("--ideal", required=True,
-                   help="generators of the flat subgroup ideal")
-    p.add_argument("--level", type=int, default=0)
-
-    p = add("auto-trunc", cmd_auto_trunc,
-            help="level-n truncation of the automatic blowup")
-    p.add_argument("--level", type=int, default=1)
-
-    p = add("auto-member", cmd_auto_member,
-            help="membership of f/pi^m in the automatic blowup")
-    p.add_argument("--element", required=True,
-                   help="an element such as \"x/pi^2\"")
-
-    p = add("standard-seq", cmd_standard_seq,
-            help="standard sequence of blowups factoring a morphism")
-    p.add_argument("--depth", type=int, default=3)
-
-    p = add("strict-transform", cmd_strict_transform,
-            help="flat transform of a subgroup through a blowup")
-    p.add_argument("--centre", required=True)
-    p.add_argument("--ideal", required=True)
-
-    p = add("check-constancy", cmd_check_constancy,
-            help="watch a subgroup's fibre along repeated blowups")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--depth", type=int, default=3)
-
-    add("rep-validate", cmd_rep_validate, help="check the comodule axioms")
-    add("rep-faithful", cmd_rep_faithful,
-        help="decide whether matrix entries generate the coordinate ring")
-
-    p = add("rep-blowup-identity", cmd_rep_blowup_identity,
-            help="double a representation across a unit-section blowup")
-    p.add_argument("--level", type=int, default=1)
-
-    p = add("rep-blowup-line", cmd_rep_blowup_line,
-            help="glue a representation across a line-stabilizer blowup")
-    p.add_argument("--column", type=int, default=1)
-    p.add_argument("--e-matrix", default=None,
-                   help="covering matrix over the blown group, e.g. \"[[a22]]\"")
-    p.add_argument("--e-witness", default=None,
-                   help="inverse-determinant witness for the covering matrix")
-
-    p = add("rep-rescale", cmd_rep_rescale,
-            help="rescale a representation through a line-stabilizer blowup")
-    p.add_argument("--column", type=int, default=1)
-
-    p = sub.add_parser("rep-sum", help="direct sum of two representations")
-    p.add_argument("file")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-pairs", type=int, default=None)
-    p.add_argument("--degree-bound", type=int, default=None)
-    p.set_defaults(func=cmd_rep_sum)
-
-    p = add("conormal", cmd_conormal,
-            help="conjugation action on the conormal space of a fibre subgroup")
-    p.add_argument("--ideal", required=True,
-                   help="generators of the subgroup ideal in the fibre")
-
-    add("image", cmd_image, help="flat schematic image of a morphism")
-
-    p = add("diptych", cmd_diptych,
-            help="image and its saturation tower")
-    p.add_argument("--steps", type=int, default=8)
-
-    p = add("triptych", cmd_triptych,
-            help="special fibres of the image, its saturation, and the mod-pi image")
-    p.add_argument("--steps", type=int, default=8)
-
-    p = add("dgal-solve", cmd_dgal_solve,
-            help="truncated fundamental solution at the origin")
-    p.add_argument("--order", type=int, default=3)
-
-    p = add("dgal-trivial", cmd_dgal_trivial,
-            help="search for a trivializing gauge modulo pi^(level+1)")
-    p.add_argument("--level", type=int, default=0)
-
-    p = add("dgal-diagnose", cmd_dgal_diagnose,
-            help="triviality levels and the blowup depth they evidence")
-    p.add_argument("--levels", type=int, default=3)
-
+    # (name, block kind or None for the whole file, handler, help, options);
+    # built here, not at import, so that patched handlers are the ones bound.
+    table = (
+        ("check-hopf", "group", cmd_check_hopf,
+         "verify the Hopf algebra axioms", ()),
+        ("check-flat", "group", cmd_check_flat,
+         "certify flatness over the base", ()),
+        ("check-morphism", "morphism", cmd_check_morphism,
+         "verify a pullback is a Hopf algebra map", ()),
+        ("fibre", "group", cmd_fibre, "pruned special fibre of a group", ()),
+        ("reduce-mod", "group", cmd_reduce_mod, "base change to R/(pi^(n+1))",
+         [("--modulus", dict(type=int, required=True,
+                             help="reduce modulo pi^(modulus+1)"))]),
+        ("blowup", "group", cmd_blowup, "dilatation at a subgroup of the fibre",
+         [("--centre", dict(required=True, help="generators of the centre "
+                                                "ideal, comma separated"))]),
+        ("partial-blowup", "group", cmd_partial_blowup,
+         "dilatation at a flat subgroup reduced mod pi^(level+1)",
+         [("--ideal", dict(required=True,
+                           help="generators of the flat subgroup ideal")),
+          ("--level", dict(type=int, default=0))]),
+        ("auto-trunc", "group", cmd_auto_trunc,
+         "level-n truncation of the automatic blowup",
+         [("--level", dict(type=int, default=1))]),
+        ("auto-member", "group", cmd_auto_member,
+         "membership of f/pi^m in the automatic blowup",
+         [("--element", dict(required=True,
+                             help="an element such as \"x/pi^2\""))]),
+        ("standard-seq", "morphism", cmd_standard_seq,
+         "standard sequence of blowups factoring a morphism",
+         [("--depth", dict(type=int, default=3))]),
+        ("strict-transform", "group", cmd_strict_transform,
+         "flat transform of a subgroup through a blowup",
+         [("--centre", dict(required=True)), ("--ideal", dict(required=True))]),
+        ("check-constancy", "group", cmd_check_constancy,
+         "watch a subgroup's fibre along repeated blowups",
+         [("--ideal", dict(required=True)),
+          ("--depth", dict(type=int, default=3))]),
+        ("rep-validate", "rep", cmd_rep_validate,
+         "check the comodule axioms", ()),
+        ("rep-faithful", "rep", cmd_rep_faithful,
+         "decide whether matrix entries generate the coordinate ring", ()),
+        ("rep-blowup-identity", "rep", cmd_rep_blowup_identity,
+         "double a representation across a unit-section blowup",
+         [("--level", dict(type=int, default=1))]),
+        ("rep-blowup-line", "rep", cmd_rep_blowup_line,
+         "glue a representation across a line-stabilizer blowup",
+         [column,
+          ("--e-matrix", dict(default=None, help="covering matrix over the "
+                                                 "blown group, e.g. \"[[a22]]\"")),
+          ("--e-witness", dict(default=None, help="inverse-determinant "
+                                                  "witness for the covering matrix"))]),
+        ("rep-rescale", "rep", cmd_rep_rescale,
+         "rescale a representation through a line-stabilizer blowup", [column]),
+        ("rep-sum", None, cmd_rep_sum, "direct sum of two representations",
+         [("left", {}), ("right", {})]),
+        ("conormal", "group", cmd_conormal,
+         "conjugation action on the conormal space of a fibre subgroup",
+         [("--ideal", dict(required=True,
+                           help="generators of the subgroup ideal in the fibre"))]),
+        ("image", "morphism", cmd_image, "flat schematic image of a morphism", ()),
+        ("diptych", "morphism", cmd_diptych,
+         "image and its saturation tower", [steps]),
+        ("triptych", "morphism", cmd_triptych,
+         "special fibres of the image, its saturation, and the mod-pi image",
+         [steps]),
+        ("dgal-solve", "connection", cmd_dgal_solve,
+         "truncated fundamental solution at the origin",
+         [("--order", dict(type=int, default=3))]),
+        ("dgal-trivial", "connection", cmd_dgal_trivial,
+         "search for a trivializing gauge modulo pi^(level+1)",
+         [("--level", dict(type=int, default=0))]),
+        ("dgal-diagnose", "connection", cmd_dgal_diagnose,
+         "triviality levels and the blowup depth they evidence",
+         [("--levels", dict(type=int, default=3))]),
+    )
+    for name, kind, func, text, options in table:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file", help="presentation file")
+        if kind is not None:
+            p.add_argument("name", nargs="?", default=None,
+                           help="block name (optional when unambiguous)")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--max-pairs", type=int, default=None,
+                       help="basis computation pair budget")
+        p.add_argument("--degree-bound", type=int, default=None,
+                       help="degree budget (gauge window for dgal-* commands)")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func, kind=kind)
     return root
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ParseError, UndefinedName) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        with open(args.file, encoding="utf-8") as fh:
+            block = parse(fh.read())
+        if args.kind is not None:
+            block = block.lookup(args.kind, args.name)
+        if args.kind == "rep":
+            block = _to_matrix(block)
+        return _finish(args, *args.func(block, args, _limits(args)))
+    except (OSError, ValueError, ParseError, UndefinedName) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimit as exc:

@@ -174,6 +174,8 @@ def formal_solution(c: Connection, order: int):
     Coefficients are exact; only the affine line has a formal solution at
     the origin.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if c.base != AFFINE:
         raise ShapeMismatch("formal solutions are taken at the origin of the "
                             "affine line")
@@ -341,6 +343,8 @@ def triviality_mod(c: Connection, n: int,
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
+    if degree_bound is not None and degree_bound < 0:
+        raise ValueError("degree bound must be nonnegative")
     bound = default_degree_bound(c, n) if degree_bound is None else degree_bound
     if c.base == AFFINE:
         window = range(0, bound + 1)
@@ -389,6 +393,8 @@ def galois_diagnostic(c: Connection, levels: int,
     of its generic-fibre group; one trivial exactly below a threshold
     behaves like that many identity blowups.
     """
+    if levels < 0:
+        raise ValueError("levels must be nonnegative")
     rep = TrivialityReport(c)
     verdict_rep = Report(f"triviality levels 0..{levels}")
     for n in range(levels + 1):

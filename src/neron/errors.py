@@ -9,10 +9,6 @@ class UnknownVariable(NeronError):
     """A polynomial or substitution referenced a variable the ring lacks."""
 
 
-class OrderMismatch(NeronError):
-    """A cached basis was used under a different monomial order."""
-
-
 class NotDivisible(NeronError):
     """Exact division by a pi power failed on a scalar or polynomial."""
 

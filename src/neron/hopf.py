@@ -110,6 +110,10 @@ class HopfPresentation:
             out.append(self.ring.var(v) - self.ring.scalar(self.eps(v)))
         return out
 
+    def fibre_ideal(self) -> Ideal:
+        """The relations together with pi: the special fibre's ideal."""
+        return Ideal(self.ring, list(self.relations.generators) + [self.ring.pi()])
+
     def rename(self, name: str) -> "HopfPresentation":
         return HopfPresentation(name, self.ring, self.relations, self.comul,
                                 self.counit, self.antipode, self.flat_certified)
@@ -127,10 +131,6 @@ class GroupMorphism:
         for v in self.target.ring.variables:
             if v not in self.pullback.images:
                 raise UnknownVariable(f"pullback missing image of '{v}'")
-
-
-def augmentation_ideal(h: HopfPresentation) -> Ideal:
-    return Ideal(h.ring, list(h.relations.generators) + h.aug_gens())
 
 
 def _counit_legs(h: HopfPresentation):

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blowup import neron_blowup
+from .blowup import _lift_pullback, neron_blowup
 from .config import DEFAULT_LIMITS, Limits
-from .errors import DivisionObstruction, LiftFailure
-from .groebner import Ideal, certified_pi_division, contract, saturate_pi
+from .groebner import Ideal, contract, saturate_pi
 from .hopf import (GroupMorphism, HopfPresentation, check_flat, prune,
                    special_fibre)
 from .report import Report
@@ -45,6 +44,7 @@ class Triptych:
     mod_pi_image: HopfPresentation
     image_fibre: HopfPresentation
     report: Report
+    into: Substitution  # image coordinates -> the saturated fibre
 
 
 def image_hopf(rho: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> ImageResult:
@@ -97,30 +97,18 @@ def saturated_image(rho: GroupMorphism, steps: int,
     lifts = [img.cover]
     pull = img.cover.pullback
     stabilized = False
-    fibre_ideal = Ideal(src.ring, list(src.relations.generators) + [src.ring.pi()])
+    fibre_ideal = src.fibre_ideal()
     for i in range(steps):
         current = stages[-1]
         centre = contract(pull, fibre_ideal, limits)
-        whole = Ideal(current.ring,
-                      [current.ring.pi()] + list(current.relations.generators))
-        if centre.same_ideal(whole, limits):
+        if centre.same_ideal(current.fibre_ideal(), limits):
             stabilized = True
             rep.add("tower stabilized", f"stage {i}", True,
                     "centre is the whole special fibre")
             break
         b = neron_blowup(current, centre, f"{img.group.name}[{i + 1}]", limits)
-        images = {}
-        for v in b.blown.ring.variables:
-            if v in b.xi_map:
-                try:
-                    images[v] = certified_pi_division(pull(b.xi_map[v]), 1,
-                                                      src.relations, limits)
-                except DivisionObstruction as e:
-                    raise LiftFailure(f"stage {i + 1} lift fails at {v!r}",
-                                      witness=e.witness) from e
-            else:
-                images[v] = pull.images[v]
-        pull = Substitution(b.blown.ring, src.ring, images)
+        pull = _lift_pullback(pull, b, src.relations, limits,
+                              f"stage {i + 1} lift fails")
         rep.add("stage adjoined pi-divisible coordinates", b.blown.name, True,
                 ", ".join(b.adjoined))
         stages.append(b.blown)
@@ -129,9 +117,7 @@ def saturated_image(rho: GroupMorphism, steps: int,
                                    b.blown, pull))
     else:
         centre = contract(pull, fibre_ideal, limits)
-        whole = Ideal(stages[-1].ring,
-                      [stages[-1].ring.pi()] + list(stages[-1].relations.generators))
-        stabilized = centre.same_ideal(whole, limits)
+        stabilized = centre.same_ideal(stages[-1].fibre_ideal(), limits)
         rep.add("tower stabilized", f"stage {steps}", stabilized,
                 "" if stabilized else "the centre still exceeds the special fibre")
     for i, lift in enumerate(lifts):
@@ -169,18 +155,14 @@ def triptych(rho: GroupMorphism, steps: int = 8,
         pull = pull.then(proj.pullback)
     saturated_fibre, to_fibre = _pruned_fibre(last, f"{last.name}_k", limits)
 
-    src = rho.source
-    fibre_ideal = Ideal(src.ring, list(src.relations.generators) + [src.ring.pi()])
-    mod_pi_rels = contract(rho.pullback, fibre_ideal, limits)
+    mod_pi_rels = contract(rho.pullback, rho.source.fibre_ideal(), limits)
     mod_pi_image = HopfPresentation(
         f"Im({rho.name}_k)", img.group.ring,
         Ideal(img.group.ring, list(mod_pi_rels.basis(limits))),
         img.group.comul, img.group.counit, img.group.antipode)
 
-    stage_fibre_ideal = Ideal(saturated_fibre.ring,
-                              list(saturated_fibre.relations.generators)
-                              + [saturated_fibre.ring.pi()])
-    outer = contract(pull.then(to_fibre), stage_fibre_ideal, limits)
+    into = pull.then(to_fibre)
+    outer = contract(into, saturated_fibre.fibre_ideal(), limits)
     same = outer.same_ideal(mod_pi_rels, limits)
     bad = ""
     if not same:
@@ -190,25 +172,17 @@ def triptych(rho: GroupMorphism, steps: int = 8,
                         if not outer.contains(g, limits)))
     rep.add("middle fibre is the image of the saturated fibre",
             mod_pi_image.name, same, bad)
-    return Triptych(dip, saturated_fibre, mod_pi_image, image_fibre, rep)
+    return Triptych(dip, saturated_fibre, mod_pi_image, image_fibre, rep, into)
 
 
-def fibre_kernel(t: Triptych, limits: Limits = DEFAULT_LIMITS) -> HopfPresentation:
+def fibre_kernel(t: Triptych) -> HopfPresentation:
     """Kernel of the saturated fibre mapping onto the mod-pi image:
     the fibre product with the unit section of the middle group."""
     sat = t.saturated_fibre
-    dip = t.diptych
-    pull = Substitution.identity(dip.image.group.ring)
-    for proj in dip.projections:
-        pull = pull.then(proj.pullback)
-    _, to_fibre = _pruned_fibre(dip.stages[-1], f"{dip.stages[-1].name}_k", limits)
-    into = pull.then(to_fibre)
     mid = t.mod_pi_image
-    gens = (list(sat.relations.generators) + [sat.ring.pi()]
-            + [into(g) for g in mid.aug_gens()])
-    return HopfPresentation(f"Ker({sat.name}->{mid.name})", sat.ring,
-                            Ideal(sat.ring, gens), sat.comul, sat.counit,
-                            sat.antipode)
+    ideal = sat.fibre_ideal().plus(t.into(g) for g in mid.aug_gens())
+    return HopfPresentation(f"Ker({sat.name}->{mid.name})", sat.ring, ideal,
+                            sat.comul, sat.counit, sat.antipode)
 
 
 def check_unipotent_kernel(t: Triptych, bound: int = 6,
@@ -221,7 +195,7 @@ def check_unipotent_kernel(t: Triptych, bound: int = 6,
     ideal at the bound.  Reports one line per certificate step and a
     final verdict line; an undecided result is not a refutation.
     """
-    ker = fibre_kernel(t, limits)
+    ker = fibre_kernel(t)
     rep = Report(f"unipotence certificate for {ker.name}")
     ring = ker.ring
     ring2 = ker.doubled_ring()

@@ -23,18 +23,6 @@ def mat_zero(ring: PolyRing, n: int, m: int):
     return [[ring.zero() for _ in range(m)] for _ in range(n)]
 
 
-def mat_add(a, b):
-    if mat_shape(a) != mat_shape(b):
-        raise ShapeMismatch("matrix sizes differ")
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    if mat_shape(a) != mat_shape(b):
-        raise ShapeMismatch("matrix sizes differ")
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_mul(a, b):
     n, k = mat_shape(a)
     k2, m = mat_shape(b)
@@ -50,14 +38,6 @@ def mat_mul(a, b):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
-def mat_apply(fn, a):
-    return [[fn(x) for x in row] for row in a]
 
 
 def mat_transpose(a):

@@ -137,7 +137,7 @@ class TestTriptych:
 class TestKernel:
     def test_unit_blowup_kernel_is_unipotent(self, unit_projection):
         t = triptych(unit_projection, 5, LIM)
-        ker = fibre_kernel(t, LIM)
+        ker = fibre_kernel(t)
         assert "pi" in rels_of(ker)
         rep = check_unipotent_kernel(t, limits=LIM)
         assert rep.ok

@@ -187,6 +187,26 @@ class TestCliExitCodes:
                            "--centre", "pi, q-1")
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ("dgal-solve", "exp.grp", "--order", "-5"),
+        ("dgal-diagnose", "exp.grp", "--levels", "-1"),
+        ("dgal-trivial", "exp.grp", "--level", "1", "--degree-bound", "-2"),
+        ("check-hopf", "gm.grp", "--max-pairs", "-1"),
+        ("blowup", "gm.grp", "--centre", "pi, u-1", "--degree-bound", "-1"),
+    ], ids=lambda a: a[0])
+    def test_negative_counts_exit_two(self, capsys, golden_dir, args):
+        code, out, err = run(capsys, args[0], str(golden_dir / args[1]), *args[2:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "must be nonnegative" in err
+
+    def test_zero_pair_budget_is_honoured(self, capsys, golden_dir):
+        code, _, err = run(capsys, "blowup", str(golden_dir / "gl2.grp"),
+                           "--centre", "pi, a12, a21, a11-1, a22-1",
+                           "--max-pairs", "0")
+        assert code == 3
+        assert err.startswith("resource limit:")
+
     def test_resource_limit_exits_three(self, capsys, golden_dir):
         code, _, err = run(capsys, "blowup", str(golden_dir / "gl2.grp"),
                            "--centre", "pi, a12, a21, a11-1, a22-1",
