@@ -2,13 +2,16 @@
 
 Selection follows the normal strategy (sugar degree, then the order key of the
 pair lcm, then pair index), so identical inputs always walk the same path and
-produce the same reduced basis.  Membership can track cofactors through the
-whole loop, which is what certified division by pi powers and the blowup
-structure maps rely on.
+produce the same reduced basis.  The pending pairs sit in a heap over that key,
+so each selection pops the minimum instead of scanning every pair, and each
+polynomial computes its leading monomial once (`Poly.lead_monomial`).
+Membership can track cofactors through the whole loop, which is what certified
+division by pi powers and the blowup structure maps rely on.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,16 +67,6 @@ def _reduce_full(f: Poly, basis, track: bool = False):
     return Poly(ring, rem), ([Poly(ring, q) for q in quots] if track else None)
 
 
-def _spair_parts(gi: Poly, gj: Poly):
-    li, lj = gi.lead_monomial(), gj.lead_monomial()
-    lcm = mono_lcm(li, lj)
-    mi = mono_div(lcm, li)
-    mj = mono_div(lcm, lj)
-    ci = Fraction(1) / gi.lead_coeff()
-    cj = Fraction(1) / gj.lead_coeff()
-    return lcm, (mi, ci), (mj, cj)
-
-
 def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool):
     """Core loop; returns (basis, representations w.r.t. gens or None)."""
     basis = []
@@ -100,32 +93,35 @@ def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool):
             rep[pos] = ring.one()
         insert(g, rep)
 
-    pairs = {}
+    # Pending pairs as a heap of (sugar, order key of lcm, i, j).  Each entry
+    # is unique by (i, j) and leaves only when selected, so popping gives the
+    # same sequence as taking the minimum of the whole pair set each time.
+    pairs = []
     done = set()
 
     def push_pairs(j):
+        lj = basis[j].lead_monomial()
         for i in range(j):
-            lcm, (mi, _), (mj, _) = _spair_parts(basis[i], basis[j])
-            sugar = max(sugars[i] + mono_degree(mi), sugars[j] + mono_degree(mj))
-            pairs[(i, j)] = (sugar, ring.order.key(lcm), i, j)
+            li = basis[i].lead_monomial()
+            lcm = mono_lcm(li, lj)
+            d = mono_degree(lcm)
+            sugar = max(sugars[i] + d - mono_degree(li), sugars[j] + d - mono_degree(lj))
+            heapq.heappush(pairs, (sugar, ring.order.key(lcm), i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
 
     reduced_count = 0
     while pairs:
-        ij = min(pairs, key=lambda p: pairs[p])
-        sugar = pairs[ij][0]
-        del pairs[ij]
-        i, j = ij
-        done.add(ij)
+        sugar, _, i, j = heapq.heappop(pairs)
+        done.add((i, j))
         li, lj = basis[i].lead_monomial(), basis[j].lead_monomial()
         lcm = mono_lcm(li, lj)
         if lcm == mono_mul(li, lj):
             continue
         skip = False
         for k in range(len(basis)):
-            if k in ij:
+            if k == i or k == j:
                 continue
             if not mono_divides(basis[k].lead_monomial(), lcm):
                 continue
@@ -141,14 +137,13 @@ def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool):
             raise ResourceLimit(
                 f"pair budget {limits.max_pairs} exhausted", pairs=reduced_count
             )
-        _, (mi, ci), (mj, cj) = _spair_parts(basis[i], basis[j])
-        s = ring.monomial(mi, ci) * basis[i] - ring.monomial(mj, cj) * basis[j]
+        # Basis elements are monic, so the S-pair needs no coefficients.
+        ti = ring.monomial(mono_div(lcm, li))
+        tj = ring.monomial(mono_div(lcm, lj))
+        s = ti * basis[i] - tj * basis[j]
         srep = None
         if track:
-            srep = [
-                ring.monomial(mi, ci) * a - ring.monomial(mj, cj) * b
-                for a, b in zip(reps[i], reps[j])
-            ]
+            srep = [ti * a - tj * b for a, b in zip(reps[i], reps[j])]
         h, quots = _reduce_full(s, basis, track)
         if h.is_zero():
             continue

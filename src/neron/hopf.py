@@ -133,17 +133,19 @@ class GroupMorphism:
                 raise UnknownVariable(f"pullback missing image of '{v}'")
 
 
-def _counit_legs(h: HopfPresentation):
-    """Substitutions (eps x id) and (id x eps) from the doubled ring back."""
+def _legs(h: HopfPresentation, images):
+    """Substitutions from the doubled ring to the base ring that put `images`
+    on the primed copy (left leg) or on the double-primed copy (right leg)
+    and the identity on the other: (eps x id) and (id x eps) for the counit
+    values, the halves of m(S x id) and m(id x S) for the antipode."""
     ring2 = h.doubled_ring()
     left = {}
     right = {}
     for v in h.ring.variables:
-        ev = h.ring.scalar(h.eps(v))
-        left[v + PRIME1] = ev
+        left[v + PRIME1] = images[v]
         left[v + PRIME2] = h.ring.var(v)
         right[v + PRIME1] = h.ring.var(v)
-        right[v + PRIME2] = ev
+        right[v + PRIME2] = images[v]
     return Substitution(ring2, h.ring, left), Substitution(ring2, h.ring, right)
 
 
@@ -161,20 +163,6 @@ def _coassoc_legs(h: HopfPresentation):
         second[v + PRIME2] = dv.in_ring(ring3, {w + PRIME1: w + PRIME2 for w in h.ring.variables}
                                         | {w + PRIME2: w + PRIME3 for w in h.ring.variables})
     return Substitution(ring2, ring3, first), Substitution(ring2, ring3, second)
-
-
-def _antipode_legs(h: HopfPresentation):
-    """m(S x id) and m(id x S) from the doubled ring to the base ring."""
-    ring2 = h.doubled_ring()
-    left = {}
-    right = {}
-    for v in h.ring.variables:
-        sv = h.antipode.images[v]
-        left[v + PRIME1] = sv
-        left[v + PRIME2] = h.ring.var(v)
-        right[v + PRIME1] = h.ring.var(v)
-        right[v + PRIME2] = sv
-    return Substitution(ring2, h.ring, left), Substitution(ring2, h.ring, right)
 
 
 def comul_squared(h: HopfPresentation, f: Poly) -> Poly:
@@ -223,9 +211,9 @@ def check_hopf(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS,
         rep.add("antipode respects relations", subject, sr.is_zero(),
                 format_poly(sr) if not sr.is_zero() else "")
 
-    left_eps, right_eps = _counit_legs(h)
+    left_eps, right_eps = _legs(h, {v: h.ring.scalar(h.eps(v)) for v in h.ring.variables})
     first, second = _coassoc_legs(h)
-    s_left, s_right = _antipode_legs(h)
+    s_left, s_right = _legs(h, h.antipode.images)
     for v in h.ring.variables:
         dv = h.comul.images[v]
         lv = h.relations.normal_form(left_eps(dv) - h.ring.var(v), limits)
@@ -307,7 +295,7 @@ class ReduceResult:
 def reduce_mod(h: HopfPresentation, n: int, limits: Limits = DEFAULT_LIMITS) -> ReduceResult:
     """Base change to R/(pi^(n+1)); reports whether the quotient group is trivial."""
     if n < 0:
-        raise ValueError("level must be nonnegative")
+        raise ValueError("modulus must be nonnegative")
     ring = h.ring
     cut = ring.pi() ** (n + 1)
     rels = Ideal(ring, list(h.relations.generators) + [cut])

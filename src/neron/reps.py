@@ -131,7 +131,7 @@ def stabilizer_ideal(v: RepMatrix, column: int = 1) -> Ideal:
     """Ideal of the mod-pi stabilizer of a coordinate line: pi and the
     off-diagonal entries of the chosen column."""
     if not 1 <= column <= v.size:
-        raise ShapeMismatch(f"no column {column} in a rank-{v.size} matrix")
+        raise ValueError(f"no column {column} in a rank-{v.size} matrix")
     ring = v.group.ring
     gens = [ring.pi()]
     for i in range(v.size):

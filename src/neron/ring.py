@@ -226,13 +226,18 @@ class PolyRing:
 
 
 class Poly:
-    """Polynomial with exact Q coefficients; immutable by convention."""
+    """Polynomial with exact Q coefficients; immutable by convention.
 
-    __slots__ = ("ring", "terms")
+    Nothing writes `terms` after construction, which is what lets the leading
+    monomial be computed once, on first use, and kept in `_lead`.
+    """
+
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: PolyRing, terms):
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c}
+        self._lead = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -312,8 +317,9 @@ class Poly:
         return Poly(self.ring, {m: c * q for m, c in self.terms.items()})
 
     def lead_monomial(self) -> Monomial:
-        key = self.ring.order.key
-        return max(self.terms, key=key)
+        if self._lead is None:
+            self._lead = max(self.terms, key=self.ring.order.key)
+        return self._lead
 
     def lead_coeff(self) -> Fraction:
         return self.terms[self.lead_monomial()]

@@ -7,6 +7,8 @@ from neron.config import Limits
 from neron.errors import DivisionObstruction, ResourceLimit
 from neron.groebner import (Ideal, certified_pi_division, contract, eliminate,
                             membership, saturate, saturate_pi, subalgebra_member)
+from neron.hopf import PRIME1, PRIME2, PRIME3, copy_into, tensor_ring
+from neron.library import general_linear
 from neron.ring import Poly, PolyRing, Substitution
 
 import suites
@@ -166,6 +168,48 @@ class TestLimits:
         x, y = rxy.var("x"), rxy.var("y")
         with pytest.raises(ResourceLimit):
             Ideal(rxy, [x ** 5 - y, y ** 5 - x]).basis(Limits(max_degree=3))
+
+
+def _gl2_blowup_saturation(limits):
+    """The pi-saturation in the level-1 Neron blowup of GL2: the relations,
+    pi*xi_k = a_k - eps(a_k) for every coordinate, saturated at pi."""
+    gl = general_linear(2)
+    aug = gl.aug_gens()
+    ring = gl.ring.extend(tuple(f"xi{k}" for k in range(1, len(aug) + 1)))
+    gens = [g.in_ring(ring) for g in gl.relations.generators]
+    gens += [ring.var(f"xi{k}").mul_pi(1) - a.in_ring(ring) for k, a in enumerate(aug, 1)]
+    return saturate_pi(Ideal(ring, gens), limits)
+
+
+def _b2_level1_tripled(limits):
+    """Basis of the relations of the third tensor power of B2's level-1
+    truncation: three copies of its one relation, whose leading terms share
+    pi, so the cross pairs need work."""
+    base = PolyRing(("xi1", "xi2", "xi3", "xi4"))
+    a, b, c, pi = base.var("xi1"), base.var("xi3"), base.var("xi4"), base.pi()
+    rel = a * b * c * pi * pi + a * b * pi + a * c * pi + a + b * c * pi + b + c
+    suffixes = (PRIME1, PRIME2, PRIME3)
+    ring = tensor_ring(base, suffixes)
+    return Ideal(ring, [copy_into(rel, ring, s) for s in suffixes]).basis(limits)
+
+
+class TestPairWalk:
+    """The number of S-pairs the kernel reduces on two fixed inputs, pinned
+    as the smallest pair budget that succeeds.  Another selection order or
+    a weaker criterion reduces a different number of pairs.  The degree
+    budget is the smallest that succeeds too, so that a different walk
+    stops at its first higher-degree element instead of running long."""
+
+    @pytest.mark.parametrize("compute, pairs, degree", [
+        (_gl2_blowup_saturation, 113, 5),
+        (_b2_level1_tripled, 21, 6),
+    ], ids=["gl2-blowup-saturation", "b2-level1-tripled"])
+    def test_pairs_reduced(self, compute, pairs, degree):
+        compute(Limits(max_pairs=pairs, max_degree=degree))
+        with pytest.raises(ResourceLimit):
+            compute(Limits(max_pairs=pairs - 1, max_degree=degree))
+        with pytest.raises(ResourceLimit):
+            compute(Limits(max_pairs=pairs, max_degree=degree - 1))
 
 
 class TestRandomizedSlices:

@@ -193,12 +193,24 @@ class TestCliExitCodes:
         ("dgal-trivial", "exp.grp", "--level", "1", "--degree-bound", "-2"),
         ("check-hopf", "gm.grp", "--max-pairs", "-1"),
         ("blowup", "gm.grp", "--centre", "pi, u-1", "--degree-bound", "-1"),
+        ("reduce-mod", "gm.grp", "--modulus", "-2"),
     ], ids=lambda a: a[0])
     def test_negative_counts_exit_two(self, capsys, golden_dir, args):
         code, out, err = run(capsys, args[0], str(golden_dir / args[1]), *args[2:])
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "must be nonnegative" in err
+        option = args[-2].lstrip("-")
+        assert option in err or "resource budgets" in err
+
+    @pytest.mark.parametrize("command", ["rep-rescale", "rep-blowup-line"])
+    @pytest.mark.parametrize("column", ["0", "-1", "5"])
+    def test_out_of_range_column_exits_two(self, capsys, golden_dir, command, column):
+        code, out, err = run(capsys, command, str(golden_dir / "borel.grp"),
+                             "--column", column)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"no column {column}" in err
 
     def test_zero_pair_budget_is_honoured(self, capsys, golden_dir):
         code, _, err = run(capsys, "blowup", str(golden_dir / "gl2.grp"),

@@ -99,6 +99,30 @@ class TestPoly:
         g = f.in_ring(G)
         assert g.lead_monomial() == (0, 3, 0)
 
+    @given(data=st.data(), order=st.sampled_from([LEX, GREVLEX, elim_order(1)]))
+    @settings(max_examples=120, derandomize=True)
+    def test_lead_monomial_is_the_order_maximum(self, data, order):
+        # The leading monomial is kept on the polynomial after its first
+        # use; it must agree with a fresh max-scan on every derived result.
+        R = PolyRing(("x", "y"), order)
+        S = PolyRing(("t", "y", "x"), data.draw(st.sampled_from([LEX, GREVLEX, elim_order(1)])))
+        f, g = data.draw(small_polys(R)), data.draw(small_polys(R))
+        q = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        for p in (f, g):
+            if p:
+                p.lead_monomial()
+        derived = [f, g, f + g, f - g, f * g, g * f, f.scale(q), f.monic(), g.monic(),
+                   f.in_ring(S), (f * g).in_ring(S, {"x": "t"})]
+        for p in derived:
+            if not p:
+                with pytest.raises(ValueError):
+                    p.lead_monomial()
+                continue
+            top = max(p.terms, key=p.ring.order.key)
+            assert p.lead_monomial() == top
+            assert p.lead_monomial() == top
+            assert p.lead_coeff() == p.terms[top]
+
     def test_elim_order_blocks(self):
         # first block dominates regardless of degree in the second
         R = PolyRing(("t", "x"), elim_order(1))
