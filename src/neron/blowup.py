@@ -89,11 +89,8 @@ def _blow(h: HopfPresentation, centre: Ideal, carried, power: int, name: str,
         anti_images[nm] = certified_pi_division(
             h.antipode(a).in_ring(ring_b), power, rels_b, limits)
 
-    blown = HopfPresentation(
-        name, ring_b, rels_b,
-        Substitution(ring_b, ring2_b, comul_images),
-        Substitution(ring_b, SCALARS, counit_images),
-        Substitution(ring_b, ring_b, anti_images), True)
+    blown = HopfPresentation.from_images(name, ring_b, rels_b, comul_images,
+                                         counit_images, anti_images)
 
     eliminated: dict = {}
     if do_prune:
@@ -161,8 +158,7 @@ def partial_blowup(h: HopfPresentation, subgroup: Ideal, n: int, name: str = Non
         name = f"{h.name}^[{n}]"
     centre = Ideal(h.ring, gens + [h.ring.pi(n + 1)])
     result = _blow(h, centre, carried, n + 1, name, limits, prune_result)
-    cut = Ideal(result.blown.ring,
-                list(result.blown.relations.generators) + [result.blown.ring.pi(n + 1)])
+    cut = result.blown.relations.plus([result.blown.ring.pi(n + 1)])
     for a in carried:
         pa = result.projection.pullback(a)
         result.report.add("reduction factors through the subgroup", format_poly(a),
@@ -175,7 +171,7 @@ def _flat_subgroup_checks(h: HopfPresentation, gens, limits: Limits):
     if not pre.ok:
         raise NotASubgroup("ideal is not a Hopf ideal over the base: "
                            + "; ".join(c.line() for c in pre.failures()))
-    total = Ideal(h.ring, list(h.relations.generators) + list(gens))
+    total = h.relations.plus(gens)
     if not saturate_pi(total, limits).same_ideal(total, limits):
         raise NotASubgroup("quotient by the ideal is not flat")
 
@@ -337,8 +333,7 @@ def check_constancy(h: HopfPresentation, subgroup: Ideal, depth: int,
         b = neron_blowup(current, centre, limits=limits)
         transformed = strict_transform(b, Ideal(current.ring, cur_gens), limits)
         pull = b.projection.pullback
-        before = Ideal(current.ring, list(current.relations.generators) + cur_gens
-                       + [current.ring.pi()])
+        before = current.relations.plus(cur_gens + [current.ring.pi()])
         after = transformed.plus([b.blown.ring.pi()])
         rep.add("centre fibre contracts to the previous one", stage,
                 contract(pull, after, limits).same_ideal(before, limits))

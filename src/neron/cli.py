@@ -120,7 +120,7 @@ def cmd_check_morphism(m, args, limits):
 
 
 def cmd_fibre(h, args, limits):
-    fibre = special_fibre(h).rename(f"{h.name}_k")
+    fibre = special_fibre(h)
     pruned, eliminated = prune(fibre, limits=limits)
     data = {"group": _group_json(pruned),
             "eliminated": {v: format_poly(f) for v, f in eliminated.items()}}
@@ -277,7 +277,7 @@ def cmd_rep_sum(pf, args, limits):
 
 
 def cmd_conormal(h, args, limits):
-    gk = special_fibre(h).rename(f"{h.name}_k")
+    gk = special_fibre(h)
     sub = Ideal(gk.ring, parse_poly_list(args.ideal, gk.ring))
     data_obj = conormal_rep(gk, sub, limits)
     v = data_obj.rep()

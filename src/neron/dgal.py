@@ -119,6 +119,8 @@ class Connection:
         if self.base not in (AFFINE, PUNCTURED):
             raise ShapeMismatch(f"unknown base {self.base!r}")
         r = len(self.matrix)
+        if r == 0:
+            raise ShapeMismatch("connection matrix must have rank at least 1")
         rows = []
         for row in self.matrix:
             if len(row) != r:

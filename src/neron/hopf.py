@@ -67,7 +67,6 @@ class HopfPresentation:
     comul: Substitution
     counit: Substitution
     antipode: Substitution
-    flat_certified: bool = False
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -76,6 +75,17 @@ class HopfPresentation:
         for v in self.ring.variables:
             if v not in self.comul.images or v not in self.counit.images or v not in self.antipode.images:
                 raise UnknownVariable(f"structure maps missing image of '{v}'")
+
+    @classmethod
+    def from_images(cls, name: str, ring: PolyRing, relations: Ideal,
+                    comul, counit, antipode) -> "HopfPresentation":
+        """A presentation from `{variable: image}` dicts: comultiplication
+        images in the doubled ring, counit images in SCALARS, antipode
+        images in `ring`."""
+        return cls(name, ring, relations,
+                   Substitution(ring, tensor_ring(ring, (PRIME1, PRIME2)), comul),
+                   Substitution(ring, SCALARS, counit),
+                   Substitution(ring, ring, antipode))
 
     def doubled_ring(self) -> PolyRing:
         if "ring2" not in self._memo:
@@ -112,11 +122,7 @@ class HopfPresentation:
 
     def fibre_ideal(self) -> Ideal:
         """The relations together with pi: the special fibre's ideal."""
-        return Ideal(self.ring, list(self.relations.generators) + [self.ring.pi()])
-
-    def rename(self, name: str) -> "HopfPresentation":
-        return HopfPresentation(name, self.ring, self.relations, self.comul,
-                                self.counit, self.antipode, self.flat_certified)
+        return self.relations.plus([self.ring.pi()])
 
 
 @dataclass
@@ -182,8 +188,6 @@ def check_flat(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS) -> Report:
         if extra:
             witness = format_poly(extra[0]) + " has a pi multiple in the ideal"
     rep.add("pi-saturated", h.name, same, witness)
-    if same:
-        h.flat_certified = True
     return rep
 
 
@@ -197,37 +201,31 @@ def check_hopf(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS,
     rep = Report(f"Hopf axioms for {h.name}")
     rels2 = h.doubled_ideal()
     rels3 = h.tripled_ideal()
-    ring2 = h.doubled_ring()
 
     for i, r in enumerate(h.relations.generators):
         subject = f"relation {i + 1}"
-        dr = rels2.normal_form(h.comul(r), limits)
-        rep.add("comultiplication respects relations", subject, dr.is_zero(),
-                format_poly(dr) if not dr.is_zero() else "")
-        er = h.eps_of(r)
-        rep.add("counit kills relations", subject, er.is_zero(),
-                format_scalar(er) if not er.is_zero() else "")
-        sr = h.relations.normal_form(h.antipode(r), limits)
-        rep.add("antipode respects relations", subject, sr.is_zero(),
-                format_poly(sr) if not sr.is_zero() else "")
+        rep.vanishes("comultiplication respects relations", subject,
+                     rels2.normal_form(h.comul(r), limits))
+        rep.vanishes("counit kills relations", subject, h.eps_of(r))
+        rep.vanishes("antipode respects relations", subject,
+                     h.relations.normal_form(h.antipode(r), limits))
 
     left_eps, right_eps = _legs(h, {v: h.ring.scalar(h.eps(v)) for v in h.ring.variables})
     first, second = _coassoc_legs(h)
     s_left, s_right = _legs(h, h.antipode.images)
     for v in h.ring.variables:
         dv = h.comul.images[v]
-        lv = h.relations.normal_form(left_eps(dv) - h.ring.var(v), limits)
-        rep.add("counit is left neutral", v, lv.is_zero(), format_poly(lv) if not lv.is_zero() else "")
-        rv = h.relations.normal_form(right_eps(dv) - h.ring.var(v), limits)
-        rep.add("counit is right neutral", v, rv.is_zero(), format_poly(rv) if not rv.is_zero() else "")
-        cv = rels3.normal_form(first(dv) - second(dv), limits)
-        rep.add("comultiplication is coassociative", v, cv.is_zero(),
-                format_poly(cv) if not cv.is_zero() else "")
+        rep.vanishes("counit is left neutral", v,
+                     h.relations.normal_form(left_eps(dv) - h.ring.var(v), limits))
+        rep.vanishes("counit is right neutral", v,
+                     h.relations.normal_form(right_eps(dv) - h.ring.var(v), limits))
+        rep.vanishes("comultiplication is coassociative", v,
+                     rels3.normal_form(first(dv) - second(dv), limits))
         target = h.ring.scalar(h.eps(v))
-        av = h.relations.normal_form(s_left(dv) - target, limits)
-        rep.add("antipode is a left inverse", v, av.is_zero(), format_poly(av) if not av.is_zero() else "")
-        bv = h.relations.normal_form(s_right(dv) - target, limits)
-        rep.add("antipode is a right inverse", v, bv.is_zero(), format_poly(bv) if not bv.is_zero() else "")
+        rep.vanishes("antipode is a left inverse", v,
+                     h.relations.normal_form(s_left(dv) - target, limits))
+        rep.vanishes("antipode is a right inverse", v,
+                     h.relations.normal_form(s_right(dv) - target, limits))
 
     if include_flat:
         rep.extend(check_flat(h, limits))
@@ -239,9 +237,8 @@ def check_morphism(m: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> Report:
     rep = Report(f"morphism {m.name}: {m.source.name} -> {m.target.name}")
     src, tgt = m.source, m.target
     for i, r in enumerate(tgt.relations.generators):
-        img = src.relations.normal_form(m.pullback(r), limits)
-        rep.add("pullback respects relations", f"relation {i + 1}", img.is_zero(),
-                format_poly(img) if not img.is_zero() else "")
+        rep.vanishes("pullback respects relations", f"relation {i + 1}",
+                     src.relations.normal_form(m.pullback(r), limits))
     ring2s = src.doubled_ring()
     rels2s = src.doubled_ideal()
     pull2 = Substitution(
@@ -251,37 +248,30 @@ def check_morphism(m: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> Report:
     for v in tgt.ring.variables:
         lhs = src.comul(m.pullback.images[v])
         rhs = pull2(tgt.comul.images[v])
-        d = rels2s.normal_form(lhs - rhs, limits)
-        rep.add("pullback intertwines comultiplication", v, d.is_zero(),
-                format_poly(d) if not d.is_zero() else "")
-        e = src.eps_of(m.pullback.images[v]) - tgt.eps(v)
-        rep.add("pullback intertwines counit", v, e.is_zero(),
-                format_scalar(e) if not e.is_zero() else "")
-        s = src.relations.normal_form(
-            src.antipode(m.pullback.images[v]) - m.pullback(tgt.antipode.images[v]), limits)
-        rep.add("pullback intertwines antipode", v, s.is_zero(),
-                format_poly(s) if not s.is_zero() else "")
+        rep.vanishes("pullback intertwines comultiplication", v,
+                     rels2s.normal_form(lhs - rhs, limits))
+        rep.vanishes("pullback intertwines counit", v,
+                     src.eps_of(m.pullback.images[v]) - tgt.eps(v))
+        rep.vanishes("pullback intertwines antipode", v, src.relations.normal_form(
+            src.antipode(m.pullback.images[v]) - m.pullback(tgt.antipode.images[v]), limits))
     return rep
 
 
 def special_fibre(h: HopfPresentation) -> HopfPresentation:
     """The fibre over the residue field: set pi to zero everywhere."""
     ring = h.ring
-    rels = Ideal(ring, [g.set_pi_zero() for g in h.relations.generators])
-    comul = Substitution(ring, h.doubled_ring(),
-                         {v: h.comul.images[v].set_pi_zero() for v in ring.variables})
-    counit = Substitution(ring, SCALARS,
-                          {v: SCALARS.scalar(Scalar.from_rational(h.eps(v).set_pi_zero()))
-                           for v in ring.variables})
-    antipode = Substitution(ring, ring,
-                            {v: h.antipode.images[v].set_pi_zero() for v in ring.variables})
-    return HopfPresentation(h.name + "_k", ring, rels, comul, counit, antipode, True)
+    return HopfPresentation.from_images(
+        h.name + "_k", ring, Ideal(ring, [g.set_pi_zero() for g in h.relations.generators]),
+        {v: h.comul.images[v].set_pi_zero() for v in ring.variables},
+        {v: SCALARS.scalar(Scalar.from_rational(h.eps(v).set_pi_zero()))
+         for v in ring.variables},
+        {v: h.antipode.images[v].set_pi_zero() for v in ring.variables})
 
 
 def generic_fibre(h: HopfPresentation) -> HopfPresentation:
     """The fibre over the fraction field: saturate the relations at pi."""
     rels = saturate_pi(h.relations)
-    return HopfPresentation(h.name + "_K", h.ring, rels, h.comul, h.counit, h.antipode, True)
+    return HopfPresentation(h.name + "_K", h.ring, rels, h.comul, h.counit, h.antipode)
 
 
 @dataclass
@@ -298,12 +288,12 @@ def reduce_mod(h: HopfPresentation, n: int, limits: Limits = DEFAULT_LIMITS) -> 
         raise ValueError("modulus must be nonnegative")
     ring = h.ring
     cut = ring.pi() ** (n + 1)
-    rels = Ideal(ring, list(h.relations.generators) + [cut])
-    out = HopfPresentation(f"{h.name}_mod{n}", ring, rels, h.comul, h.counit, h.antipode, False)
+    rels = h.relations.plus([cut])
+    out = HopfPresentation(f"{h.name}_mod{n}", ring, rels, h.comul, h.counit, h.antipode)
     rep = Report(f"{h.name} mod pi^{n + 1} trivial")
     for v in ring.variables:
-        d = rels.normal_form(ring.var(v) - ring.scalar(h.eps(v)), limits)
-        rep.add("coordinate is constant", v, d.is_zero(), format_poly(d) if not d.is_zero() else "")
+        rep.vanishes("coordinate is constant", v,
+                     rels.normal_form(ring.var(v) - ring.scalar(h.eps(v)), limits))
     return ReduceResult(out, n, rep.ok, rep)
 
 
@@ -319,14 +309,13 @@ def reduce_mod_image(m: GroupMorphism, n: int, limits: Limits = DEFAULT_LIMITS) 
     src, tgt = m.source, m.target
     ring = src.ring
     cut = ring.pi() ** (n + 1)
-    rels = Ideal(ring, list(src.relations.generators) + [cut])
+    rels = src.relations.plus([cut])
     rep = Report(f"image of {src.name} in {tgt.name} mod pi^{n + 1} trivial")
     for v in tgt.ring.variables:
-        d = rels.normal_form(m.pullback.images[v] - ring.scalar(tgt.eps(v)), limits)
-        rep.add("coordinate pulls back to a constant", v, d.is_zero(),
-                format_poly(d) if not d.is_zero() else "")
+        rep.vanishes("coordinate pulls back to a constant", v,
+                     rels.normal_form(m.pullback.images[v] - ring.scalar(tgt.eps(v)), limits))
     out = HopfPresentation(f"{src.name}_mod{n}", ring, rels,
-                           src.comul, src.counit, src.antipode, False)
+                           src.comul, src.counit, src.antipode)
     return ReduceResult(out, n, rep.ok, rep)
 
 
@@ -349,26 +338,22 @@ def hopf_ideal_report(h: HopfPresentation, gens, pi_power: int = 0,
     if pi_power:
         side.append(ring2.pi(pi_power))
     rels2 = h.doubled_ideal().plus(side)
-    inside = Ideal(ring, list(h.relations.generators) + list(gens)
-                   + ([ring.pi(pi_power)] if pi_power else []))
+    inside = h.relations.plus(list(gens) + ([ring.pi(pi_power)] if pi_power else []))
     for i, g in enumerate(gens):
         subject = f"generator {i + 1}"
         e = h.eps_of(g)
         ok_e = e.pi_valuation() >= pi_power if pi_power else e.is_zero()
         rep.add("counit vanishes", subject, ok_e, "" if ok_e else format_scalar(e))
-        d = rels2.normal_form(h.comul(g), limits)
-        rep.add("comultiplication stays in the two-sided span", subject, d.is_zero(),
-                format_poly(d) if not d.is_zero() else "")
-        s = inside.normal_form(h.antipode(g), limits)
-        rep.add("antipode preserves the ideal", subject, s.is_zero(),
-                format_poly(s) if not s.is_zero() else "")
+        rep.vanishes("comultiplication stays in the two-sided span", subject,
+                     rels2.normal_form(h.comul(g), limits))
+        rep.vanishes("antipode preserves the ideal", subject,
+                     inside.normal_form(h.antipode(g), limits))
     return rep
 
 
 def quotient_presentation(h: HopfPresentation, gens, name: str) -> HopfPresentation:
     """Quotient by a Hopf ideal: same maps, enlarged relations."""
-    rels = Ideal(h.ring, list(h.relations.generators) + list(gens))
-    return HopfPresentation(name, h.ring, rels, h.comul, h.counit, h.antipode, False)
+    return HopfPresentation(name, h.ring, h.relations.plus(gens), h.comul, h.counit, h.antipode)
 
 
 def prune(h: HopfPresentation, protected=(), limits: Limits = DEFAULT_LIMITS):
@@ -408,21 +393,18 @@ def prune(h: HopfPresentation, protected=(), limits: Limits = DEFAULT_LIMITS):
 
         moved = [sub(g) for g in basis]
         rels = Ideal(new_ring, [g for g in moved if not g.is_zero()])
-        new_h = HopfPresentation(
+        new_h = HopfPresentation.from_images(
             current.name, new_ring, rels,
             _pruned_comul(current, sub, new_ring),
-            Substitution(new_ring, SCALARS,
-                         {v: current.counit.images[v] for v in new_ring.variables}),
-            Substitution(new_ring, new_ring,
-                         {v: sub(current.antipode.images[v]) for v in new_ring.variables}),
-            current.flat_certified)
+            {v: current.counit.images[v] for v in new_ring.variables},
+            {v: sub(current.antipode.images[v]) for v in new_ring.variables})
         eliminated = {k: sub(e) for k, e in eliminated.items()}
         eliminated[w] = images[w]
         current = new_h
     return current, eliminated
 
 
-def _pruned_comul(h: HopfPresentation, sub: Substitution, new_ring: PolyRing) -> Substitution:
+def _pruned_comul(h: HopfPresentation, sub: Substitution, new_ring: PolyRing) -> dict:
     ring2_new = tensor_ring(new_ring, (PRIME1, PRIME2))
     images2 = {}
     for v in h.ring.variables:
@@ -430,8 +412,7 @@ def _pruned_comul(h: HopfPresentation, sub: Substitution, new_ring: PolyRing) ->
         for s in (PRIME1, PRIME2):
             images2[v + s] = copy_into(img, ring2_new, s)
     push = Substitution(h.doubled_ring(), ring2_new, images2)
-    return Substitution(new_ring, ring2_new,
-                        {v: push(h.comul.images[v]) for v in new_ring.variables})
+    return {v: push(h.comul.images[v]) for v in new_ring.variables}
 
 
 def isomorphism_report(m: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> Report:

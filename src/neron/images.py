@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from .blowup import _lift_pullback, neron_blowup
 from .config import DEFAULT_LIMITS, Limits
 from .groebner import Ideal, contract, saturate_pi
-from .hopf import (GroupMorphism, HopfPresentation, check_flat, prune,
-                   special_fibre)
+from .hopf import GroupMorphism, HopfPresentation, prune, special_fibre
 from .report import Report
 from .ring import Substitution, format_poly
 
@@ -60,7 +59,6 @@ def image_hopf(rho: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> ImageResu
     rels = Ideal(tgt.ring, list(kernel.basis(limits)))
     group = HopfPresentation(f"Im({rho.name})", tgt.ring, rels,
                              tgt.comul, tgt.counit, tgt.antipode)
-    check_flat(group, limits)
     embed = GroupMorphism(f"{group.name}->{tgt.name}", group, tgt,
                           Substitution.identity(tgt.ring))
     cover = GroupMorphism(f"{rho.source.name}->{group.name}", rho.source, group,
@@ -68,11 +66,10 @@ def image_hopf(rho: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> ImageResu
     return ImageResult(group, embed, cover)
 
 
-def _pruned_fibre(h: HopfPresentation, name: str, limits: Limits):
+def _pruned_fibre(h: HopfPresentation, limits: Limits):
     """Special fibre with forced variables eliminated; returns the fibre
     and the pullback of the original coordinates into it."""
-    fib = special_fibre(h).rename(name)
-    small, eliminated = prune(fib, limits=limits)
+    small, eliminated = prune(special_fibre(h), limits=limits)
     images = {v: eliminated[v] if v in eliminated else small.ring.var(v)
               for v in h.ring.variables}
     return small, Substitution(h.ring, small.ring, images)
@@ -147,13 +144,13 @@ def triptych(rho: GroupMorphism, steps: int = 8,
     rep = Report(f"special fibres for {rho.name}")
     rep.extend(dip.report)
 
-    image_fibre, _ = _pruned_fibre(img.group, f"{img.group.name}_k", limits)
+    image_fibre, _ = _pruned_fibre(img.group, limits)
 
     last = dip.stages[-1]
     pull = Substitution.identity(img.group.ring)
     for proj in dip.projections:
         pull = pull.then(proj.pullback)
-    saturated_fibre, to_fibre = _pruned_fibre(last, f"{last.name}_k", limits)
+    saturated_fibre, to_fibre = _pruned_fibre(last, limits)
 
     mod_pi_rels = contract(rho.pullback, rho.source.fibre_ideal(), limits)
     mod_pi_image = HopfPresentation(

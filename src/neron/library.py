@@ -6,18 +6,18 @@ from .errors import UnknownVariable
 from .groebner import Ideal
 from .hopf import PRIME1, PRIME2, SCALARS, HopfPresentation, tensor_ring
 from .matrix import mat_adjugate, mat_det, mat_mul
-from .ring import PolyRing, Substitution
+from .ring import PolyRing
 
 
-def _build(name, variables, relations, comul_images, counit_values, antipode_images,
-           flat=True) -> HopfPresentation:
+def _build(name, variables, relations, comul_images, counit_values,
+           antipode_images) -> HopfPresentation:
     ring = PolyRing(tuple(variables))
     ring2 = tensor_ring(ring, (PRIME1, PRIME2))
-    rels = Ideal(ring, [r(ring) for r in relations])
-    comul = Substitution(ring, ring2, {v: comul_images[v](ring2) for v in ring.variables})
-    counit = Substitution(ring, SCALARS, {v: SCALARS.scalar(counit_values[v]) for v in ring.variables})
-    antipode = Substitution(ring, ring, {v: antipode_images[v](ring) for v in ring.variables})
-    return HopfPresentation(name, ring, rels, comul, counit, antipode, flat)
+    return HopfPresentation.from_images(
+        name, ring, Ideal(ring, [r(ring) for r in relations]),
+        {v: comul_images[v](ring2) for v in ring.variables},
+        {v: SCALARS.scalar(counit_values[v]) for v in ring.variables},
+        {v: antipode_images[v](ring) for v in ring.variables})
 
 
 def multiplicative_group(u: str = "u", v: str = "v", name: str = "Gm") -> HopfPresentation:
@@ -68,78 +68,58 @@ def roots_of_unity(k: int, u: str = "u", v: str = "v", name: str = None) -> Hopf
     if name is None:
         name = f"mu{k}"
     base = multiplicative_group(u, v, name)
-    rels = Ideal(base.ring, list(base.relations.generators) + [base.ring.var(u) ** k - 1])
-    return HopfPresentation(name, base.ring, rels, base.comul, base.counit, base.antipode, True)
+    rels = base.relations.plus([base.ring.var(u) ** k - 1])
+    return HopfPresentation(name, base.ring, rels, base.comul, base.counit, base.antipode)
 
 
 def trivial_group(name: str = "E") -> HopfPresentation:
-    ring = PolyRing(())
-    ring2 = tensor_ring(ring, (PRIME1, PRIME2))
-    return HopfPresentation(name, ring, Ideal(ring, []),
-                            Substitution(ring, ring2, {}),
-                            Substitution(ring, SCALARS, {}),
-                            Substitution(ring, ring, {}), True)
+    return _build(name, (), [], {}, {}, {})
 
 
 def _entry(prefix: str, i: int, j: int) -> str:
     return f"{prefix}{i + 1}{j + 1}"
 
 
+def _linear(r: int, prefix: str, det: str | None, name: str) -> HopfPresentation:
+    """r x r matrices with determinant 1 (det None) or with the extra
+    variable det inverting the determinant."""
+    if r < 1:
+        raise ValueError("size must be positive")
+    cells = [(i, j) for i in range(r) for j in range(r)]
+    names = [_entry(prefix, i, j) for i, j in cells] + ([det] if det is not None else [])
+    ring = PolyRing(tuple(names))
+    ring2 = tensor_ring(ring, (PRIME1, PRIME2))
+    a = [[ring.var(_entry(prefix, i, j)) for j in range(r)] for i in range(r)]
+    a1 = [[ring2.var(_entry(prefix, i, j) + PRIME1) for j in range(r)] for i in range(r)]
+    a2 = [[ring2.var(_entry(prefix, i, j) + PRIME2) for j in range(r)] for i in range(r)]
+    prod = mat_mul(a1, a2)
+    adj = mat_adjugate(a)
+    comul = {_entry(prefix, i, j): prod[i][j] for i, j in cells}
+    counit = {_entry(prefix, i, j): SCALARS.scalar(1 if i == j else 0) for i, j in cells}
+    if det is None:
+        rels = [mat_det(a) - 1]
+        anti = {_entry(prefix, i, j): adj[i][j] for i, j in cells}
+    else:
+        rels = [mat_det(a) * ring.var(det) - 1]
+        comul[det] = ring2.var(det + PRIME1) * ring2.var(det + PRIME2)
+        counit[det] = SCALARS.scalar(1)
+        anti = {_entry(prefix, i, j): adj[i][j] * ring.var(det) for i, j in cells}
+        anti[det] = mat_det(a)
+    return HopfPresentation.from_images(name, ring, Ideal(ring, rels), comul, counit, anti)
+
+
 def general_linear(r: int = 2, prefix: str = "a", det: str = "d",
                    name: str = None) -> HopfPresentation:
     """Invertible r x r matrices; the extra variable inverts the determinant."""
-    if r < 1:
-        raise ValueError("size must be positive")
     if name is None:
         name = f"GL{r}"
-    names = [_entry(prefix, i, j) for i in range(r) for j in range(r)] + [det]
-    ring = PolyRing(tuple(names))
-    ring2 = tensor_ring(ring, (PRIME1, PRIME2))
-    a = [[ring.var(_entry(prefix, i, j)) for j in range(r)] for i in range(r)]
-    rels = Ideal(ring, [mat_det(a) * ring.var(det) - 1])
-    a1 = [[ring2.var(_entry(prefix, i, j) + PRIME1) for j in range(r)] for i in range(r)]
-    a2 = [[ring2.var(_entry(prefix, i, j) + PRIME2) for j in range(r)] for i in range(r)]
-    prod = mat_mul(a1, a2)
-    comul_images = {_entry(prefix, i, j): prod[i][j] for i in range(r) for j in range(r)}
-    comul_images[det] = ring2.var(det + PRIME1) * ring2.var(det + PRIME2)
-    adj = mat_adjugate(a)
-    anti = {_entry(prefix, i, j): adj[i][j] * ring.var(det) for i in range(r) for j in range(r)}
-    anti[det] = mat_det(a)
-    counit = {v: 0 for v in names}
-    for i in range(r):
-        counit[_entry(prefix, i, i)] = 1
-    counit[det] = 1
-    return HopfPresentation(
-        name, ring, rels,
-        Substitution(ring, ring2, comul_images),
-        Substitution(ring, SCALARS, {v: SCALARS.scalar(counit[v]) for v in names}),
-        Substitution(ring, ring, anti), True)
+    return _linear(r, prefix, det, name)
 
 
 def special_linear(r: int = 2, prefix: str = "a", name: str = None) -> HopfPresentation:
-    if r < 1:
-        raise ValueError("size must be positive")
     if name is None:
         name = f"SL{r}"
-    names = [_entry(prefix, i, j) for i in range(r) for j in range(r)]
-    ring = PolyRing(tuple(names))
-    ring2 = tensor_ring(ring, (PRIME1, PRIME2))
-    a = [[ring.var(_entry(prefix, i, j)) for j in range(r)] for i in range(r)]
-    rels = Ideal(ring, [mat_det(a) - 1])
-    a1 = [[ring2.var(_entry(prefix, i, j) + PRIME1) for j in range(r)] for i in range(r)]
-    a2 = [[ring2.var(_entry(prefix, i, j) + PRIME2) for j in range(r)] for i in range(r)]
-    prod = mat_mul(a1, a2)
-    comul_images = {_entry(prefix, i, j): prod[i][j] for i in range(r) for j in range(r)}
-    adj = mat_adjugate(a)
-    anti = {_entry(prefix, i, j): adj[i][j] for i in range(r) for j in range(r)}
-    counit = {v: 0 for v in names}
-    for i in range(r):
-        counit[_entry(prefix, i, i)] = 1
-    return HopfPresentation(
-        name, ring, rels,
-        Substitution(ring, ring2, comul_images),
-        Substitution(ring, SCALARS, {v: SCALARS.scalar(counit[v]) for v in names}),
-        Substitution(ring, ring, anti), True)
+    return _linear(r, prefix, None, name)
 
 
 def borel2(prefix: str = "a", det: str = "e", name: str = "B2") -> HopfPresentation:
@@ -170,17 +150,9 @@ def product(h1: HopfPresentation, h2: HopfPresentation, name: str = None) -> Hop
     ring2 = tensor_ring(ring, (PRIME1, PRIME2))
     rels = Ideal(ring, [g.in_ring(ring) for g in h1.relations.generators]
                  + [g.in_ring(ring) for g in h2.relations.generators])
-    comul_images = {}
-    counit_images = {}
-    anti_images = {}
-    for h in (h1, h2):
-        for v in h.ring.variables:
-            comul_images[v] = h.comul.images[v].in_ring(ring2)
-            counit_images[v] = h.counit.images[v]
-            anti_images[v] = h.antipode.images[v].in_ring(ring)
-    return HopfPresentation(
+    factors = [(h, v) for h in (h1, h2) for v in h.ring.variables]
+    return HopfPresentation.from_images(
         name, ring, rels,
-        Substitution(ring, ring2, comul_images),
-        Substitution(ring, SCALARS, counit_images),
-        Substitution(ring, ring, anti_images),
-        h1.flat_certified and h2.flat_certified)
+        {v: h.comul.images[v].in_ring(ring2) for h, v in factors},
+        {v: h.counit.images[v] for h, v in factors},
+        {v: h.antipode.images[v].in_ring(ring) for h, v in factors})

@@ -472,14 +472,11 @@ class _FileParser(_Parser):
         allowed = set(names)
         allowed2 = {v + s for v in names for s in (PRIME1, PRIME2)}
         rel_ideal = Ideal(ring, [self.plain_poly(r, ring, allowed) for r in relations])
-        comul_map = Substitution(ring, ring2, self.images_for(
-            comul, names, ring2, allowed2, "comul"))
-        counit_map = Substitution(ring, SCALARS, self.images_for(
-            counit, names, SCALARS, set(), "counit"))
-        antipode_map = Substitution(ring, ring, self.images_for(
-            antipode, names, ring, allowed, "antipode"))
-        return HopfPresentation(name, ring, rel_ideal, comul_map, counit_map,
-                                antipode_map)
+        return HopfPresentation.from_images(
+            name, ring, rel_ideal,
+            self.images_for(comul, names, ring2, allowed2, "comul"),
+            self.images_for(counit, names, SCALARS, set(), "counit"),
+            self.images_for(antipode, names, ring, allowed, "antipode"))
 
     def build_morphism(self, name, entries, opener) -> GroupMorphism:
         source = self.file.groups.get(self.take(entries, "source", opener))

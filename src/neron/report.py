@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .ring import Poly, format_poly, format_scalar
+
 
 @dataclass
 class Check:
@@ -30,6 +32,13 @@ class Report:
     def add(self, name: str, subject: str, ok: bool, witness: str = "") -> "Report":
         self.checks.append(Check(name, subject, ok, witness))
         return self
+
+    def vanishes(self, name: str, subject: str, residue) -> "Report":
+        """Check that a Poly or Scalar residue is zero; if not, it is the witness."""
+        if residue.is_zero():
+            return self.add(name, subject, True)
+        fmt = format_poly if isinstance(residue, Poly) else format_scalar
+        return self.add(name, subject, False, fmt(residue))
 
     def extend(self, other: "Report") -> "Report":
         self.checks.extend(other.checks)

@@ -21,7 +21,7 @@ from .hopf import (PRIME1, PRIME2, PRIME3, GroupMorphism, HopfPresentation,
 from .linalg import independent_rows, solve
 from .matrix import mat_block, mat_det, mat_id, mat_in_ring, mat_mul, mat_zero
 from .report import Report
-from .ring import Poly, PolyRing, Substitution, format_poly, format_scalar
+from .ring import Poly, Substitution, format_poly
 
 
 @dataclass
@@ -62,7 +62,7 @@ class RepMatrix:
             return ring.one()
         d = self.det()
         rels = self.group.relations
-        cert = membership(ring.one(), Ideal(ring, list(rels.generators) + [d]))
+        cert = membership(ring.one(), rels.plus([d]))
         if not cert.member:
             raise DivisionObstruction(
                 "determinant is not invertible modulo the relations",
@@ -84,15 +84,12 @@ def validate_rep(m: RepMatrix, limits: Limits = DEFAULT_LIMITS) -> Report:
     prod = mat_mul(left, right)
     for i in range(m.size):
         for j in range(m.size):
-            d = rels2.normal_form(h.comul(m.entries[i][j]) - prod[i][j], limits)
-            rep.add("comultiplication matches matrix product", f"entry {i + 1},{j + 1}",
-                    d.is_zero(), format_poly(d) if not d.is_zero() else "")
-            e = h.eps_of(m.entries[i][j]) - (1 if i == j else 0)
-            rep.add("counit is the identity matrix", f"entry {i + 1},{j + 1}",
-                    e.is_zero(), format_scalar(e) if not e.is_zero() else "")
-    w = h.relations.normal_form(m.det() * m.det_inverse_witness - 1, limits)
-    rep.add("determinant witness inverts the determinant", h.name, w.is_zero(),
-            format_poly(w) if not w.is_zero() else "")
+            rep.vanishes("comultiplication matches matrix product", f"entry {i + 1},{j + 1}",
+                         rels2.normal_form(h.comul(m.entries[i][j]) - prod[i][j], limits))
+            rep.vanishes("counit is the identity matrix", f"entry {i + 1},{j + 1}",
+                         h.eps_of(m.entries[i][j]) - (1 if i == j else 0))
+    rep.vanishes("determinant witness inverts the determinant", h.name,
+                 h.relations.normal_form(m.det() * m.det_inverse_witness - 1, limits))
     return rep
 
 
@@ -197,9 +194,8 @@ def scaling_conjugation_report(v: RepMatrix, b: BlowupResult, doubled: RepMatrix
     rep = Report("conjugation by the scaling matrix")
     for i in range(2 * r):
         for j in range(2 * r):
-            d = blown.relations.normal_form(lhs[i][j] - rhs[i][j], limits)
-            rep.add("scaled conjugation identity", f"entry {i + 1},{j + 1}",
-                    d.is_zero(), format_poly(d) if not d.is_zero() else "")
+            rep.vanishes("scaled conjugation identity", f"entry {i + 1},{j + 1}",
+                         blown.relations.normal_form(lhs[i][j] - rhs[i][j], limits))
     return rep
 
 

@@ -77,6 +77,8 @@ class TestConnection:
             Connection(AFFINE, [[0, 0]])
         with pytest.raises(ShapeMismatch):
             Connection(AFFINE, [[LaurentPoly.x_power(-1)]])
+        with pytest.raises(ShapeMismatch):
+            Connection(AFFINE, [])
         ok = log_conn()
         assert ok.rank == 1
         assert not ok.is_zero()

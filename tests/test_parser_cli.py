@@ -10,11 +10,12 @@ from jsonschema import validate
 from neron.cli import main
 from neron.errors import ParseError, UndefinedName
 from neron.hopf import check_hopf
-from neron.library import multiplicative_group, twisted_multiplicative
+from neron.library import general_linear, special_linear, twisted_multiplicative
 from neron.parser import (parse, parse_fraction, parse_matrix, parse_poly,
                           parse_poly_list, print_file, print_group)
 from neron.ring import PolyRing, format_poly
 
+from test_goldens import load_script
 from test_ring import small_polys
 
 SCHEMA = json.loads(
@@ -32,11 +33,8 @@ def same_group(a, b) -> bool:
 
 class TestParse:
     def test_groups_match_stock(self, golden):
-        pf = golden("gm.grp")
-        assert same_group(pf.groups["Gm"], multiplicative_group())
-        for n in (1, 2, 3):
-            pf = golden(f"gm-twisted-{n}.grp")
-            assert same_group(pf.groups[f"Gm^({n})"], twisted_multiplicative(n))
+        for (fname, gname), stock in load_script().STOCK.items():
+            assert same_group(golden(fname).groups[gname], stock), gname
 
     def test_quoted_names_and_morphism(self, golden):
         pf = golden("gprime.grp")
@@ -91,6 +89,8 @@ class TestParse:
          "affine-line connection entries cannot involve 1/x"),
         ("connection E { base: affine-line; rank: 2; matrix: [[0]]; }",
          ParseError, "declared rank 2 but the matrix is 1 x 1"),
+        ("connection E { base: affine-line; matrix: []; }", ParseError,
+         "1:1: connection matrix must have rank at least 1"),
         ("group G { vars: x; relations: ; comul: x -> x'+x''; counit: x -> 0; "
          "antipode: x -> -x; comul: x -> x'; }", ParseError,
          "duplicate key 'comul'"),
@@ -133,6 +133,42 @@ class TestPrint:
         t = twisted_multiplicative(2)
         assert print_group(t).startswith('group "Gm^(2)" {')
 
+    def test_print_linear_groups(self):
+        # no golden file holds SL2 or GL3; these pin the library constructors
+        assert print_group(special_linear(2)) == (
+            "group SL2 {\n"
+            "  vars: a11, a12, a21, a22;\n"
+            "  relations: a11*a22 - a12*a21 - 1;\n"
+            "  comul: a11 -> a11'*a11'' + a12'*a21'', a12 -> a11'*a12'' + a12'*a22'', "
+            "a21 -> a21'*a11'' + a22'*a21'', a22 -> a21'*a12'' + a22'*a22'';\n"
+            "  counit: a11 -> 1, a12 -> 0, a21 -> 0, a22 -> 1;\n"
+            "  antipode: a11 -> a22, a12 -> -a12, a21 -> -a21, a22 -> a11;\n"
+            "}")
+        assert print_group(general_linear(3)) == (
+            "group GL3 {\n"
+            "  vars: a11, a12, a13, a21, a22, a23, a31, a32, a33, d;\n"
+            "  relations: a11*a22*a33*d - a11*a23*a32*d - a12*a21*a33*d + a12*a23*a31*d "
+            "+ a13*a21*a32*d - a13*a22*a31*d - 1;\n"
+            "  comul: a11 -> a11'*a11'' + a12'*a21'' + a13'*a31'', "
+            "a12 -> a11'*a12'' + a12'*a22'' + a13'*a32'', "
+            "a13 -> a11'*a13'' + a12'*a23'' + a13'*a33'', "
+            "a21 -> a21'*a11'' + a22'*a21'' + a23'*a31'', "
+            "a22 -> a21'*a12'' + a22'*a22'' + a23'*a32'', "
+            "a23 -> a21'*a13'' + a22'*a23'' + a23'*a33'', "
+            "a31 -> a31'*a11'' + a32'*a21'' + a33'*a31'', "
+            "a32 -> a31'*a12'' + a32'*a22'' + a33'*a32'', "
+            "a33 -> a31'*a13'' + a32'*a23'' + a33'*a33'', d -> d'*d'';\n"
+            "  counit: a11 -> 1, a12 -> 0, a13 -> 0, a21 -> 0, a22 -> 1, a23 -> 0, "
+            "a31 -> 0, a32 -> 0, a33 -> 1, d -> 1;\n"
+            "  antipode: a11 -> a22*a33*d - a23*a32*d, a12 -> -a12*a33*d + a13*a32*d, "
+            "a13 -> a12*a23*d - a13*a22*d, a21 -> -a21*a33*d + a23*a31*d, "
+            "a22 -> a11*a33*d - a13*a31*d, a23 -> -a11*a23*d + a13*a21*d, "
+            "a31 -> a21*a32*d - a22*a31*d, a32 -> -a11*a32*d + a12*a31*d, "
+            "a33 -> a11*a22*d - a12*a21*d, "
+            "d -> a11*a22*a33 - a11*a23*a32 - a12*a21*a33 + a12*a23*a31 "
+            "+ a13*a21*a32 - a13*a22*a31;\n"
+            "}")
+
     @given(f=small_polys(PolyRing(("u", "v"))))
     @settings(max_examples=60, derandomize=True)
     def test_poly_text_round_trip(self, f):
@@ -172,6 +208,18 @@ class TestCliExitCodes:
             args = args[:1] + [str(golden_dir / args[1])] + args[2:]
             code, out, _ = run(capsys, *args)
             assert code == 1, (args, out)
+
+    def test_rank_zero_connection_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "rank0.grp"
+        path.write_text("connection c { base: affine-line; matrix: []; }\n")
+        for args in (["dgal-trivial", "--level", "1"],
+                     ["dgal-diagnose", "--levels", "1"],
+                     ["dgal-solve", "--order", "2"]):
+            code, out, err = run(capsys, args[0], str(path), *args[1:])
+            assert code == 2, args
+            assert out == ""
+            assert err.startswith("error:") and "rank at least 1" in err
+            assert "Traceback" not in err
 
     def test_mathematical_failure_exits_one(self, capsys, golden_dir):
         code, _, err = run(capsys, "blowup", str(golden_dir / "gm.grp"),
