@@ -7,6 +7,19 @@ so each selection pops the minimum instead of scanning every pair, and each
 polynomial computes its leading monomial once (`Poly.lead_monomial`).
 Membership can track cofactors through the whole loop, which is what certified
 division by pi powers and the blowup structure maps rely on.
+
+Bases are built only when a decision needs one.  The kernel can start from
+blocks of its input that are Groebner bases already (the renamed copies in a
+tensor power of an ideal), marking the pairs inside each block done, so only
+the pairs between blocks are reduced; the product criterion drops every such
+pair whose leading monomials share no variable (Gebauer-Moeller 1988).  When
+the blocks share no variable but pi and at most one has pi in a leading term,
+their union is already the reduced basis and no walk runs.  An ideal whose
+basis is not built yet answers a normal form by dividing by what it holds
+first, and builds the basis only when that leaves a remainder.  The reduced
+basis and the normal forms are unique, so every answer is the one a basis
+from scratch gives.  Tracked bases and membership certificates always walk
+from the generators.
 """
 
 from __future__ import annotations
@@ -67,8 +80,13 @@ def _reduce_full(f: Poly, basis, track: bool = False):
     return Poly(ring, rem), ([Poly(ring, q) for q in quots] if track else None)
 
 
-def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool):
-    """Core loop; returns (basis, representations w.r.t. gens or None)."""
+def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool, blocks=()):
+    """Core loop; returns (basis, representations w.r.t. gens or None).
+
+    `blocks` gives the sizes of consecutive runs at the start of `gens` that
+    are each a Groebner basis already: the pairs inside a run have standard
+    representations, so they start out done and are never reduced.
+    """
     basis = []
     reps = []
     sugars = []
@@ -84,6 +102,7 @@ def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool):
         return len(basis) - 1
 
     unit = [ring.zero() for _ in gens] if track else None
+    index = {}  # input position -> basis index
     for pos, g in enumerate(gens):
         if g.is_zero():
             continue
@@ -91,17 +110,24 @@ def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool):
         if track:
             rep = list(unit)
             rep[pos] = ring.one()
-        insert(g, rep)
+        index[pos] = insert(g, rep)
 
     # Pending pairs as a heap of (sugar, order key of lcm, i, j).  Each entry
     # is unique by (i, j) and leaves only when selected, so popping gives the
     # same sequence as taking the minimum of the whole pair set each time.
     pairs = []
     done = set()
+    start = 0
+    for size in blocks:
+        run = [index[p] for p in range(start, start + size) if p in index]
+        done.update((i, j) for n, j in enumerate(run) for i in run[:n])
+        start += size
 
     def push_pairs(j):
         lj = basis[j].lead_monomial()
         for i in range(j):
+            if (i, j) in done:
+                continue
             li = basis[i].lead_monomial()
             lcm = mono_lcm(li, lj)
             d = mono_degree(lcm)
@@ -199,6 +225,29 @@ def _interreduce(basis, reps, ring, track):
     return final, finalreps
 
 
+def _independent(blocks) -> bool:
+    """Whether the union of reduced bases is the reduced basis of their sum:
+    different blocks use disjoint variables apart from pi, every leading
+    monomial has a variable other than pi, and at most one block has pi in
+    a leading monomial.  Then the leading monomials of different blocks are
+    coprime, so the product criterion drops every pair between blocks, and
+    none of them divides a term of another block."""
+    used = set()
+    pi_leads = 0
+    for block in blocks:
+        here = set()
+        for g in block:
+            if not any(g.lead_monomial()[:-1]):
+                return False
+            for m in g.terms:
+                here.update(k for k, e in enumerate(m[:-1]) if e)
+        pi_leads += any(g.lead_monomial()[-1] for g in block)
+        if pi_leads > 1 or here & used:
+            return False
+        used |= here
+    return True
+
+
 @dataclass
 class MembershipCertificate:
     """Outcome of an ideal membership test with exact cofactors on success."""
@@ -209,9 +258,15 @@ class MembershipCertificate:
 
 
 class Ideal:
-    """Finitely generated ideal with a cached reduced basis."""
+    """Finitely generated ideal with a cached reduced basis.
 
-    __slots__ = ("ring", "generators", "_basis", "_tracked")
+    The basis is built on first use.  Until then a normal form first divides
+    by the elements the ideal already holds (its seed blocks, or else its
+    nonzero generators): a zero remainder proves membership, so the answer
+    is zero without any basis.
+    """
+
+    __slots__ = ("ring", "generators", "_basis", "_tracked", "_seed", "_saturation")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -225,6 +280,8 @@ class Ideal:
         self.generators = tuple(gens)
         self._basis = None
         self._tracked = None
+        self._seed = None
+        self._saturation = None
 
     @classmethod
     def with_basis(cls, ring: PolyRing, generators, basis) -> "Ideal":
@@ -232,9 +289,31 @@ class Ideal:
         ideal._basis = tuple(basis)
         return ideal
 
+    @classmethod
+    def seeded(cls, ring: PolyRing, generators, blocks) -> "Ideal":
+        """The ideal of `generators`, also generated by the union of
+        `blocks`, each of which is a reduced Groebner basis already; its
+        basis starts from the blocks and only works through the pairs
+        between them."""
+        ideal = cls(ring, generators)
+        ideal._seed = tuple(tuple(block) for block in blocks)
+        return ideal
+
+    def _held(self):
+        """The elements held before the basis is built, and the sizes of
+        the leading runs of them that are Groebner bases."""
+        if self._seed is None:
+            return [g for g in self.generators if not g.is_zero()], ()
+        return [g for block in self._seed for g in block], tuple(map(len, self._seed))
+
     def basis(self, limits: Limits = DEFAULT_LIMITS):
         if self._basis is None:
-            self._basis, _ = _buchberger(list(self.generators), self.ring, limits, False)
+            held, blocks = self._held()
+            if self._seed is not None and _independent(self._seed):
+                key = self.ring.order.key
+                self._basis = tuple(sorted(held, key=lambda g: key(g.lead_monomial())))
+            else:
+                self._basis, _ = _buchberger(held, self.ring, limits, False, blocks)
         return self._basis
 
     def tracked_basis(self, limits: Limits = DEFAULT_LIMITS):
@@ -245,6 +324,10 @@ class Ideal:
     def normal_form(self, f: Poly, limits: Limits = DEFAULT_LIMITS) -> Poly:
         if f.ring != self.ring:
             f = f.in_ring(self.ring)
+        if self._basis is None:
+            f, _ = _reduce_full(f, self._held()[0])
+            if f.is_zero():
+                return f
         rem, _ = _reduce_full(f, list(self.basis(limits)))
         return rem
 
@@ -331,7 +414,13 @@ def saturate(ideal: Ideal, f: Poly, limits: Limits = DEFAULT_LIMITS) -> Ideal:
 
 
 def saturate_pi(ideal: Ideal, limits: Limits = DEFAULT_LIMITS) -> Ideal:
-    return saturate(ideal, ideal.ring.pi(), limits)
+    """(ideal : pi^infinity), computed once per ideal object and kept on it;
+    a saturation is its own saturation."""
+    if ideal._saturation is None:
+        sat = saturate(ideal, ideal.ring.pi(), limits)
+        sat._saturation = sat
+        ideal._saturation = sat
+    return ideal._saturation
 
 
 def eliminate(ideal: Ideal, drop, limits: Limits = DEFAULT_LIMITS) -> Ideal:

@@ -23,11 +23,12 @@ PRIME2 = "''"
 PRIME3 = "'''"
 
 
+def _tensor_names(ring: PolyRing, suffixes) -> tuple:
+    return tuple(v + s for s in suffixes for v in ring.variables)
+
+
 def tensor_ring(ring: PolyRing, suffixes) -> PolyRing:
-    names = []
-    for s in suffixes:
-        names.extend(v + s for v in ring.variables)
-    return PolyRing(tuple(names), ring.order)
+    return PolyRing(_tensor_names(ring, suffixes), ring.order)
 
 
 def copy_into(f: Poly, ring_t: PolyRing, suffix: str) -> Poly:
@@ -37,26 +38,21 @@ def copy_into(f: Poly, ring_t: PolyRing, suffix: str) -> Poly:
 def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes) -> Ideal:
     """Relations of a tensor power, one renamed copy per factor.
 
-    When no leading term involves pi, the copies' leading terms live on
-    disjoint variable blocks, every cross pair is coprime, and the union
-    of the reduced bases is already the reduced basis.  A leading term
-    with a pi factor breaks the disjointness (pi is shared between the
-    copies), so the basis is recomputed from scratch in that case.
+    Each renamed copy of the reduced basis is a Groebner basis in the
+    tensor ring, so the ideal is seeded with the copies.  Its basis is
+    built on first use, and the only pairs it reduces are pairs between
+    copies whose leading monomials share pi.  When no leading term
+    involves pi, the union of the copies is the reduced basis, with no
+    walk at all.  A normal form of a member reduces to zero by the copies
+    alone and builds no basis.
     """
     gens = []
-    basis = []
-    shared_pi = False
+    blocks = []
     for s in suffixes:
         rename = {v: v + s for v in relations.ring.variables}
         gens.extend(g.in_ring(ring_t, rename) for g in relations.generators)
-        for g in relations.basis():
-            if g.lead_monomial()[-1] != 0:
-                shared_pi = True
-            basis.append(g.in_ring(ring_t, rename))
-    if shared_pi:
-        return Ideal(ring_t, gens)
-    basis.sort(key=lambda g: ring_t.order.key(g.lead_monomial()))
-    return Ideal.with_basis(ring_t, gens, basis)
+        blocks.append([g.in_ring(ring_t, rename) for g in relations.basis()])
+    return Ideal.seeded(ring_t, gens, blocks)
 
 
 @dataclass
@@ -72,6 +68,9 @@ class HopfPresentation:
     def __post_init__(self):
         if self.comul.source != self.ring:
             raise UnknownVariable("comultiplication source ring mismatch")
+        doubled = PolyRing(_tensor_names(self.ring, (PRIME1, PRIME2)), self.ring.order)
+        if self.comul.target != doubled:
+            raise UnknownVariable("comultiplication target is not the doubled ring")
         for v in self.ring.variables:
             if v not in self.comul.images or v not in self.counit.images or v not in self.antipode.images:
                 raise UnknownVariable(f"structure maps missing image of '{v}'")
@@ -88,9 +87,7 @@ class HopfPresentation:
                    Substitution(ring, ring, antipode))
 
     def doubled_ring(self) -> PolyRing:
-        if "ring2" not in self._memo:
-            self._memo["ring2"] = tensor_ring(self.ring, (PRIME1, PRIME2))
-        return self._memo["ring2"]
+        return self.comul.target
 
     def doubled_ideal(self) -> Ideal:
         if "ideal2" not in self._memo:

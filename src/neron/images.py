@@ -55,8 +55,8 @@ def image_hopf(rho: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> ImageResu
     """
     tgt = rho.target
     kernel = contract(rho.pullback, rho.source.relations, limits)
-    kernel = saturate_pi(kernel, limits)
-    rels = Ideal(tgt.ring, list(kernel.basis(limits)))
+    basis = saturate_pi(kernel, limits).basis(limits)
+    rels = Ideal.with_basis(tgt.ring, basis, basis)
     group = HopfPresentation(f"Im({rho.name})", tgt.ring, rels,
                              tgt.comul, tgt.counit, tgt.antipode)
     embed = GroupMorphism(f"{group.name}->{tgt.name}", group, tgt,
@@ -153,9 +153,10 @@ def triptych(rho: GroupMorphism, steps: int = 8,
     saturated_fibre, to_fibre = _pruned_fibre(last, limits)
 
     mod_pi_rels = contract(rho.pullback, rho.source.fibre_ideal(), limits)
+    mod_pi_basis = mod_pi_rels.basis(limits)
     mod_pi_image = HopfPresentation(
         f"Im({rho.name}_k)", img.group.ring,
-        Ideal(img.group.ring, list(mod_pi_rels.basis(limits))),
+        Ideal.with_basis(img.group.ring, mod_pi_basis, mod_pi_basis),
         img.group.comul, img.group.counit, img.group.antipode)
 
     into = pull.then(to_fibre)

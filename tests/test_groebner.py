@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from neron.config import Limits
 from neron.errors import DivisionObstruction, ResourceLimit
-from neron.groebner import (Ideal, certified_pi_division, contract, eliminate,
-                            membership, saturate, saturate_pi, subalgebra_member)
-from neron.hopf import PRIME1, PRIME2, PRIME3, copy_into, tensor_ring
+from neron.groebner import (Ideal, _buchberger, _reduce_full, certified_pi_division,
+                            contract, eliminate, membership, saturate, saturate_pi,
+                            subalgebra_member)
+from neron.hopf import PRIME1, PRIME2, PRIME3, copy_into, tensor_ideal, tensor_ring
 from neron.library import general_linear
 from neron.ring import Poly, PolyRing, Substitution
 
@@ -63,6 +64,55 @@ class TestIdeal:
         nf = lambda p: ideal.normal_form(p, LIM)
         assert nf(f + g) == nf(nf(f) + nf(g))
         assert nf(f * g) == nf(nf(f) * nf(g))
+
+
+def _scratch_normal_form(f, gens):
+    basis, _ = _buchberger(list(gens), f.ring, LIM, False)
+    return _reduce_full(f, list(basis))[0]
+
+
+RXY = PolyRing(("x", "y"))
+
+
+class TestMembershipFirst:
+    """Before its basis is built, a normal form divides by the generators
+    first; the answer must be the normal form modulo a basis built from
+    scratch, for members and non-members alike."""
+
+    def test_zero_generator_is_skipped(self, rxy):
+        x, y = rxy.var("x"), rxy.var("y")
+        assert Ideal(rxy, [0, x]).normal_form(x * y, LIM).is_zero()
+        assert Ideal(rxy, [0, x]).normal_form(y + x, LIM) == y
+
+    @given(gens=st.lists(small_polys(RXY), min_size=1, max_size=2),
+           zero_at=st.none() | st.integers(0, 2),
+           cofactors=st.lists(small_polys(RXY), min_size=2, max_size=2),
+           extra=small_polys(RXY))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_matches_basis_from_scratch(self, gens, zero_at, cofactors, extra):
+        if zero_at is not None:
+            gens.insert(min(zero_at, len(gens)), RXY.zero())
+        member = sum((c * g for c, g in zip(cofactors, gens)), RXY.zero())
+        for f in (member, member + extra, extra):
+            assert Ideal(RXY, gens).normal_form(f, LIM) == _scratch_normal_form(f, gens)
+
+    def test_seeded_basis_is_the_reduced_basis(self, rxy):
+        # Blocks whose leading monomials are coprime can still fail to be
+        # reduced together: a shared tail variable or a pure pi power.
+        x, y, pi = rxy.var("x"), rxy.var("y"), rxy.pi()
+        for blocks in ([[x - y], [y]], [[x + pi], [pi]], [[x + pi], [y + pi]],
+                       [[x * y - 1], [y * pi]], [[x], [y]], [[rxy.one()], [x]]):
+            gens = [g for block in blocks for g in block]
+            seeded = Ideal.seeded(rxy, gens, blocks)
+            assert seeded.basis(LIM) == Ideal(rxy, gens).basis(LIM), blocks
+
+    def test_member_builds_no_basis(self, rxy):
+        x, y = rxy.var("x"), rxy.var("y")
+        ideal = Ideal(rxy, [x * x - y, y * y - x])
+        assert ideal.contains((x * x - y) * (x + y), LIM)
+        assert ideal._basis is None
+        assert not ideal.contains(x, LIM)
+        assert ideal._basis is not None
 
 
 class TestMembership:
@@ -210,6 +260,26 @@ class TestPairWalk:
             compute(Limits(max_pairs=pairs - 1, max_degree=degree))
         with pytest.raises(ResourceLimit):
             compute(Limits(max_pairs=pairs, max_degree=degree - 1))
+
+
+class TestSeededWalk:
+    """Doubling the relations that a level-1 blowup of GL2 divides its
+    comultiplication in: seeded with the two renamed copies of their
+    reduced basis, the walk reduces only pairs between the copies.  Both
+    counts are the smallest pair budget that succeeds; the from-scratch
+    count is the one the kernel reduced before seeding existed."""
+
+    def test_seeded_walk_reduces_fewer_pairs(self):
+        rels = _gl2_blowup_saturation(LIM)
+        ring2 = tensor_ring(rels.ring, (PRIME1, PRIME2))
+        gens = [copy_into(g, ring2, s) for s in (PRIME1, PRIME2) for g in rels.generators]
+        scratch = lambda limits: Ideal(ring2, gens).basis(limits)
+        seeded = lambda limits: tensor_ideal(rels, ring2, (PRIME1, PRIME2)).basis(limits)
+        for compute, pairs in ((scratch, 63), (seeded, 5)):
+            compute(Limits(max_pairs=pairs))
+            with pytest.raises(ResourceLimit):
+                compute(Limits(max_pairs=pairs - 1))
+        assert seeded(LIM) == scratch(LIM)
 
 
 class TestRandomizedSlices:

@@ -2,18 +2,23 @@
 
 import pytest
 
+import neron.groebner
+from neron.blowup import automatic_truncation
 from neron.config import Limits
+from neron.errors import UnknownVariable
 from neron.groebner import Ideal
-from neron.hopf import (GroupMorphism, HopfPresentation, check_flat, check_hopf,
-                        check_morphism, copy_into, generic_fibre,
-                        hopf_ideal_report, isomorphism_report, prune,
-                        quotient_presentation, reduce_mod, reduce_mod_image,
-                        special_fibre, tensor_ring)
+from neron.hopf import (PRIME1, PRIME2, PRIME3, GroupMorphism, HopfPresentation,
+                        check_flat, check_hopf, check_morphism, copy_into,
+                        generic_fibre, hopf_ideal_report, isomorphism_report,
+                        prune, quotient_presentation, reduce_mod,
+                        reduce_mod_image, special_fibre, tensor_ring)
 from neron.library import (additive_group, borel2, general_linear,
                            multiplicative_group, product, roots_of_unity,
                            special_linear, trivial_group, twisted_multiplicative)
 from neron.report import Report
-from neron.ring import PolyRing, Scalar, Substitution
+from neron.ring import Order, PolyRing, Scalar, Substitution
+
+from test_goldens import load_script
 
 LIM = Limits()
 
@@ -79,6 +84,65 @@ class TestAxioms:
         moved = copy_into(t.relations.generators[0], ring2, "'")
         assert t.doubled_ideal().contains(moved, LIM)
         assert t.doubled_ideal().contains(t.comul(t.relations.generators[0]), LIM)
+
+
+def stock_and_blowups():
+    out = []
+    for (_, name), h in load_script().STOCK.items():
+        out.append(pytest.param(h, id=name))
+        out.append(pytest.param(automatic_truncation(h, 1).blown, id=f"{name}^(1)"))
+    return out
+
+
+class TestTensorIdeals:
+    """Tensor ideals start from the renamed per-copy reduced bases and
+    build their own basis only on first use."""
+
+    @pytest.mark.parametrize("h", stock_and_blowups())
+    def test_seeded_bases_equal_bases_from_scratch(self, h):
+        for ideal, suffixes in ((h.doubled_ideal(), (PRIME1, PRIME2)),
+                                (h.tripled_ideal(), (PRIME1, PRIME2, PRIME3))):
+            ring_t = ideal.ring
+            gens = [copy_into(g, ring_t, s) for s in suffixes for g in h.relations.generators]
+            assert ideal.basis(LIM) == Ideal(ring_t, gens).basis(LIM)
+
+    def test_passing_check_builds_no_tripled_basis(self):
+        h = automatic_truncation(multiplicative_group(), 1).blown
+        assert any(g.lead_monomial()[-1] for g in h.relations.basis(LIM))
+        assert check_hopf(h, LIM).ok
+        assert h.tripled_ideal()._basis is None
+
+    def test_comultiplication_must_land_in_the_doubled_ring(self):
+        gm = multiplicative_group()
+        for target in (tensor_ring(gm.ring, (PRIME2, PRIME1)),
+                       PolyRing(gm.doubled_ring().variables, Order("grevlex"))):
+            comul = Substitution(gm.ring, target, {v: target.var(v + PRIME1)
+                                                   for v in gm.ring.variables})
+            with pytest.raises(UnknownVariable):
+                HopfPresentation("Bad", gm.ring, gm.relations, comul,
+                                 gm.counit, gm.antipode)
+        assert gm.doubled_ring() is gm.comul.target
+
+
+class TestSaturationKept:
+    def test_check_flat_twice_saturates_once(self, monkeypatch):
+        h = automatic_truncation(multiplicative_group(), 1).blown
+        calls = []
+        saturate = neron.groebner.saturate
+        monkeypatch.setattr(neron.groebner, "saturate",
+                            lambda *a: calls.append(a) or saturate(*a))
+        assert check_hopf(h, LIM).ok
+        assert check_flat(h, LIM).ok
+        assert len(calls) == 1
+
+    def test_saturation_is_its_own_saturation(self):
+        ring = PolyRing(("x",))
+        x = ring.var("x")
+        ideal = Ideal(ring, [ring.pi() * x])
+        sat = neron.groebner.saturate_pi(ideal, LIM)
+        assert neron.groebner.saturate_pi(ideal, LIM) is sat
+        assert neron.groebner.saturate_pi(sat, LIM) is sat
+        assert sat.contains(x, LIM)
 
 
 class TestMorphisms:
