@@ -12,14 +12,12 @@ Bases are built only when a decision needs one.  The kernel can start from
 blocks of its input that are Groebner bases already (the renamed copies in a
 tensor power of an ideal), marking the pairs inside each block done, so only
 the pairs between blocks are reduced; the product criterion drops every such
-pair whose leading monomials share no variable (Gebauer-Moeller 1988).  When
-the blocks share no variable but pi and at most one has pi in a leading term,
-their union is already the reduced basis and no walk runs.  An ideal whose
-basis is not built yet answers a normal form by dividing by what it holds
-first, and builds the basis only when that leaves a remainder.  The reduced
-basis and the normal forms are unique, so every answer is the one a basis
-from scratch gives.  Tracked bases and membership certificates always walk
-from the generators.
+pair whose leading monomials share no variable (Gebauer-Moeller 1988).  An
+ideal whose basis is not built yet answers a normal form by dividing by what
+it holds first, and builds the basis only when that leaves a remainder.  The
+reduced basis and the normal forms are unique, so every answer is the one a
+basis from scratch gives.  Tracked bases and membership certificates always
+walk from the generators.
 """
 
 from __future__ import annotations
@@ -84,8 +82,9 @@ def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool, blocks=()):
     """Core loop; returns (basis, representations w.r.t. gens or None).
 
     `blocks` gives the sizes of consecutive runs at the start of `gens` that
-    are each a Groebner basis already: the pairs inside a run have standard
-    representations, so they start out done and are never reduced.
+    are each a Groebner basis already, with no zero element: the pairs
+    inside a run have standard representations, so they start out done and
+    are never reduced.
     """
     basis = []
     reps = []
@@ -102,7 +101,6 @@ def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool, blocks=()):
         return len(basis) - 1
 
     unit = [ring.zero() for _ in gens] if track else None
-    index = {}  # input position -> basis index
     for pos, g in enumerate(gens):
         if g.is_zero():
             continue
@@ -110,7 +108,7 @@ def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool, blocks=()):
         if track:
             rep = list(unit)
             rep[pos] = ring.one()
-        index[pos] = insert(g, rep)
+        insert(g, rep)
 
     # Pending pairs as a heap of (sugar, order key of lcm, i, j).  Each entry
     # is unique by (i, j) and leaves only when selected, so popping gives the
@@ -119,8 +117,7 @@ def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool, blocks=()):
     done = set()
     start = 0
     for size in blocks:
-        run = [index[p] for p in range(start, start + size) if p in index]
-        done.update((i, j) for n, j in enumerate(run) for i in run[:n])
+        done.update((i, j) for j in range(start, start + size) for i in range(start, j))
         start += size
 
     def push_pairs(j):
@@ -225,29 +222,6 @@ def _interreduce(basis, reps, ring, track):
     return final, finalreps
 
 
-def _independent(blocks) -> bool:
-    """Whether the union of reduced bases is the reduced basis of their sum:
-    different blocks use disjoint variables apart from pi, every leading
-    monomial has a variable other than pi, and at most one block has pi in
-    a leading monomial.  Then the leading monomials of different blocks are
-    coprime, so the product criterion drops every pair between blocks, and
-    none of them divides a term of another block."""
-    used = set()
-    pi_leads = 0
-    for block in blocks:
-        here = set()
-        for g in block:
-            if not any(g.lead_monomial()[:-1]):
-                return False
-            for m in g.terms:
-                here.update(k for k, e in enumerate(m[:-1]) if e)
-        pi_leads += any(g.lead_monomial()[-1] for g in block)
-        if pi_leads > 1 or here & used:
-            return False
-        used |= here
-    return True
-
-
 @dataclass
 class MembershipCertificate:
     """Outcome of an ideal membership test with exact cofactors on success."""
@@ -309,11 +283,7 @@ class Ideal:
     def basis(self, limits: Limits = DEFAULT_LIMITS):
         if self._basis is None:
             held, blocks = self._held()
-            if self._seed is not None and _independent(self._seed):
-                key = self.ring.order.key
-                self._basis = tuple(sorted(held, key=lambda g: key(g.lead_monomial())))
-            else:
-                self._basis, _ = _buchberger(held, self.ring, limits, False, blocks)
+            self._basis, _ = _buchberger(held, self.ring, limits, False, blocks)
         return self._basis
 
     def tracked_basis(self, limits: Limits = DEFAULT_LIMITS):

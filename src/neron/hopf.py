@@ -23,12 +23,11 @@ PRIME2 = "''"
 PRIME3 = "'''"
 
 
-def _tensor_names(ring: PolyRing, suffixes) -> tuple:
-    return tuple(v + s for s in suffixes for v in ring.variables)
-
-
 def tensor_ring(ring: PolyRing, suffixes) -> PolyRing:
-    return PolyRing(_tensor_names(ring, suffixes), ring.order)
+    names = []
+    for s in suffixes:
+        names.extend(v + s for v in ring.variables)
+    return PolyRing(tuple(names), ring.order)
 
 
 def copy_into(f: Poly, ring_t: PolyRing, suffix: str) -> Poly:
@@ -38,13 +37,13 @@ def copy_into(f: Poly, ring_t: PolyRing, suffix: str) -> Poly:
 def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes) -> Ideal:
     """Relations of a tensor power, one renamed copy per factor.
 
-    Each renamed copy of the reduced basis is a Groebner basis in the
-    tensor ring, so the ideal is seeded with the copies.  Its basis is
-    built on first use, and the only pairs it reduces are pairs between
-    copies whose leading monomials share pi.  When no leading term
-    involves pi, the union of the copies is the reduced basis, with no
-    walk at all.  A normal form of a member reduces to zero by the copies
-    alone and builds no basis.
+    When no leading term involves pi, the copies' leading terms live on
+    disjoint variable blocks and the union of the copies is already the
+    reduced basis.  Otherwise pi is shared between the copies' leading
+    terms, so the ideal is seeded with the copies: each is a Groebner
+    basis in the tensor ring, and the basis, built on first use, reduces
+    only the pairs between copies.  A normal form of a member reduces to
+    zero by the copies alone and builds no basis.
     """
     gens = []
     blocks = []
@@ -52,6 +51,10 @@ def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes) -> Ideal:
         rename = {v: v + s for v in relations.ring.variables}
         gens.extend(g.in_ring(ring_t, rename) for g in relations.generators)
         blocks.append([g.in_ring(ring_t, rename) for g in relations.basis()])
+    if not any(g.lead_monomial()[-1] for g in relations.basis()):
+        basis = [g for block in blocks for g in block]
+        basis.sort(key=lambda g: ring_t.order.key(g.lead_monomial()))
+        return Ideal.with_basis(ring_t, gens, basis)
     return Ideal.seeded(ring_t, gens, blocks)
 
 
@@ -68,8 +71,7 @@ class HopfPresentation:
     def __post_init__(self):
         if self.comul.source != self.ring:
             raise UnknownVariable("comultiplication source ring mismatch")
-        doubled = PolyRing(_tensor_names(self.ring, (PRIME1, PRIME2)), self.ring.order)
-        if self.comul.target != doubled:
+        if self.comul.target != tensor_ring(self.ring, (PRIME1, PRIME2)):
             raise UnknownVariable("comultiplication target is not the doubled ring")
         for v in self.ring.variables:
             if v not in self.comul.images or v not in self.counit.images or v not in self.antipode.images:

@@ -281,6 +281,16 @@ class TestSeededWalk:
                 compute(Limits(max_pairs=pairs - 1))
         assert seeded(LIM) == scratch(LIM)
 
+    def test_pairs_inside_a_block_are_not_reduced(self, rxy):
+        # x^2 and x*y share x, so a walk from scratch reduces their pair;
+        # as one seeded block they are a Groebner basis already.
+        x, y = rxy.var("x"), rxy.var("y")
+        block = [x * x, x * y]
+        seeded = Ideal.seeded(rxy, block, [block]).basis(Limits(max_pairs=0))
+        assert seeded == Ideal(rxy, block).basis(LIM)
+        with pytest.raises(ResourceLimit):
+            Ideal(rxy, block).basis(Limits(max_pairs=0))
+
 
 class TestRandomizedSlices:
     def test_oracle_agreement(self):

@@ -86,20 +86,22 @@ class TestAxioms:
         assert t.doubled_ideal().contains(t.comul(t.relations.generators[0]), LIM)
 
 
-def stock_and_blowups():
-    out = []
-    for (_, name), h in load_script().STOCK.items():
-        out.append(pytest.param(h, id=name))
-        out.append(pytest.param(automatic_truncation(h, 1).blown, id=f"{name}^(1)"))
-    return out
+STOCK_NAMES = [name for _, name in load_script().STOCK]
+
+
+@pytest.fixture(scope="module")
+def stock():
+    return {name: h for (_, name), h in load_script().STOCK.items()}
 
 
 class TestTensorIdeals:
     """Tensor ideals start from the renamed per-copy reduced bases and
     build their own basis only on first use."""
 
-    @pytest.mark.parametrize("h", stock_and_blowups())
-    def test_seeded_bases_equal_bases_from_scratch(self, h):
+    @pytest.mark.parametrize("blown", [False, True], ids=["stock", "blowup"])
+    @pytest.mark.parametrize("name", STOCK_NAMES)
+    def test_seeded_bases_equal_bases_from_scratch(self, stock, name, blown):
+        h = automatic_truncation(stock[name], 1).blown if blown else stock[name]
         for ideal, suffixes in ((h.doubled_ideal(), (PRIME1, PRIME2)),
                                 (h.tripled_ideal(), (PRIME1, PRIME2, PRIME3))):
             ring_t = ideal.ring
