@@ -3,10 +3,18 @@
 Selection follows the normal strategy (sugar degree, then the order key of the
 pair lcm, then pair index), so identical inputs always walk the same path and
 produce the same reduced basis.  The pending pairs sit in a heap over that key,
-so each selection pops the minimum instead of scanning every pair, and each
-polynomial computes its leading monomial once (`Poly.lead_monomial`).
+so each selection pops the minimum instead of scanning every pair.
 Membership can track cofactors through the whole loop, which is what certified
 division by pi powers and the blowup structure maps rely on.
+
+Inside the kernel (`_buchberger`, `_interreduce` and the division behind
+`_reduce_full`) a monomial is one int with a fixed-width field per slot and
+per block degree (`_Packing`, after Monagan-Pearce 2007 and
+Bachmann-Schoenemann 1998): a product is one add, divisibility one subtract
+and mask, and the order key one xor.  Polynomials enter and leave as `Poly`s
+with tuple monomials.  A product or lcm that outgrows its field restarts the
+walk or the division with wider fields; the width decides nothing, so the
+pairs reduced and every resource limit are the same at any width.
 
 Bases are built only when a decision needs one.  The kernel can start from
 blocks of its input that are Groebner bases already (the renamed copies in a
@@ -25,21 +33,182 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DivisionObstruction, ResourceLimit, UnknownVariable
-from .ring import (
-    Poly,
-    PolyRing,
-    Substitution,
-    elim_order,
-    format_poly,
-    mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .ring import Poly, PolyRing, Substitution, elim_order, format_poly
+
+_ONE = Fraction(1)
+
+
+class _Overflow(Exception):
+    """A packed exponent outgrew its field; the caller repacks wider."""
+
+
+class _Packing:
+    """The monomials of one ring as ints, every field `bits` wide.
+
+    Each slot, pi included, and each block's total degree gets a field of
+    `bits` value bits with a zero guard bit above them.  Fields from the top:
+
+        lex        x1 ... xn, pi, deg
+        grevlex    deg, pi, xn ... x1
+        elim(s)    deg1, xs ... x1, deg2, pi, xn ... x(s+1)
+
+    An empty elimination block has no fields.  The key `P ^ flip` inverts
+    the value bits of every slot under a degree field, which turns each
+    grevlex block's reversed comparison into plain integer order, so keys
+    compare as `Order.key` does.  A product is one add, a quotient one
+    subtract, and a divides b exactly when b - a has no guard bit set.
+    Products and lcms check the guard bits and raise `_Overflow`; packing
+    cannot overflow, since the width is chosen from the degrees packed.
+    """
+
+    __slots__ = ("bits", "guard", "slot_mask", "flip", "mults", "shifts", "blocks")
+
+    def __init__(self, order, nvars: int, bits: int):
+        width = bits + 1
+        value = (1 << bits) - 1
+        slots = list(range(nvars + 1))
+        # Fields from the bottom, and per block the positions of its degree
+        # field and of its lowest slot field, and its slot count.
+        if order.kind not in ("lex", "grevlex", "elim"):
+            raise ValueError(f"unknown order kind {order.kind!r}")
+        if order.kind == "lex":
+            fields = ["deg"] + slots[::-1]
+            runs = [(0, 1, len(slots))]
+        else:
+            split = order.split if order.kind == "elim" else 0
+            fields, runs = [], []
+            for block in (slots[split:], slots[:split]):
+                if block:
+                    runs.append((len(fields) + len(block), len(fields), len(block)))
+                    fields += block + ["deg"]
+        shifts = [0] * len(slots)
+        mults = [0] * len(slots)
+        for d, lo, count in runs:
+            for pos in range(lo, lo + count):
+                shifts[fields[pos]] = pos * width
+                mults[fields[pos]] = (1 << (pos * width)) + (1 << (d * width))
+        self.bits = bits
+        self.guard = sum(1 << (pos * width + bits) for pos in range(len(fields)))
+        self.slot_mask = sum(value << s for s in shifts)
+        self.flip = 0 if order.kind == "lex" else self.slot_mask
+        self.mults = tuple(mults)
+        self.shifts = tuple(shifts)
+        # Per block: its degree field, its lowest slot field, the mask of its
+        # slot fields, and the multiplier that sums them into the top one.
+        self.blocks = tuple(
+            (d * width, lo * width, (1 << (count * width)) - 1,
+             sum(1 << (k * width) for k in range(count)), (count - 1) * width)
+            for d, lo, count in runs)
+
+    def pack(self, mono) -> int:
+        return sum(map(mul, mono, self.mults))
+
+    def unpack(self, packed: int) -> tuple:
+        value = (1 << self.bits) - 1
+        return tuple((packed >> s) & value for s in self.shifts)
+
+    def degree(self, packed: int) -> int:
+        """Total degree, pi included; the key of a monomial has the same."""
+        value = (1 << self.bits) - 1
+        return sum((packed >> b[0]) & value for b in self.blocks)
+
+    def lcm(self, a: int, b: int) -> int:
+        """Field-wise max of the slots, with each block's degree summed again."""
+        bits = self.bits
+        ge = ((a | self.guard) - b) & self.guard
+        ge -= ge >> bits
+        out = (b ^ ((a ^ b) & ge)) & self.slot_mask
+        wide = (2 << bits) - 1
+        for d, lo, mask, ones, top in self.blocks:
+            deg = ((((out >> lo) & mask) * ones) >> top) & wide
+            if deg >> bits:
+                raise _Overflow
+            out |= deg << d
+        return out
+
+    def keyed(self, f: Poly) -> dict:
+        """The terms of f keyed by the order key of their monomials."""
+        flip, pack = self.flip, self.pack
+        return {pack(m) ^ flip: c for m, c in f.terms.items()}
+
+    def element(self, terms: dict) -> tuple:
+        """(lead, lead coefficient, tail) of keyed terms, in packed monomials;
+        the form `_divide` takes its divisors in."""
+        flip = self.flip
+        top = max(terms)
+        return top ^ flip, terms[top], [(k ^ flip, c) for k, c in terms.items() if k != top]
+
+    def poly(self, ring: PolyRing, terms: dict) -> Poly:
+        """The `Poly` of keyed terms."""
+        flip, unpack = self.flip, self.unpack
+        return Poly(ring, {unpack(k ^ flip): c for k, c in terms.items()})
+
+
+# Layouts are immutable and a run uses few ring shapes, so each is built once.
+_packing = lru_cache(maxsize=128)(_Packing)
+
+
+def _field_bits(polys) -> int:
+    """The narrowest field width, at least 7 bits, that holds every total
+    degree of the given polynomials, in the steps that widening takes: each
+    doubles a field, guard bit included."""
+    top = max((max(map(sum, f.terms), default=0) for f in polys), default=0)
+    bits = 7
+    while top >> bits:
+        bits = 2 * bits + 1
+    return bits
+
+
+def _subtract(pk: _Packing, work: dict, q: int, qc, tail):
+    """work -= qc * x^q * tail, on keyed terms, with qc None for 1; the one
+    place the kernel multiplies monomials, so where a product can overflow."""
+    guard, flip = pk.guard, pk.flip
+    for p, c in tail:
+        t = q + p
+        if t & guard:
+            raise _Overflow
+        t ^= flip
+        if qc is not None:
+            c *= qc
+        val = work.get(t)
+        if val is None:
+            work[t] = -c
+        elif val == c:
+            del work[t]
+        else:
+            work[t] = val - c
+
+
+def _divide(pk: _Packing, work: dict, divisors, quots=None) -> dict:
+    """Divide keyed terms by (lead, lead coefficient, tail) divisors; the
+    remainder comes back keyed, and `quots` collects keyed quotients.
+
+    Divisors are scanned in list order, the first whose leading term divides
+    wins, so the result is deterministic for a fixed list.
+    """
+    guard, flip = pk.guard, pk.flip
+    rem = {}
+    while work:
+        k = max(work)
+        c = work.pop(k)
+        m = k ^ flip
+        for n, (lead, lc, tail) in enumerate(divisors):
+            q = m - lead
+            if q & guard:
+                continue
+            qc = c if lc == 1 else c / lc
+            _subtract(pk, work, q, qc, tail)
+            if quots is not None:
+                quots[n][q ^ flip] = qc
+            break
+        else:
+            rem[k] = c
+    return rem
 
 
 def _reduce_full(f: Poly, basis, track: bool = False):
@@ -49,33 +218,17 @@ def _reduce_full(f: Poly, basis, track: bool = False):
     wins, so the result is deterministic for a fixed basis list.
     """
     ring = f.ring
-    key = ring.order.key
-    lead = [(g.lead_monomial(), g.lead_coeff()) for g in basis]
-    work = dict(f.terms)
-    rem = {}
-    quots = [{} for _ in basis] if track else None
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for i, (lm, lc) in enumerate(lead):
-            if mono_divides(lm, m):
-                qm = mono_div(m, lm)
-                qc = c / lc
-                for gm, gc in basis[i].terms.items():
-                    if gm == lm:
-                        continue
-                    t = mono_mul(qm, gm)
-                    val = work.get(t, Fraction(0)) - qc * gc
-                    if val:
-                        work[t] = val
-                    else:
-                        work.pop(t, None)
-                if track:
-                    quots[i][qm] = quots[i].get(qm, Fraction(0)) + qc
-                break
-        else:
-            rem[m] = c
-    return Poly(ring, rem), ([Poly(ring, q) for q in quots] if track else None)
+    bits = _field_bits([f, *basis])
+    while True:
+        pk = _packing(ring.order, ring.nvars, bits)
+        quots = [{} for _ in basis] if track else None
+        try:
+            rem = _divide(pk, pk.keyed(f), [pk.element(pk.keyed(g)) for g in basis], quots)
+        except _Overflow:
+            bits = 2 * bits + 1
+            continue
+        out = pk.poly(ring, rem)
+        return out, ([pk.poly(ring, q) for q in quots] if track else None)
 
 
 def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool, blocks=()):
@@ -84,21 +237,42 @@ def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool, blocks=()):
     `blocks` gives the sizes of consecutive runs at the start of `gens` that
     are each a Groebner basis already, with no zero element: the pairs
     inside a run have standard representations, so they start out done and
-    are never reduced.
+    are never reduced.  A walk whose exponents outgrow their fields starts
+    again with wider ones; the width decides nothing, so the walk is the same.
     """
+    bits = _field_bits(gens)
+    while True:
+        try:
+            return _walk(gens, ring, limits, track, blocks, _packing(ring.order, ring.nvars, bits))
+        except _Overflow:
+            bits = 2 * bits + 1
+
+
+def _walk(gens, ring: PolyRing, limits: Limits, track: bool, blocks, pk: _Packing):
+    """`_buchberger` at one field width; raises `_Overflow` if it is too narrow.
+
+    A basis element is (lead, 1, tail) in packed monomials, and `negated`
+    keeps each tail with its signs flipped, for the S-pairs."""
+    guard, flip = pk.guard, pk.flip
     basis = []
+    negated = []
+    leads = []
+    degrees = []
     reps = []
     sugars = []
 
-    def insert(p: Poly, rep):
-        lc = p.lead_coeff()
-        p = p.monic()
-        if track:
-            rep = [r.scale(Fraction(1) / lc) for r in rep]
-        basis.append(p)
+    def insert(terms: dict, rep, sugar: int):
+        lead, lc, tail = pk.element(terms)
+        if lc != 1:
+            tail = [(p, c / lc) for p, c in tail]
+            if track:
+                rep = [r.scale(_ONE / lc) for r in rep]
+        basis.append((lead, 1, tail))
+        negated.append([(p, -c) for p, c in tail])
+        leads.append(lead)
+        degrees.append(pk.degree(lead))
         reps.append(rep)
-        sugars.append(p.total_degree())
-        return len(basis) - 1
+        sugars.append(sugar)
 
     unit = [ring.zero() for _ in gens] if track else None
     for pos, g in enumerate(gens):
@@ -108,11 +282,12 @@ def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool, blocks=()):
         if track:
             rep = list(unit)
             rep[pos] = ring.one()
-        insert(g, rep)
+        terms = pk.keyed(g)
+        insert(terms, rep, max(map(pk.degree, terms)))
 
-    # Pending pairs as a heap of (sugar, order key of lcm, i, j).  Each entry
-    # is unique by (i, j) and leaves only when selected, so popping gives the
-    # same sequence as taking the minimum of the whole pair set each time.
+    # Pending pairs as a heap of (sugar, order key of lcm, i, j, lcm).  Each
+    # entry is unique by (i, j) and leaves only when selected, so popping
+    # gives the same sequence as taking the minimum of the pair set each time.
     pairs = []
     done = set()
     start = 0
@@ -121,36 +296,30 @@ def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool, blocks=()):
         start += size
 
     def push_pairs(j):
-        lj = basis[j].lead_monomial()
+        lj, dj, sj = leads[j], degrees[j], sugars[j]
         for i in range(j):
             if (i, j) in done:
                 continue
-            li = basis[i].lead_monomial()
-            lcm = mono_lcm(li, lj)
-            d = mono_degree(lcm)
-            sugar = max(sugars[i] + d - mono_degree(li), sugars[j] + d - mono_degree(lj))
-            heapq.heappush(pairs, (sugar, ring.order.key(lcm), i, j))
+            lcm = pk.lcm(leads[i], lj)
+            d = pk.degree(lcm)
+            sugar = max(sugars[i] + d - degrees[i], sj + d - dj)
+            heapq.heappush(pairs, (sugar, lcm ^ flip, i, j, lcm))
 
     for j in range(len(basis)):
         push_pairs(j)
 
     reduced_count = 0
     while pairs:
-        sugar, _, i, j = heapq.heappop(pairs)
+        sugar, _, i, j, lcm = heapq.heappop(pairs)
         done.add((i, j))
-        li, lj = basis[i].lead_monomial(), basis[j].lead_monomial()
-        lcm = mono_lcm(li, lj)
-        if lcm == mono_mul(li, lj):
+        li, lj = leads[i], leads[j]
+        if lcm == li + lj:
             continue
         skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
+        for k, lk in enumerate(leads):
+            if (lcm - lk) & guard or k == i or k == j:
                 continue
-            if not mono_divides(basis[k].lead_monomial(), lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
+            if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
                 skip = True
                 break
         if skip:
@@ -160,66 +329,77 @@ def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool, blocks=()):
             raise ResourceLimit(
                 f"pair budget {limits.max_pairs} exhausted", pairs=reduced_count
             )
-        # Basis elements are monic, so the S-pair needs no coefficients.
-        ti = ring.monomial(mono_div(lcm, li))
-        tj = ring.monomial(mono_div(lcm, lj))
-        s = ti * basis[i] - tj * basis[j]
-        srep = None
-        if track:
-            srep = [ti * a - tj * b for a, b in zip(reps[i], reps[j])]
-        h, quots = _reduce_full(s, basis, track)
-        if h.is_zero():
+        # Basis elements are monic, so their leads cancel and the S-pair is
+        # ti * tail_i - tj * tail_j, with no coefficients to divide by.
+        ti, tj = lcm - li, lcm - lj
+        s = {}
+        _subtract(pk, s, ti, None, negated[i])
+        _subtract(pk, s, tj, None, basis[j][2])
+        quots = [{} for _ in basis] if track else None
+        h = _divide(pk, s, basis, quots)
+        if not h:
             continue
-        if h.total_degree() > limits.max_degree:
+        degree = max(map(pk.degree, h))
+        if degree > limits.max_degree:
             raise ResourceLimit(
                 f"degree budget {limits.max_degree} exceeded by a basis element",
                 pairs=reduced_count,
-                degree=h.total_degree(),
+                degree=degree,
             )
         hrep = None
         if track:
+            mi = ring.monomial(pk.unpack(ti))
+            mj = ring.monomial(pk.unpack(tj))
+            qpolys = [pk.poly(ring, q) if q else None for q in quots]
             hrep = [
-                sr - sum((q * reps[t][col] for t, q in enumerate(quots) if q), ring.zero())
-                for col, sr in enumerate(srep)
+                mi * a - mj * b
+                - sum((q * reps[t][col] for t, q in enumerate(qpolys) if q), ring.zero())
+                for col, (a, b) in enumerate(zip(reps[i], reps[j]))
             ]
-        hs = max(
-            sugar,
-            h.total_degree(),
-        )
-        idx = insert(h, hrep)
-        sugars[idx] = hs
-        push_pairs(idx)
+        insert(h, hrep, max(sugar, degree))
+        push_pairs(len(basis) - 1)
 
-    return _interreduce(basis, reps, ring, track)
+    return _interreduce(pk, basis, reps, ring, track)
 
 
-def _interreduce(basis, reps, ring, track):
-    order_key = ring.order.key
-    idx = sorted(range(len(basis)), key=lambda i: order_key(basis[i].lead_monomial()))
+def _interreduce(pk: _Packing, basis, reps, ring: PolyRing, track: bool):
+    """The reduced basis as `Poly`s, in increasing order of leading term.
+
+    Leading terms of a minimal basis divide no other, so reducing an
+    element changes only its tail: it stays monic and keeps its place.
+    """
+    guard, flip = pk.guard, pk.flip
+    idx = sorted(range(len(basis)), key=lambda i: basis[i][0] ^ flip)
     kept = []
     for i in idx:
-        lm = basis[i].lead_monomial()
-        if any(mono_divides(basis[k].lead_monomial(), lm) for k in kept):
+        lead = basis[i][0]
+        if any(not (lead - basis[k][0]) & guard for k in kept):
             continue
         kept.append(i)
     out = [basis[i] for i in kept]
     outreps = [reps[i] for i in kept] if track else None
     for pos in range(len(out)):
+        lead, _, tail = out[pos]
         others = out[:pos] + out[pos + 1 :]
-        nf, quots = _reduce_full(out[pos], others, track)
+        quots = [{} for _ in others] if track else None
+        nf = _divide(pk, {p ^ flip: c for p, c in tail}, others, quots)
         if track:
             otherreps = outreps[:pos] + outreps[pos + 1 :]
             rep = outreps[pos]
             for t, q in enumerate(quots):
                 if q:
+                    q = pk.poly(ring, q)
                     rep = [r - q * orr for r, orr in zip(rep, otherreps[t])]
-            lc = nf.lead_coeff()
-            outreps[pos] = [r.scale(Fraction(1) / lc) for r in rep]
-        out[pos] = nf.monic()
-    pack = sorted(range(len(out)), key=lambda i: order_key(out[i].lead_monomial()))
-    final = tuple(out[i] for i in pack)
-    finalreps = [outreps[i] for i in pack] if track else None
-    return final, finalreps
+            outreps[pos] = rep
+        out[pos] = (lead, 1, [(k ^ flip, c) for k, c in nf.items()])
+    unpack = pk.unpack
+    final = []
+    for lead, _, tail in out:
+        terms = {unpack(lead): _ONE}
+        for p, c in tail:
+            terms[unpack(p)] = c
+        final.append(Poly(ring, terms))
+    return tuple(final), outreps
 
 
 @dataclass

@@ -213,7 +213,7 @@ def check_unipotent_kernel(t: Triptych, bound: int = 6,
         for v in list(todo):
             lower = [shifted[w].in_ring(ring2, {u: u + s for u in ring.variables})
                      for w in certified for s in ("'", "''")]
-            mod = rels2.plus(Ideal(ring2, lower)) if lower else rels2
+            mod = rels2.plus(lower) if lower else rels2
             g = shifted[v]
             d = mod.normal_form(
                 ker.comul(g)

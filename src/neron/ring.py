@@ -2,8 +2,12 @@
 
 The uniformiser pi is not a ring variable.  Every monomial carries a trailing
 pi exponent slot, so a polynomial in variables (u, v) stores terms keyed by
-(e_u, e_v, e_pi).  Monomial orders always treat pi as the globally smallest
-variable, which the trailing slot gives for free under lex comparison.
+(e_u, e_v, e_pi).  Every monomial order treats pi as the smallest variable:
+lex compares the slots left to right, so pi last, and grevlex, like each
+block of an elimination order (pi is in the last block), counts pi in the
+degree and breaks a degree tie on the pi exponent first, the smaller one
+ranking higher.  The Groebner kernel packs these tuples into ints
+(`groebner._Packing`); nothing outside it sees the packed form.
 """
 
 from __future__ import annotations
@@ -22,18 +26,6 @@ Rational = Fraction
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def mono_degree(a: Monomial) -> int:
@@ -210,9 +202,6 @@ class PolyRing:
 
     def monomial(self, mono: Monomial, coeff=1) -> "Poly":
         return Poly(self, {tuple(mono): Fraction(coeff)})
-
-    def with_order(self, order: Order) -> "PolyRing":
-        return PolyRing(self.variables, order)
 
     def extend(self, extra, order: Order = None) -> "PolyRing":
         return PolyRing(self.variables + tuple(extra), order or self.order)

@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from neron.config import Limits
 from neron.errors import DivisionObstruction, ResourceLimit
-from neron.groebner import (Ideal, _buchberger, _reduce_full, certified_pi_division,
-                            contract, eliminate, membership, saturate, saturate_pi,
-                            subalgebra_member)
+import neron.groebner as groebner
+from neron.groebner import (Ideal, _buchberger, _Overflow, _Packing, _reduce_full,
+                            certified_pi_division, contract, eliminate, membership,
+                            saturate, saturate_pi, subalgebra_member)
 from neron.hopf import PRIME1, PRIME2, PRIME3, copy_into, tensor_ideal, tensor_ring
 from neron.library import general_linear
-from neron.ring import Poly, PolyRing, Substitution
+from neron.ring import GREVLEX, LEX, Poly, PolyRing, Substitution, elim_order
 
 import suites
 from test_ring import small_polys
@@ -290,6 +291,111 @@ class TestSeededWalk:
         assert seeded == Ideal(rxy, block).basis(LIM)
         with pytest.raises(ResourceLimit):
             Ideal(rxy, block).basis(Limits(max_pairs=0))
+
+
+def _tuple_key(order, mono):
+    """The monomial order on exponent tuples, written out independently."""
+    def grevlex(m):
+        return (sum(m), tuple(-e for e in reversed(m)))
+    if order.kind == "lex":
+        return tuple(mono)
+    if order.kind == "grevlex":
+        return grevlex(mono)
+    return (grevlex(mono[:order.split]), grevlex(mono[order.split:]))
+
+
+def _block_degrees(order, mono):
+    if order.kind == "elim":
+        return [sum(mono[:order.split]), sum(mono[order.split:])]
+    return [sum(mono)]
+
+
+@st.composite
+def _packing_cases(draw):
+    """An order, a field width and two exponent tuples (pi last) whose total
+    degrees fit the width, as every packed input must."""
+    nvars = draw(st.integers(0, 4))
+    split = draw(st.sampled_from([0, 1, nvars, nvars + 1]))
+    order = draw(st.sampled_from([LEX, GREVLEX, elim_order(split)]))
+    bits = draw(st.sampled_from([3, 7]))
+    monos = []
+    for _ in range(2):
+        budget = (1 << bits) - 1
+        mono = []
+        for _ in range(nvars + 1):
+            e = draw(st.integers(0, budget))
+            budget -= e
+            mono.append(e)
+        monos.append(tuple(draw(st.permutations(mono))))
+    return order, bits, monos[0], monos[1]
+
+
+class TestPacking:
+    """The packed monomials of the kernel against tuple arithmetic."""
+
+    @given(case=_packing_cases())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_packed_arithmetic_matches_tuples(self, case):
+        order, bits, a, b = case
+        pk = _Packing(order, len(a) - 1, bits)
+        pa, pb = pk.pack(a), pk.pack(b)
+        assert pk.unpack(pa) == a and pk.degree(pa) == sum(a)
+        assert not pa & pk.guard
+        # order comparison
+        ka, kb = pa ^ pk.flip, pb ^ pk.flip
+        ta, tb = _tuple_key(order, a), _tuple_key(order, b)
+        assert (ka < kb) == (ta < tb) and (ka == kb) == (ta == tb)
+        # divisibility
+        assert (not (pb - pa) & pk.guard) == all(x <= y for x, y in zip(a, b))
+        # product: a guard bit is set exactly when a field overflows
+        prod = tuple(x + y for x, y in zip(a, b))
+        fits = max(prod + tuple(_block_degrees(order, prod))) < 1 << bits
+        assert (not (pa + pb) & pk.guard) == fits
+        if fits:
+            assert pk.unpack(pa + pb) == prod and pk.degree(pa + pb) == sum(prod)
+        # lcm, with its block degrees summed again
+        lcm = tuple(max(x, y) for x, y in zip(a, b))
+        if max(_block_degrees(order, lcm)) < 1 << bits:
+            pl = pk.lcm(pa, pb)
+            assert pk.unpack(pl) == lcm and pk.degree(pl) == sum(lcm)
+            assert pl == pk.pack(lcm)
+        else:
+            with pytest.raises(_Overflow):
+                pk.lcm(pa, pb)
+
+    def test_pack_takes_the_width_of_the_degrees(self, rxy):
+        x, y = rxy.var("x"), rxy.var("y")
+        big = x ** 40000
+        assert groebner._field_bits([big]) == 31
+        pk = _Packing(rxy.order, rxy.nvars, groebner._field_bits([big]))
+        assert pk.unpack(pk.pack((40000, 0, 0))) == (40000, 0, 0)
+        ideal = Ideal(rxy, [big - y])
+        assert ideal.normal_form(x ** 40001 + 1, LIM) == x * y + 1
+        assert ideal.basis(LIM) == (big - y,)
+
+    def test_division_widens_on_overflow(self, rxy, monkeypatch):
+        # x - y^20000 packs in 15-bit fields; dividing x^2 reaches y^40000.
+        widths = []
+        packing = groebner._packing
+        monkeypatch.setattr(groebner, "_packing",
+                            lambda order, nvars, bits: widths.append(bits) or packing(order, nvars, bits))
+        x, y = rxy.var("x"), rxy.var("y")
+        assert Ideal(rxy, [x - y ** 20000]).normal_form(x ** 2, LIM) == y ** 40000
+        assert widths[:2] == [15, 31]
+
+    def test_certificate_across_a_widened_walk(self, rxy, monkeypatch):
+        # The generators pack in 7-bit fields; their S-pair is y^128 - 1.
+        walks = []
+        walk = groebner._walk
+        monkeypatch.setattr(groebner, "_walk",
+                            lambda *args: walks.append(args[-1].bits) or walk(*args))
+        x, y = rxy.var("x"), rxy.var("y")
+        gens = [x * y - 1, y ** 127 - x]
+        f = gens[0] * (x + 3) + gens[1] * y ** 2
+        cert = membership(f, Ideal(rxy, gens), Limits(max_degree=200))
+        assert walks == [7, 15]
+        assert cert.member
+        assert sum((c * g for c, g in zip(cert.cofactors, gens)), rxy.zero()) == f
 
 
 class TestRandomizedSlices:

@@ -8,7 +8,7 @@ from neron.groebner import Ideal
 from neron.hopf import GroupMorphism, check_hopf, check_morphism
 from neron.images import (check_unipotent_kernel, fibre_kernel, image_hopf,
                           saturated_image, triptych)
-from neron.library import (additive_group, multiplicative_group,
+from neron.library import (additive_group, multiplicative_group, product,
                            roots_of_unity, trivial_group)
 from neron.ring import Substitution, format_poly
 
@@ -151,3 +151,16 @@ class TestKernel:
                       automatic_truncation(gm, 2, limits=LIM)):
             t = triptych(tower.projection, 6, LIM)
             assert check_unipotent_kernel(t, limits=LIM).ok
+
+    def test_filtration_mods_out_certified_coordinates(self):
+        # The kernel of GmxGa's level-1 truncation has two coordinates, so
+        # the second is checked modulo the first once that one is certified.
+        tower = automatic_truncation(product(multiplicative_group(), additive_group()), 1,
+                                     limits=LIM)
+        rep = check_unipotent_kernel(triptych(tower.projection, 6, LIM), limits=LIM)
+        assert rep.ok
+        steps = [c for c in rep.checks
+                 if c.name == "coordinate is primitive modulo the previous ones"]
+        assert len(steps) == 2
+        assert rep.checks[-1].name == "unipotence"
+        assert rep.checks[-1].witness.startswith("certified: additive filtration")
