@@ -377,8 +377,10 @@ class TestPacking:
         # x - y^20000 packs in 15-bit fields; dividing x^2 reaches y^40000.
         widths = []
         packing = groebner._packing
-        monkeypatch.setattr(groebner, "_packing",
-                            lambda order, nvars, bits: widths.append(bits) or packing(order, nvars, bits))
+        def spy(order, nvars, bits):
+            widths.append(bits)
+            return packing(order, nvars, bits)
+        monkeypatch.setattr(groebner, "_packing", spy)
         x, y = rxy.var("x"), rxy.var("y")
         assert Ideal(rxy, [x - y ** 20000]).normal_form(x ** 2, LIM) == y ** 40000
         assert widths[:2] == [15, 31]
@@ -387,8 +389,10 @@ class TestPacking:
         # The generators pack in 7-bit fields; their S-pair is y^128 - 1.
         walks = []
         walk = groebner._walk
-        monkeypatch.setattr(groebner, "_walk",
-                            lambda *args: walks.append(args[-1].bits) or walk(*args))
+        def spy(*args):
+            walks.append(args[-1].bits)
+            return walk(*args)
+        monkeypatch.setattr(groebner, "_walk", spy)
         x, y = rxy.var("x"), rxy.var("y")
         gens = [x * y - 1, y ** 127 - x]
         f = gens[0] * (x + 3) + gens[1] * y ** 2
