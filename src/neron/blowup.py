@@ -57,18 +57,8 @@ class StandardSequence:
     lifted: GroupMorphism
 
 
-def _coerce_ideal(h: HopfPresentation, gens) -> list:
-    out = []
-    for g in gens:
-        if isinstance(g, Poly):
-            out.append(g.in_ring(h.ring))
-        else:
-            out.append(h.ring.scalar(g))
-    return out
-
-
 def _blow(h: HopfPresentation, centre: Ideal, carried, power: int, name: str,
-          limits: Limits, do_prune: bool) -> BlowupResult:
+          limits: Limits) -> BlowupResult:
     names = fresh_xi_names(h.ring, len(carried))
     ring_b = h.ring.extend(tuple(names))
     gens_b = [g.in_ring(ring_b) for g in h.relations.generators]
@@ -92,9 +82,7 @@ def _blow(h: HopfPresentation, centre: Ideal, carried, power: int, name: str,
     blown = HopfPresentation.from_images(name, ring_b, rels_b, comul_images,
                                          counit_images, anti_images)
 
-    eliminated: dict = {}
-    if do_prune:
-        blown, eliminated = prune(blown, limits=limits)
+    blown, eliminated = prune(blown, limits=limits)
 
     proj_images = {v: eliminated[v] if v in eliminated else blown.ring.var(v)
                    for v in h.ring.variables}
@@ -106,10 +94,7 @@ def _blow(h: HopfPresentation, centre: Ideal, carried, power: int, name: str,
     xi_map = {}
     for nm, a in zip(names, carried):
         xi_map[nm] = a
-        if nm in blown.ring.variables:
-            xi_here = blown.ring.var(nm)
-        else:
-            xi_here = eliminated[nm]
+        xi_here = eliminated[nm] if nm in eliminated else blown.ring.var(nm)
         diff = xi_here.mul_pi(power) - pull(a)
         post.add("pi-power multiple of the fresh variable is the centre generator",
                  nm, blown.relations.contains(diff, limits), format_poly(diff))
@@ -119,14 +104,14 @@ def _blow(h: HopfPresentation, centre: Ideal, carried, power: int, name: str,
 
 
 def neron_blowup(h: HopfPresentation, centre: Ideal, name: str = None,
-                 limits: Limits = DEFAULT_LIMITS, prune_result: bool = True) -> BlowupResult:
+                 limits: Limits = DEFAULT_LIMITS) -> BlowupResult:
     """Blow up a closed subgroup of the special fibre and divide by pi.
 
     The centre is an ideal of the presentation ring that contains pi; it
     must cut out a subgroup of the special fibre, which is checked.
     """
-    gens = _coerce_ideal(h, centre.generators)
-    centre = Ideal(h.ring, gens)
+    centre = centre.in_ring(h.ring)
+    gens = list(centre.generators)
     if not centre.contains(h.ring.pi(), limits):
         raise NotASubgroup("the centre of a blowup must contain pi")
     pre = hopf_ideal_report(h, gens, pi_power=1, limits=limits)
@@ -137,11 +122,11 @@ def neron_blowup(h: HopfPresentation, centre: Ideal, name: str = None,
                if not g.is_scalar() and not h.relations.contains(g, limits)]
     if name is None:
         name = h.name + "'"
-    return _blow(h, centre, carried, 1, name, limits, prune_result)
+    return _blow(h, centre, carried, 1, name, limits)
 
 
 def partial_blowup(h: HopfPresentation, subgroup: Ideal, n: int, name: str = None,
-                   limits: Limits = DEFAULT_LIMITS, prune_result: bool = True) -> BlowupResult:
+                   limits: Limits = DEFAULT_LIMITS) -> BlowupResult:
     """Blow up a flat closed subgroup at level n: divide its ideal by pi^(n+1).
 
     The subgroup ideal must be a Hopf ideal over the base with flat
@@ -150,14 +135,14 @@ def partial_blowup(h: HopfPresentation, subgroup: Ideal, n: int, name: str = Non
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    gens = _coerce_ideal(h, subgroup.generators)
+    gens = list(subgroup.in_ring(h.ring).generators)
     _flat_subgroup_checks(h, gens, limits)
     carried = [g for g in gens
                if not g.is_scalar() and not h.relations.contains(g, limits)]
     if name is None:
         name = f"{h.name}^[{n}]"
     centre = Ideal(h.ring, gens + [h.ring.pi(n + 1)])
-    result = _blow(h, centre, carried, n + 1, name, limits, prune_result)
+    result = _blow(h, centre, carried, n + 1, name, limits)
     cut = result.blown.relations.plus([result.blown.ring.pi(n + 1)])
     for a in carried:
         pa = result.projection.pullback(a)
@@ -177,8 +162,7 @@ def _flat_subgroup_checks(h: HopfPresentation, gens, limits: Limits):
 
 
 def automatic_truncation(h: HopfPresentation, n: int, name: str = None,
-                         limits: Limits = DEFAULT_LIMITS,
-                         prune_result: bool = True) -> BlowupResult:
+                         limits: Limits = DEFAULT_LIMITS) -> BlowupResult:
     """Adjoin pi^(-n) times the augmentation ideal, by n iterated blowups.
 
     At each step the centre is the unit section of the special fibre of
@@ -199,7 +183,7 @@ def automatic_truncation(h: HopfPresentation, n: int, name: str = None,
     for i in range(n):
         centre = Ideal(current.ring, [current.ring.pi()] + current.aug_gens())
         step_name = name if i == n - 1 else f"{h.name}^({i + 1})"
-        b = neron_blowup(current, centre, step_name, limits, prune_result)
+        b = neron_blowup(current, centre, step_name, limits)
         steps.append(b)
         pull = pull.then(b.projection.pullback)
         current = b.blown
@@ -300,7 +284,7 @@ def strict_transform(b: BlowupResult, subgroup: Ideal,
     the result is checked to be a Hopf ideal of the blown presentation.
     """
     base = b.projection.target
-    gens = _coerce_ideal(base, subgroup.generators)
+    gens = list(subgroup.in_ring(base.ring).generators)
     _flat_subgroup_checks(base, gens, limits)
     pull = b.projection.pullback
     ext = [pull(g) for g in gens] + list(b.blown.relations.generators)
@@ -322,7 +306,7 @@ def check_constancy(h: HopfPresentation, subgroup: Ideal, depth: int,
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    gens = _coerce_ideal(h, subgroup.generators)
+    gens = list(subgroup.in_ring(h.ring).generators)
     _flat_subgroup_checks(h, gens, limits)
     rep = Report(f"centre fibres along {depth} blowups of {h.name}")
     current = h

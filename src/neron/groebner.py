@@ -549,6 +549,16 @@ def _fresh_names(base: str, count: int, taken) -> list:
     return names
 
 
+def _eliminate(gens, big: PolyRing, front: int, small: PolyRing, limits: Limits) -> Ideal:
+    """The ideal of `gens` in `big`, whose order is `elim_order(front)`,
+    intersected with the subring free of its first `front` variables and
+    moved into `small`.  By the Elimination Theorem, the basis elements
+    free of those variables generate the intersection."""
+    basis, _ = _buchberger(gens, big, limits, False)
+    kept = [g for g in basis if all(not any(m[:front]) for m in g.terms)]
+    return Ideal(small, [g.in_ring(small) for g in kept])
+
+
 def saturate(ideal: Ideal, f: Poly, limits: Limits = DEFAULT_LIMITS) -> Ideal:
     """Saturation (ideal : f^infinity) via a Rabinowitsch tag variable."""
     ring = ideal.ring
@@ -558,9 +568,7 @@ def saturate(ideal: Ideal, f: Poly, limits: Limits = DEFAULT_LIMITS) -> Ideal:
     big = ring.prepend((tag,), elim_order(1))
     gens = [g.in_ring(big) for g in ideal.generators]
     gens.append(big.one() - big.var(tag) * f.in_ring(big))
-    basis, _ = _buchberger(gens, big, limits, False)
-    keep = [g for g in basis if g.ring.index(tag) == 0 and all(m[0] == 0 for m in g.terms)]
-    return Ideal(ring, [g.in_ring(ring) for g in keep])
+    return _eliminate(gens, big, 1, ring, limits)
 
 
 def saturate_pi(ideal: Ideal, limits: Limits = DEFAULT_LIMITS) -> Ideal:
@@ -581,14 +589,7 @@ def eliminate(ideal: Ideal, drop, limits: Limits = DEFAULT_LIMITS) -> Ideal:
     keep = [v for v in ideal.ring.variables if v not in set(drop)]
     big = PolyRing(tuple(drop) + tuple(keep), elim_order(len(drop)))
     gens = [g.in_ring(big) for g in ideal.generators]
-    basis, _ = _buchberger(gens, big, limits, False)
-    ndrop = len(drop)
-    small = PolyRing(tuple(keep), ideal.ring.order)
-    out = []
-    for g in basis:
-        if all(not any(m[:ndrop]) for m in g.terms):
-            out.append(g.in_ring(small))
-    return Ideal(small, out)
+    return _eliminate(gens, big, len(drop), PolyRing(tuple(keep), ideal.ring.order), limits)
 
 
 def contract(phi: Substitution, ideal_target: Ideal, limits: Limits = DEFAULT_LIMITS) -> Ideal:
@@ -613,22 +614,10 @@ def contract(phi: Substitution, ideal_target: Ideal, limits: Limits = DEFAULT_LI
     gens = [g.in_ring(big, rename) for g in ideal_target.generators]
     for v in A.variables:
         gens.append(big.var(v) - phi.images[v].in_ring(big, rename))
-    basis, _ = _buchberger(gens, big, limits, False)
-    nb = len(bnames)
-    out = []
-    for g in basis:
-        if all(not any(m[:nb]) for m in g.terms):
-            out.append(g.in_ring(A))
-    return Ideal(A, out)
+    return _eliminate(gens, big, len(bnames), A, limits)
 
 
-def subalgebra_member(
-    f: Poly,
-    gens,
-    relations: Ideal,
-    limits: Limits = DEFAULT_LIMITS,
-    tags=None,
-):
+def subalgebra_member(f: Poly, gens, relations: Ideal, limits: Limits = DEFAULT_LIMITS):
     """Search for f as a polynomial in `gens` modulo `relations`.
 
     Returns the witness expression over the tag ring (one variable per
@@ -638,8 +627,7 @@ def subalgebra_member(
     ring = relations.ring
     if f.ring != ring:
         f = f.in_ring(ring)
-    if tags is None:
-        tags = _fresh_names("_z", len(gens), ring.variables)
+    tags = _fresh_names("_z", len(gens), ring.variables)
     big = PolyRing(ring.variables + tuple(tags), elim_order(ring.nvars))
     idgens = [g.in_ring(big) for g in relations.generators]
     for tag, g in zip(tags, gens):
@@ -649,8 +637,7 @@ def subalgebra_member(
     n = ring.nvars
     if any(any(m[:n]) for m in rem.terms):
         return None
-    small = PolyRing(tuple(tags))
-    return rem.in_ring(small)
+    return rem.in_ring(PolyRing(tuple(tags)))
 
 
 def certified_pi_division(

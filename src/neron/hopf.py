@@ -88,6 +88,10 @@ class HopfPresentation:
                    Substitution(ring, SCALARS, counit),
                    Substitution(ring, ring, antipode))
 
+    def with_relations(self, name: str, relations: Ideal) -> "HopfPresentation":
+        """The same structure maps over other relations."""
+        return HopfPresentation(name, self.ring, relations, self.comul, self.counit, self.antipode)
+
     def doubled_ring(self) -> PolyRing:
         return self.comul.target
 
@@ -190,9 +194,9 @@ def check_flat(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS) -> Report:
     return rep
 
 
-def check_hopf(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS,
-               include_flat: bool = True) -> Report:
-    """Verify the Hopf axioms for a presentation, relation by relation.
+def check_hopf(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS) -> Report:
+    """Verify the Hopf axioms for a presentation, relation by relation, and
+    its flatness (`check_flat`).
 
     Every identity is tested as membership in the relation ideal of the
     appropriate tensor power, so the checks are exact over R.
@@ -226,8 +230,7 @@ def check_hopf(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS,
         rep.vanishes("antipode is a right inverse", v,
                      h.relations.normal_form(s_right(dv) - target, limits))
 
-    if include_flat:
-        rep.extend(check_flat(h, limits))
+    rep.extend(check_flat(h, limits))
     return rep
 
 
@@ -269,8 +272,7 @@ def special_fibre(h: HopfPresentation) -> HopfPresentation:
 
 def generic_fibre(h: HopfPresentation) -> HopfPresentation:
     """The fibre over the fraction field: saturate the relations at pi."""
-    rels = saturate_pi(h.relations)
-    return HopfPresentation(h.name + "_K", h.ring, rels, h.comul, h.counit, h.antipode)
+    return h.with_relations(h.name + "_K", saturate_pi(h.relations))
 
 
 @dataclass
@@ -288,7 +290,7 @@ def reduce_mod(h: HopfPresentation, n: int, limits: Limits = DEFAULT_LIMITS) -> 
     ring = h.ring
     cut = ring.pi() ** (n + 1)
     rels = h.relations.plus([cut])
-    out = HopfPresentation(f"{h.name}_mod{n}", ring, rels, h.comul, h.counit, h.antipode)
+    out = h.with_relations(f"{h.name}_mod{n}", rels)
     rep = Report(f"{h.name} mod pi^{n + 1} trivial")
     for v in ring.variables:
         rep.vanishes("coordinate is constant", v,
@@ -313,9 +315,7 @@ def reduce_mod_image(m: GroupMorphism, n: int, limits: Limits = DEFAULT_LIMITS) 
     for v in tgt.ring.variables:
         rep.vanishes("coordinate pulls back to a constant", v,
                      rels.normal_form(m.pullback.images[v] - ring.scalar(tgt.eps(v)), limits))
-    out = HopfPresentation(f"{src.name}_mod{n}", ring, rels,
-                           src.comul, src.counit, src.antipode)
-    return ReduceResult(out, n, rep.ok, rep)
+    return ReduceResult(src.with_relations(f"{src.name}_mod{n}", rels), n, rep.ok, rep)
 
 
 def hopf_ideal_report(h: HopfPresentation, gens, pi_power: int = 0,
@@ -352,7 +352,7 @@ def hopf_ideal_report(h: HopfPresentation, gens, pi_power: int = 0,
 
 def quotient_presentation(h: HopfPresentation, gens, name: str) -> HopfPresentation:
     """Quotient by a Hopf ideal: same maps, enlarged relations."""
-    return HopfPresentation(name, h.ring, h.relations.plus(gens), h.comul, h.counit, h.antipode)
+    return h.with_relations(name, h.relations.plus(gens))
 
 
 def prune(h: HopfPresentation, protected=(), limits: Limits = DEFAULT_LIMITS):

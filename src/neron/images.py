@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .blowup import _lift_pullback, neron_blowup
 from .config import DEFAULT_LIMITS, Limits
 from .groebner import Ideal, contract, saturate_pi
-from .hopf import GroupMorphism, HopfPresentation, prune, special_fibre
+from .hopf import PRIME1, PRIME2, GroupMorphism, HopfPresentation, copy_into, prune, special_fibre
 from .report import Report
 from .ring import Substitution, format_poly
 
@@ -56,9 +56,7 @@ def image_hopf(rho: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> ImageResu
     tgt = rho.target
     kernel = contract(rho.pullback, rho.source.relations, limits)
     basis = saturate_pi(kernel, limits).basis(limits)
-    rels = Ideal.with_basis(tgt.ring, basis, basis)
-    group = HopfPresentation(f"Im({rho.name})", tgt.ring, rels,
-                             tgt.comul, tgt.counit, tgt.antipode)
+    group = tgt.with_relations(f"Im({rho.name})", Ideal.with_basis(tgt.ring, basis, basis))
     embed = GroupMorphism(f"{group.name}->{tgt.name}", group, tgt,
                           Substitution.identity(tgt.ring))
     cover = GroupMorphism(f"{rho.source.name}->{group.name}", rho.source, group,
@@ -154,10 +152,8 @@ def triptych(rho: GroupMorphism, steps: int = 8,
 
     mod_pi_rels = contract(rho.pullback, rho.source.fibre_ideal(), limits)
     mod_pi_basis = mod_pi_rels.basis(limits)
-    mod_pi_image = HopfPresentation(
-        f"Im({rho.name}_k)", img.group.ring,
-        Ideal.with_basis(img.group.ring, mod_pi_basis, mod_pi_basis),
-        img.group.comul, img.group.counit, img.group.antipode)
+    mod_pi_image = img.group.with_relations(
+        f"Im({rho.name}_k)", Ideal.with_basis(img.group.ring, mod_pi_basis, mod_pi_basis))
 
     into = pull.then(to_fibre)
     outer = contract(into, saturated_fibre.fibre_ideal(), limits)
@@ -179,8 +175,7 @@ def fibre_kernel(t: Triptych) -> HopfPresentation:
     sat = t.saturated_fibre
     mid = t.mod_pi_image
     ideal = sat.fibre_ideal().plus(t.into(g) for g in mid.aug_gens())
-    return HopfPresentation(f"Ker({sat.name}->{mid.name})", sat.ring, ideal,
-                            sat.comul, sat.counit, sat.antipode)
+    return sat.with_relations(f"Ker({sat.name}->{mid.name})", ideal)
 
 
 def check_unipotent_kernel(t: Triptych, bound: int = 6,
@@ -211,14 +206,12 @@ def check_unipotent_kernel(t: Triptych, bound: int = 6,
     while todo and progress:
         progress = False
         for v in list(todo):
-            lower = [shifted[w].in_ring(ring2, {u: u + s for u in ring.variables})
-                     for w in certified for s in ("'", "''")]
+            lower = [copy_into(shifted[w], ring2, s)
+                     for w in certified for s in (PRIME1, PRIME2)]
             mod = rels2.plus(lower) if lower else rels2
             g = shifted[v]
             d = mod.normal_form(
-                ker.comul(g)
-                - g.in_ring(ring2, {u: u + "'" for u in ring.variables})
-                - g.in_ring(ring2, {u: u + "''" for u in ring.variables}),
+                ker.comul(g) - copy_into(g, ring2, PRIME1) - copy_into(g, ring2, PRIME2),
                 limits)
             if d.is_zero():
                 rep.add("coordinate is primitive modulo the previous ones", v, True)

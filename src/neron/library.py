@@ -69,7 +69,7 @@ def roots_of_unity(k: int, u: str = "u", v: str = "v", name: str = None) -> Hopf
         name = f"mu{k}"
     base = multiplicative_group(u, v, name)
     rels = base.relations.plus([base.ring.var(u) ** k - 1])
-    return HopfPresentation(name, base.ring, rels, base.comul, base.counit, base.antipode)
+    return base.with_relations(name, rels)
 
 
 def trivial_group(name: str = "E") -> HopfPresentation:

@@ -224,6 +224,14 @@ class _Parser:
             return node
         self.fail(t, f"expected a value, found {t.text!r}")
 
+    def plain_poly(self, node, ring, allowed) -> Poly:
+        """A polynomial with no pi in a denominator; the error points at
+        the `/` whose denominator carries pi."""
+        f, m = _eval_poly(node, ring, allowed)
+        if m:
+            self.fail(_pi_division(node, ring, allowed), "pi cannot appear in a denominator here")
+        return f
+
 
 def _eval_poly(node, ring: PolyRing, allowed):
     """Evaluate to (numerator, pi_power) standing for numerator / pi^power."""
@@ -267,6 +275,20 @@ def _eval_poly(node, ring: PolyRing, allowed):
         a, ma = _eval_poly(node[1], ring, allowed)
         return a ** node[2], ma * node[2]
     raise AssertionError(kind)
+
+
+def _pi_division(node, ring, allowed):
+    """The first `/` in `node`, in text order, whose denominator carries
+    pi, or None; every division in `node` is one `_eval_poly` accepts."""
+    if node[0] in ("num", "name"):
+        return None
+    found = _pi_division(node[1], ring, allowed)
+    if found is None and node[0] == "div":
+        if _eval_poly(node[2], ring, allowed)[0].pi_valuation() > 0:
+            found = node[3]
+    if found is None and node[0] in ("add", "sub", "mul", "div"):
+        found = _pi_division(node[2], ring, allowed)
+    return found
 
 
 def _eval_laurent(node):
@@ -431,12 +453,6 @@ class _FileParser(_Parser):
         for key, (tok, _) in entries.items():
             self.fail(tok, f"{kind} blocks do not take a {key!r} key")
 
-    def plain_poly(self, node, ring, allowed) -> Poly:
-        f, m = _eval_poly(node, ring, allowed)
-        if m:
-            raise ParseError("pi cannot appear in a denominator here", 1, 1)
-        return f
-
     def images_for(self, pairs, variables, ring, allowed, what: str):
         images = {}
         for key, node in pairs:
@@ -532,10 +548,7 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
     p = _Parser(text)
     node = p.expression()
     p.expect("eof")
-    f, m = _eval_poly(node, ring, set(ring.variables))
-    if m:
-        raise ParseError("pi cannot appear in a denominator here", 1, 1)
-    return f
+    return p.plain_poly(node, ring, set(ring.variables))
 
 
 def parse_fraction(text: str, ring: PolyRing):
@@ -551,10 +564,7 @@ def parse_poly_list(text: str, ring: PolyRing):
     out = []
     while p.peek().kind != "eof":
         node = p.expression()
-        f, m = _eval_poly(node, ring, set(ring.variables))
-        if m:
-            raise ParseError("pi cannot appear in a denominator here", 1, 1)
-        out.append(f)
+        out.append(p.plain_poly(node, ring, set(ring.variables)))
         if p.peek().kind == ",":
             p.next()
     return out
@@ -562,9 +572,7 @@ def parse_poly_list(text: str, ring: PolyRing):
 
 def parse_matrix(text: str, ring: PolyRing):
     """A bracketed matrix [[...], ...] of polynomials over the given ring."""
-    p = _FileParser("")
-    p.tokens = _tokenize(text)
-    p.pos = 0
+    p = _FileParser(text)
     rows = p.matrix_value()
     p.expect("eof")
     allowed = set(ring.variables)

@@ -345,8 +345,7 @@ def conormal_rep(gk: HopfPresentation, subgroup: Ideal,
     coordinate ring.
     """
     ring = gk.ring
-    gens = [g.in_ring(ring) if isinstance(g, Poly) else ring.scalar(g)
-            for g in subgroup.generators]
+    gens = list(subgroup.in_ring(ring).generators)
     for g in gens:
         if gk.eps_of(g).set_pi_zero() != 0:
             raise NotASubgroup("ideal is not contained in the augmentation ideal mod pi")

@@ -422,10 +422,6 @@ class Substitution:
     def identity(cls, ring: PolyRing) -> "Substitution":
         return cls(ring, ring, {v: ring.var(v) for v in ring.variables})
 
-    @classmethod
-    def renaming(cls, source: PolyRing, target: PolyRing, mapping) -> "Substitution":
-        return cls(source, target, {v: target.var(mapping.get(v, v)) for v in source.variables})
-
     def __call__(self, f: Poly) -> Poly:
         if f.ring != self.source:
             f = f.in_ring(self.source)
@@ -451,10 +447,6 @@ class Substitution:
         return Substitution(
             self.source, later.target, {v: later(img) for v, img in self.images.items()}
         )
-
-    def restrict(self, names) -> "Substitution":
-        sub = PolyRing(tuple(n for n in self.source.variables if n in set(names)), self.source.order)
-        return Substitution(sub, self.target, {n: self.images[n] for n in sub.variables})
 
     def __repr__(self):
         inner = ", ".join(f"{v} -> {format_poly(self.images[v])}" for v in self.source.variables if v in self.images)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neron.blowup import automatic_truncation
 from neron.config import Limits
 from neron.errors import DivisionObstruction, ResourceLimit
 import neron.groebner as groebner
@@ -10,7 +11,7 @@ from neron.groebner import (Ideal, _buchberger, _Overflow, _Packing, _reduce_ful
                             certified_pi_division, contract, eliminate, membership,
                             saturate, saturate_pi, subalgebra_member)
 from neron.hopf import PRIME1, PRIME2, PRIME3, copy_into, tensor_ideal, tensor_ring
-from neron.library import general_linear
+from neron.library import borel2, general_linear
 from neron.ring import GREVLEX, LEX, Poly, PolyRing, Substitution, elim_order
 
 import suites
@@ -261,6 +262,24 @@ class TestPairWalk:
             compute(Limits(max_pairs=pairs - 1, max_degree=degree))
         with pytest.raises(ResourceLimit):
             compute(Limits(max_pairs=pairs, max_degree=degree - 1))
+
+
+class TestContractWalk:
+    """The S-pairs one contraction reduces, pinned as in `TestPairWalk`:
+    the relations of a level-1 blowup pulled back along its projection.
+    The count depends on the ring and the generator order `contract`
+    walks in."""
+
+    @pytest.mark.parametrize("group, pairs", [(borel2, 35), (general_linear, 64)],
+                             ids=["b2", "gl2"])
+    def test_pairs_reduced(self, group, pairs):
+        b = automatic_truncation(group(), 1, limits=LIM)
+        compute = lambda limits: contract(b.projection.pullback, b.blown.relations, limits)
+        compute(Limits(max_pairs=pairs, max_degree=4))
+        with pytest.raises(ResourceLimit):
+            compute(Limits(max_pairs=pairs - 1, max_degree=4))
+        with pytest.raises(ResourceLimit):
+            compute(Limits(max_pairs=pairs, max_degree=3))
 
 
 class TestSeededWalk:

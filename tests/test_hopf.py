@@ -188,7 +188,7 @@ class TestFibres:
         assert fib.name == "Gm^(1)_k"
         x, y = fib.ring.var("x"), fib.ring.var("y")
         assert fib.relations.same_ideal(Ideal(fib.ring, [x + y]), LIM)
-        assert check_hopf(fib, LIM, include_flat=False).ok
+        assert check_hopf(fib, LIM).ok
 
     def test_generic_fibre_saturates(self):
         ring = PolyRing(("x",))
@@ -243,8 +243,18 @@ class TestQuotientAndPrune:
         gm = multiplicative_group()
         u, v = gm.ring.var("u"), gm.ring.var("v")
         q = quotient_presentation(gm, [u * u - 1], "mu2q")
-        assert check_hopf(q, LIM, include_flat=False).ok
+        assert check_hopf(q, LIM).ok
         assert q.relations.same_ideal(roots_of_unity(2).relations.in_ring(q.ring), LIM)
+
+    def test_with_relations_keeps_the_structure_maps(self):
+        gm = multiplicative_group()
+        doubled = gm.doubled_ideal()
+        rels = gm.relations.plus([gm.ring.var("u") ** 2 - 1])
+        mu2 = gm.with_relations("mu2", rels)
+        assert (mu2.name, mu2.ring, mu2.relations) == ("mu2", gm.ring, rels)
+        assert (mu2.comul, mu2.counit, mu2.antipode) == (gm.comul, gm.counit, gm.antipode)
+        assert mu2.doubled_ideal() is not doubled
+        assert check_hopf(mu2, LIM).ok
 
     def test_prune_eliminates_solved_variable(self):
         both = product(multiplicative_group(), additive_group())

