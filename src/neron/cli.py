@@ -378,12 +378,51 @@ def cmd_dgal_diagnose(c, args, limits):
     return True, level_report, data, lines
 
 
+class _Subcommand:
+    """One subcommand's parser, built when a call first dispatches to it.
+
+    `build_parser` hands this class to argparse as the subparsers'
+    `parser_class`, so `add_parser` files it under the command's name with
+    the keyword arguments argparse would have built the parser from.  Help,
+    usage errors and invalid-choice messages read only the names and help
+    texts, so a call builds the parser of the command it names and no other.
+    """
+
+    parser = None
+
+    def __init__(self, **kwargs):
+        self.kwargs = kwargs
+        self.row = None  # (block kind, handler, options) from the table
+
+    def __getattr__(self, attr):
+        # Reached only for what argparse asks of the subparser itself
+        # (parse_known_args): build it once, then delegate.
+        if self.parser is None:
+            kind, func, options = self.row
+            p = argparse.ArgumentParser(**self.kwargs)
+            p.add_argument("file", help="presentation file")
+            if kind is not None:
+                p.add_argument("name", nargs="?", default=None,
+                               help="block name (optional when unambiguous)")
+            p.add_argument("--format", choices=("text", "json"), default="text")
+            p.add_argument("--max-pairs", type=int, default=None,
+                           help="basis computation pair budget")
+            p.add_argument("--degree-bound", type=int, default=None,
+                           help="degree budget (gauge window for dgal-* commands)")
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=func, kind=kind)
+            self.parser = p
+        return getattr(self.parser, attr)
+
+
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="neron",
         description="Flat group schemes over a discrete valuation ring, "
                     "presented as Hopf algebras.")
-    sub = root.add_subparsers(dest="command", required=True)
+    sub = root.add_subparsers(dest="command", required=True,
+                              parser_class=_Subcommand)
     column = ("--column", dict(type=int, default=1))
     steps = ("--steps", dict(type=int, default=8))
 
@@ -464,19 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
          [("--levels", dict(type=int, default=3))]),
     )
     for name, kind, func, text, options in table:
-        p = sub.add_parser(name, help=text)
-        p.add_argument("file", help="presentation file")
-        if kind is not None:
-            p.add_argument("name", nargs="?", default=None,
-                           help="block name (optional when unambiguous)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-pairs", type=int, default=None,
-                       help="basis computation pair budget")
-        p.add_argument("--degree-bound", type=int, default=None,
-                       help="degree budget (gauge window for dgal-* commands)")
-        for flag, kwargs in options:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func, kind=kind)
+        sub.add_parser(name, help=text).row = (kind, func, options)
     return root
 
 

@@ -79,9 +79,6 @@ class LaurentPoly:
         """Reduce modulo pi^(n+1)."""
         return LaurentPoly({e: c.truncate(n) for e, c in self.coeffs.items()})
 
-    def truncate_x(self, n: int) -> "LaurentPoly":
-        return LaurentPoly({e: c for e, c in self.coeffs.items() if e <= n})
-
     def exponents(self):
         return sorted(self.coeffs)
 

@@ -487,10 +487,6 @@ class Ideal:
     def is_zero(self, limits: Limits = DEFAULT_LIMITS) -> bool:
         return not self.basis(limits)
 
-    def is_unit(self, limits: Limits = DEFAULT_LIMITS) -> bool:
-        b = self.basis(limits)
-        return len(b) == 1 and b[0] == self.ring.one()
-
     def same_ideal(self, other: "Ideal", limits: Limits = DEFAULT_LIMITS) -> bool:
         if self.ring.variables != other.ring.variables:
             return False

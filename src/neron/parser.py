@@ -32,7 +32,13 @@ from .ring import Poly, PolyRing, Scalar, Substitution, format_poly
 
 KEYWORDS = ("group", "morphism", "rep", "connection")
 PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+NUMBER = re.compile(r"[0-9]+")
 X = "x"
+
+# Deepest nesting of parentheses and unary signs an expression may use.
+# Parsing and evaluation recurse once per level, so this bounds their stack;
+# chains of binary operators nest no deeper, however long they are.
+MAX_NESTING = 100
 
 
 @dataclass
@@ -70,10 +76,10 @@ def _tokenize(text: str):
             col += 2
             continue
         if c.isdigit():
-            m = re.match(r"[0-9]+", text[i:])
+            m = NUMBER.match(text, i)
             tokens.append(Token("number", m.group(0), line, start_col))
-            i += m.end()
-            col += m.end()
+            col += m.end() - i
+            i = m.end()
             continue
         if c.isalpha() or c == "_":
             m = PLAIN_NAME.match(text, i)
@@ -151,6 +157,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -168,6 +175,12 @@ class _Parser:
         if t.kind != kind:
             self.fail(t, f"expected {kind!r}, found {t.text!r}")
         return t
+
+    def nest(self, tok: Token):
+        """Enter one level of parentheses or unary sign, opened at `tok`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(tok, f"expression nested deeper than {MAX_NESTING} levels")
 
     def block_name(self) -> str:
         t = self.next()
@@ -200,7 +213,9 @@ class _Parser:
         t = self.peek()
         if t.kind in ("+", "-"):
             self.next()
+            self.nest(t)
             inner = self.factor()
+            self.depth -= 1
             return inner if t.kind == "+" else ("neg", inner)
         return self.power()
 
@@ -219,8 +234,10 @@ class _Parser:
         if t.kind == "name":
             return ("name", t.text, t)
         if t.kind == "(":
+            self.nest(t)
             node = self.expression()
             self.expect(")")
+            self.depth -= 1
             return node
         self.fail(t, f"expected a value, found {t.text!r}")
 
@@ -233,86 +250,137 @@ class _Parser:
         return f
 
 
+_CHAINS = ("add", "sub", "mul", "div")
+
+
+def _spine(node):
+    """The leaf at the bottom of a chain of binary nodes, and the chain's
+    nodes from the bottom up.  The parser builds `a + b - c` and `a * b / c`
+    left-deep, so walking this spine with a loop keeps the stack flat
+    however long the chain is."""
+    spine = []
+    while node[0] in _CHAINS:
+        spine.append(node)
+        node = node[1]
+    spine.reverse()
+    return node, spine
+
+
 def _eval_poly(node, ring: PolyRing, allowed):
     """Evaluate to (numerator, pi_power) standing for numerator / pi^power."""
+    node, spine = _spine(node)
     kind = node[0]
     if kind == "num":
-        return ring.scalar(node[1]), 0
-    if kind == "name":
+        f, m = ring.scalar(node[1]), 0
+    elif kind == "name":
         text, tok = node[1], node[2]
         if text == "pi":
-            return ring.pi(), 0
-        if text not in allowed:
+            f, m = ring.pi(), 0
+        elif text not in allowed:
             raise ParseError(f"unknown variable {text!r} here", tok.line, tok.column)
-        return ring.var(text), 0
-    if kind == "neg":
+        else:
+            f, m = ring.var(text), 0
+    elif kind == "neg":
         f, m = _eval_poly(node[1], ring, allowed)
-        return -f, m
-    if kind in ("add", "sub"):
-        a, ma = _eval_poly(node[1], ring, allowed)
+        f = -f
+    elif kind == "pow":
+        f, m = _eval_poly(node[1], ring, allowed)
+        f, m = f ** node[2], m * node[2]
+    else:
+        raise AssertionError(kind)
+    terms = None  # a running sum's terms, over pi^m, while the spine adds
+    for node in spine:
+        kind = node[0]
         b, mb = _eval_poly(node[2], ring, allowed)
-        m = max(ma, mb)
-        a, b = a.mul_pi(m - ma), b.mul_pi(m - mb)
-        return (a + b, m) if kind == "add" else (a - b, m)
-    if kind == "mul":
-        a, ma = _eval_poly(node[1], ring, allowed)
-        b, mb = _eval_poly(node[2], ring, allowed)
-        return a * b, ma + mb
-    if kind == "div":
-        a, ma = _eval_poly(node[1], ring, allowed)
-        b, mb = _eval_poly(node[2], ring, allowed)
+        if kind in ("add", "sub"):
+            if terms is None:
+                terms = dict(f.terms)
+            if mb > m:
+                terms = {mono[:-1] + (mono[-1] + mb - m,): c
+                         for mono, c in terms.items()}
+                m = mb
+            shift = m - mb
+            for mono, c in b.terms.items():
+                if shift:
+                    mono = mono[:-1] + (mono[-1] + shift,)
+                if kind == "sub":
+                    c = -c
+                terms[mono] = terms[mono] + c if mono in terms else c
+            continue
+        if terms is not None:
+            f, terms = Poly(ring, terms), None
+        if kind == "mul":
+            f, m = f * b, m + mb
+            continue
         op = node[3]
         if mb:
             raise ParseError("nested fractions", op.line, op.column)
-        if b.is_scalar():
-            s = b.as_scalar()
-            if len(s.coeffs) == 1:
-                e, q = next(iter(s.coeffs.items()))
-                return a.scale(1 / q), ma + e
+        s = b.as_scalar() if b.is_scalar() else None
+        if s is None or len(s.coeffs) != 1:
             raise ParseError("can only divide by rationals or powers of pi", op.line, op.column)
-        raise ParseError("can only divide by rationals or powers of pi", op.line, op.column)
-    if kind == "pow":
-        a, ma = _eval_poly(node[1], ring, allowed)
-        return a ** node[2], ma * node[2]
-    raise AssertionError(kind)
+        e, q = next(iter(s.coeffs.items()))
+        f, m = f.scale(1 / q), m + e
+    if terms is not None:
+        f = Poly(ring, terms)
+    return f, m
 
 
 def _pi_division(node, ring, allowed):
     """The first `/` in `node`, in text order, whose denominator carries
     pi, or None; every division in `node` is one `_eval_poly` accepts."""
-    if node[0] in ("num", "name"):
-        return None
-    found = _pi_division(node[1], ring, allowed)
-    if found is None and node[0] == "div":
-        if _eval_poly(node[2], ring, allowed)[0].pi_valuation() > 0:
-            found = node[3]
-    if found is None and node[0] in ("add", "sub", "mul", "div"):
-        found = _pi_division(node[2], ring, allowed)
-    return found
+    spine = []
+    while node[0] not in ("num", "name"):
+        spine.append(node)
+        node = node[1]
+    for node in reversed(spine):
+        if node[0] == "div" and _eval_poly(node[2], ring, allowed)[0].pi_valuation() > 0:
+            return node[3]
+        if node[0] in _CHAINS:
+            found = _pi_division(node[2], ring, allowed)
+            if found is not None:
+                return found
+    return None
 
 
 def _eval_laurent(node):
+    node, spine = _spine(node)
     kind = node[0]
     if kind == "num":
-        return LaurentPoly({0: node[1]})
-    if kind == "name":
+        f = LaurentPoly({0: node[1]})
+    elif kind == "name":
         text, tok = node[1], node[2]
         if text == "pi":
-            return LaurentPoly({0: Scalar.pi_power(1)})
-        if text == X:
-            return LaurentPoly({1: 1})
-        raise ParseError(f"connection entries use only {X!r} and 'pi'", tok.line, tok.column)
-    if kind == "neg":
-        return -_eval_laurent(node[1])
-    if kind == "add":
-        return _eval_laurent(node[1]) + _eval_laurent(node[2])
-    if kind == "sub":
-        return _eval_laurent(node[1]) - _eval_laurent(node[2])
-    if kind == "mul":
-        return _eval_laurent(node[1]) * _eval_laurent(node[2])
-    if kind == "div":
+            f = LaurentPoly({0: Scalar.pi_power(1)})
+        elif text == X:
+            f = LaurentPoly({1: 1})
+        else:
+            raise ParseError(f"connection entries use only {X!r} and 'pi'", tok.line, tok.column)
+    elif kind == "neg":
+        f = -_eval_laurent(node[1])
+    elif kind == "pow":
         a = _eval_laurent(node[1])
+        f = LaurentPoly({0: 1})
+        for _ in range(node[2]):
+            f = f * a
+    else:
+        raise AssertionError(kind)
+    coeffs = None  # a running sum's coefficients while the spine adds
+    for node in spine:
+        kind = node[0]
         b = _eval_laurent(node[2])
+        if kind in ("add", "sub"):
+            if coeffs is None:
+                coeffs = dict(f.coeffs)
+            for e, c in b.coeffs.items():
+                if kind == "sub":
+                    c = -c
+                coeffs[e] = coeffs[e] + c if e in coeffs else c
+            continue
+        if coeffs is not None:
+            f, coeffs = LaurentPoly(coeffs), None
+        if kind == "mul":
+            f = f * b
+            continue
         op = node[3]
         if len(b.coeffs) != 1:
             raise ParseError("can only divide by rationals and powers of x", op.line, op.column)
@@ -320,14 +388,10 @@ def _eval_laurent(node):
         if list(s.coeffs) != [0]:
             raise ParseError("cannot divide by pi", op.line, op.column)
         q = s.coeffs[0]
-        return LaurentPoly({d - e: c * (1 / q) for d, c in a.coeffs.items()})
-    if kind == "pow":
-        a = _eval_laurent(node[1])
-        out = LaurentPoly({0: 1})
-        for _ in range(node[2]):
-            out = out * a
-        return out
-    raise AssertionError(kind)
+        f = LaurentPoly({d - e: c * (1 / q) for d, c in f.coeffs.items()})
+    if coeffs is not None:
+        f = LaurentPoly(coeffs)
+    return f
 
 
 class _FileParser(_Parser):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import NotDivisible, UnknownVariable
 
@@ -25,11 +26,7 @@ Rational = Fraction
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
+    return tuple(map(add, a, b))
 
 
 def _grevlex_key(m: Monomial):
@@ -292,14 +289,15 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = self.ring.one()
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return self.ring.one() if out is None else out
 
     def scale(self, q) -> "Poly":
         q = Fraction(q)
@@ -323,11 +321,6 @@ class Poly:
         if not self.terms:
             return self
         return self.scale(Fraction(1) / self.lead_coeff())
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(mono_degree(m) for m in self.terms)
 
     def sorted_terms(self):
         """Terms in descending order under the ring order; deterministic."""
@@ -370,14 +363,6 @@ class Poly:
             raise UnknownVariable(f"{format_poly(self)} is not a scalar")
         return Scalar({m[-1]: c for m, c in self.terms.items()})
 
-    def coefficient_scalar(self, exponents: Monomial) -> Scalar:
-        """The Q[pi] coefficient of a variable-exponent vector."""
-        out = {}
-        for m, c in self.terms.items():
-            if m[:-1] == tuple(exponents):
-                out[m[-1]] = c
-        return Scalar(out)
-
     def in_ring(self, ring: PolyRing, rename=None) -> "Poly":
         """Re-express in another ring, optionally renaming variables.
 
@@ -404,14 +389,21 @@ class Poly:
 
 
 class Substitution:
-    """Ring homomorphism over Q[pi] fixed by variable images; pi maps to pi."""
+    """Ring homomorphism over Q[pi] fixed by variable images; pi maps to pi.
 
-    __slots__ = ("source", "target", "images")
+    The powers of the images that a call needs are kept on the substitution,
+    as term lists keyed by (variable index, exponent), and filled on first
+    use, so applying one substitution to many polynomials computes each
+    power once.
+    """
+
+    __slots__ = ("source", "target", "images", "_powers")
 
     def __init__(self, source: PolyRing, target: PolyRing, images):
         self.source = source
         self.target = target
         self.images = dict(images)
+        self._powers = {}
         for name, img in self.images.items():
             if name not in source.variables:
                 raise UnknownVariable(f"image given for {name!r} outside the source ring")
@@ -422,25 +414,35 @@ class Substitution:
     def identity(cls, ring: PolyRing) -> "Substitution":
         return cls(ring, ring, {v: ring.var(v) for v in ring.variables})
 
+    def _power(self, i: int, e: int) -> list:
+        """The terms of the image of source variable i, to the power e."""
+        name = self.source.variables[i]
+        if name not in self.images:
+            raise UnknownVariable(f"no image for variable {name!r}")
+        power = self._powers[i, e] = list((self.images[name] ** e).terms.items())
+        return power
+
     def __call__(self, f: Poly) -> Poly:
         if f.ring != self.source:
             f = f.in_ring(self.source)
-        out = self.target.zero()
-        cache = {}
+        powers = self._powers
+        base = (0,) * self.target.nvars
+        out = {}
         for m, c in sorted(f.terms.items()):
-            part = self.target.scalar(Scalar.pi_power(m[-1], c))
+            part = [(base + (m[-1],), c)]
             for i, e in enumerate(m[:-1]):
-                if not e:
-                    continue
-                name = self.source.variables[i]
-                if name not in self.images:
-                    raise UnknownVariable(f"no image for variable {name!r}")
-                key = (name, e)
-                if key not in cache:
-                    cache[key] = self.images[name] ** e
-                part = part * cache[key]
-            out = out + part
-        return out
+                if e:
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = self._power(i, e)
+                    part = [(tuple(map(add, m1, m2)), c1 * c2)
+                            for m1, c1 in part for m2, c2 in power]
+            for mono, coeff in part:
+                if mono in out:
+                    out[mono] += coeff
+                else:
+                    out[mono] = coeff
+        return Poly(self.target, out)
 
     def then(self, later: "Substitution") -> "Substitution":
         """Composite substitution: apply self, then `later`."""

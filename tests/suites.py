@@ -24,6 +24,12 @@ from oracles import membership_linear
 LIMITS = Limits()
 
 
+def _total_degree(f) -> int:
+    """The largest total degree of a term of f, pi's exponent included; 0
+    for the zero polynomial."""
+    return max((sum(m) for m in f.terms), default=0)
+
+
 def _random_poly(rng: random.Random, ring: PolyRing, terms: int, degree: int,
                  pi_max: int = 1) -> Poly:
     out = {}
@@ -64,8 +70,7 @@ def groebner_oracle_suite(count: int, seed: int = 20260815) -> int:
         if member:
             cert = membership(f, ideal, LIMITS)
             assert cert.member
-            ceiling = max((c.total_degree() for c in cert.cofactors
-                           if not c.is_zero()), default=0)
+            ceiling = max((_total_degree(c) for c in cert.cofactors), default=0)
             # certificate cofactors overshoot; search low bounds first
             bounds = [b for b in (2, 3, 4) if b < ceiling] + [ceiling]
             assert any(membership_linear(f, gens, b) for b in bounds), (

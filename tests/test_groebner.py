@@ -45,10 +45,11 @@ class TestIdeal:
 
     def test_unit_and_zero(self, rxy):
         x = rxy.var("x")
-        assert Ideal(rxy, [x, x + 1]).is_unit(LIM)
+        assert Ideal(rxy, [x, x + 1]).contains(rxy.one(), LIM)
+        assert list(Ideal(rxy, [x, x + 1]).basis(LIM)) == [rxy.one()]
         assert Ideal(rxy, []).is_zero(LIM)
         # pi is not a unit: R is not a field
-        assert not Ideal(rxy, [rxy.pi()]).is_unit(LIM)
+        assert not Ideal(rxy, [rxy.pi()]).contains(rxy.one(), LIM)
 
     def test_pi_leading_generator(self, rxy):
         # lead term of the twisted relation carries pi

@@ -11,8 +11,8 @@ from neron.cli import main
 from neron.errors import ParseError, UndefinedName
 from neron.hopf import check_hopf
 from neron.library import general_linear, special_linear, twisted_multiplicative
-from neron.parser import (parse, parse_fraction, parse_matrix, parse_poly,
-                          parse_poly_list, print_file, print_group)
+from neron.parser import (MAX_NESTING, parse, parse_fraction, parse_matrix,
+                          parse_poly, parse_poly_list, print_file, print_group)
 from neron.ring import PolyRing, format_poly
 
 from test_goldens import load_script
@@ -109,6 +109,16 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parser(text, PolyRing(("u", "v")))
         assert str(exc.value) == f"{where}: pi cannot appear in a denominator here"
+
+    def test_long_sums_parse_like_short_ones(self):
+        # chains far longer than the interpreter's recursion limit
+        ring = PolyRing(("u", "v"))
+        long = " + ".join(["1/2000*u*v/pi"] * 2000) + " - 1"
+        assert parse_fraction(long, ring) == parse_fraction("u*v/pi - 1", ring)
+        entry = " - ".join(["x"] + ["1/2000*pi*x^2"] * 2000)
+        pf = parse(f"connection c {{ base: affine-line; matrix: [[{entry}]]; }}")
+        short = parse("connection c { base: affine-line; matrix: [[x - pi*x^2]]; }")
+        assert pf.connections["c"].matrix == short.connections["c"].matrix
 
     def test_one_legged_comul_parses_but_fails_axioms(self):
         pf = parse("group G { vars: x; relations: ; comul: x -> x'; "
@@ -243,6 +253,35 @@ class TestCliExitCodes:
                              "--centre", "pi, (u-1)/pi")
         assert (code, out) == (2, "")
         assert err == "error: 1:10: pi cannot appear in a denominator here\n"
+
+    def test_long_relation_checks_flat(self, capsys, golden_dir, tmp_path):
+        # u*v - 1 written as 5,000 equal parts
+        parts = " + ".join(["1/5000*u*v"] * 5000)
+        path = tmp_path / "long.grp"
+        path.write_text((golden_dir / "gm.grp").read_text()
+                        .replace("relations: u*v - 1;", f"relations: {parts} - 1;"))
+        code, out, err = run(capsys, "check-flat", str(path))
+        assert (code, err) == (0, "")
+        assert "PASS" in out
+
+    @pytest.mark.parametrize("nest", ["(" * 300 + "u" + ")" * 300,
+                                      "-" * 3000 + "u"],
+                             ids=["parentheses", "signs"])
+    @pytest.mark.parametrize("where", ["relation", "centre"])
+    def test_deep_nesting_exits_two(self, capsys, golden_dir, tmp_path, nest, where):
+        path = golden_dir / "gm.grp"
+        if where == "relation":
+            # "  relations: " takes columns 1-13 of line 4
+            path = tmp_path / "deep.grp"
+            path.write_text((golden_dir / "gm.grp").read_text()
+                            .replace("relations: u*v - 1;", f"relations: {nest};"))
+            code, out, err = run(capsys, "check-flat", str(path))
+            at = f"4:{14 + MAX_NESTING}"
+        else:
+            code, out, err = run(capsys, "blowup", str(path), "--centre", f"pi, {nest}")
+            at = f"1:{5 + MAX_NESTING}"
+        assert (code, out) == (2, "")
+        assert err == f"error: {at}: expression nested deeper than {MAX_NESTING} levels\n"
 
     def test_mathematical_failure_exits_one(self, capsys, golden_dir):
         code, _, err = run(capsys, "blowup", str(golden_dir / "gm.grp"),

@@ -149,12 +149,12 @@ class TestPoly:
         assert f.as_scalar() == Scalar({1: Fraction(2)})
         assert not R.var("x").is_scalar()
 
-    def test_coefficient_scalar(self):
+    def test_q_pi_coefficients(self):
         R = ring2()
         x = R.var("x")
         f = x * R.pi() + x * 3
-        assert f.coefficient_scalar((1, 0)) == Scalar({0: Fraction(3), 1: Fraction(1)})
-        assert f.coefficient_scalar((0, 1)) == Scalar()
+        assert f == x * R.scalar(Scalar({0: Fraction(3), 1: Fraction(1)}))
+        assert f.variables_used() == {"x"}
 
     def test_in_ring_rename_and_missing(self):
         R = ring2()
@@ -182,7 +182,71 @@ class TestPoly:
         assert f.mul_pi().set_pi_zero().is_zero()
 
 
+def term_by_term(images: dict, target: PolyRing, f: Poly) -> Poly:
+    """Reference for Substitution: each term's image built by repeated
+    products, one variable factor at a time, then summed."""
+    out = target.zero()
+    for m, c in f.terms.items():
+        term = target.scalar(Scalar.pi_power(m[-1], c))
+        for name, e in zip(f.ring.variables, m):
+            for _ in range(e):
+                term = term * images[name]
+        out = out + term
+    return out
+
+
+def first_missing(images: dict, f: Poly):
+    """The variable whose missing image a substitution reports: the first
+    one met in the source ring's terms, in sorted order."""
+    for m in sorted(f.terms):
+        for name, e in zip(f.ring.variables, m):
+            if e and name not in images:
+                return name
+    return None
+
+
+SOURCE = PolyRing(("x", "y", "z"))
+TARGET = PolyRing(("a", "b"))
+LATER = PolyRing(("s",))
+
+
+def image_polys(ring: PolyRing):
+    mono = st.tuples(*([st.integers(0, 2)] * ring.nvars), st.integers(0, 1))
+    coeff = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return st.dictionaries(mono, coeff, max_size=3).map(lambda t: Poly(ring, t))
+
+
 class TestSubstitution:
+    @given(data=st.data())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_matches_term_by_term_evaluation(self, data):
+        named = data.draw(st.just(set(SOURCE.variables))
+                          | st.sets(st.sampled_from(SOURCE.variables)))
+        images = {v: data.draw(image_polys(TARGET)) for v in sorted(named)}
+        phi = Substitution(SOURCE, TARGET, images)
+        # inputs from the source ring and from another ring (the in_ring
+        # path); each twice, so the second call uses the kept powers
+        other = PolyRing(("z", "x"))
+        fs = data.draw(st.lists(small_polys(SOURCE) | small_polys(other),
+                                min_size=1, max_size=3))
+        for f in fs + fs:
+            missing = first_missing(images, f.in_ring(SOURCE))
+            if missing is not None:
+                with pytest.raises(UnknownVariable) as exc:
+                    phi(f)
+                assert str(exc.value) == f"no image for variable {missing!r}"
+                continue
+            got = phi(f)
+            assert got == term_by_term(images, TARGET, f)
+            assert all(got.terms.values())
+        if len(images) < SOURCE.nvars:
+            return
+        later = {v: data.draw(image_polys(LATER)) for v in TARGET.variables}
+        composite = phi.then(Substitution(TARGET, LATER, later))
+        for f in fs:
+            assert composite(f) == term_by_term(
+                later, LATER, term_by_term(images, TARGET, f))
+
     def test_apply_and_compose(self):
         R = PolyRing(("u", "v"))
         S = PolyRing(("xi1",))
