@@ -32,13 +32,13 @@ from .ring import Poly, PolyRing, Scalar, Substitution, format_poly
 
 KEYWORDS = ("group", "morphism", "rep", "connection")
 PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-NUMBER = re.compile(r"[0-9]+")
+_NUMBER = re.compile(r"[0-9]+")
 X = "x"
 
 # Deepest nesting of parentheses and unary signs an expression may use.
-# Parsing and evaluation recurse once per level, so this bounds their stack;
-# chains of binary operators nest no deeper, however long they are.
-MAX_NESTING = 100
+# Parsing and evaluation take a few stack frames per level, so this bounds
+# their stack; a chain of binary operators adds no level, however long.
+_MAX_NESTING = 100
 
 
 @dataclass
@@ -76,7 +76,7 @@ def _tokenize(text: str):
             col += 2
             continue
         if c.isdigit():
-            m = NUMBER.match(text, i)
+            m = _NUMBER.match(text, i)
             tokens.append(Token("number", m.group(0), line, start_col))
             col += m.end() - i
             i = m.end()
@@ -179,8 +179,8 @@ class _Parser:
     def nest(self, tok: Token):
         """Enter one level of parentheses or unary sign, opened at `tok`."""
         self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.fail(tok, f"expression nested deeper than {MAX_NESTING} levels")
+        if self.depth > _MAX_NESTING:
+            self.fail(tok, f"expression nested deeper than {_MAX_NESTING} levels")
 
     def block_name(self) -> str:
         t = self.next()

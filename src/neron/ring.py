@@ -8,6 +8,9 @@ block of an elimination order (pi is in the last block), counts pi in the
 degree and breaks a degree tie on the pi exponent first, the smaller one
 ranking higher.  The Groebner kernel packs these tuples into ints
 (`groebner._Packing`); nothing outside it sees the packed form.
+
+A `Substitution` keeps each power of an image that a call has needed, so
+applying one substitution to many polynomials computes each power once.
 """
 
 from __future__ import annotations
@@ -391,10 +394,8 @@ class Poly:
 class Substitution:
     """Ring homomorphism over Q[pi] fixed by variable images; pi maps to pi.
 
-    The powers of the images that a call needs are kept on the substitution,
-    as term lists keyed by (variable index, exponent), and filled on first
-    use, so applying one substitution to many polynomials computes each
-    power once.
+    `_powers` maps (source variable index, exponent) to the terms of that
+    power of the image, filled on first use (see the module docstring).
     """
 
     __slots__ = ("source", "target", "images", "_powers")

@@ -11,7 +11,7 @@ from neron.cli import main
 from neron.errors import ParseError, UndefinedName
 from neron.hopf import check_hopf
 from neron.library import general_linear, special_linear, twisted_multiplicative
-from neron.parser import (MAX_NESTING, parse, parse_fraction, parse_matrix,
+from neron.parser import (_MAX_NESTING, parse, parse_fraction, parse_matrix,
                           parse_poly, parse_poly_list, print_file, print_group)
 from neron.ring import PolyRing, format_poly
 
@@ -276,12 +276,12 @@ class TestCliExitCodes:
             path.write_text((golden_dir / "gm.grp").read_text()
                             .replace("relations: u*v - 1;", f"relations: {nest};"))
             code, out, err = run(capsys, "check-flat", str(path))
-            at = f"4:{14 + MAX_NESTING}"
+            at = f"4:{14 + _MAX_NESTING}"
         else:
             code, out, err = run(capsys, "blowup", str(path), "--centre", f"pi, {nest}")
-            at = f"1:{5 + MAX_NESTING}"
+            at = f"1:{5 + _MAX_NESTING}"
         assert (code, out) == (2, "")
-        assert err == f"error: {at}: expression nested deeper than {MAX_NESTING} levels\n"
+        assert err == f"error: {at}: expression nested deeper than {_MAX_NESTING} levels\n"
 
     def test_mathematical_failure_exits_one(self, capsys, golden_dir):
         code, _, err = run(capsys, "blowup", str(golden_dir / "gm.grp"),
