@@ -3,9 +3,9 @@
 The recording (`cli_help.json`) holds the exit code, stdout and stderr of
 each case below, with the terminal width fixed.  argparse wraps usage lines
 differently across Python versions (3.13 keeps a subcommand list and its
-`...` on one line), so it holds one set of outputs per minor version, and
-`same_as` names the set a version shares.  To record the running
-interpreter's outputs:
+`...` on one line), so it holds one variant per distinct set of outputs,
+with the interpreters that printed it, and each case must match one of
+them.  To add the running interpreter's outputs:
 
     PYTHONPATH=src python tests/test_cli_help.py
 """
@@ -14,7 +14,7 @@ import contextlib
 import io
 import json
 import os
-import sys
+import platform
 from pathlib import Path
 
 import pytest
@@ -23,7 +23,6 @@ from neron.cli import main
 
 RECORDING = Path(__file__).resolve().parent / "cli_help.json"
 COLUMNS = "80"
-VERSION = "%d.%d" % sys.version_info[:2]
 
 COMMANDS = (
     "check-hopf", "check-flat", "check-morphism", "fibre", "reduce-mod",
@@ -53,35 +52,33 @@ def run(argv) -> dict:
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def load() -> dict:
+def load() -> list:
     if not RECORDING.is_file():
-        return {"outputs": {}, "same_as": {}}
-    return json.loads(RECORDING.read_text(encoding="utf-8"))
+        return []
+    return json.loads(RECORDING.read_text(encoding="utf-8"))["variants"]
 
 
 @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "-")
 def test_help_and_usage_bytes(monkeypatch, argv):
-    data = load()
-    outputs = data["outputs"].get(data["same_as"].get(VERSION, VERSION))
-    if outputs is None:
-        pytest.skip(f"no recording for Python {VERSION}")
     monkeypatch.setenv("COLUMNS", COLUMNS)
-    assert run(argv) == outputs[" ".join(argv)]
+    got = run(argv)
+    assert got in [v["outputs"][" ".join(argv)] for v in load()]
 
 
 def record():
     os.environ["COLUMNS"] = COLUMNS
-    data = load()
+    variants = load()
     got = {" ".join(argv): run(argv) for argv in CASES}
-    data["same_as"].pop(VERSION, None)
-    data["outputs"].pop(VERSION, None)
-    twin = next((v for v, out in data["outputs"].items() if out == got), None)
-    if twin is None:
-        data["outputs"][VERSION] = got
+    python = platform.python_version()
+    for v in variants:
+        if v["outputs"] == got:
+            if python not in v["pythons"]:
+                v["pythons"].append(python)
+            break
     else:
-        data["same_as"][VERSION] = twin
-    RECORDING.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",
-                         encoding="utf-8")
+        variants.append({"pythons": [python], "outputs": got})
+    RECORDING.write_text(json.dumps({"variants": variants}, indent=1,
+                                    sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
