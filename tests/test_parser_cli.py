@@ -1,5 +1,6 @@
 """Text format round trips, error positions, and the command line."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from jsonschema import validate
 
-from neron.cli import main
+from neron.cli import build_parser, main
 from neron.errors import ParseError, UndefinedName
 from neron.hopf import check_hopf
 from neron.library import general_linear, special_linear, twisted_multiplicative
@@ -342,6 +343,23 @@ class TestCliExitCodes:
         assert code == 0
         assert "entry (1,1), coefficient of x^-1*pi^1" in out
         assert "trivial exactly below level 1" in out
+
+
+class TestCliParser:
+    def test_a_call_builds_only_the_parser_it_names(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        parser = build_parser()
+        for _ in range(2):
+            args = parser.parse_args(["check-hopf", "golden/gm.grp"])
+        assert built == ["neron", "neron check-hopf"]
+        assert (args.command, args.kind, args.format) == ("check-hopf", "group", "text")
 
 
 class TestCliOutput:
