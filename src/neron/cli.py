@@ -357,16 +357,22 @@ def _entry_lines(entry):
     return lines
 
 
-def cmd_dgal_trivial(c, args, limits):
-    entry = triviality_mod(c, args.level, args.degree_bound)
+def _replay_gauge(c, entry):
     if entry.trivial and not check_gauge(c, entry):
         raise NeronError("gauge replay failed")
+
+
+def cmd_dgal_trivial(c, args, limits):
+    entry = triviality_mod(c, args.level, args.degree_bound)
+    _replay_gauge(c, entry)
     return entry.trivial, None, _entry_json(entry), _entry_lines(entry)
 
 
 def cmd_dgal_diagnose(c, args, limits):
     rep, level_report, verdict = galois_diagnostic(c, args.levels,
                                                    args.degree_bound)
+    for entry in rep.levels.values():
+        _replay_gauge(c, entry)
     lines = []
     for n in range(args.levels + 1):
         lines.extend(_entry_lines(rep.levels[n]))

@@ -243,9 +243,8 @@ def _balance_rows(c: Connection, n: int, window, pattern):
     def bump(key, col, val):
         if not val:
             return
-        if key not in rows:
-            rows[key] = {}
-        rows[key][col] = rows[key].get(col, Fraction(0)) + val
+        row = rows.setdefault(key, {})
+        row[col] = row[col] + val if col in row else val
 
     def emit(i, j, d, p, col, val):
         if 0 < p <= n:
@@ -255,12 +254,12 @@ def _balance_rows(c: Connection, n: int, window, pattern):
 
     # derivative of g
     for (i, j, d, p) in unknowns:
-        emit(i, j, d - 1, p, index[(i, j, d, p)], Fraction(d))
+        emit(i, j, d - 1, p, index[(i, j, d, p)], d)
     for i in range(r):
         for j in range(r):
             for e, c0 in pattern[i][j].coeffs.items():
                 for q, val in c0.coeffs.items():
-                    emit(i, j, e - 1, q, None, Fraction(e) * val)
+                    emit(i, j, e - 1, q, None, e * val)
     # minus g*A
     for (i, k, d, p) in unknowns:
         for j in range(r):
@@ -288,8 +287,8 @@ def _solve_gauge(c: Connection, n: int, window, pattern):
     labels = []
     for key in keys:
         i, j, d, p = key
-        row = [Fraction(0)] * len(unknowns)
-        const = Fraction(0)
+        row = [0] * len(unknowns)
+        const = 0
         for col, val in rows[key].items():
             if col is None:
                 const += val

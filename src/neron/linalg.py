@@ -1,30 +1,61 @@
-"""Sparse exact linear algebra over Q.  Callers pass dense row lists; inside,
-a row is a dict {column: Fraction} of its nonzero entries, so zeros are
-never converted, multiplied or stored."""
+"""Sparse exact linear algebra over Q, computed on integer rows.
+
+Callers pass dense row lists of ints or Fractions.  Inside, a row is a
+dict {column: int} of its nonzero entries, scaled once by a positive
+rational to clear its denominators, so zeros are never converted,
+multiplied or stored and no Fraction is made until the solution is read
+off.  Elimination is fraction-free: a row loses its entry in column c as
+row <- a*row - b*pivot_row with a/b the pivot entry over the row's entry in
+lowest terms, and is then divided by its content (the gcd of its entries).
+Each row stays a nonzero multiple of the row rational Gauss-Jordan would
+hold, so supports, pivots, solutions and inconsistency certificates are
+the same as with rows normalised over Q.
+
+`_reduce` keeps a column -> rows index and each row's position, so a pivot
+search and a sweep visit only the rows with an entry in the column.  The
+pivot rule is unchanged: the first remaining row, in current order.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _sparse(row):
-    return {c: Fraction(x) for c, x in enumerate(row) if x}
+    """Nonzero entries of a dense row, as coprime integers."""
+    row = {c: x for c, x in enumerate(row) if x}
+    den = lcm(*(x.denominator for x in row.values()))
+    for c, x in row.items():
+        row[c] = x.numerator * (den // x.denominator)
+    _divide_content(row)
+    return row
 
 
-def _normalise(row, c):
-    inv = 1 / row[c]
-    for k in row:
-        row[k] *= inv
+def _divide_content(row):
+    g = gcd(*row.values())
+    if g > 1:
+        for c, x in row.items():
+            row[c] = x // g
 
 
-def _subtract(row, f, pivot_row):
-    """row -= f * pivot_row in place, dropping entries that cancel."""
-    for c, y in pivot_row.items():
-        x = row.get(c, 0) - f * y
+def _eliminate(row, c, pivot_row):
+    """row <- a*row - b*pivot_row in place, clearing column c; entries that
+    cancel are dropped and the row is divided by its content."""
+    a, b = pivot_row[c], row[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for k, x in row.items():
+            row[k] = a * x
+    for k, y in pivot_row.items():
+        x = row.get(k, 0) - b * y
         if x:
-            row[c] = x
+            row[k] = x
         else:
-            del row[c]
+            del row[k]
+    if row:
+        _divide_content(row)
 
 
 def _reduce(matrix, rhs, tracked):
@@ -37,27 +68,46 @@ def _reduce(matrix, rhs, tracked):
     rows = [_sparse([*row, b]) for row, b in zip(matrix, rhs)]
     if tracked:  # input row i carries a 1 in column width+1+i
         for i, aug in enumerate(rows):
-            aug[width + 1 + i] = Fraction(1)
+            aug[width + 1 + i] = 1
+    holders = [set() for _ in range(width)]  # column -> ids of rows with it
+    for i, row in enumerate(rows):
+        for k in row:
+            if k < width:
+                holders[k].add(i)
+    order = list(range(len(rows)))  # position -> row id
+    pos = list(range(len(rows)))  # row id -> position
     pivots = []
     for c in range(width):
         r = len(pivots)
         if r == len(rows):
             break
-        pivot = next((i for i in range(r, len(rows)) if c in rows[i]), None)
+        pivot = min((i for i in holders[c] if pos[i] >= r),
+                    key=pos.__getitem__, default=None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        _normalise(rows[r], c)
-        for i, row in enumerate(rows):
-            if i != r and c in row:
-                _subtract(row, row[c], rows[r])
+        other = order[r]
+        order[r], order[pos[pivot]] = pivot, other
+        pos[other], pos[pivot] = pos[pivot], r
+        prow = rows[pivot]
+        later = [k for k in prow if c < k < width]
+        for i in holders[c]:
+            if i != pivot:
+                row = rows[i]
+                _eliminate(row, c, prow)
+                for k in later:  # where an entry appeared or cancelled
+                    if k in row:
+                        holders[k].add(i)
+                    else:
+                        holders[k].discard(i)
         pivots.append(c)
-    for row in rows[len(pivots):]:  # zero below width
+    for i in order[len(pivots):]:  # zero below width
+        row = rows[i]
         if width in row:
             return None, [k - width - 1 for k in sorted(row) if k > width]
     x = [Fraction(0)] * width
-    for row, c in zip(rows, pivots):
-        x[c] = row.get(width, Fraction(0))
+    for i, c in zip(order, pivots):
+        row = rows[i]
+        x[c] = Fraction(row.get(width, 0), row[c])
     return x, []
 
 
@@ -83,18 +133,17 @@ def independent_rows(matrix, width):
     """Indices of a maximal independent subset, scanning in order: each row
     is reduced once against the kept rows, held in reduced echelon form."""
     kept = []
-    basis = {}  # pivot column -> row with a 1 there, the others with 0
+    basis = {}  # pivot column -> row with an entry there, the others with 0
     for i, row in enumerate(matrix):
         row = _sparse(row[:width])
         for c, prow in basis.items():
             if c in row:
-                _subtract(row, row[c], prow)
+                _eliminate(row, c, prow)
         if row:
             c = min(row)
-            _normalise(row, c)
             for prow in basis.values():
                 if c in prow:
-                    _subtract(prow, prow[c], row)
+                    _eliminate(prow, c, row)
             basis[c] = row
             kept.append(i)
     return kept

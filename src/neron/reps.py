@@ -360,7 +360,7 @@ def conormal_rep(gk: HopfPresentation, subgroup: Ideal,
     col = {m: i for i, m in enumerate(support)}
     rows = []
     for f in cls:
-        row = [Fraction(0)] * len(support)
+        row = [0] * len(support)
         for m, cf in f.terms.items():
             row[col[m]] = cf
         rows.append(row)
@@ -397,7 +397,7 @@ def conormal_rep(gk: HopfPresentation, subgroup: Ideal,
             groups.setdefault(m[nmain:-1], {})[main] = cf
         for hmono, coeffs in sorted(groups.items()):
             part = small.normal_form(Poly(ring, dict(coeffs)), limits)
-            rhs = [Fraction(0)] * len(support)
+            rhs = [0] * len(support)
             for m, cf in part.terms.items():
                 if m not in col:
                     raise NotFiniteDimensional(

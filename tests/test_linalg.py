@@ -30,6 +30,80 @@ def systems(draw):
     return matrix, rhs
 
 
+BIG = 10 ** 15
+WIDE_ENTRIES = st.sampled_from(
+    [0] * 8 + [1, -1, 2, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7),
+               BIG + 1, -BIG + 7, Fraction(BIG - 3, 7), Fraction(1, BIG)])
+SCALES = st.sampled_from([1, -1, 3, Fraction(2, 3), Fraction(-5, 7), BIG])
+
+
+@st.composite
+def wide_systems(draw):
+    """Systems with denominators, entries near 10^15 and rows that repeat
+    combinations of others, anywhere in the row order, with either the
+    combined or a fresh right-hand side."""
+    m = draw(st.integers(0, 7))
+    w = draw(st.integers(1, 7))
+    matrix = [[draw(WIDE_ENTRIES) for _ in range(w)] for _ in range(m)]
+    rhs = [draw(WIDE_ENTRIES) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3)) if m else 0):
+        i, j = (draw(st.integers(0, len(matrix) - 1)) for _ in range(2))
+        s, t = draw(SCALES), draw(SCALES)
+        at = draw(st.integers(0, len(matrix)))
+        matrix.insert(at, [s * a + t * b for a, b in zip(matrix[i], matrix[j])])
+        rhs.insert(at, s * rhs[i] + t * rhs[j] if draw(st.booleans())
+                   else draw(WIDE_ENTRIES))
+    return matrix, rhs
+
+
+# -- reference: rational Gauss-Jordan, rows normalised over Q --------------
+
+def ref_reduce(matrix, rhs, tracked):
+    """(solution, []) or (None, the input rows combining to 0 = nonzero).
+    Pivot of column c: the first remaining row, in current order."""
+    width = len(matrix[0])
+    rows = [[Fraction(x) for x in row] + [Fraction(b)]
+            + ([Fraction(int(k == i)) for k in range(len(matrix))] if tracked else [])
+            for i, (row, b) in enumerate(zip(matrix, rhs))]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    for row in rows[len(pivots):]:
+        if row[width]:
+            return None, [k for k, x in enumerate(row[width + 1:]) if x]
+    x = [Fraction(0)] * width
+    for row, c in zip(rows, pivots):
+        x[c] = row[width]
+    return x, []
+
+
+def ref_solve_tracked(matrix, rhs):
+    if not matrix:
+        return ("ok", [])
+    x, bad = ref_reduce(matrix, rhs, True)
+    return ("inconsistent", bad) if x is None else ("ok", x)
+
+
+def ref_independent_rows(matrix, width):
+    """Greedy: a row is kept when it is not in the span of the kept rows."""
+    kept = []
+    for i, row in enumerate(matrix):
+        span = [[matrix[k][c] for k in kept] for c in range(width)]
+        if not kept or ref_reduce(span, row[:width], False)[0] is None:
+            if any(row[:width]):
+                kept.append(i)
+    return kept
+
+
 def satisfies(matrix, rhs, x):
     return all(sum((a * v for a, v in zip(row, x)), Fraction(0)) == b
                for row, b in zip(matrix, rhs))
@@ -61,6 +135,18 @@ class TestProperties:
             earlier = [matrix[k] for k in kept if k < i]
             span = [[r[c] for r in earlier] for c in range(width)]
             assert (i in kept) == (solve_q(span, row) is None)
+
+
+class TestAgainstRationalReference:
+    @given(system=wide_systems())
+    @settings(max_examples=400, derandomize=True)
+    def test_same_results_as_rational_elimination(self, system):
+        matrix, rhs = system
+        expected = ref_solve_tracked(matrix, rhs)
+        assert solve_tracked(matrix, rhs, list(range(len(matrix)))) == expected
+        assert solve(matrix, rhs) == (expected[1] if expected[0] == "ok" else None)
+        width = len(matrix[0]) if matrix else 0
+        assert independent_rows(matrix, width) == ref_independent_rows(matrix, width)
 
 
 class TestEdgeCases:

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from jsonschema import validate
 
+from neron import dgal
 from neron.cli import build_parser, main
 from neron.errors import ParseError, UndefinedName
 from neron.hopf import check_hopf
 from neron.library import general_linear, special_linear, twisted_multiplicative
 from neron.parser import (_MAX_NESTING, parse, parse_fraction, parse_matrix,
                           parse_poly, parse_poly_list, print_file, print_group)
-from neron.ring import PolyRing, format_poly
+from neron.ring import PolyRing, Scalar, format_poly
 
 from test_goldens import load_script
 from test_ring import small_polys
@@ -336,6 +337,23 @@ class TestCliExitCodes:
                            "--max-pairs", "1")
         assert code == 3
         assert err.startswith("resource limit:")
+
+    def test_broken_gauge_fails_its_replay(self, capsys, golden_dir, monkeypatch):
+        solve_gauge = dgal._solve_gauge
+
+        def off_by_pi(*args):  # adds pi*x to entry (1,1) of a solved gauge
+            gauge, obstruction = solve_gauge(*args)
+            if gauge is not None:
+                gauge[0][0] = gauge[0][0] + dgal.LaurentPoly({1: Scalar({1: 1})})
+            return gauge, obstruction
+
+        monkeypatch.setattr(dgal, "_solve_gauge", off_by_pi)
+        for args in (["dgal-trivial", "--level", "2"],
+                     ["dgal-diagnose", "--levels", "2"]):
+            code, out, err = run(capsys, args[0], str(golden_dir / "exp.grp"),
+                                 *args[1:])
+            assert (code, out) == (1, ""), args
+            assert err == "failure: gauge replay failed\n"
 
     def test_diagnose_completes_despite_obstruction(self, capsys, golden_dir):
         code, out, _ = run(capsys, "dgal-diagnose", str(golden_dir / "log.grp"),
