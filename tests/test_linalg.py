@@ -98,9 +98,8 @@ def ref_independent_rows(matrix, width):
     kept = []
     for i, row in enumerate(matrix):
         span = [[matrix[k][c] for k in kept] for c in range(width)]
-        if not kept or ref_reduce(span, row[:width], False)[0] is None:
-            if any(row[:width]):
-                kept.append(i)
+        if ref_reduce(span, row[:width], False)[0] is None:
+            kept.append(i)
     return kept
 
 
