@@ -26,6 +26,13 @@ it holds first, and builds the basis only when that leaves a remainder.  The
 reduced basis and the normal forms are unique, so every answer is the one a
 basis from scratch gives.  Tracked bases and membership certificates always
 walk from the generators.
+
+Saturation in a lex ring walks once, in lex with its tag variable first:
+that order eliminates the tag and is the ring's own order on the rest, so
+the tag-free part of the reduced basis is the saturation's reduced basis,
+and the result keeps it.  Other rings saturate in `elim_order(1)`, and
+elimination and contraction walk in their block orders; those results
+build their basis in the ring's order on first use.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from operator import mul
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DivisionObstruction, ResourceLimit, UnknownVariable
-from .ring import Poly, PolyRing, Substitution, elim_order, format_poly
+from .ring import LEX, Poly, PolyRing, Substitution, elim_order, format_poly
 
 _ONE = Fraction(1)
 
@@ -546,22 +553,32 @@ def _fresh_names(base: str, count: int, taken) -> list:
 
 
 def _eliminate(gens, big: PolyRing, front: int, small: PolyRing, limits: Limits) -> Ideal:
-    """The ideal of `gens` in `big`, whose order is `elim_order(front)`,
-    intersected with the subring free of its first `front` variables and
-    moved into `small`.  By the Elimination Theorem, the basis elements
-    free of those variables generate the intersection."""
+    """The ideal of `gens` in `big`, whose order eliminates its first `front`
+    variables, intersected with the subring free of them and moved into
+    `small`.  By the Elimination Theorem, the basis elements free of those
+    variables generate the intersection.  When both orders are lex, the
+    eliminated variables come first and lex on the rest is `small`'s order,
+    so those elements are also the reduced basis in `small`, and the result
+    keeps them as its basis.  (Equal elimination orders do not suffice:
+    their blocks split different variables.)"""
     basis, _ = _buchberger(gens, big, limits, False)
-    kept = [g for g in basis if all(not any(m[:front]) for m in g.terms)]
-    return Ideal(small, [g.in_ring(small) for g in kept])
+    kept = [g.in_ring(small) for g in basis if all(not any(m[:front]) for m in g.terms)]
+    if big.order == small.order == LEX:
+        return Ideal.with_basis(small, kept, kept)
+    return Ideal(small, kept)
 
 
 def saturate(ideal: Ideal, f: Poly, limits: Limits = DEFAULT_LIMITS) -> Ideal:
-    """Saturation (ideal : f^infinity) via a Rabinowitsch tag variable."""
+    """Saturation (ideal : f^infinity) via a Rabinowitsch tag variable.
+
+    A lex ring walks in lex with the tag first, which eliminates the tag
+    and is the ring's own order on the rest, so the result comes with its
+    reduced basis; any other ring walks in `elim_order(1)`."""
     ring = ideal.ring
     if f.ring != ring:
         f = f.in_ring(ring)
     (tag,) = _fresh_names(_TAG, 1, ring.variables)
-    big = ring.prepend((tag,), elim_order(1))
+    big = ring.prepend((tag,), ring.order if ring.order == LEX else elim_order(1))
     gens = [g.in_ring(big) for g in ideal.generators]
     gens.append(big.one() - big.var(tag) * f.in_ring(big))
     return _eliminate(gens, big, 1, ring, limits)

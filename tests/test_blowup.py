@@ -10,8 +10,8 @@ from neron.errors import LiftFailure, NotASubgroup
 from neron.groebner import Ideal
 from neron.hopf import (GroupMorphism, check_flat, check_hopf, check_morphism,
                         isomorphism_report, special_fibre, prune)
-from neron.library import (additive_group, multiplicative_group, product,
-                           twisted_multiplicative)
+from neron.library import (additive_group, borel2, general_linear,
+                           multiplicative_group, product, twisted_multiplicative)
 from neron.ring import PolyRing, Substitution, format_poly
 
 import suites
@@ -115,6 +115,17 @@ class TestAutomaticTruncation:
             proj = tower.projection.pullback.images["x"]
             assert proj == blown.ring.var(f"xi{n}") * blown.ring.pi(n)
             assert len(tower.chain) == n
+
+    @pytest.mark.parametrize("group, level", [
+        (multiplicative_group, 24), (general_linear, 4), (borel2, 4),
+    ], ids=["gm-24", "gl2-4", "b2-4"])
+    def test_towers_fit_a_small_pair_budget(self, group, level):
+        # A scale guard that reads no clock: a pi-saturation is one lex walk
+        # whose result keeps its basis, so no walk of these towers reduces
+        # more than a handful of pairs (10 suffice today).
+        tower = automatic_truncation(group(), level, limits=Limits(max_pairs=20))
+        assert tower.report.ok
+        assert tower.level == level
 
     def test_membership_bound(self):
         ga = additive_group()
