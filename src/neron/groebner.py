@@ -27,12 +27,14 @@ reduced basis and the normal forms are unique, so every answer is the one a
 basis from scratch gives.  Tracked bases and membership certificates always
 walk from the generators.
 
-Saturation in a lex ring walks once, in lex with its tag variable first:
-that order eliminates the tag and is the ring's own order on the rest, so
-the tag-free part of the reduced basis is the saturation's reduced basis,
-and the result keeps it.  Other rings saturate in `elim_order(1)`, and
-elimination and contraction walk in their block orders; those results
-build their basis in the ring's order on first use.
+Saturation walks once, in lex with its tag variable first: that order
+eliminates the tag and is lex on the rest, so in a lex ring the tag-free
+part of the reduced basis is the saturation's reduced basis, and the
+result keeps it.  A saturation at pi makes pi a unit modulo the tag ideal,
+so that walk divides each element it adds by its power of pi, and the
+degree budget meets the element without it.  Elimination and contraction
+walk in their block orders and build their basis in the ring's order on
+first use.
 """
 
 from __future__ import annotations
@@ -238,24 +240,32 @@ def _reduce_full(f: Poly, basis, track: bool = False):
         return out, ([pk.poly(ring, q) for q in quots] if track else None)
 
 
-def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool, blocks=()):
+def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool, blocks=(),
+                pi_unit: bool = False):
     """Core loop; returns (basis, representations w.r.t. gens or None).
 
     `blocks` gives the sizes of consecutive runs at the start of `gens` that
     are each a Groebner basis already, with no zero element: the pairs
     inside a run have standard representations, so they start out done and
-    are never reduced.  A walk whose exponents outgrow their fields starts
-    again with wider ones; the width decides nothing, so the walk is the same.
+    are never reduced.  `pi_unit` says that pi is a unit modulo the ideal
+    of `gens`, as in a saturation at pi, so an element h/pi^k lies in the
+    ideal with h: each reduced S-pair is divided by its pi power and
+    reduced again before it joins the basis or meets the degree budget.
+    The ideal, hence the reduced basis, is the same; it needs `track` off.
+    A walk whose exponents outgrow their fields starts again with wider
+    ones; the width decides nothing, so the walk is the same.
     """
     bits = _field_bits(gens)
     while True:
         try:
-            return _walk(gens, ring, limits, track, blocks, _packing(ring.order, ring.nvars, bits))
+            return _walk(gens, ring, limits, track, blocks, pi_unit,
+                         _packing(ring.order, ring.nvars, bits))
         except _Overflow:
             bits = 2 * bits + 1
 
 
-def _walk(gens, ring: PolyRing, limits: Limits, track: bool, blocks, pk: _Packing):
+def _walk(gens, ring: PolyRing, limits: Limits, track: bool, blocks, pi_unit: bool,
+          pk: _Packing):
     """`_buchberger` at one field width; raises `_Overflow` if it is too narrow.
 
     A basis element is (lead, 1, tail) in packed monomials, and `negated`
@@ -344,6 +354,8 @@ def _walk(gens, ring: PolyRing, limits: Limits, track: bool, blocks, pk: _Packin
         _subtract(pk, s, tj, None, basis[j][2])
         quots = [{} for _ in basis] if track else None
         h = _divide(pk, s, basis, quots)
+        if pi_unit:
+            h = _strip_pi(pk, h, basis)
         if not h:
             continue
         degree = max(map(pk.degree, h))
@@ -367,6 +379,19 @@ def _walk(gens, ring: PolyRing, limits: Limits, track: bool, blocks, pk: _Packin
         push_pairs(len(basis) - 1)
 
     return _interreduce(pk, basis, reps, ring, track)
+
+
+def _strip_pi(pk: _Packing, h: dict, basis) -> dict:
+    """Keyed terms h, divided by the largest power of pi dividing them and
+    reduced by `basis` again, until no power of pi divides them."""
+    flip, shift, step = pk.flip, pk.shifts[-1], pk.mults[-1]
+    value = (1 << pk.bits) - 1
+    while h:
+        k = min(((p ^ flip) >> shift) & value for p in h)
+        if not k:
+            break
+        h = _divide(pk, {((p ^ flip) - k * step) ^ flip: c for p, c in h.items()}, basis)
+    return h
 
 
 def _interreduce(pk: _Packing, basis, reps, ring: PolyRing, track: bool):
@@ -552,36 +577,37 @@ def _fresh_names(base: str, count: int, taken) -> list:
     return names
 
 
-def _eliminate(gens, big: PolyRing, front: int, small: PolyRing, limits: Limits) -> Ideal:
+def _eliminate(gens, big: PolyRing, front: int, small: PolyRing, limits: Limits,
+               pi_unit: bool = False) -> Ideal:
     """The ideal of `gens` in `big`, whose order eliminates its first `front`
     variables, intersected with the subring free of them and moved into
     `small`.  By the Elimination Theorem, the basis elements free of those
-    variables generate the intersection.  When both orders are lex, the
-    eliminated variables come first and lex on the rest is `small`'s order,
-    so those elements are also the reduced basis in `small`, and the result
-    keeps them as its basis.  (Equal elimination orders do not suffice:
-    their blocks split different variables.)"""
-    basis, _ = _buchberger(gens, big, limits, False)
-    kept = [g.in_ring(small) for g in basis if all(not any(m[:front]) for m in g.terms)]
-    if big.order == small.order == LEX:
-        return Ideal.with_basis(small, kept, kept)
-    return Ideal(small, kept)
+    variables generate the intersection; they are the result's generators,
+    in increasing order of leading term.  `pi_unit` is passed to the walk."""
+    basis, _ = _buchberger(gens, big, limits, False, pi_unit=pi_unit)
+    return Ideal(small, [g.in_ring(small) for g in basis
+                         if all(not any(m[:front]) for m in g.terms)])
 
 
 def saturate(ideal: Ideal, f: Poly, limits: Limits = DEFAULT_LIMITS) -> Ideal:
     """Saturation (ideal : f^infinity) via a Rabinowitsch tag variable.
 
-    A lex ring walks in lex with the tag first, which eliminates the tag
-    and is the ring's own order on the rest, so the result comes with its
-    reduced basis; any other ring walks in `elim_order(1)`."""
+    The walk is in lex with the tag first, which eliminates the tag and is
+    lex on the rest.  In a lex ring the tag-free part of its reduced basis
+    is therefore the result's reduced basis, and the result keeps it.  When
+    f is pi, pi is a unit modulo the tag ideal, so the walk divides the pi
+    powers out of what it adds."""
     ring = ideal.ring
     if f.ring != ring:
         f = f.in_ring(ring)
     (tag,) = _fresh_names(_TAG, 1, ring.variables)
-    big = ring.prepend((tag,), ring.order if ring.order == LEX else elim_order(1))
+    big = ring.prepend((tag,), LEX)
     gens = [g.in_ring(big) for g in ideal.generators]
     gens.append(big.one() - big.var(tag) * f.in_ring(big))
-    return _eliminate(gens, big, 1, ring, limits)
+    sat = _eliminate(gens, big, 1, ring, limits, pi_unit=f == ring.pi())
+    if ring.order == LEX:
+        return Ideal.with_basis(ring, sat.generators, sat.generators)
+    return sat
 
 
 def saturate_pi(ideal: Ideal, limits: Limits = DEFAULT_LIMITS) -> Ideal:

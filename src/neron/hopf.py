@@ -43,22 +43,17 @@ def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes) -> Ideal:
     terms, so the ideal is seeded with the copies: each is a Groebner
     basis in the tensor ring, and the basis, built on first use, reduces
     only the pairs between copies.  A normal form of a member reduces to
-    zero by the copies alone and builds no basis.  When the generators are
-    the basis, as a pi-saturation's are, each is renamed once per copy.
+    zero by the copies alone and builds no basis.  The copies are also the
+    generators, so each relation is renamed once per copy.
     """
     rel_basis = relations.basis()
-    gens_are_basis = relations.generators == rel_basis
-    gens = []
     blocks = []
     for s in suffixes:
         rename = {v: v + s for v in relations.ring.variables}
-        block = [g.in_ring(ring_t, rename) for g in rel_basis]
-        blocks.append(block)
-        gens.extend(block if gens_are_basis
-                    else (g.in_ring(ring_t, rename) for g in relations.generators))
+        blocks.append([g.in_ring(ring_t, rename) for g in rel_basis])
+    gens = [g for block in blocks for g in block]
     if not any(g.lead_monomial()[-1] for g in rel_basis):
-        basis = [g for block in blocks for g in block]
-        basis.sort(key=lambda g: ring_t.order.key(g.lead_monomial()))
+        basis = sorted(gens, key=lambda g: ring_t.order.key(g.lead_monomial()))
         return Ideal.with_basis(ring_t, gens, basis)
     return Ideal.seeded(ring_t, gens, blocks)
 

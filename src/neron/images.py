@@ -55,8 +55,7 @@ def image_hopf(rho: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> ImageResu
     """
     tgt = rho.target
     kernel = contract(rho.pullback, rho.source.relations, limits)
-    basis = saturate_pi(kernel, limits).basis(limits)
-    group = tgt.with_relations(f"Im({rho.name})", Ideal.with_basis(tgt.ring, basis, basis))
+    group = tgt.with_relations(f"Im({rho.name})", saturate_pi(kernel, limits))
     embed = GroupMorphism(f"{group.name}->{tgt.name}", group, tgt,
                           Substitution.identity(tgt.ring))
     cover = GroupMorphism(f"{rho.source.name}->{group.name}", rho.source, group,

@@ -13,7 +13,7 @@ from neron.groebner import (Ideal, _buchberger, _Overflow, _Packing, _reduce_ful
                             certified_pi_division, contract, eliminate, membership,
                             saturate, saturate_pi, subalgebra_member)
 from neron.hopf import PRIME1, PRIME2, PRIME3, copy_into, tensor_ideal, tensor_ring
-from neron.library import borel2, general_linear
+from neron.library import borel2, general_linear, multiplicative_group
 from neron.ring import GREVLEX, LEX, Poly, PolyRing, Substitution, elim_order
 
 import suites
@@ -168,9 +168,9 @@ def _block_order_saturation(ideal, f):
 
 
 class TestSaturationBasis:
-    """A lex ring saturates in one lex walk with the tag first, and the
+    """A saturation walks in lex with the tag first.  In a lex ring the
     tag-free part of that walk's reduced basis is kept as the result's
-    basis; other rings walk in the block order and keep none."""
+    basis; other rings keep none, since their basis is in another order."""
 
     def test_installed_basis_is_the_reduced_basis(self):
         rng = random.Random(20261018)
@@ -188,24 +188,48 @@ class TestSaturationBasis:
             assert sat.same_ideal(_block_order_saturation(Ideal(ring, gens), f), LIM), case
 
     @pytest.mark.parametrize("order", [GREVLEX, elim_order(1)], ids=["grevlex", "elim"])
-    def test_other_orders_take_the_block_order(self, monkeypatch, order):
+    def test_other_orders_saturate_to_the_same_ideal(self, order):
         ring = PolyRing(("x", "y"), order)
         x, y, pi = ring.var("x"), ring.var("y"), ring.pi()
         ideal = Ideal(ring, [pi * x - y * y, pi * y * x - pi])
-        walked = []
-        walk = groebner._buchberger
-
-        def spy(gens, big, *args):
-            walked.append(big.order)
-            return walk(gens, big, *args)
-
-        monkeypatch.setattr(groebner, "_buchberger", spy)
         sat = saturate_pi(ideal, LIM)
-        assert walked == [elim_order(1)]
         assert sat._basis is None
-        monkeypatch.undo()
         assert sat.same_ideal(_block_order_saturation(ideal, pi), LIM)
         assert sat.contains(x * y - 1, LIM)
+        assert sat.basis(LIM) == _block_order_saturation(ideal, pi).basis(LIM)
+
+
+class TestPiUnitWalk:
+    """A walk told that pi is a unit modulo its ideal divides the pi powers
+    out of each element it adds.  The ideal is the same, so the reduced
+    basis is too."""
+
+    def test_same_reduced_basis(self):
+        rng = random.Random(20261019)
+        names = ("x", "y", "z")
+        for case in range(40):
+            ring = PolyRing(names[:rng.randint(1, 3)])
+            big = ring.prepend(("_t1",), LEX)
+            gens = [suites._random_poly(rng, big, rng.randint(1, 3), rng.randint(1, 3), 3)
+                    for _ in range(rng.randint(1, 3))]
+            gens.append(big.one() - big.var("_t1") * big.pi())
+            plain, _ = _buchberger(gens, big, LIM, False)
+            stripped, _ = _buchberger(gens, big, LIM, False, pi_unit=True)
+            assert stripped == plain, case
+            assert not any(g.pi_valuation() for g in stripped), case
+
+    def test_degree_budget_sees_the_stripped_element(self):
+        # Gm at level n has the relation xi*xi'*pi^n + xi + xi', of degree
+        # n + 2.  Its saturation step reduces pi times that relation before
+        # pi divides out, so only the stripped element meets the budget:
+        # level 38 fits the default degree budget of 40, and level 39 is
+        # the first whose own relation exceeds it.
+        tower = automatic_truncation(multiplicative_group(), 38, limits=LIM)
+        assert tower.report.ok
+        relations = tower.blown.relations.generators
+        assert max(sum(m) for g in relations for m in g.terms) == 40
+        with pytest.raises(ResourceLimit):
+            automatic_truncation(multiplicative_group(), 39, limits=LIM)
 
 
 class TestElimination:
@@ -312,7 +336,7 @@ class TestPairWalk:
     stops at its first higher-degree element instead of running long."""
 
     @pytest.mark.parametrize("compute, pairs, degree", [
-        (_gl2_blowup_saturation, 5, 6),
+        (_gl2_blowup_saturation, 3, 5),
         (_b2_level1_tripled, 21, 6),
     ], ids=["gl2-blowup-saturation", "b2-level1-tripled"])
     def test_pairs_reduced(self, compute, pairs, degree):
