@@ -57,8 +57,16 @@ class StandardSequence:
     lifted: GroupMorphism
 
 
-def _blow(h: HopfPresentation, centre: Ideal, carried, power: int, name: str,
+def _require(rep: Report, what: str):
+    """Raise NotASubgroup naming every failed check of the report."""
+    if not rep.ok:
+        raise NotASubgroup(f"{what}: " + "; ".join(c.line() for c in rep.failures()))
+
+
+def _blow(h: HopfPresentation, centre: Ideal, gens, power: int, name: str,
           limits: Limits) -> BlowupResult:
+    carried = [g for g in gens
+               if not g.is_scalar() and not h.relations.contains(g, limits)]
     names = fresh_xi_names(h.ring, len(carried))
     ring_b = h.ring.extend(tuple(names))
     gens_b = [g.in_ring(ring_b) for g in h.relations.generators]
@@ -114,15 +122,11 @@ def neron_blowup(h: HopfPresentation, centre: Ideal, name: str = None,
     gens = list(centre.generators)
     if not centre.contains(h.ring.pi(), limits):
         raise NotASubgroup("the centre of a blowup must contain pi")
-    pre = hopf_ideal_report(h, gens, pi_power=1, limits=limits)
-    if not pre.ok:
-        raise NotASubgroup("centre is not a subgroup of the special fibre: "
-                           + "; ".join(c.line() for c in pre.failures()))
-    carried = [g for g in gens
-               if not g.is_scalar() and not h.relations.contains(g, limits)]
+    _require(hopf_ideal_report(h, gens, pi_power=1, limits=limits),
+             "centre is not a subgroup of the special fibre")
     if name is None:
         name = h.name + "'"
-    return _blow(h, centre, carried, 1, name, limits)
+    return _blow(h, centre, gens, 1, name, limits)
 
 
 def partial_blowup(h: HopfPresentation, subgroup: Ideal, n: int, name: str = None,
@@ -137,14 +141,12 @@ def partial_blowup(h: HopfPresentation, subgroup: Ideal, n: int, name: str = Non
         raise ValueError("level must be nonnegative")
     gens = list(subgroup.in_ring(h.ring).generators)
     _flat_subgroup_checks(h, gens, limits)
-    carried = [g for g in gens
-               if not g.is_scalar() and not h.relations.contains(g, limits)]
     if name is None:
         name = f"{h.name}^[{n}]"
     centre = Ideal(h.ring, gens + [h.ring.pi(n + 1)])
-    result = _blow(h, centre, carried, n + 1, name, limits)
+    result = _blow(h, centre, gens, n + 1, name, limits)
     cut = result.blown.relations.plus([result.blown.ring.pi(n + 1)])
-    for a in carried:
+    for a in result.xi_map.values():
         pa = result.projection.pullback(a)
         result.report.add("reduction factors through the subgroup", format_poly(a),
                           cut.contains(pa, limits), format_poly(pa))
@@ -152,10 +154,8 @@ def partial_blowup(h: HopfPresentation, subgroup: Ideal, n: int, name: str = Non
 
 
 def _flat_subgroup_checks(h: HopfPresentation, gens, limits: Limits):
-    pre = hopf_ideal_report(h, gens, pi_power=0, limits=limits)
-    if not pre.ok:
-        raise NotASubgroup("ideal is not a Hopf ideal over the base: "
-                           + "; ".join(c.line() for c in pre.failures()))
+    _require(hopf_ideal_report(h, gens, pi_power=0, limits=limits),
+             "ideal is not a Hopf ideal over the base")
     total = h.relations.plus(gens)
     if not saturate_pi(total, limits).same_ideal(total, limits):
         raise NotASubgroup("quotient by the ideal is not flat")
@@ -289,10 +289,9 @@ def strict_transform(b: BlowupResult, subgroup: Ideal,
     pull = b.projection.pullback
     ext = [pull(g) for g in gens] + list(b.blown.relations.generators)
     out = saturate_pi(Ideal(b.blown.ring, ext), limits)
-    post = hopf_ideal_report(b.blown, list(out.basis(limits)), pi_power=0, limits=limits)
-    if not post.ok:
-        raise NotASubgroup("strict transform is not a Hopf ideal: "
-                           + "; ".join(c.line() for c in post.failures()))
+    _require(hopf_ideal_report(b.blown, list(out.basis(limits)), pi_power=0,
+                               limits=limits),
+             "strict transform is not a Hopf ideal")
     return out
 
 

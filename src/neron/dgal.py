@@ -3,9 +3,11 @@
 A connection is stored by its matrix A in a chosen frame, with the action
 of the derivation on the frame being minus A.  Triviality modulo pi^(n+1)
 means an invertible polynomial frame change g with dg/dx = g*A at that
-precision; the search is an exact linear solve over Q in the coefficients
-of g, so a failure comes with the combination of balance equations that
-contradict each other.
+precision.  Mod pi such a g is x^m times the identity, and the balance
+m*x^(m-1)*I - x^m*A0 with A0 = A mod pi vanishes only when A0 = (m/x)*I,
+so A0 fixes m.  The rest of g is an exact linear solve over Q in its
+pi-divisible coefficients, so a failure comes with the combination of
+balance equations that contradict each other.
 """
 
 from __future__ import annotations
@@ -225,9 +227,9 @@ def default_degree_bound(c: Connection, n: int) -> int:
     return 2 * (n + 1) * max(1, c.x_degree())
 
 
-def _balance_rows(c: Connection, n: int, window, pattern):
+def _balance_rows(c: Connection, n: int, window, m: int):
     """Linear system for dg/dx = g*A mod pi^(n+1) with the mod-pi part of
-    g frozen to the given pattern matrix.
+    g frozen to x^m times the identity.
 
     Unknowns are the rational coefficients of x^d*pi^p (p >= 1) in each
     entry of g; rows are labelled balance coefficients.
@@ -240,47 +242,32 @@ def _balance_rows(c: Connection, n: int, window, pattern):
 
     rows = {}
 
-    def bump(key, col, val):
-        if not val:
-            return
-        row = rows.setdefault(key, {})
-        row[col] = row[col] + val if col in row else val
-
     def emit(i, j, d, p, col, val):
-        if 0 < p <= n:
-            bump((i, j, d, p), col, val)
-        elif p == 0:
-            bump((i, j, d, 0), col, val)
+        if p <= n and val:
+            row = rows.setdefault((i, j, d, p), {})
+            row[col] = row[col] + val if col in row else val
 
     # derivative of g
     for (i, j, d, p) in unknowns:
         emit(i, j, d - 1, p, index[(i, j, d, p)], d)
     for i in range(r):
-        for j in range(r):
-            for e, c0 in pattern[i][j].coeffs.items():
-                for q, val in c0.coeffs.items():
-                    emit(i, j, e - 1, q, None, e * val)
+        emit(i, i, m - 1, 0, None, m)
     # minus g*A
     for (i, k, d, p) in unknowns:
         for j in range(r):
             for e, cf in c.matrix[k][j].coeffs.items():
                 for q, val in cf.coeffs.items():
-                    if p + q <= n:
-                        emit(i, j, d + e, p + q, index[(i, k, d, p)], -val)
+                    emit(i, j, d + e, p + q, index[(i, k, d, p)], -val)
     for i in range(r):
-        for k in range(r):
-            for e0, c0 in pattern[i][k].coeffs.items():
-                for q0, v0 in c0.coeffs.items():
-                    for j in range(r):
-                        for e, cf in c.matrix[k][j].coeffs.items():
-                            for q, val in cf.coeffs.items():
-                                if q0 + q <= n:
-                                    emit(i, j, e0 + e, q0 + q, None, -v0 * val)
+        for j in range(r):
+            for e, cf in c.matrix[i][j].coeffs.items():
+                for q, val in cf.coeffs.items():
+                    emit(i, j, m + e, q, None, -val)
     return unknowns, index, rows
 
 
-def _solve_gauge(c: Connection, n: int, window, pattern):
-    unknowns, index, rows = _balance_rows(c, n, window, pattern)
+def _solve_gauge(c: Connection, n: int, window, m: int):
+    unknowns, index, rows = _balance_rows(c, n, window, m)
     keys = sorted(rows)
     matrix = []
     rhs = []
@@ -300,7 +287,7 @@ def _solve_gauge(c: Connection, n: int, window, pattern):
     status, payload = solve_tracked(matrix, rhs, labels)
     if status != "ok":
         return None, payload
-    gauge = [[LaurentPoly(dict(pattern[i][j].coeffs))
+    gauge = [[LaurentPoly.x_power(m) if i == j else LaurentPoly()
               for j in range(c.rank)] for i in range(c.rank)]
     for (i, j, d, p), t in index.items():
         if payload[t]:
@@ -309,65 +296,38 @@ def _solve_gauge(c: Connection, n: int, window, pattern):
     return gauge, []
 
 
-def _fibre_balance(c: Connection, pattern):
-    """Mod-pi part of dg/dx - g*A for the frozen pattern alone.
-
-    Unknown gauge coefficients carry pi, so only the pattern reaches the
-    pi^0 layer; a nonzero coefficient here rules the pattern out before
-    any linear algebra.
-    """
-    prod = _mat_mul(pattern, c.matrix)
-    bad = []
-    for i in range(c.rank):
-        for j in range(c.rank):
-            bal = pattern[i][j].derivative() - prod[i][j]
-            for e in bal.exponents():
-                q = bal.coeffs[e].coeffs.get(0)
-                if q:
-                    bad.append(f"entry ({i + 1},{j + 1}), coefficient of "
-                               f"x^{e}*pi^0")
-    return bad
-
-
 def triviality_mod(c: Connection, n: int,
                    degree_bound: int = None) -> TrivialityEntry:
     """Search for an invertible gauge trivializing the connection mod pi^(n+1).
 
     The mod-pi part of the gauge must be a unit of the coefficient ring:
     the identity matrix on the affine line, and x^m times the identity on
-    the punctured line, with m swept over the degree window.  Within the
-    window the solve is exact, so for rank 1 a failure at every m yields a
-    genuine obstruction certificate at this bound.
+    the punctured line.  The unknown coefficients all carry pi, so mod pi
+    the balance dg/dx - g*A is m*x^(m-1)*I - x^m*A0 with A0 = A mod pi,
+    which vanishes exactly when A0 = (m/x)*I.  So m is read off A0 (0 when
+    A0 = 0), and when no integer m within the degree bound fits, the pi^0
+    coefficients of A are the obstruction.  At that m the solve is exact
+    within the window, so for rank 1 a failure yields a genuine
+    obstruction certificate at this bound.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
     if degree_bound is not None and degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     bound = default_degree_bound(c, n) if degree_bound is None else degree_bound
-    if c.base == AFFINE:
-        window = range(0, bound + 1)
-        shifts = [0]
-    else:
-        window = range(-bound, bound + 1)
-        shifts = sorted(range(-bound, bound + 1), key=abs)
-    solved_obstruction = None
-    fibre_obstruction = None
-    for m in shifts:
-        pattern = _zero_matrix(c.rank)
-        for i in range(c.rank):
-            pattern[i][i] = LaurentPoly.x_power(m)
-        bad = _fibre_balance(c, pattern)
-        if bad:
-            if fibre_obstruction is None:
-                fibre_obstruction = bad
-            continue
-        gauge, obstruction = _solve_gauge(c, n, window, pattern)
-        if gauge is not None:
-            return TrivialityEntry(n, True, gauge, [])
-        if solved_obstruction is None:
-            solved_obstruction = obstruction
-    return TrivialityEntry(n, False, None,
-                           solved_obstruction or fibre_obstruction or [])
+    window = range(0 if c.base == AFFINE else -bound, bound + 1)
+    # A mod pi, as (i, j, e) -> the coefficient of x^e*pi^0 in entry (i, j)
+    a0 = {(i, j, e): f.coeffs[e].coeffs[0]
+          for i, row in enumerate(c.matrix) for j, f in enumerate(row)
+          for e in f.exponents() if 0 in f.coeffs[e].coeffs}
+    m = a0.get((0, 0, -1), 0)
+    if a0 and (a0 != {(i, i, -1): m for i in range(c.rank)}
+               or m.denominator != 1 or abs(m) > bound):
+        return TrivialityEntry(n, False, None, [
+            f"entry ({i + 1},{j + 1}), coefficient of x^{e}*pi^0"
+            for i, j, e in a0])
+    gauge, obstruction = _solve_gauge(c, n, window, int(m))
+    return TrivialityEntry(n, gauge is not None, gauge, obstruction)
 
 
 def check_gauge(c: Connection, entry: TrivialityEntry) -> bool:

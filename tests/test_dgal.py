@@ -12,6 +12,7 @@ from neron.errors import ShapeMismatch
 from neron.ring import Scalar
 
 PI = Scalar.pi_power(1)
+RESIDUE = "entry ({},{}), coefficient of x^-1*pi^0"
 
 
 def lp(pairs) -> LaurentPoly:
@@ -152,6 +153,40 @@ class TestTriviality:
         assert entry.trivial
         assert format_laurent(entry.gauge[0][0]) == "x^3"
         assert check_gauge(c, entry)
+
+    @pytest.mark.parametrize("base, matrix, level, bound, expect", [
+        (PUNCTURED, [[LaurentPoly({-1: 5})]], 2, None, [["x^5"]]),
+        # the shift 5 lies outside a window of 1 or 3
+        (PUNCTURED, [[LaurentPoly({-1: 5})]], 2, 1, [RESIDUE.format(1, 1)]),
+        (PUNCTURED, [[LaurentPoly({-1: 5})]], 2, 3, [RESIDUE.format(1, 1)]),
+        # no integer shift for a residue of 1/2
+        *[(PUNCTURED, [[LaurentPoly({-1: Fraction(1, 2)})]], n, None,
+           [RESIDUE.format(1, 1)]) for n in range(3)],
+        # a residue that is not scalar
+        (PUNCTURED, [[LaurentPoly({-1: 1}), 0], [0, LaurentPoly({-1: 2})]], 1,
+         None, [RESIDUE.format(1, 1), RESIDUE.format(2, 2)]),
+        (PUNCTURED, [[0, LaurentPoly({-1: 1})], [0, 0]], 1, None,
+         [RESIDUE.format(1, 2)]),
+        (PUNCTURED, [[LaurentPoly({-1: 3}), PI], [0, LaurentPoly({-1: 3})]], 1,
+         None, [["x^3", "pi*x^4"], ["0", "x^3"]]),
+        # the residue 2 passes mod pi, and the solve at shift 2 fails
+        (PUNCTURED, [[LaurentPoly({-1: Scalar({0: 2, 1: 1})})]], 1, None,
+         ["entry (1,1), coefficient of x^1*pi^1"]),
+        (AFFINE, [[LaurentPoly({0: 1, 1: 1})]], 1, None,
+         ["entry (1,1), coefficient of x^0*pi^0",
+          "entry (1,1), coefficient of x^1*pi^0"]),
+    ])
+    def test_shift_read_off_a_mod_pi(self, base, matrix, level, bound, expect):
+        c = Connection(base, matrix)
+        entry = triviality_mod(c, level, degree_bound=bound)
+        if isinstance(expect[0], list):
+            assert entry.trivial
+            assert [[format_laurent(e) for e in row]
+                    for row in entry.gauge] == expect
+            assert check_gauge(c, entry)
+        else:
+            assert not entry.trivial
+            assert entry.obstruction == expect
 
     def test_nilpotent_rank_two(self):
         n = Connection(AFFINE, [[0, PI], [0, 0]])

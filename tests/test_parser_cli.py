@@ -395,6 +395,23 @@ class TestCliOutput:
         assert "Im(rho_k)" in out
         assert "Im(rho)_k" in out
 
+    def test_standard_sequence_prints_its_stage_centres(self, capsys, golden_dir):
+        # each centre is a contraction, printed with the generators that
+        # `contract` leaves, so this pins the order that walk runs in
+        code, out, _ = run(capsys, "standard-seq", str(golden_dir / "gprime.grp"),
+                           "--depth", "4")
+        assert code == 0
+        assert out == (
+            "stage 1: Gm[1]\n"
+            "  centre: pi, v - 1, u - 1\n"
+            "stage 2: Gm[2]\n"
+            "  centre: pi, xi1 + xi2\n"
+            "stage 3: Gm[3]\n"
+            "  centre: pi, xi2^2 - xi3\n"
+            "stage 4: Gm[4]\n"
+            "  centre: pi, -xi2*xi4 + xi3^2, xi2*xi3 - xi4, xi2^2 - xi3\n"
+            "lifted morphism: rho[4]\n")
+
     def test_witness_printed_on_refutation(self, capsys, golden_dir):
         code, out, _ = run(capsys, "reduce-mod", str(golden_dir / "gm.grp"),
                            "--modulus", "0")
