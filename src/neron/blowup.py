@@ -75,7 +75,7 @@ def _blow(h: HopfPresentation, centre: Ideal, gens, power: int, name: str,
     rels_b = saturate_pi(Ideal(ring_b, gens_b), limits)
 
     ring2_b = tensor_ring(ring_b, (PRIME1, PRIME2))
-    rels2_b = tensor_ideal(rels_b, ring2_b, (PRIME1, PRIME2))
+    rels2_b = tensor_ideal(rels_b, ring2_b, (PRIME1, PRIME2), limits)
 
     comul_images = {v: h.comul.images[v].in_ring(ring2_b) for v in h.ring.variables}
     counit_images = {v: h.counit.images[v] for v in h.ring.variables}

@@ -34,7 +34,8 @@ def copy_into(f: Poly, ring_t: PolyRing, suffix: str) -> Poly:
     return f.in_ring(ring_t, {v: v + suffix for v in f.ring.variables})
 
 
-def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes) -> Ideal:
+def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes,
+                 limits: Limits = DEFAULT_LIMITS) -> Ideal:
     """Relations of a tensor power, one renamed copy per factor.
 
     When no leading term involves pi, the copies' leading terms live on
@@ -46,7 +47,7 @@ def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes) -> Ideal:
     zero by the copies alone and builds no basis.  The copies are also the
     generators, so each relation is renamed once per copy.
     """
-    rel_basis = relations.basis()
+    rel_basis = relations.basis(limits)
     blocks = []
     for s in suffixes:
         rename = {v: v + s for v in relations.ring.variables}
@@ -95,9 +96,10 @@ class HopfPresentation:
     def doubled_ring(self) -> PolyRing:
         return self.comul.target
 
-    def doubled_ideal(self) -> Ideal:
+    def doubled_ideal(self, limits: Limits = DEFAULT_LIMITS) -> Ideal:
         if "ideal2" not in self._memo:
-            self._memo["ideal2"] = tensor_ideal(self.relations, self.doubled_ring(), (PRIME1, PRIME2))
+            self._memo["ideal2"] = tensor_ideal(self.relations, self.doubled_ring(),
+                                                (PRIME1, PRIME2), limits)
         return self._memo["ideal2"]
 
     def tripled_ring(self) -> PolyRing:
@@ -105,9 +107,10 @@ class HopfPresentation:
             self._memo["ring3"] = tensor_ring(self.ring, (PRIME1, PRIME2, PRIME3))
         return self._memo["ring3"]
 
-    def tripled_ideal(self) -> Ideal:
+    def tripled_ideal(self, limits: Limits = DEFAULT_LIMITS) -> Ideal:
         if "ideal3" not in self._memo:
-            self._memo["ideal3"] = tensor_ideal(self.relations, self.tripled_ring(), (PRIME1, PRIME2, PRIME3))
+            self._memo["ideal3"] = tensor_ideal(self.relations, self.tripled_ring(),
+                                                (PRIME1, PRIME2, PRIME3), limits)
         return self._memo["ideal3"]
 
     def eps(self, v: str) -> Scalar:
@@ -187,7 +190,7 @@ def check_flat(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS) -> Report:
     same = sat.same_ideal(h.relations, limits)
     witness = ""
     if not same:
-        extra = [g for g in sat.basis() if not h.relations.contains(g, limits)]
+        extra = [g for g in sat.basis(limits) if not h.relations.contains(g, limits)]
         if extra:
             witness = format_poly(extra[0]) + " has a pi multiple in the ideal"
     rep.add("pi-saturated", h.name, same, witness)
@@ -202,8 +205,8 @@ def check_hopf(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS) -> Report:
     appropriate tensor power, so the checks are exact over R.
     """
     rep = Report(f"Hopf axioms for {h.name}")
-    rels2 = h.doubled_ideal()
-    rels3 = h.tripled_ideal()
+    rels2 = h.doubled_ideal(limits)
+    rels3 = h.tripled_ideal(limits)
 
     for i, r in enumerate(h.relations.generators):
         subject = f"relation {i + 1}"
@@ -242,7 +245,7 @@ def check_morphism(m: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> Report:
         rep.vanishes("pullback respects relations", f"relation {i + 1}",
                      src.relations.normal_form(m.pullback(r), limits))
     ring2s = src.doubled_ring()
-    rels2s = src.doubled_ideal()
+    rels2s = src.doubled_ideal(limits)
     pull2 = Substitution(
         tgt.doubled_ring(), ring2s,
         {v + s: copy_into(m.pullback.images[v], ring2s, s)
@@ -336,7 +339,7 @@ def hopf_ideal_report(h: HopfPresentation, gens, pi_power: int = 0,
         side.append(copy_into(g, ring2, PRIME2))
     if pi_power:
         side.append(ring2.pi(pi_power))
-    rels2 = h.doubled_ideal().plus(side)
+    rels2 = h.doubled_ideal(limits).plus(side)
     inside = h.relations.plus(list(gens) + ([ring.pi(pi_power)] if pi_power else []))
     for i, g in enumerate(gens):
         subject = f"generator {i + 1}"
@@ -355,63 +358,47 @@ def quotient_presentation(h: HopfPresentation, gens, name: str) -> HopfPresentat
     return h.with_relations(name, h.relations.plus(gens))
 
 
-def prune(h: HopfPresentation, protected=(), limits: Limits = DEFAULT_LIMITS):
+def prune(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS):
     """Eliminate variables that the relations express in the others.
 
-    A variable w can go when the reduced lex basis contains w - g with g
-    not involving w.  Returns the smaller presentation and, for each
-    eliminated variable, its expression in the survivors.
+    A variable w can go when the reduced lex basis holds w - g.  No term
+    of a reduced basis is divisible by another element's lead, and none
+    of an element's tail by its own, so every such g and every other
+    element is free of every solved w.  One simultaneous substitution is
+    therefore the chain of one-at-a-time ones, and the other elements,
+    which it leaves alone, are the reduced lex basis of the smaller ideal:
+    no element turns solvable after a step, and the result keeps that
+    basis.  Returns the smaller presentation (h itself when nothing is
+    solved) and, in basis order, each eliminated variable's expression in
+    the survivors.
     """
     if h.ring.order.kind != "lex":
         raise ValueError("pruning requires the lex order")
-    current = h
-    eliminated: dict[str, Poly] = {}
-    while True:
-        ring = current.ring
-        basis = current.relations.basis(limits)
-        found = None
-        for g in basis:
-            m = g.lead_monomial()
-            if sum(m[:-1]) != 1 or m[-1] != 0:
-                continue
-            idx = next(i for i, e in enumerate(m[:-1]) if e)
-            w = ring.variables[idx]
-            if w in protected:
-                continue
-            if w in g.tail().variables_used():
-                continue
-            found = (w, -g.tail())
-            break
-        if found is None:
-            break
-        w, expr = found
-        new_ring = ring.drop((w,))
-        images = {v: new_ring.var(v) for v in ring.variables if v != w}
-        images[w] = expr.in_ring(new_ring)
-        sub = Substitution(ring, new_ring, images)
-
-        moved = [sub(g) for g in basis]
-        rels = Ideal(new_ring, [g for g in moved if not g.is_zero()])
-        new_h = HopfPresentation.from_images(
-            current.name, new_ring, rels,
-            _pruned_comul(current, sub, new_ring),
-            {v: current.counit.images[v] for v in new_ring.variables},
-            {v: sub(current.antipode.images[v]) for v in new_ring.variables})
-        eliminated = {k: sub(e) for k, e in eliminated.items()}
-        eliminated[w] = images[w]
-        current = new_h
-    return current, eliminated
-
-
-def _pruned_comul(h: HopfPresentation, sub: Substitution, new_ring: PolyRing) -> dict:
-    ring2_new = tensor_ring(new_ring, (PRIME1, PRIME2))
-    images2 = {}
-    for v in h.ring.variables:
-        img = sub.images[v]
-        for s in (PRIME1, PRIME2):
-            images2[v + s] = copy_into(img, ring2_new, s)
-    push = Substitution(h.doubled_ring(), ring2_new, images2)
-    return {v: push(h.comul.images[v]) for v in new_ring.variables}
+    ring = h.ring
+    solved = {}
+    kept = []
+    for g in h.relations.basis(limits):
+        m = g.lead_monomial()
+        if sum(m[:-1]) == 1 and m[-1] == 0:
+            solved[ring.variables[m.index(1)]] = -g.tail()
+        else:
+            kept.append(g)
+    if not solved:
+        return h, {}
+    small = ring.drop(solved)
+    eliminated = {w: g.in_ring(small) for w, g in solved.items()}
+    sub = Substitution(ring, small, {v: small.var(v) for v in small.variables} | eliminated)
+    ring2 = tensor_ring(small, (PRIME1, PRIME2))
+    push = Substitution(h.doubled_ring(), ring2,
+                        {v + s: copy_into(img, ring2, s)
+                         for v, img in sub.images.items() for s in (PRIME1, PRIME2)})
+    kept = [g.in_ring(small) for g in kept]
+    pruned = HopfPresentation.from_images(
+        h.name, small, Ideal.with_basis(small, kept, kept),
+        {v: push(h.comul.images[v]) for v in small.variables},
+        {v: h.counit.images[v] for v in small.variables},
+        {v: sub(h.antipode.images[v]) for v in small.variables})
+    return pruned, eliminated
 
 
 def isomorphism_report(m: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> Report:

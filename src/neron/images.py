@@ -191,7 +191,7 @@ def check_unipotent_kernel(t: Triptych, bound: int = 6,
     rep = Report(f"unipotence certificate for {ker.name}")
     ring = ker.ring
     ring2 = ker.doubled_ring()
-    rels2 = ker.doubled_ideal()
+    rels2 = ker.doubled_ideal(limits)
     aug = ker.aug_gens()
     todo = [v for i, v in enumerate(ring.variables)
             if not ker.relations.contains(aug[i], limits)]

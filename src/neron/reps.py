@@ -78,7 +78,7 @@ def validate_rep(m: RepMatrix, limits: Limits = DEFAULT_LIMITS) -> Report:
         rep.add("empty matrix", h.name, True)
         return rep
     ring2 = h.doubled_ring()
-    rels2 = h.doubled_ideal()
+    rels2 = h.doubled_ideal(limits)
     left = mat_in_ring(m.entries, ring2, {v: v + PRIME1 for v in h.ring.variables})
     right = mat_in_ring(m.entries, ring2, {v: v + PRIME2 for v in h.ring.variables})
     prod = mat_mul(left, right)

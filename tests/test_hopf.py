@@ -1,9 +1,12 @@
 """Hopf presentations: axioms, morphisms, fibres, quotients, pruning."""
 
+import random
+
 import pytest
 
+import neron.blowup
 import neron.groebner
-from neron.blowup import automatic_truncation
+from neron.blowup import automatic_truncation, neron_blowup
 from neron.config import Limits
 from neron.errors import UnknownVariable
 from neron.groebner import Ideal
@@ -15,6 +18,7 @@ from neron.hopf import (PRIME1, PRIME2, PRIME3, GroupMorphism, HopfPresentation,
 from neron.library import (additive_group, borel2, general_linear,
                            multiplicative_group, product, roots_of_unity,
                            special_linear, trivial_group, twisted_multiplicative)
+from neron.parser import print_group
 from neron.report import Report
 from neron.ring import Order, PolyRing, Scalar, Substitution
 
@@ -264,9 +268,121 @@ class TestQuotientAndPrune:
         assert eliminated["x"].is_zero()
         assert check_hopf(small, LIM).ok
 
-    def test_protected_variables_stay(self):
+
+def iterative_prune(h, limits):
+    """The reference: one solved variable per turn, each turn substituting
+    into the basis, rebuilding the presentation and walking again."""
+    current, eliminated = h, {}
+    while True:
+        ring = current.ring
+        basis = current.relations.basis(limits)
+        found = None
+        for g in basis:
+            m = g.lead_monomial()
+            if sum(m[:-1]) != 1 or m[-1] != 0:
+                continue
+            w = ring.variables[m.index(1)]
+            if w not in g.tail().variables_used():
+                found = (w, -g.tail())
+                break
+        if found is None:
+            return current, eliminated
+        w, expr = found
+        small = ring.drop((w,))
+        images = {v: small.var(v) for v in ring.variables if v != w}
+        images[w] = expr.in_ring(small)
+        sub = Substitution(ring, small, images)
+        ring2 = tensor_ring(small, (PRIME1, PRIME2))
+        push = Substitution(current.doubled_ring(), ring2,
+                            {v + s: copy_into(img, ring2, s)
+                             for v, img in images.items() for s in (PRIME1, PRIME2)})
+        moved = [sub(g) for g in basis]
+        current = HopfPresentation.from_images(
+            current.name, small, Ideal(small, [g for g in moved if not g.is_zero()]),
+            {v: push(current.comul.images[v]) for v in small.variables},
+            {v: current.counit.images[v] for v in small.variables},
+            {v: sub(current.antipode.images[v]) for v in small.variables})
+        eliminated = {k: sub(e) for k, e in eliminated.items()}
+        eliminated[w] = images[w]
+
+
+PRUNE_GROUPS = {
+    "GmxGa": lambda: product(multiplicative_group(), additive_group()),
+    "GaxGa": lambda: product(additive_group("x"), additive_group("y")),
+    "GL2": lambda: general_linear(2),
+    "B2": borel2,
+}
+
+
+def random_quotient(rng, h):
+    """h modulo w - f for a random set of variables w, each f a small
+    polynomial in the other variables with pi in some terms; now and then
+    a generator is multiplied by pi or given a quadratic term, so that not
+    every w is solved."""
+    ring = h.ring
+    names = list(ring.variables)
+    gens = []
+    for w in rng.sample(names, rng.randint(1, len(names))):
+        others = [v for v in names if v != w]
+        f = ring.scalar(rng.randint(-2, 2))
+        for _ in range(rng.randint(0, 2) if others else 0):
+            term = ring.pi(rng.randint(0, 1)) * rng.choice([1, -1, 2, 3])
+            for v in rng.sample(others, rng.randint(1, min(2, len(others)))):
+                term = term * ring.var(v)
+            f = f + term
+        g = ring.var(w) - f
+        if rng.random() < 0.2:
+            g = g * ring.pi() if rng.random() < 0.5 else g + ring.var(w) * ring.var(rng.choice(names))
+        gens.append(g)
+    return quotient_presentation(h, gens, h.name + "/q")
+
+
+class TestPruneInOneSubstitution:
+    @pytest.mark.parametrize("name", sorted(PRUNE_GROUPS))
+    def test_matches_the_iterative_prune(self, name):
+        counts = []
+        for seed in range(30):
+            h = random_quotient(random.Random(seed), PRUNE_GROUPS[name]())
+            small, eliminated = prune(h, limits=LIM)
+            ref, ref_eliminated = iterative_prune(h, LIM)
+            assert print_group(small) == print_group(ref), seed
+            assert small.relations.basis(LIM) == ref.relations.basis(LIM), seed
+            assert list(eliminated.items()) == list(ref_eliminated.items()), seed
+            counts.append(len(eliminated))
+        assert 0 in counts and max(counts) >= 2
+
+    @staticmethod
+    def count_walks(monkeypatch):
+        walks = []
+        walk = neron.groebner._walk
+        monkeypatch.setattr(neron.groebner, "_walk", lambda *a: walks.append(a) or walk(*a))
+        return walks
+
+    def test_prune_of_a_held_basis_walks_nothing(self, monkeypatch):
         both = product(multiplicative_group(), additive_group())
-        killed = quotient_presentation(both, [both.ring.var("x")], "GmxGa/x")
-        small, eliminated = prune(killed, protected=("x",), limits=LIM)
-        assert "x" in small.ring.variables
-        assert eliminated == {}
+        x, u = both.ring.var("x"), both.ring.var("u")
+        h = quotient_presentation(both, [x - u * u + 1, u - 1], "GmxGa/q")
+        h.relations.basis(LIM)
+        walks = self.count_walks(monkeypatch)
+        small, eliminated = prune(h, limits=LIM)
+        assert list(eliminated) == ["x", "v", "u"]
+        assert small.relations.basis(LIM) == ()
+        assert walks == []
+
+    def test_prune_after_a_blowup_walks_nothing(self, monkeypatch):
+        gm = multiplicative_group()
+        u, v = gm.ring.var("u"), gm.ring.var("v")
+        walks = self.count_walks(monkeypatch)
+        seen = []
+
+        def counted(h, limits):
+            before = len(walks)
+            small, eliminated = prune(h, limits=limits)
+            small.relations.basis(limits)
+            seen.append((len(walks) - before, list(eliminated)))
+            return small, eliminated
+
+        monkeypatch.setattr(neron.blowup, "prune", counted)
+        neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u - 1, v - 1]), limits=LIM)
+        assert seen == [(0, ["v", "u"])]
+

@@ -331,6 +331,16 @@ class TestCliExitCodes:
         assert code == 3
         assert err.startswith("resource limit:")
 
+    def test_tensor_ideal_walk_honours_the_pair_budget(self, capsys, golden_dir):
+        # mu2's relation basis, which the doubled ideal is built from, reduces 4 pairs.
+        path = str(golden_dir / "mu2-to-gm.grp")
+        code, _, err = run(capsys, "check-morphism", path, "--max-pairs", "3")
+        assert code == 3
+        assert err == "resource limit: pair budget 3 exhausted\n"
+        code, out, _ = run(capsys, "check-morphism", path, "--max-pairs", "4")
+        assert code == 0
+        assert out.startswith("morphism incl: mu2 -> Gm: PASS")
+
     def test_resource_limit_exits_three(self, capsys, golden_dir):
         code, _, err = run(capsys, "blowup", str(golden_dir / "gl2.grp"),
                            "--centre", "pi, a12, a21, a11-1, a22-1",
