@@ -90,8 +90,8 @@ def _finish(args, ok: bool, report: Report, data: dict, lines) -> int:
     return 0 if ok else 1
 
 
-def _to_matrix(block: RepBlock) -> RepMatrix:
-    return RepMatrix(block.group, block.entries, block.witness)
+def _to_matrix(block: RepBlock, limits: Limits) -> RepMatrix:
+    return RepMatrix(block.group, block.entries, block.witness, limits)
 
 
 def _rep_payload(v: RepMatrix) -> dict:
@@ -245,7 +245,7 @@ def cmd_rep_blowup_line(v, args, limits):
         entries = parse_matrix(args.e_matrix, b.blown.ring)
         witness = (parse_poly(args.e_witness, b.blown.ring)
                    if args.e_witness else None)
-        e = RepMatrix(b.blown, entries, witness)
+        e = RepMatrix(b.blown, entries, witness, limits)
     glued = line_blowup_rep(v, b, e, args.column, limits)
     rep = validate_rep(glued, limits)
     lines = _matrix_lines(glued.entries, f"glued matrix over {glued.group.name}:")
@@ -268,8 +268,8 @@ def cmd_rep_rescale(v, args, limits):
 
 
 def cmd_rep_sum(pf, args, limits):
-    v = _to_matrix(pf.lookup("rep", args.left))
-    w = _to_matrix(pf.lookup("rep", args.right))
+    v = _to_matrix(pf.lookup("rep", args.left), limits)
+    w = _to_matrix(pf.lookup("rep", args.right), limits)
     s = direct_sum(v, w)
     rep = validate_rep(s, limits)
     lines = _matrix_lines(s.entries, f"direct sum over {s.group.name}:")
@@ -280,7 +280,7 @@ def cmd_conormal(h, args, limits):
     gk = special_fibre(h)
     sub = Ideal(gk.ring, parse_poly_list(args.ideal, gk.ring))
     data_obj = conormal_rep(gk, sub, limits)
-    v = data_obj.rep()
+    v = data_obj.rep(limits)
     rep = validate_rep(v, limits)
     basis = [format_poly(f) for f in data_obj.basis]
     lines = ["conormal basis: " + ", ".join(basis)]
@@ -520,9 +520,10 @@ def main(argv=None) -> int:
             block = parse(fh.read())
         if args.kind is not None:
             block = block.lookup(args.kind, args.name)
+        limits = _limits(args)
         if args.kind == "rep":
-            block = _to_matrix(block)
-        return _finish(args, *args.func(block, args, _limits(args)))
+            block = _to_matrix(block, limits)
+        return _finish(args, *args.func(block, args, limits))
     except (OSError, ValueError, ParseError, UndefinedName) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import ShapeMismatch
 from .linalg import solve_tracked
 from .report import Report
-from .ring import Scalar, format_scalar
+from .ring import Scalar, format_scalar, quotient
 
 AFFINE = "affine-line"
 PUNCTURED = "punctured-line"
@@ -32,7 +32,7 @@ class LaurentPoly:
     def __init__(self, coeffs=None):
         out = {}
         for e, c in (coeffs or {}).items():
-            s = c if isinstance(c, Scalar) else Scalar.from_rational(Fraction(c))
+            s = c if isinstance(c, Scalar) else Scalar.from_rational(c)
             if not s.is_zero():
                 out[e] = s
         self.coeffs = out
@@ -191,7 +191,7 @@ def formal_solution(c: Connection, order: int):
                     for e, coef in c.matrix[i][k].coeffs.items():
                         if 0 <= m - e < len(layers):
                             acc = acc + layers[m - e][k][j] * coef
-                nxt[i][j] = -acc * Fraction(1, m + 1)
+                nxt[i][j] = -acc * quotient(1, m + 1)
         layers.append(nxt)
     out = _zero_matrix(r)
     for m, layer in enumerate(layers):

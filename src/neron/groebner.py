@@ -14,7 +14,15 @@ Bachmann-Schoenemann 1998): a product is one add, divisibility one subtract
 and mask, and the order key one xor.  Polynomials enter and leave as `Poly`s
 with tuple monomials.  A product or lcm that outgrows its field restarts the
 walk or the division with wider fields; the width decides nothing, so the
-pairs reduced and every resource limit are the same at any width.
+pairs reduced and every resource limit are the same at any width.  An ideal
+keeps its divisors packed at each width it has divided at (`_Divisors`), so
+repeated normal forms pack its basis once per width.
+
+Coefficients are those of `ring`: an int when integral, else a Fraction.
+Basis elements are kept monic, so the leads of an S-pair cancel with no
+division; the kernel's only divisions are by a lead coefficient, when an
+element joins the basis and when `_divide` takes a quotient term, and
+both go through `ring.quotient`, so integer data stays in ints.
 
 Bases are built only when a decision needs one.  The kernel can start from
 blocks of its input that are Groebner bases already (the renamed copies in a
@@ -41,15 +49,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DivisionObstruction, ResourceLimit, UnknownVariable
-from .ring import LEX, Poly, PolyRing, Substitution, elim_order, format_poly
-
-_ONE = Fraction(1)
+from .ring import LEX, Poly, PolyRing, Substitution, elim_order, format_poly, quotient
 
 
 class _Overflow(Exception):
@@ -210,7 +215,7 @@ def _divide(pk: _Packing, work: dict, divisors, quots=None) -> dict:
             q = m - lead
             if q & guard:
                 continue
-            qc = c if lc == 1 else c / lc
+            qc = c if lc == 1 else quotient(c, lc)
             _subtract(pk, work, q, qc, tail)
             if quots is not None:
                 quots[n][q ^ flip] = qc
@@ -220,19 +225,43 @@ def _divide(pk: _Packing, work: dict, divisors, quots=None) -> dict:
     return rem
 
 
-def _reduce_full(f: Poly, basis, track: bool = False):
-    """Full multivariate division; returns (remainder, quotients or None).
+class _Divisors:
+    """A fixed list of divisors, packed once per field width on first use.
+
+    `bits` is the narrowest width that holds them; a division by them runs
+    at that width or at the dividend's, whichever is wider."""
+
+    __slots__ = ("polys", "bits", "_packed")
+
+    def __init__(self, polys):
+        self.polys = tuple(polys)
+        self.bits = _field_bits(self.polys)
+        self._packed = {}
+
+    def packed(self, pk: _Packing) -> list:
+        """The divisors as (lead, lead coefficient, tail) at `pk`'s width."""
+        out = self._packed.get(pk.bits)
+        if out is None:
+            out = self._packed[pk.bits] = [pk.element(pk.keyed(g)) for g in self.polys]
+        return out
+
+
+def _reduce_full(f: Poly, divisors, track: bool = False):
+    """Full multivariate division by `_Divisors` or a list of `Poly`s;
+    returns (remainder, quotients or None).
 
     Divisors are scanned in list order, the first whose leading term divides
     wins, so the result is deterministic for a fixed basis list.
     """
+    if not isinstance(divisors, _Divisors):
+        divisors = _Divisors(divisors)
     ring = f.ring
-    bits = _field_bits([f, *basis])
+    bits = max(_field_bits([f]), divisors.bits)
     while True:
         pk = _packing(ring.order, ring.nvars, bits)
-        quots = [{} for _ in basis] if track else None
+        quots = [{} for _ in divisors.polys] if track else None
         try:
-            rem = _divide(pk, pk.keyed(f), [pk.element(pk.keyed(g)) for g in basis], quots)
+            rem = _divide(pk, pk.keyed(f), divisors.packed(pk), quots)
         except _Overflow:
             bits = 2 * bits + 1
             continue
@@ -281,9 +310,9 @@ def _walk(gens, ring: PolyRing, limits: Limits, track: bool, blocks, pi_unit: bo
     def insert(terms: dict, rep, sugar: int):
         lead, lc, tail = pk.element(terms)
         if lc != 1:
-            tail = [(p, c / lc) for p, c in tail]
+            tail = [(p, quotient(c, lc)) for p, c in tail]
             if track:
-                rep = [r.scale(_ONE / lc) for r in rep]
+                rep = [r.scale(quotient(1, lc)) for r in rep]
         basis.append((lead, 1, tail))
         negated.append([(p, -c) for p, c in tail])
         leads.append(lead)
@@ -427,7 +456,7 @@ def _interreduce(pk: _Packing, basis, reps, ring: PolyRing, track: bool):
     unpack = pk.unpack
     final = []
     for lead, _, tail in out:
-        terms = {unpack(lead): _ONE}
+        terms = {unpack(lead): 1}
         for p, c in tail:
             terms[unpack(p)] = c
         final.append(Poly(ring, terms))
@@ -449,10 +478,13 @@ class Ideal:
     The basis is built on first use.  Until then a normal form first divides
     by the elements the ideal already holds (its seed blocks, or else its
     nonzero generators): a zero remainder proves membership, so the answer
-    is zero without any basis.
+    is zero without any basis.  Both divisor lists are kept packed
+    (`_held_divisors`, `_basis_divisors`), so repeated normal forms pack
+    each once per field width.
     """
 
-    __slots__ = ("ring", "generators", "_basis", "_tracked", "_seed", "_saturation")
+    __slots__ = ("ring", "generators", "_basis", "_tracked", "_seed", "_saturation",
+                 "_held_divisors", "_basis_divisors")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -468,6 +500,8 @@ class Ideal:
         self._tracked = None
         self._seed = None
         self._saturation = None
+        self._held_divisors = None
+        self._basis_divisors = None
 
     @classmethod
     def with_basis(cls, ring: PolyRing, generators, basis) -> "Ideal":
@@ -507,10 +541,15 @@ class Ideal:
         if f.ring != self.ring:
             f = f.in_ring(self.ring)
         if self._basis is None:
-            f, _ = _reduce_full(f, self._held()[0])
+            if self._held_divisors is None:
+                self._held_divisors = _Divisors(self._held()[0])
+            f, _ = _reduce_full(f, self._held_divisors)
             if f.is_zero():
                 return f
-        rem, _ = _reduce_full(f, list(self.basis(limits)))
+        basis = self.basis(limits)
+        if self._basis_divisors is None:
+            self._basis_divisors = _Divisors(basis)
+        rem, _ = _reduce_full(f, self._basis_divisors)
         return rem
 
     def contains(self, f: Poly, limits: Limits = DEFAULT_LIMITS) -> bool:
@@ -546,7 +585,7 @@ def membership(f: Poly, ideal: Ideal, limits: Limits = DEFAULT_LIMITS) -> Member
     if f.ring != ideal.ring:
         f = f.in_ring(ideal.ring)
     basis, reps = ideal.tracked_basis(limits)
-    rem, quots = _reduce_full(f, list(basis), True)
+    rem, quots = _reduce_full(f, basis, True)
     if not rem.is_zero():
         return MembershipCertificate(False, None, rem)
     cof = [ideal.ring.zero() for _ in ideal.generators]
@@ -672,7 +711,7 @@ def subalgebra_member(f: Poly, gens, relations: Ideal, limits: Limits = DEFAULT_
     for tag, g in zip(tags, gens):
         idgens.append(big.var(tag) - g.in_ring(big))
     basis, _ = _buchberger(idgens, big, limits, False)
-    rem, _ = _reduce_full(f.in_ring(big), list(basis))
+    rem, _ = _reduce_full(f.in_ring(big), basis)
     n = ring.nvars
     if any(any(m[:n]) for m in rem.terms):
         return None

@@ -273,9 +273,9 @@ def special_fibre(h: HopfPresentation) -> HopfPresentation:
         {v: h.antipode.images[v].set_pi_zero() for v in ring.variables})
 
 
-def generic_fibre(h: HopfPresentation) -> HopfPresentation:
+def generic_fibre(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS) -> HopfPresentation:
     """The fibre over the fraction field: saturate the relations at pi."""
-    return h.with_relations(h.name + "_K", saturate_pi(h.relations))
+    return h.with_relations(h.name + "_K", saturate_pi(h.relations, limits))
 
 
 @dataclass

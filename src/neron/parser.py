@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .dgal import AFFINE, PUNCTURED, Connection, LaurentPoly
 from .errors import ParseError, UndefinedName
 from .groebner import Ideal
 from .hopf import PRIME1, PRIME2, SCALARS, GroupMorphism, HopfPresentation, tensor_ring
-from .ring import Poly, PolyRing, Scalar, Substitution, format_poly
+from .ring import Poly, PolyRing, Scalar, Substitution, format_poly, quotient
 
 KEYWORDS = ("group", "morphism", "rep", "connection")
 PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -230,7 +229,7 @@ class _Parser:
     def atom(self):
         t = self.next()
         if t.kind == "number":
-            return ("num", Fraction(int(t.text)))
+            return ("num", int(t.text))
         if t.kind == "name":
             return ("name", t.text, t)
         if t.kind == "(":
@@ -319,7 +318,7 @@ def _eval_poly(node, ring: PolyRing, allowed):
         if s is None or len(s.coeffs) != 1:
             raise ParseError("can only divide by rationals or powers of pi", op.line, op.column)
         e, q = next(iter(s.coeffs.items()))
-        f, m = f.scale(1 / q), m + e
+        f, m = f.scale(quotient(1, q)), m + e
     if terms is not None:
         f = Poly(ring, terms)
     return f, m
@@ -388,7 +387,7 @@ def _eval_laurent(node):
         if list(s.coeffs) != [0]:
             raise ParseError("cannot divide by pi", op.line, op.column)
         q = s.coeffs[0]
-        f = LaurentPoly({d - e: c * (1 / q) for d, c in f.coeffs.items()})
+        f = LaurentPoly({d - e: c * quotient(1, q) for d, c in f.coeffs.items()})
     if coeffs is not None:
         f = LaurentPoly(coeffs)
     return f

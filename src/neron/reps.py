@@ -8,8 +8,7 @@ of the matrix must be the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from .blowup import BlowupResult, universal_lift
 from .config import DEFAULT_LIMITS, Limits
@@ -26,9 +25,13 @@ from .ring import Poly, Substitution, format_poly
 
 @dataclass
 class RepMatrix:
+    """A comodule matrix over a group; without a determinant witness, one
+    is searched for within `limits`."""
+
     group: HopfPresentation
     entries: list
     det_inverse_witness: Poly = None
+    limits: Limits = field(default=DEFAULT_LIMITS, compare=False, repr=False)
 
     def __post_init__(self):
         ring = self.group.ring
@@ -62,12 +65,12 @@ class RepMatrix:
             return ring.one()
         d = self.det()
         rels = self.group.relations
-        cert = membership(ring.one(), rels.plus([d]))
+        cert = membership(ring.one(), rels.plus([d]), self.limits)
         if not cert.member:
             raise DivisionObstruction(
                 "determinant is not invertible modulo the relations",
                 witness=format_poly(d))
-        return rels.normal_form(cert.cofactors[len(rels.generators)])
+        return rels.normal_form(cert.cofactors[len(rels.generators)], self.limits)
 
 
 def validate_rep(m: RepMatrix, limits: Limits = DEFAULT_LIMITS) -> Report:
@@ -330,8 +333,8 @@ class ConormalData:
     basis: list
     matrix: list
 
-    def rep(self) -> RepMatrix:
-        return RepMatrix(self.group, self.matrix)
+    def rep(self, limits: Limits = DEFAULT_LIMITS) -> RepMatrix:
+        return RepMatrix(self.group, self.matrix, limits=limits)
 
 
 def conormal_rep(gk: HopfPresentation, subgroup: Ideal,
@@ -407,7 +410,7 @@ def conormal_rep(gk: HopfPresentation, subgroup: Ideal,
             if lam is None:
                 raise NotFiniteDimensional(
                     "coaction leaves the span of the subgroup generators")
-            hpoly = Poly(ring, {hmono + (0,): Fraction(1)})
+            hpoly = Poly(ring, {hmono + (0,): 1})
             for i in range(t):
                 if lam[i]:
                     out[i][jcol] = out[i][jcol] + hpoly.scale(lam[i])

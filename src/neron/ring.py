@@ -9,6 +9,17 @@ degree and breaks a degree tie on the pi exponent first, the smaller one
 ranking higher.  The Groebner kernel packs these tuples into ints
 (`groebner._Packing`); nothing outside it sees the packed form.
 
+A coefficient is an `int` when integral and a `Fraction` otherwise, never
+a `float`.  `rational` makes one from any exact number.  Sums, differences
+and products of ints stay native ints, so only a division can make a
+`Fraction`.  Every division goes through `quotient`, which gives back an
+int when the result is integral, and `Poly.scale` normalises its products
+the same way; `/` between two coefficients is never used, since
+`int / int` is a float.  A product of
+Fractions that happens to be integral (2/3 * 3/2) may stay a Fraction;
+`str`, `==` and `hash` agree on 1 and Fraction(1), so no value and no
+printed byte depends on the type.
+
 A `Substitution` keeps each power of an image that a call has needed, so
 applying one substitution to many polynomials computes each power once.
 """
@@ -25,7 +36,22 @@ PI = "pi"
 INFINITE = float("inf")
 
 Monomial = tuple
-Rational = Fraction
+
+
+def rational(q):
+    """q as a coefficient: an int if q is integral, else a Fraction."""
+    if type(q) is int:
+        return q
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+def quotient(a, b):
+    """a / b as a coefficient, exactly; an int when b divides a."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return rational(Fraction(a, b))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -66,7 +92,8 @@ def elim_order(split: int) -> Order:
 
 
 class Scalar:
-    """Element of Q[pi] stored as a pi-exponent -> rational map, zeros dropped."""
+    """Element of Q[pi] stored as a pi-exponent -> coefficient map, zeros
+    dropped; each coefficient is an int when integral, else a Fraction."""
 
     __slots__ = ("coeffs",)
 
@@ -77,16 +104,16 @@ class Scalar:
         for e in sorted(coeffs):
             c = coeffs[e]
             if c:
-                clean[e] = Fraction(c)
+                clean[e] = rational(c)
         self.coeffs = clean
 
     @classmethod
     def from_rational(cls, q) -> "Scalar":
-        return cls({0: Fraction(q)})
+        return cls({0: rational(q)})
 
     @classmethod
     def pi_power(cls, e: int, c=1) -> "Scalar":
-        return cls({e: Fraction(c)})
+        return cls({e: rational(c)})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -109,7 +136,7 @@ class Scalar:
             other = Scalar.from_rational(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out[e] + c if e in out else c
         return Scalar(out)
 
     def __neg__(self):
@@ -127,7 +154,7 @@ class Scalar:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
         return Scalar(out)
 
     __rmul__ = __mul__
@@ -143,8 +170,8 @@ class Scalar:
             raise NotDivisible(f"scalar {format_scalar(self)} not divisible by pi^{m}")
         return Scalar({e - m: c for e, c in self.coeffs.items()})
 
-    def set_pi_zero(self) -> Fraction:
-        return self.coeffs.get(0, Fraction(0))
+    def set_pi_zero(self):
+        return self.coeffs.get(0, 0)
 
     def truncate(self, n: int) -> "Scalar":
         """Reduce modulo pi^{n+1}."""
@@ -187,7 +214,7 @@ class PolyRing:
         if isinstance(value, Scalar):
             base = (0,) * self.nvars
             return Poly(self, {base + (e,): c for e, c in value.coeffs.items()})
-        q = Fraction(value)
+        q = rational(value)
         if not q:
             return self.zero()
         return Poly(self, {(0,) * self.nvars + (0,): q})
@@ -195,13 +222,13 @@ class PolyRing:
     def var(self, name: str) -> "Poly":
         mono = [0] * (self.nvars + 1)
         mono[self.index(name)] = 1
-        return Poly(self, {tuple(mono): Fraction(1)})
+        return Poly(self, {tuple(mono): 1})
 
     def pi(self, power: int = 1) -> "Poly":
         return self.scalar(Scalar.pi_power(power))
 
     def monomial(self, mono: Monomial, coeff=1) -> "Poly":
-        return Poly(self, {tuple(mono): Fraction(coeff)})
+        return Poly(self, {tuple(mono): rational(coeff)})
 
     def extend(self, extra, order: Order = None) -> "PolyRing":
         return PolyRing(self.variables + tuple(extra), order or self.order)
@@ -215,7 +242,10 @@ class PolyRing:
 
 
 class Poly:
-    """Polynomial with exact Q coefficients; immutable by convention.
+    """Polynomial over Q[pi]; immutable by convention.
+
+    Each coefficient is an int when integral, else a Fraction, never a
+    float (see the module docstring).
 
     Nothing writes `terms` after construction, which is what lets the leading
     monomial be computed once, on first use, and kept in `_lead`.
@@ -259,7 +289,7 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out[m] + c if m in out else c
         return Poly(self.ring, out)
 
     __radd__ = __add__
@@ -284,7 +314,7 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
         return Poly(self.ring, out)
 
     __rmul__ = __mul__
@@ -303,15 +333,15 @@ class Poly:
         return self.ring.one() if out is None else out
 
     def scale(self, q) -> "Poly":
-        q = Fraction(q)
-        return Poly(self.ring, {m: c * q for m, c in self.terms.items()})
+        q = rational(q)
+        return Poly(self.ring, {m: rational(c * q) for m, c in self.terms.items()})
 
     def lead_monomial(self) -> Monomial:
         if self._lead is None:
             self._lead = max(self.terms, key=self.ring.order.key)
         return self._lead
 
-    def lead_coeff(self) -> Fraction:
+    def lead_coeff(self):
         return self.terms[self.lead_monomial()]
 
     def tail(self) -> "Poly":
@@ -323,7 +353,7 @@ class Poly:
     def monic(self) -> "Poly":
         if not self.terms:
             return self
-        return self.scale(Fraction(1) / self.lead_coeff())
+        return self.scale(quotient(1, self.lead_coeff()))
 
     def sorted_terms(self):
         """Terms in descending order under the ring order; deterministic."""
@@ -384,7 +414,7 @@ class Poly:
                         index[i] = ring.index(rename.get(v, v))
                     mono[index[i]] += e
             key = tuple(mono)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out[key] + c if key in out else c
         return Poly(ring, out)
 
     def __repr__(self):
@@ -461,7 +491,7 @@ def format_scalar(s: Scalar) -> str:
     return format_poly(ring.scalar(s))
 
 
-def _format_term(ring: PolyRing, mono: Monomial, coeff: Fraction):
+def _format_term(ring: PolyRing, mono: Monomial, coeff):
     parts = []
     for i, e in enumerate(mono[:-1]):
         if e == 1:

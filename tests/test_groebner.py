@@ -510,3 +510,32 @@ class TestRandomizedSlices:
 
     def test_saturation_elimination(self):
         assert suites.saturation_suite(30, seed=7) == 30
+
+
+class TestPackedDivisors:
+    """An ideal keeps its divisor lists packed: repeated normal forms pack
+    the held elements, and then the basis, once per field width."""
+
+    def test_each_width_is_packed_once(self, rxy, monkeypatch):
+        x, y = rxy.var("x"), rxy.var("y")
+        held = Ideal(rxy, [x * x - y, y * y - x])
+        member = (x * x - y) * (x + y)
+        ideal = Ideal(rxy, [x * x - y, y * y - x])
+        basis = ideal.basis(LIM)
+        fs = [x, y * x, x ** 3, x ** 200, y ** 300 + x, x * y ** 2]
+        want = [_reduce_full(f, list(basis))[0] for f in fs]
+        packed = []
+        element = _Packing.element
+
+        def spy(self, terms):
+            packed.append(self.bits)
+            return element(self, terms)
+
+        monkeypatch.setattr(_Packing, "element", spy)
+        for _ in range(3):
+            assert held.contains(member, LIM)
+        assert held._basis is None
+        assert packed == [7, 7]
+        del packed[:]
+        assert [ideal.normal_form(f, LIM) for f in fs + fs] == want + want
+        assert packed == [7] * len(basis) + [15] * len(basis)

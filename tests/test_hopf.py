@@ -8,7 +8,7 @@ import neron.blowup
 import neron.groebner
 from neron.blowup import automatic_truncation, neron_blowup
 from neron.config import Limits
-from neron.errors import UnknownVariable
+from neron.errors import ResourceLimit, UnknownVariable
 from neron.groebner import Ideal
 from neron.hopf import (PRIME1, PRIME2, PRIME3, GroupMorphism, HopfPresentation,
                         check_flat, check_hopf, check_morphism, copy_into,
@@ -206,6 +206,20 @@ class TestFibres:
         fib = generic_fibre(torsion)
         assert fib.name == "T_K"
         assert fib.relations.contains(x, LIM)
+
+    def test_generic_fibre_honours_the_pair_budget(self):
+        # Saturating (pi*x) walks the pair of pi*x and 1 - t*pi, whose
+        # leads share pi.
+        ring = PolyRing(("x",))
+        x = ring.var("x")
+        counit = Substitution(ring, PolyRing(()), {"x": PolyRing(()).zero()})
+        ring2 = tensor_ring(ring, ("'", "''"))
+        comul = Substitution(ring, ring2, {"x": ring2.var("x'") + ring2.var("x''")})
+        torsion = HopfPresentation("T", ring, Ideal(ring, [ring.pi() * x]), comul,
+                                   counit, Substitution(ring, ring, {"x": -x}))
+        with pytest.raises(ResourceLimit):
+            generic_fibre(torsion, Limits(max_pairs=0))
+        assert generic_fibre(torsion, LIM).relations.contains(x, LIM)
 
 
 class TestReduceMod:

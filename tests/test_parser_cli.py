@@ -341,6 +341,20 @@ class TestCliExitCodes:
         assert code == 0
         assert out.startswith("morphism incl: mu2 -> Gm: PASS")
 
+    def test_witness_search_honours_the_pair_budget(self, capsys, golden_dir, tmp_path):
+        # Without its witness line, the determinant's inverse is found by a
+        # tracked walk over (u*v - 1, u), which reduces pairs.
+        text = (golden_dir / "gm-rep.grp").read_text(encoding="utf-8")
+        path = tmp_path / "gm-rep.grp"
+        path.write_text("".join(line for line in text.splitlines(True)
+                                if "witness:" not in line), encoding="utf-8")
+        code, out, err = run(capsys, "rep-validate", str(path), "--max-pairs", "0")
+        assert (code, out) == (3, "")
+        assert err == "resource limit: pair budget 0 exhausted\n"
+        code, out, _ = run(capsys, "rep-validate", str(path))
+        assert code == 0
+        assert "PASS" in out
+
     def test_resource_limit_exits_three(self, capsys, golden_dir):
         code, _, err = run(capsys, "blowup", str(golden_dir / "gl2.grp"),
                            "--centre", "pi, a12, a21, a11-1, a22-1",
