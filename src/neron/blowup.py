@@ -129,7 +129,7 @@ def neron_blowup(h: HopfPresentation, centre: Ideal, name: str = None,
     return _blow(h, centre, gens, 1, name, limits)
 
 
-def partial_blowup(h: HopfPresentation, subgroup: Ideal, n: int, name: str = None,
+def partial_blowup(h: HopfPresentation, subgroup: Ideal, n: int,
                    limits: Limits = DEFAULT_LIMITS) -> BlowupResult:
     """Blow up a flat closed subgroup at level n: divide its ideal by pi^(n+1).
 
@@ -141,10 +141,8 @@ def partial_blowup(h: HopfPresentation, subgroup: Ideal, n: int, name: str = Non
         raise ValueError("level must be nonnegative")
     gens = list(subgroup.in_ring(h.ring).generators)
     _flat_subgroup_checks(h, gens, limits)
-    if name is None:
-        name = f"{h.name}^[{n}]"
     centre = Ideal(h.ring, gens + [h.ring.pi(n + 1)])
-    result = _blow(h, centre, gens, n + 1, name, limits)
+    result = _blow(h, centre, gens, n + 1, f"{h.name}^[{n}]", limits)
     cut = result.blown.relations.plus([result.blown.ring.pi(n + 1)])
     for a in result.xi_map.values():
         pa = result.projection.pullback(a)
@@ -161,7 +159,7 @@ def _flat_subgroup_checks(h: HopfPresentation, gens, limits: Limits):
         raise NotASubgroup("quotient by the ideal is not flat")
 
 
-def automatic_truncation(h: HopfPresentation, n: int, name: str = None,
+def automatic_truncation(h: HopfPresentation, n: int,
                          limits: Limits = DEFAULT_LIMITS) -> BlowupResult:
     """Adjoin pi^(-n) times the augmentation ideal, by n iterated blowups.
 
@@ -170,8 +168,7 @@ def automatic_truncation(h: HopfPresentation, n: int, name: str = None,
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if name is None:
-        name = f"{h.name}^({n})"
+    name = f"{h.name}^({n})"
     first_centre = Ideal(h.ring, [h.ring.pi()] + h.aug_gens())
     if n == 0:
         ident = GroupMorphism(f"{h.name}->{h.name}", h, h, Substitution.identity(h.ring))

@@ -56,10 +56,7 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Scalar()) - c
-        return LaurentPoly(out)
+        return self + (-other)
 
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
@@ -183,7 +180,7 @@ def formal_solution(c: Connection, order: int):
     r = c.rank
     layers = [_identity_matrix(r)]
     for m in range(order):
-        nxt = [[LaurentPoly() for _ in range(r)] for _ in range(r)]
+        nxt = _zero_matrix(r)
         for i in range(r):
             for j in range(r):
                 acc = LaurentPoly()
@@ -247,22 +244,15 @@ def _balance_rows(c: Connection, n: int, window, m: int):
             row = rows.setdefault((i, j, d, p), {})
             row[col] = row[col] + val if col in row else val
 
-    # derivative of g
-    for (i, j, d, p) in unknowns:
-        emit(i, j, d - 1, p, index[(i, j, d, p)], d)
-    for i in range(r):
-        emit(i, i, m - 1, 0, None, m)
-    # minus g*A
-    for (i, k, d, p) in unknowns:
+    # each term x^d*pi^p of entry (i, k) of g: an unknown, or the frozen
+    # x^m of the identity (col None); it adds to dg/dx and to -g*A
+    terms = list(index.items()) + [((i, i, m, 0), None) for i in range(r)]
+    for (i, k, d, p), col in terms:
+        emit(i, k, d - 1, p, col, d)
         for j in range(r):
             for e, cf in c.matrix[k][j].coeffs.items():
                 for q, val in cf.coeffs.items():
-                    emit(i, j, d + e, p + q, index[(i, k, d, p)], -val)
-    for i in range(r):
-        for j in range(r):
-            for e, cf in c.matrix[i][j].coeffs.items():
-                for q, val in cf.coeffs.items():
-                    emit(i, j, m + e, q, None, -val)
+                    emit(i, j, d + e, p + q, col, -val)
     return unknowns, index, rows
 
 

@@ -177,15 +177,14 @@ def fibre_kernel(t: Triptych) -> HopfPresentation:
     return sat.with_relations(f"Ker({sat.name}->{mid.name})", ideal)
 
 
-def check_unipotent_kernel(t: Triptych, bound: int = 6,
-                           limits: Limits = DEFAULT_LIMITS) -> Report:
+def check_unipotent_kernel(t: Triptych, limits: Limits = DEFAULT_LIMITS) -> Report:
     """Certify that the kernel of the fibre surjection is unipotent.
 
     Sufficient certificates, tried in order: a filtration of the kernel's
     coordinates by primitives (each variable comultiplies additively
     modulo the ones already certified), or nilpotence of the augmentation
-    ideal at the bound.  Reports one line per certificate step and a
-    final verdict line; an undecided result is not a refutation.
+    ideal with exponent at most 6.  Reports one line per certificate step
+    and a final verdict line; an undecided result is not a refutation.
     """
     ker = fibre_kernel(t)
     rep = Report(f"unipotence certificate for {ker.name}")
@@ -224,7 +223,7 @@ def check_unipotent_kernel(t: Triptych, bound: int = 6,
     live = [g for g in (ker.relations.normal_form(a, limits) for a in aug)
             if not g.is_zero()]
     power = live
-    for m in range(2, bound + 1):
+    for m in range(2, 6 + 1):
         power = [ker.relations.normal_form(a * g, limits)
                  for a in power for g in live]
         power = [g for g in power if not g.is_zero()]

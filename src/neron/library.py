@@ -39,8 +39,7 @@ def additive_group(x: str = "x", name: str = "Ga") -> HopfPresentation:
         {x: lambda R: -R.var(x)})
 
 
-def twisted_multiplicative(n: int, x: str = "x", y: str = "y",
-                           name: str = None) -> HopfPresentation:
+def twisted_multiplicative(n: int) -> HopfPresentation:
     """Units congruent to 1 mod pi^n, in the coordinates u = 1 + pi^n x.
 
     The group law is x + y + pi^n x y; at n = 0 this is the torus in
@@ -48,10 +47,9 @@ def twisted_multiplicative(n: int, x: str = "x", y: str = "y",
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if name is None:
-        name = f"Gm^({n})"
+    x, y = "x", "y"
     return _build(
-        name, (x, y),
+        f"Gm^({n})", (x, y),
         [lambda R: R.var(x) + R.var(y) + (R.var(x) * R.var(y)).mul_pi(n)],
         {x: lambda R2: R2.var(x + PRIME1) + R2.var(x + PRIME2)
             + (R2.var(x + PRIME1) * R2.var(x + PRIME2)).mul_pi(n),
@@ -61,72 +59,66 @@ def twisted_multiplicative(n: int, x: str = "x", y: str = "y",
         {x: lambda R: R.var(y), y: lambda R: R.var(x)})
 
 
-def roots_of_unity(k: int, u: str = "u", v: str = "v", name: str = None) -> HopfPresentation:
+def roots_of_unity(k: int) -> HopfPresentation:
     """Kernel of the k-th power map on the torus."""
     if k < 1:
         raise ValueError("order must be positive")
-    if name is None:
-        name = f"mu{k}"
-    base = multiplicative_group(u, v, name)
-    rels = base.relations.plus([base.ring.var(u) ** k - 1])
+    name = f"mu{k}"
+    base = multiplicative_group(name=name)
+    rels = base.relations.plus([base.ring.var("u") ** k - 1])
     return base.with_relations(name, rels)
 
 
-def trivial_group(name: str = "E") -> HopfPresentation:
-    return _build(name, (), [], {}, {}, {})
+def trivial_group() -> HopfPresentation:
+    return _build("E", (), [], {}, {}, {})
 
 
-def _entry(prefix: str, i: int, j: int) -> str:
-    return f"{prefix}{i + 1}{j + 1}"
+def _entry(i: int, j: int) -> str:
+    return f"a{i + 1}{j + 1}"
 
 
-def _linear(r: int, prefix: str, det: str | None, name: str) -> HopfPresentation:
+def _linear(r: int, det: str | None, name: str) -> HopfPresentation:
     """r x r matrices with determinant 1 (det None) or with the extra
     variable det inverting the determinant."""
     if r < 1:
         raise ValueError("size must be positive")
     cells = [(i, j) for i in range(r) for j in range(r)]
-    names = [_entry(prefix, i, j) for i, j in cells] + ([det] if det is not None else [])
+    names = [_entry(i, j) for i, j in cells] + ([det] if det is not None else [])
     ring = PolyRing(tuple(names))
     ring2 = tensor_ring(ring, (PRIME1, PRIME2))
-    a = [[ring.var(_entry(prefix, i, j)) for j in range(r)] for i in range(r)]
-    a1 = [[ring2.var(_entry(prefix, i, j) + PRIME1) for j in range(r)] for i in range(r)]
-    a2 = [[ring2.var(_entry(prefix, i, j) + PRIME2) for j in range(r)] for i in range(r)]
+    a = [[ring.var(_entry(i, j)) for j in range(r)] for i in range(r)]
+    a1 = [[ring2.var(_entry(i, j) + PRIME1) for j in range(r)] for i in range(r)]
+    a2 = [[ring2.var(_entry(i, j) + PRIME2) for j in range(r)] for i in range(r)]
     prod = mat_mul(a1, a2)
     adj = mat_adjugate(a)
-    comul = {_entry(prefix, i, j): prod[i][j] for i, j in cells}
-    counit = {_entry(prefix, i, j): SCALARS.scalar(1 if i == j else 0) for i, j in cells}
+    comul = {_entry(i, j): prod[i][j] for i, j in cells}
+    counit = {_entry(i, j): SCALARS.scalar(1 if i == j else 0) for i, j in cells}
     if det is None:
         rels = [mat_det(a) - 1]
-        anti = {_entry(prefix, i, j): adj[i][j] for i, j in cells}
+        anti = {_entry(i, j): adj[i][j] for i, j in cells}
     else:
         rels = [mat_det(a) * ring.var(det) - 1]
         comul[det] = ring2.var(det + PRIME1) * ring2.var(det + PRIME2)
         counit[det] = SCALARS.scalar(1)
-        anti = {_entry(prefix, i, j): adj[i][j] * ring.var(det) for i, j in cells}
+        anti = {_entry(i, j): adj[i][j] * ring.var(det) for i, j in cells}
         anti[det] = mat_det(a)
     return HopfPresentation.from_images(name, ring, Ideal(ring, rels), comul, counit, anti)
 
 
-def general_linear(r: int = 2, prefix: str = "a", det: str = "d",
-                   name: str = None) -> HopfPresentation:
-    """Invertible r x r matrices; the extra variable inverts the determinant."""
-    if name is None:
-        name = f"GL{r}"
-    return _linear(r, prefix, det, name)
+def general_linear(r: int = 2) -> HopfPresentation:
+    """Invertible r x r matrices; the extra variable d inverts the determinant."""
+    return _linear(r, "d", f"GL{r}")
 
 
-def special_linear(r: int = 2, prefix: str = "a", name: str = None) -> HopfPresentation:
-    if name is None:
-        name = f"SL{r}"
-    return _linear(r, prefix, None, name)
+def special_linear(r: int = 2) -> HopfPresentation:
+    return _linear(r, None, f"SL{r}")
 
 
-def borel2(prefix: str = "a", det: str = "e", name: str = "B2") -> HopfPresentation:
-    """Invertible upper triangular 2 x 2 matrices."""
-    a11, a12, a22 = _entry(prefix, 0, 0), _entry(prefix, 0, 1), _entry(prefix, 1, 1)
+def borel2() -> HopfPresentation:
+    """Invertible upper triangular 2 x 2 matrices; e inverts the diagonal."""
+    a11, a12, a22, det = "a11", "a12", "a22", "e"
     return _build(
-        name, (a11, a12, a22, det),
+        "B2", (a11, a12, a22, det),
         [lambda R: R.var(a11) * R.var(a22) * R.var(det) - 1],
         {a11: lambda R2: R2.var(a11 + PRIME1) * R2.var(a11 + PRIME2),
          a12: lambda R2: R2.var(a11 + PRIME1) * R2.var(a12 + PRIME2)
@@ -140,12 +132,11 @@ def borel2(prefix: str = "a", det: str = "e", name: str = "B2") -> HopfPresentat
          det: lambda R: R.var(a11) * R.var(a22)})
 
 
-def product(h1: HopfPresentation, h2: HopfPresentation, name: str = None) -> HopfPresentation:
+def product(h1: HopfPresentation, h2: HopfPresentation) -> HopfPresentation:
     """Direct product; the variable names must be disjoint."""
     if set(h1.ring.variables) & set(h2.ring.variables):
         raise UnknownVariable("product factors share variable names")
-    if name is None:
-        name = f"{h1.name}x{h2.name}"
+    name = f"{h1.name}x{h2.name}"
     ring = PolyRing(h1.ring.variables + h2.ring.variables)
     ring2 = tensor_ring(ring, (PRIME1, PRIME2))
     rels = Ideal(ring, [g.in_ring(ring) for g in h1.relations.generators]

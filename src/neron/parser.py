@@ -16,6 +16,12 @@ A file is a sequence of named blocks:
 Whitespace and newlines are free; `#` starts a comment; `pi` is reserved;
 primed names appear only in comultiplication images.  Printing a parsed
 file and parsing it back reproduces the same objects.
+
+Text is read by two pieces.  One compiled token pattern (`_TOKEN`) splits
+it into tokens; its character classes are all ASCII, so any other
+character outside a quoted name is an `unexpected character` error at its
+line:column.  One list reader (`_Parser.items`, and `_Parser.bracketed`
+for square brackets) reads every list, with optional commas between items.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .ring import Poly, PolyRing, Scalar, Substitution, format_poly, quotient
 
 KEYWORDS = ("group", "morphism", "rep", "connection")
 PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER = re.compile(r"[0-9]+")
 X = "x"
 
 # Deepest nesting of parentheses and unary signs an expression may use.
@@ -48,74 +53,48 @@ class Token:
     column: int
 
 
+# One match is optional blanks and then one token; the alternatives are
+# tried in order, and every character class is ASCII.  A character that no
+# other alternative takes falls into `other`.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<name>[A-Za-z_][A-Za-z0-9_]*'*)
+  | (?P<arrow>->)
+  | (?P<punct>[{}()\[\],;:+\-*/^])
+  | (?P<newline>\n)
+  | (?P<number>[0-9]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+  | (?P<other>[^ \t\r])
+)""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\([\s\S])")
+
+
 def _tokenize(text: str):
+    """Tokens with their line and column.  A column counts characters from
+    the last newline token, so a tab and a CR each take one, and a newline
+    escaped inside a string starts no line."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c == "-" and text[i:i + 2] == "->":
-            tokens.append(Token("arrow", "->", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c.isdigit():
-            m = _NUMBER.match(text, i)
-            tokens.append(Token("number", m.group(0), line, start_col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if c.isalpha() or c == "_":
-            m = PLAIN_NAME.match(text, i)
-            word = m.group(0)
-            i = m.end()
-            primes = 0
-            while i < n and text[i] == "'":
-                primes += 1
-                i += 1
-            tokens.append(Token("name", word + "'" * primes, line, start_col))
-            col += len(word) + primes
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                elif text[j] == "\n":
-                    raise ParseError("unterminated string", line, start_col)
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, start_col)
-            tokens.append(Token("string", "".join(out), line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c in "{}()[],;:+-*/^":
-            tokens.append(Token(c, c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, start_col)
-    tokens.append(Token("eof", "", line, col))
+    line, start = 1, 0  # start: offset of the current line's first character
+    m = None
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        at = m.start(kind)
+        if kind == "newline":
+            line, start = line + 1, at + 1
+        elif kind == "other":
+            c = text[at]
+            message = "unterminated string" if c == '"' else f"unexpected character {c!r}"
+            raise ParseError(message, line, at - start + 1)
+        elif kind != "comment":
+            word = m.group(kind)
+            if kind == "punct":
+                kind = word
+            elif kind == "string":
+                word = _ESCAPE.sub(r"\1", word[1:-1])
+            tokens.append(Token(kind, word, line, at - start + 1))
+    # a trailing comment leaves the end of the text at the comment's start
+    end = m.start("comment") if m is not None and m.lastgroup == "comment" else len(text)
+    tokens.append(Token("eof", "", line, end - start + 1))
     return tokens
 
 
@@ -180,6 +159,23 @@ class _Parser:
         self.depth += 1
         if self.depth > _MAX_NESTING:
             self.fail(tok, f"expression nested deeper than {_MAX_NESTING} levels")
+
+    def items(self, end: str, item) -> list:
+        """Read `item` until the `end` token, each optionally followed by a
+        comma; the `end` token is left for the caller."""
+        out = []
+        while self.peek().kind != end:
+            out.append(item())
+            if self.peek().kind == ",":
+                self.next()
+        return out
+
+    def bracketed(self, item) -> list:
+        """A list of `item` in square brackets."""
+        self.expect("[")
+        out = self.items("]", item)
+        self.expect("]")
+        return out
 
     def block_name(self) -> str:
         t = self.next()
@@ -405,18 +401,8 @@ class _FileParser(_Parser):
                 self.fail(t, "expected 'group', 'morphism', 'rep' or 'connection'")
             name = self.block_name()
             entries = self.block_entries(t)
-            if t.text == "group":
-                obj = self.build_group(name, entries, t)
-                self.file.groups[name] = obj
-            elif t.text == "morphism":
-                obj = self.build_morphism(name, entries, t)
-                self.file.morphisms[name] = obj
-            elif t.text == "rep":
-                obj = self.build_rep(name, entries, t)
-                self.file.reps[name] = obj
-            else:
-                obj = self.build_connection(name, entries, t)
-                self.file.connections[name] = obj
+            obj = getattr(self, "build_" + t.text)(name, entries, t)
+            getattr(self.file, t.text + "s")[name] = obj
             self.file.order.append((t.text, name))
         return self.file
 
@@ -436,13 +422,13 @@ class _FileParser(_Parser):
     def raw_value(self, key: str):
         """Collect the value for a key, shape depending on the key."""
         if key in ("vars",):
-            return self.name_list()
+            return self.items(";", lambda: self.expect("name"))
         if key in ("relations",):
-            return self.expr_list()
+            return self.items(";", self.expression)
         if key in ("comul", "counit", "antipode", "pullback"):
-            return self.mapping_list()
+            return self.items(";", self.mapping)
         if key in ("matrix",):
-            return self.matrix_value()
+            return self.bracketed(lambda: self.bracketed(self.expression))
         if key in ("source", "target", "group"):
             return self.block_name()
         if key in ("witness",):
@@ -454,49 +440,10 @@ class _FileParser(_Parser):
         tok = self.peek()
         self.fail(tok, f"unknown key {key!r}")
 
-    def name_list(self):
-        names = []
-        while self.peek().kind != ";":
-            t = self.expect("name")
-            names.append(t)
-            if self.peek().kind == ",":
-                self.next()
-        return names
-
-    def expr_list(self):
-        out = []
-        while self.peek().kind != ";":
-            out.append(self.expression())
-            if self.peek().kind == ",":
-                self.next()
-        return out
-
-    def mapping_list(self):
-        out = []
-        while self.peek().kind != ";":
-            key = self.expect("name")
-            self.expect("arrow")
-            out.append((key, self.expression()))
-            if self.peek().kind == ",":
-                self.next()
-        return out
-
-    def matrix_value(self):
-        self.expect("[")
-        rows = []
-        while self.peek().kind != "]":
-            row = []
-            self.expect("[")
-            while self.peek().kind != "]":
-                row.append(self.expression())
-                if self.peek().kind == ",":
-                    self.next()
-            self.expect("]")
-            rows.append(row)
-            if self.peek().kind == ",":
-                self.next()
-        self.expect("]")
-        return rows
+    def mapping(self):
+        key = self.expect("name")
+        self.expect("arrow")
+        return key, self.expression()
 
     def dashed_name(self):
         parts = [self.expect("name").text]
@@ -624,19 +571,14 @@ def parse_fraction(text: str, ring: PolyRing):
 
 def parse_poly_list(text: str, ring: PolyRing):
     p = _Parser(text)
-    out = []
-    while p.peek().kind != "eof":
-        node = p.expression()
-        out.append(p.plain_poly(node, ring, set(ring.variables)))
-        if p.peek().kind == ",":
-            p.next()
-    return out
+    allowed = set(ring.variables)
+    return p.items("eof", lambda: p.plain_poly(p.expression(), ring, allowed))
 
 
 def parse_matrix(text: str, ring: PolyRing):
     """A bracketed matrix [[...], ...] of polynomials over the given ring."""
-    p = _FileParser(text)
-    rows = p.matrix_value()
+    p = _Parser(text)
+    rows = p.bracketed(lambda: p.bracketed(p.expression))
     p.expect("eof")
     allowed = set(ring.variables)
     return [[p.plain_poly(e, ring, allowed) for e in row] for row in rows]

@@ -227,11 +227,11 @@ class PolyRing:
     def pi(self, power: int = 1) -> "Poly":
         return self.scalar(Scalar.pi_power(power))
 
-    def monomial(self, mono: Monomial, coeff=1) -> "Poly":
-        return Poly(self, {tuple(mono): rational(coeff)})
+    def monomial(self, mono: Monomial) -> "Poly":
+        return Poly(self, {tuple(mono): 1})
 
-    def extend(self, extra, order: Order = None) -> "PolyRing":
-        return PolyRing(self.variables + tuple(extra), order or self.order)
+    def extend(self, extra) -> "PolyRing":
+        return PolyRing(self.variables + tuple(extra), self.order)
 
     def prepend(self, extra, order: Order = None) -> "PolyRing":
         return PolyRing(tuple(extra) + self.variables, order or self.order)

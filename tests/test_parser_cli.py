@@ -96,6 +96,28 @@ class TestParse:
         ("group G { vars: x; relations: ; comul: x -> x'+x''; counit: x -> 0; "
          "antipode: x -> -x; comul: x -> x'; }", ParseError,
          "duplicate key 'comul'"),
+        # tokens are ASCII: any other character is rejected where it stands
+        ("group G { vars: \u00e9; }", ParseError,
+         "1:17: unexpected character '\u00e9'"),
+        ("group G { vars: x; relations: x\u00b2; }", ParseError,
+         "1:32: unexpected character '\u00b2'"),
+        ("\u0663", ParseError, "1:1: unexpected character '\u0663'"),
+        ("group\u00a0G { }", ParseError, "1:6: unexpected character '\\xa0'"),
+        ("group G { vars: @; }", ParseError, "1:17: unexpected character '@'"),
+        # the end of a text that ends in a comment is where the comment starts
+        ("group G { vars: x;   # trailing comment", ParseError,
+         "1:22: expected 'name', found ''"),
+        # a newline escaped inside a quoted name starts no line, so the
+        # '@' on the third line is reported on the second
+        ('group "a\\\nb" { vars: x;\n @', ParseError,
+         "2:2: unexpected character '@'"),
+        ('group "abc', ParseError, "1:7: unterminated string"),
+        ('group "ab\nc" { }', ParseError, "1:7: unterminated string"),
+        # a tab and a CR take one column each
+        ("group G {\t\r@", ParseError, "1:12: unexpected character '@'"),
+        # commas between list items are optional: this matrix is 2 x 2
+        ("connection E { base: affine-line; rank: 3; matrix: [[0 x] [pi, 0],]; }",
+         ParseError, "1:1: declared rank 3 but the matrix is 2 x 2"),
     ])
     def test_rejects_with_position(self, bad, kind, message):
         with pytest.raises(kind) as exc:
@@ -111,6 +133,12 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parser(text, PolyRing(("u", "v")))
         assert str(exc.value) == f"{where}: pi cannot appear in a denominator here"
+
+    def test_commas_between_items_are_optional(self):
+        ring = PolyRing(("u", "v"))
+        assert (parse_matrix("[[u v] [0, v],]", ring)
+                == parse_matrix("[[u, v], [0, v]]", ring))
+        assert parse_poly_list("pi u-1,", ring) == parse_poly_list("pi, u-1", ring)
 
     def test_long_sums_parse_like_short_ones(self):
         # chains far longer than the interpreter's recursion limit
@@ -242,6 +270,17 @@ class TestCliExitCodes:
             assert out == ""
             assert err.startswith("error:") and "rank at least 1" in err
             assert "Traceback" not in err
+
+    def test_non_ascii_character_exits_two(self, capsys, golden_dir, tmp_path):
+        path = tmp_path / "non-ascii.grp"
+        path.write_text("group G {\n  vars: \u00e9;\n}\n", encoding="utf-8")
+        code, out, err = run(capsys, "check-flat", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: 2:9: unexpected character '\u00e9'\n"
+        code, out, err = run(capsys, "blowup", str(golden_dir / "gm.grp"),
+                             "--centre", "pi, \u00e9")
+        assert (code, out) == (2, "")
+        assert err == "error: 1:5: unexpected character '\u00e9'\n"
 
     def test_pi_denominator_error_names_its_line(self, capsys, golden_dir, tmp_path):
         path = tmp_path / "pi-denominator.grp"
