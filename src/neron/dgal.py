@@ -154,18 +154,6 @@ def _identity_matrix(r: int):
     return out
 
 
-def _mat_mul(a, b):
-    r, m, s = len(a), len(b), len(b[0])
-    out = [[LaurentPoly() for _ in range(s)] for _ in range(r)]
-    for i in range(r):
-        for k in range(m):
-            if a[i][k].is_zero():
-                continue
-            for j in range(s):
-                out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
-
-
 def formal_solution(c: Connection, order: int):
     """Truncated fundamental series Y with Y(0) = identity and Y' = -A*Y.
 
@@ -259,22 +247,11 @@ def _balance_rows(c: Connection, n: int, window, m: int):
 def _solve_gauge(c: Connection, n: int, window, m: int):
     unknowns, index, rows = _balance_rows(c, n, window, m)
     keys = sorted(rows)
-    matrix = []
-    rhs = []
-    labels = []
-    for key in keys:
-        i, j, d, p = key
-        row = [0] * len(unknowns)
-        const = 0
-        for col, val in rows[key].items():
-            if col is None:
-                const += val
-            else:
-                row[col] = val
-        matrix.append(row)
-        rhs.append(-const)
-        labels.append(f"entry ({i + 1},{j + 1}), coefficient of x^{d}*pi^{p}")
-    status, payload = solve_tracked(matrix, rhs, labels)
+    matrix = [rows[key] for key in keys]
+    rhs = [-row.pop(None, 0) for row in matrix]  # the frozen x^m's part
+    labels = [f"entry ({i + 1},{j + 1}), coefficient of x^{d}*pi^{p}"
+              for i, j, d, p in keys]
+    status, payload = solve_tracked(matrix, rhs, labels, len(unknowns))
     if status != "ok":
         return None, payload
     gauge = [[LaurentPoly.x_power(m) if i == j else LaurentPoly()
@@ -320,16 +297,35 @@ def triviality_mod(c: Connection, n: int,
     return TrivialityEntry(n, gauge is not None, gauge, obstruction)
 
 
+def _terms(f: LaurentPoly, n: int):
+    """(x exponent, pi exponent, rational) for each term of f mod pi^(n+1)."""
+    return [(e, p, v) for e, cf in f.coeffs.items()
+            for p, v in cf.coeffs.items() if p <= n]
+
+
 def check_gauge(c: Connection, entry: TrivialityEntry) -> bool:
-    """Replay the horizontality identity dg/dx = g*A mod pi^(level+1)."""
+    """Replay the horizontality identity dg/dx = g*A mod pi^(level+1),
+    entry by entry; a product of a pi^p and a pi^q coefficient with
+    p + q > level is never formed."""
     if not entry.trivial:
         return False
-    g = entry.gauge
-    lhs = [[e.derivative() for e in row] for row in g]
-    rhs = _mat_mul(g, c.matrix)
     n = entry.level
-    return all((lhs[i][j] - rhs[i][j]).truncate_pi(n).is_zero()
-               for i in range(c.rank) for j in range(c.rank))
+    a = [[_terms(f, n) for f in row] for row in c.matrix]
+    for g_row in entry.gauge:
+        g = [_terms(f, n) for f in g_row]
+        for j in range(c.rank):
+            bal = {}  # (x exponent, pi exponent) -> coefficient of dg/dx - g*A
+            for d, p, v in g[j]:
+                if d:
+                    bal[d - 1, p] = bal.get((d - 1, p), 0) + d * v
+            for k, g_terms in enumerate(g):
+                for d, p, v in g_terms:
+                    for e, q, w in a[k][j]:
+                        if p + q <= n:
+                            bal[d + e, p + q] = bal.get((d + e, p + q), 0) - v * w
+            if any(bal.values()):
+                return False
+    return True
 
 
 def galois_diagnostic(c: Connection, levels: int,

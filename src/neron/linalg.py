@@ -1,15 +1,18 @@
 """Sparse exact linear algebra over Q, computed on integer rows.
 
-Callers pass dense row lists of ints or Fractions.  Inside, a row is a
-dict {column: int} of its nonzero entries, scaled once by a positive
-rational to clear its denominators, so zeros are never converted,
-multiplied or stored and no Fraction is made until the solution is read
-off.  Elimination is fraction-free: a row loses its entry in column c as
-row <- a*row - b*pivot_row with a/b the pivot entry over the row's entry in
-lowest terms, and is then divided by its content (the gcd of its entries).
-Each row stays a nonzero multiple of the row rational Gauss-Jordan would
-hold, so supports, pivots, solutions and inconsistency certificates are
-the same as with rows normalised over Q.
+Callers pass each row as a dict {column: value} of its entries, ints or
+Fractions, and name the width: the number of unknowns, numbered from 0.  A
+column that no row mentions is an unknown that is free, and a row may hold
+zeros or be empty.  Inside, a row keeps only its nonzero entries, scaled
+once by a positive rational to clear its denominators, so zeros are never
+converted, multiplied or stored, and a Fraction is made only for a
+solution entry that is not an integer.  Elimination is fraction-free: a
+row loses its entry in column c as row <- a*row - b*pivot_row with a/b the
+pivot entry over the row's entry in lowest terms, and is then divided by
+its content (the gcd of its entries).  Each row stays a nonzero multiple
+of the row rational Gauss-Jordan would hold, so supports, pivots,
+solutions and inconsistency certificates are the same as with rows
+normalised over Q.
 
 `_reduce` keeps a column -> rows index and each row's position, so a pivot
 search and a sweep visit only the rows with an entry in the column.  The
@@ -18,13 +21,15 @@ pivot rule is unchanged: the first remaining row, in current order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+
+from .ring import quotient
 
 
 def _sparse(row):
-    """Nonzero entries of a dense row, as coprime integers."""
-    row = {c: x for c, x in enumerate(row) if x}
+    """The nonzero entries of a {column: value} row, as coprime integers,
+    in a new dict."""
+    row = {c: x for c, x in row.items() if x}
     den = lcm(*(x.denominator for x in row.values()))
     for c, x in row.items():
         row[c] = x.numerator * (den // x.denominator)
@@ -58,14 +63,13 @@ def _eliminate(row, c, pivot_row):
         _divide_content(row)
 
 
-def _reduce(matrix, rhs, tracked):
+def _reduce(matrix, rhs, width, tracked):
     """Gauss-Jordan on [A | b | I]: (solution with free variables zero, [])
     or (None, the input rows combined into 0 = nonzero, when tracked).  The
     pivot of column c is the first remaining row, in current order, with an
     entry there; the solution does not depend on that rule, but which rows
-    combine does."""
-    width = len(matrix[0])
-    rows = [_sparse([*row, b]) for row, b in zip(matrix, rhs)]
+    combine does.  Column width holds b."""
+    rows = [_sparse({**row, width: b}) for row, b in zip(matrix, rhs)]
     if tracked:  # input row i carries a 1 in column width+1+i
         for i, aug in enumerate(rows):
             aug[width + 1 + i] = 1
@@ -104,38 +108,39 @@ def _reduce(matrix, rhs, tracked):
         row = rows[i]
         if width in row:
             return None, [k - width - 1 for k in sorted(row) if k > width]
-    x = [Fraction(0)] * width
+    x = [0] * width
     for i, c in zip(order, pivots):
         row = rows[i]
-        x[c] = Fraction(row.get(width, 0), row[c])
+        x[c] = quotient(row.get(width, 0), row[c])
     return x, []
 
 
-def solve(matrix, rhs):
-    """One solution of A x = b with free variables set to zero, or None."""
+def solve(matrix, rhs, width):
+    """One solution of A x = b in width unknowns, with free variables set
+    to zero, or None.  Each row of A is a {column: value} dict."""
     if not matrix:
-        return [] if not any(rhs) else None
-    return _reduce(matrix, rhs, False)[0]
+        return None if any(rhs) else [0] * width
+    return _reduce(matrix, rhs, width, False)[0]
 
 
-def solve_tracked(matrix, rhs, labels):
-    """("ok", a solution of A x = b) or ("inconsistent", the labels of the
-    input rows that combine to 0 = 1)."""
-    if not matrix:
-        return ("ok", [])
-    x, bad = _reduce(matrix, rhs, True)
+def solve_tracked(matrix, rhs, labels, width):
+    """("ok", a solution of A x = b in width unknowns) or ("inconsistent",
+    the labels of the input rows that combine to 0 = 1).  Each row of A is
+    a {column: value} dict."""
+    x, bad = _reduce(matrix, rhs, width, True)
     if x is None:
         return ("inconsistent", [labels[i] for i in bad])
     return ("ok", x)
 
 
 def independent_rows(matrix, width):
-    """Indices of a maximal independent subset, scanning in order: each row
-    is reduced once against the kept rows, held in reduced echelon form."""
+    """Indices of a maximal independent subset of {column: value} rows,
+    read in their first width columns, scanning in order: each row is
+    reduced once against the kept rows, held in reduced echelon form."""
     kept = []
     basis = {}  # pivot column -> row with an entry there, the others with 0
     for i, row in enumerate(matrix):
-        row = _sparse(row[:width])
+        row = _sparse({c: x for c, x in row.items() if c < width})
         for c, prow in basis.items():
             if c in row:
                 _eliminate(row, c, prow)

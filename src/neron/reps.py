@@ -361,13 +361,8 @@ def conormal_rep(gk: HopfPresentation, subgroup: Ideal,
     support = sorted({m for f in cls for m in f.terms},
                      key=ring.order.key, reverse=True)
     col = {m: i for i, m in enumerate(support)}
-    rows = []
-    for f in cls:
-        row = [0] * len(support)
-        for m, cf in f.terms.items():
-            row[col[m]] = cf
-        rows.append(row)
-    keep = independent_rows(rows, len(support)) if support else []
+    rows = [{col[m]: cf for m, cf in f.terms.items()} for f in cls]
+    keep = independent_rows(rows, len(support))
     basis = [cls[i] for i in keep]
     basis_rows = [rows[i] for i in keep]
 
@@ -391,7 +386,10 @@ def conormal_rep(gk: HopfPresentation, subgroup: Ideal,
     t = len(basis)
     out = [[ring.zero() for _ in range(t)] for _ in range(t)]
     nmain = ring.nvars
-    matrix = [[basis_rows[i][k] for i in range(t)] for k in range(len(support))]
+    matrix = [{} for _ in support]  # column k of the basis rows, as a row
+    for i, row in enumerate(basis_rows):
+        for k, cf in row.items():
+            matrix[k][i] = cf
     for jcol, f in enumerate(basis):
         reduced = modulus.normal_form(twist(comul_squared(gk, f)), limits)
         groups: dict = {}
@@ -406,7 +404,7 @@ def conormal_rep(gk: HopfPresentation, subgroup: Ideal,
                     raise NotFiniteDimensional(
                         "coaction leaves the span of the subgroup generators")
                 rhs[col[m]] = cf
-            lam = solve(matrix, rhs)
+            lam = solve(matrix, rhs, t)
             if lam is None:
                 raise NotFiniteDimensional(
                     "coaction leaves the span of the subgroup generators")

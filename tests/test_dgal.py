@@ -1,10 +1,12 @@
 """Connections on the line: formal solutions and triviality levels."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neron import dgal
 from neron.dgal import (AFFINE, PUNCTURED, Connection, LaurentPoly,
                         check_gauge, default_degree_bound, formal_solution,
                         format_laurent, galois_diagnostic, triviality_mod)
@@ -138,6 +140,25 @@ class TestTriviality:
         assert entry.gauge[0][0] == expect
         assert check_gauge(c, entry)
 
+    def test_replay_reads_the_gauge_below_the_level(self, monkeypatch):
+        c = exp_conn()
+        entry = triviality_mod(c, 3)
+        g = entry.gauge[0][0]
+
+        def replay(extra):
+            return check_gauge(c, replace(entry, gauge=[[g + lp(extra)]]))
+
+        # the replay solves nothing
+        for name in ("_balance_rows", "solve_tracked"):
+            monkeypatch.setattr(dgal, name, None)
+        assert replay({})
+        # x^3*pi^3 changed: dg/dx gains 3*x^2*pi^3, g*pi only a pi^4 term
+        assert not replay({3: (3, 1)})
+        # the constants are free mod pi^4: pi^3 times pi is above the level
+        assert replay({0: (3, 1)})
+        # a term above the level is never read
+        assert replay({2: (4, 5)})
+
     def test_logarithm_blocked_at_level_one(self):
         c = log_conn()
         level0 = triviality_mod(c, 0)
@@ -208,6 +229,15 @@ class TestTriviality:
     def test_default_bound(self):
         assert default_degree_bound(exp_conn(), 3) == 8
         assert default_degree_bound(log_conn(), 1) == 4
+
+    def test_unknowns_that_no_equation_mentions(self):
+        # at bound 0 the unknowns are the constants pi^p, and a zero
+        # connection's balance has no equation, so every one is free
+        c = Connection(AFFINE, [[0]])
+        entry = triviality_mod(c, 2, degree_bound=0)
+        assert entry.trivial
+        assert format_laurent(entry.gauge[0][0]) == "1"
+        assert check_gauge(c, entry)
 
 
 class TestDiagnostic:

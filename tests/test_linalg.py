@@ -15,13 +15,18 @@ ENTRIES = st.sampled_from([Fraction(v) for v in
                            (0, 0, 0, 0, 0, 1, -1, 2, -3, Fraction(1, 2))])
 
 
+# unknowns past the last column a row may mention, which no row mentions
+UNMENTIONED = st.integers(0, 2)
+
+
 @st.composite
 def systems(draw):
     """A small sparse system, often with a row repeating a combination of
     two others under a fresh right-hand side, so both outcomes occur."""
     m = draw(st.integers(0, 6))
     w = draw(st.integers(1, 6))
-    matrix = [[draw(ENTRIES) for _ in range(w)] for _ in range(m)]
+    pad = [0] * draw(UNMENTIONED)
+    matrix = [[draw(ENTRIES) for _ in range(w)] + pad for _ in range(m)]
     rhs = [draw(ENTRIES) for _ in range(m)]
     if m and draw(st.booleans()):
         i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
@@ -44,7 +49,8 @@ def wide_systems(draw):
     combined or a fresh right-hand side."""
     m = draw(st.integers(0, 7))
     w = draw(st.integers(1, 7))
-    matrix = [[draw(WIDE_ENTRIES) for _ in range(w)] for _ in range(m)]
+    pad = [0] * draw(UNMENTIONED)
+    matrix = [[draw(WIDE_ENTRIES) for _ in range(w)] + pad for _ in range(m)]
     rhs = [draw(WIDE_ENTRIES) for _ in range(m)]
     for _ in range(draw(st.integers(0, 3)) if m else 0):
         i, j = (draw(st.integers(0, len(matrix) - 1)) for _ in range(2))
@@ -103,6 +109,12 @@ def ref_independent_rows(matrix, width):
     return kept
 
 
+def sparse(matrix):
+    """The rows of a dense matrix as the {column: value} dicts of their
+    nonzero entries that the solver takes."""
+    return [{c: x for c, x in enumerate(row) if x} for row in matrix]
+
+
 def satisfies(matrix, rhs, x):
     return all(sum((a * v for a, v in zip(row, x)), Fraction(0)) == b
                for row, b in zip(matrix, rhs))
@@ -113,23 +125,25 @@ class TestProperties:
     @settings(max_examples=300, derandomize=True)
     def test_solution_or_certificate(self, system):
         matrix, rhs = system
-        status, payload = solve_tracked(matrix, rhs, list(range(len(matrix))))
+        width = len(matrix[0]) if matrix else 0
+        status, payload = solve_tracked(sparse(matrix), rhs,
+                                        list(range(len(matrix))), width)
         assert (status == "ok") == (solve_q(matrix, rhs) is not None)
         if status == "ok":
             assert satisfies(matrix, rhs, payload)
-            assert solve(matrix, rhs) == payload
+            assert solve(sparse(matrix), rhs, width) == payload
         else:
             assert payload == sorted(set(payload))
             assert solve_q([matrix[i] for i in payload],
                            [rhs[i] for i in payload]) is None
-            assert solve(matrix, rhs) is None
+            assert solve(sparse(matrix), rhs, width) is None
 
     @given(system=systems())
     @settings(max_examples=200, derandomize=True)
     def test_independent_rows_is_the_greedy_choice(self, system):
         matrix, _ = system
         width = len(matrix[0]) if matrix else 0
-        kept = independent_rows(matrix, width)
+        kept = independent_rows(sparse(matrix), width)
         for i, row in enumerate(matrix):
             earlier = [matrix[k] for k in kept if k < i]
             span = [[r[c] for r in earlier] for c in range(width)]
@@ -142,41 +156,46 @@ class TestAgainstRationalReference:
     def test_same_results_as_rational_elimination(self, system):
         matrix, rhs = system
         expected = ref_solve_tracked(matrix, rhs)
-        assert solve_tracked(matrix, rhs, list(range(len(matrix)))) == expected
-        assert solve(matrix, rhs) == (expected[1] if expected[0] == "ok" else None)
         width = len(matrix[0]) if matrix else 0
-        assert independent_rows(matrix, width) == ref_independent_rows(matrix, width)
+        assert solve_tracked(sparse(matrix), rhs, list(range(len(matrix))),
+                             width) == expected
+        assert solve(sparse(matrix), rhs, width) == (
+            expected[1] if expected[0] == "ok" else None)
+        assert independent_rows(sparse(matrix), width) == ref_independent_rows(
+            matrix, width)
 
 
 class TestEdgeCases:
     def test_empty_matrix(self):
-        assert solve([], []) == []
-        assert solve([], [1]) is None
-        assert solve_tracked([], [], []) == ("ok", [])
+        assert solve([], [], 0) == []
+        assert solve([], [1], 0) is None
+        assert solve_tracked([], [], [], 0) == ("ok", [])
         assert independent_rows([], 3) == []
 
     def test_all_zero_rows(self):
-        assert solve([[0, 0], [0, 0]], [0, 0]) == [0, 0]
-        assert solve([[0, 0], [0, 0]], [0, 1]) is None
-        assert solve_tracked([[0, 0], [1, 0], [0, 0]], [0, 2, 5],
-                             ["a", "b", "c"]) == ("inconsistent", ["c"])
-        assert independent_rows([[0, 0], [1, 1], [0, 0]], 2) == [1]
+        assert solve(sparse([[0, 0], [0, 0]]), [0, 0], 2) == [0, 0]
+        assert solve(sparse([[0, 0], [0, 0]]), [0, 1], 2) is None
+        assert solve_tracked(sparse([[0, 0], [1, 0], [0, 0]]), [0, 2, 5],
+                             ["a", "b", "c"], 2) == ("inconsistent", ["c"])
+        assert independent_rows(sparse([[0, 0], [1, 1], [0, 0]]), 2) == [1]
 
     def test_zero_rhs(self):
-        x = solve([[1, 2], [3, 4]], [0, 0])
-        assert x == [0, 0] and all(isinstance(v, Fraction) for v in x)
-        assert solve_tracked([[0, 1, 1]], [0], ["a"]) == ("ok", [0, 0, 0])
+        x = solve(sparse([[1, 2], [3, 4]]), [0, 0], 2)
+        assert x == ref_reduce([[1, 2], [3, 4]], [0, 0], False)[0]
+        assert all(type(v) in (int, Fraction) for v in x)
+        assert solve_tracked(sparse([[0, 1, 1]]), [0], ["a"], 3) == ("ok", [0, 0, 0])
 
     def test_rank_deficient(self):
-        assert solve([[1, 2], [2, 4]], [3, 6]) == [3, 0]
-        assert solve([[0, 1, 1]], [2]) == [0, 2, 0]
-        assert solve([[2, 4], [1, 2]], [Fraction(1, 3), Fraction(1, 6)]) == [
-            Fraction(1, 6), 0]
-        assert solve_tracked([[1, 2], [2, 4]], [3, 7],
-                             ["p", "q"]) == ("inconsistent", ["p", "q"])
-        assert solve_tracked([[0, 1], [1, 0], [1, 0]], [1, 1, 2],
-                             ["a", "b", "c"]) == ("inconsistent", ["b", "c"])
-        assert independent_rows([[1, 2], [2, 4], [0, 1], [1, 0]], 2) == [0, 2]
+        assert solve(sparse([[1, 2], [2, 4]]), [3, 6], 2) == [3, 0]
+        assert solve(sparse([[0, 1, 1]]), [2], 3) == [0, 2, 0]
+        assert solve(sparse([[2, 4], [1, 2]]), [Fraction(1, 3), Fraction(1, 6)],
+                     2) == [Fraction(1, 6), 0]
+        assert solve_tracked(sparse([[1, 2], [2, 4]]), [3, 7],
+                             ["p", "q"], 2) == ("inconsistent", ["p", "q"])
+        assert solve_tracked(sparse([[0, 1], [1, 0], [1, 0]]), [1, 1, 2],
+                             ["a", "b", "c"], 2) == ("inconsistent", ["b", "c"])
+        assert independent_rows(sparse([[1, 2], [2, 4], [0, 1], [1, 0]]),
+                                2) == [0, 2]
 
 
 def lp(terms) -> LaurentPoly:
