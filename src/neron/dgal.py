@@ -5,9 +5,14 @@ of the derivation on the frame being minus A.  Triviality modulo pi^(n+1)
 means an invertible polynomial frame change g with dg/dx = g*A at that
 precision.  Mod pi such a g is x^m times the identity, and the balance
 m*x^(m-1)*I - x^m*A0 with A0 = A mod pi vanishes only when A0 = (m/x)*I,
-so A0 fixes m.  The rest of g is an exact linear solve over Q in its
-pi-divisible coefficients, so a failure comes with the combination of
-balance equations that contradict each other.
+so A0 fixes m.  The rest of g solves an exact linear system over Q in its
+pi-divisible coefficients, and that system is triangular in pi: layer p
+of g is fixed by the lower layers up to its constants x^m*pi^p, which are
+free, and the balance rows no coefficient of layer p absorbs constrain
+them.  So the gauge is lifted one power of pi at a time, and the printed
+gauge is the solution Gauss-Jordan elimination gives with its free
+unknowns zero.  Only a level whose constraints are inconsistent runs the
+elimination, to name the balance equations that contradict each other.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ShapeMismatch
-from .linalg import solve_tracked
+from .linalg import canonical_point, solve_tracked
 from .report import Report
 from .ring import Scalar, format_scalar, quotient
 
@@ -241,26 +246,101 @@ def _balance_rows(c: Connection, n: int, window, m: int):
             for e, cf in c.matrix[k][j].coeffs.items():
                 for q, val in cf.coeffs.items():
                     emit(i, j, d + e, p + q, col, -val)
-    return unknowns, index, rows
+    return unknowns, rows
 
 
-def _solve_gauge(c: Connection, n: int, window, m: int):
-    unknowns, index, rows = _balance_rows(c, n, window, m)
+def _contradiction(c: Connection, n: int, window, m: int):
+    """The labels of the balance rows that Gauss-Jordan combines into
+    0 = 1, at a level the lift found failing.  Which rows combine depends
+    on the pivot rule, so the elimination runs for them."""
+    unknowns, rows = _balance_rows(c, n, window, m)
     keys = sorted(rows)
     matrix = [rows[key] for key in keys]
     rhs = [-row.pop(None, 0) for row in matrix]  # the frozen x^m's part
     labels = [f"entry ({i + 1},{j + 1}), coefficient of x^{d}*pi^{p}"
               for i, j, d, p in keys]
-    status, payload = solve_tracked(matrix, rhs, labels, len(unknowns))
-    if status != "ok":
-        return None, payload
-    gauge = [[LaurentPoly.x_power(m) if i == j else LaurentPoly()
-              for j in range(c.rank)] for i in range(c.rank)]
-    for (i, j, d, p), t in index.items():
-        if payload[t]:
-            gauge[i][j] = gauge[i][j] + LaurentPoly(
-                {d: Scalar({p: payload[t]})})
-    return gauge, []
+    return solve_tracked(matrix, rhs, labels, len(unknowns))[1]
+
+
+def _lift(c: Connection, n: int, window, m: int):
+    """The gauge Gauss-Jordan finds for _balance_rows' system, built one
+    power of pi at a time, or None when the system is inconsistent.
+
+    With g = x^m*I + sum_p pi^p*g_p and A = (m/x)*I + sum_q pi^q*A_q, the
+    pi^p part of dg/dx - g*A is g_p' - (m/x)*g_p - R_p, where
+    R_p = sum_{q=1..p} g_(p-q)*A_q involves only lower layers.  At x^(d-1)
+    it reads (d - m)*c_(p,d) = [x^(d-1)] R_p entry by entry, so each
+    coefficient of g_p is an affine form in the constants c_(p',m),
+    p' <= p, which are free; the rows at x^(m-1), and those whose d falls
+    outside the window, are constraints on them.  `canonical_point` then
+    picks the solution with Gauss-Jordan's free unknowns zero.
+    """
+    r, lo = c.rank, window.start
+    width = r * r * len(window) * n  # the number of unknowns
+    a = [[] for _ in range(n + 1)]  # q -> (k, j, x exponent, rational) of A_q
+    for k, row in enumerate(c.matrix):
+        for j, f in enumerate(row):
+            for e, cf in f.coeffs.items():
+                for q, val in cf.coeffs.items():
+                    if 0 < q <= n:
+                        a[q].append((k, j, e, val))
+
+    def column(i, j, d, p):  # _balance_rows' numbering of the unknowns
+        return ((i * r + j) * len(window) + d - lo) * n + p - 1
+
+    one = -1  # an affine form's constant term, among the constants' columns
+    # layer p -> (i, j) -> x exponent -> affine form {column or one: rational}
+    g = [{(i, i): {m: {one: 1}} for i in range(r)}]
+    constraints = []
+    for p in range(1, n + 1):
+        rp = {}  # (i, j, x exponent) -> affine form of R_p's coefficient
+        for q in range(1, p + 1):
+            lower = g[p - q]
+            for k, j, e, val in a[q]:
+                for i in range(r):
+                    for d, form in lower.get((i, k), {}).items():
+                        acc = rp.setdefault((i, j, d + e), {})
+                        for t, v in form.items():
+                            acc[t] = acc.get(t, 0) + val * v
+        layer = {(i, j): {m: {column(i, j, m, p): 1}}
+                 for i in range(r) for j in range(r)}
+        for (i, j, e), form in rp.items():
+            form = {t: v for t, v in form.items() if v}
+            if not form:
+                continue
+            d = e + 1
+            if d != m and d in window:
+                layer[i, j][d] = {t: quotient(v, d - m) for t, v in form.items()}
+            elif one in form and len(form) == 1:  # 0 = a nonzero constant
+                return None
+            else:
+                constraints.append(form)
+        g.append(layer)
+    # one vector per free constant and one for the constant terms: its
+    # value in every unknown's column, then in each constraint's
+    vectors = {}
+    for p in range(1, n + 1):
+        for (i, j), entry in g[p].items():
+            for d, form in entry.items():
+                k = column(i, j, d, p)
+                for t, v in form.items():
+                    vectors.setdefault(t, {})[k] = v
+    for s, form in enumerate(constraints, width):
+        for t, v in form.items():
+            vectors.setdefault(t, {})[s] = v
+    base = vectors.pop(one, {})
+    point = canonical_point(base, vectors.values(), width)
+    if point is None:
+        return None
+    gauge = [[{m: {0: 1}} if i == j else {} for j in range(r)]
+             for i in range(r)]
+    for k, v in point.items():
+        k, p = divmod(k, n)
+        k, d = divmod(k, len(window))
+        i, j = divmod(k, r)
+        gauge[i][j].setdefault(d + lo, {})[p + 1] = v
+    return [[LaurentPoly({d: Scalar(cf) for d, cf in entry.items()})
+             for entry in row] for row in gauge]
 
 
 def triviality_mod(c: Connection, n: int,
@@ -273,8 +353,16 @@ def triviality_mod(c: Connection, n: int,
     the balance dg/dx - g*A is m*x^(m-1)*I - x^m*A0 with A0 = A mod pi,
     which vanishes exactly when A0 = (m/x)*I.  So m is read off A0 (0 when
     A0 = 0), and when no integer m within the degree bound fits, the pi^0
-    coefficients of A are the obstruction.  At that m the solve is exact
-    within the window, so for rank 1 a failure yields a genuine
+    coefficients of A are the obstruction.
+
+    At that m, `_lift` builds the gauge layer by layer in pi, with the
+    coefficients of x^d*pi^p for d in the window; the level is trivial
+    exactly when its constraints are consistent.  Of the gauges the
+    window allows it returns the one Gauss-Jordan finds on the balance
+    system with its unknowns ordered (i, j, d, p) and the free ones zero.
+    Only when the level fails is that system built and eliminated, and
+    the rows it combines into 0 = 1 are the obstruction.  The search is
+    exact within the window, so for rank 1 a failure yields a genuine
     obstruction certificate at this bound.
     """
     if n < 0:
@@ -293,8 +381,11 @@ def triviality_mod(c: Connection, n: int,
         return TrivialityEntry(n, False, None, [
             f"entry ({i + 1},{j + 1}), coefficient of x^{e}*pi^0"
             for i, j, e in a0])
-    gauge, obstruction = _solve_gauge(c, n, window, int(m))
-    return TrivialityEntry(n, gauge is not None, gauge, obstruction)
+    gauge = _lift(c, n, window, int(m))
+    if gauge is None:
+        return TrivialityEntry(n, False, None,
+                               _contradiction(c, n, window, int(m)))
+    return TrivialityEntry(n, True, gauge)
 
 
 def _terms(f: LaurentPoly, n: int):

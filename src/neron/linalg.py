@@ -133,6 +133,40 @@ def solve_tracked(matrix, rhs, labels, width):
     return ("ok", x)
 
 
+def canonical_point(base, directions, width):
+    """The point of base + span(directions) that is zero at every
+    coordinate >= width and at every coordinate where a vector of the span
+    has its last nonzero entry, as a dict of its nonzero coordinates, or
+    None when no point of base + span is zero at every coordinate >= width.
+    Vectors are {coordinate: value} dicts with coordinates >= 0.
+
+    Read the coordinates >= width as the equations of a system in width
+    unknowns whose solutions are the points zero there.  The span's
+    vectors zero there are its kernel, and Gauss-Jordan leaves a column
+    free exactly when a kernel vector has its last nonzero entry in it,
+    whatever the pivot rule; so the point is the solution `solve` returns,
+    with the free unknowns zero.  The span is put in echelon form by last
+    entry, and base is reduced by it from the last coordinate down."""
+    basis = {}  # last coordinate -> the vector of the span ending there
+    for v in directions:
+        v = _sparse(v)
+        while v:
+            last = max(v)
+            prow = basis.get(last)
+            if prow is None:
+                basis[last] = v
+                break
+            _eliminate(v, last, prow)
+    point = _sparse({**base, -1: 1})  # coordinate -1 carries the scale
+    for last in sorted(basis, reverse=True):
+        if last in point:
+            _eliminate(point, last, basis[last])
+    scale = point.pop(-1)
+    if any(k >= width for k in point):
+        return None
+    return {k: quotient(x, scale) for k, x in point.items()}
+
+
 def independent_rows(matrix, width):
     """Indices of a maximal independent subset of {column: value} rows,
     read in their first width columns, scanning in order: each row is

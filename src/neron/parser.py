@@ -71,8 +71,8 @@ _ESCAPE = re.compile(r"\\([\s\S])")
 
 def _tokenize(text: str):
     """Tokens with their line and column.  A column counts characters from
-    the last newline token, so a tab and a CR each take one, and a newline
-    escaped inside a string starts no line."""
+    the last newline, so a tab and a CR each take one; a newline escaped
+    inside a string starts a line as well."""
     tokens = []
     line, start = 1, 0  # start: offset of the current line's first character
     m = None
@@ -87,11 +87,15 @@ def _tokenize(text: str):
             raise ParseError(message, line, at - start + 1)
         elif kind != "comment":
             word = m.group(kind)
+            token = Token(kind, word, line, at - start + 1)
             if kind == "punct":
-                kind = word
+                token.kind = word
             elif kind == "string":
-                word = _ESCAPE.sub(r"\1", word[1:-1])
-            tokens.append(Token(kind, word, line, at - start + 1))
+                token.text = _ESCAPE.sub(r"\1", word[1:-1])
+                breaks = word.count("\n")  # newlines escaped inside it
+                if breaks:
+                    line, start = line + breaks, at + word.rindex("\n") + 1
+            tokens.append(token)
     # a trailing comment leaves the end of the text at the comment's start
     end = m.start("comment") if m is not None and m.lastgroup == "comment" else len(text)
     tokens.append(Token("eof", "", line, end - start + 1))

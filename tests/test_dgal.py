@@ -11,7 +11,9 @@ from neron.dgal import (AFFINE, PUNCTURED, Connection, LaurentPoly,
                         check_gauge, default_degree_bound, formal_solution,
                         format_laurent, galois_diagnostic, triviality_mod)
 from neron.errors import ShapeMismatch
+from neron.parser import parse
 from neron.ring import Scalar
+from oracles import solve_q
 
 PI = Scalar.pi_power(1)
 RESIDUE = "entry ({},{}), coefficient of x^-1*pi^0"
@@ -237,6 +239,106 @@ class TestTriviality:
         entry = triviality_mod(c, 2, degree_bound=0)
         assert entry.trivial
         assert format_laurent(entry.gauge[0][0]) == "1"
+        assert check_gauge(c, entry)
+
+
+def affine(rows) -> Connection:
+    """The affine-line connection of a .grp block with this matrix."""
+    matrix = ", ".join("[" + ", ".join(row) + "]" for row in rows)
+    text = f"connection c {{ base: {AFFINE}; matrix: [{matrix}]; }}"
+    return parse(text).connections["c"]
+
+
+class TestFreeConstants:
+    """Gauges in which Gauss-Jordan's solution gives the constants c*pi^p
+    of the gauge nonzero values: a lift that set every constant to zero
+    would print other gauges, which still replay.  Recorded from the
+    full elimination."""
+
+    @pytest.mark.parametrize("rows, level, expect", [
+        ([["pi^3 - 2*pi"]], 3,
+         [["(1/2*pi^2 + 1) - 2*pi*x + 2*pi^2*x^2 - 4/3*pi^3*x^3"]]),
+        ([["0", "-2*pi^2 - 2*pi^3*x"],
+          ["pi^2", "pi^3*x + (2*pi^2 + 3*pi)*x^2"]], 2,
+         [["1", "-2*pi^2*x"],
+          ["pi^2*x", "(-2/3*pi + 1) + pi*x^3 + 1/2*pi^2*x^6"]]),
+    ])
+    def test_recorded_gauge(self, rows, level, expect):
+        c = affine(rows)
+        entry = triviality_mod(c, level)
+        assert entry.trivial
+        assert [[format_laurent(e) for e in row]
+                for row in entry.gauge] == expect
+        assert check_gauge(c, entry)
+
+
+# terms c*x^e*pi^q of a connection entry; the residue m/x is added apart
+TERMS = st.tuples(st.sampled_from([1, -1, 2, -3, Fraction(1, 2)]),
+                  st.integers(-1, 1), st.integers(1, 3))
+
+
+@st.composite
+def gauge_problems(draw):
+    """(connection, shift m, level, degree bound): A mod pi is (m/x)*I, or
+    zero on the affine line; a few connections are zero."""
+    r = draw(st.sampled_from([1, 2, 3]))
+    base = draw(st.sampled_from([AFFINE, PUNCTURED]))
+    m = 0 if base == AFFINE else draw(st.sampled_from([0, -2, -1, 1, 2]))
+    zero = draw(st.integers(0, 5)) == 0
+    matrix = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            f = LaurentPoly({-1: m} if i == j else {})
+            for v, e, q in ([] if zero else draw(st.lists(TERMS, max_size=3))):
+                if base == PUNCTURED or e >= 0:
+                    f = f + LaurentPoly({e: Scalar({q: v})})
+            row.append(f)
+        matrix.append(row)
+    # drawn from the top, where the free constants interact; the default
+    # bound grows with the level, so rank 3 systems stop at level 2
+    top = 5 if r < 3 else 2
+    level = top - draw(st.integers(0, top))
+    bound = draw(st.sampled_from([None, 0, 1, 2, 3, 4]))
+    return Connection(base, matrix), m, level, bound
+
+
+class TestAgainstEliminationOracle:
+    @given(problem=gauge_problems())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_same_verdict_and_gauge_as_the_balance_system(self, problem):
+        c, m, n, bound = problem
+        entry = triviality_mod(c, n, bound)
+        if bound is None:
+            bound = default_degree_bound(c, n)
+        if abs(m) > bound:  # no gauge of shift m in the window
+            assert not entry.trivial
+            assert entry.obstruction == [RESIDUE.format(i + 1, i + 1)
+                                         for i in range(c.rank)]
+            return
+        window = range(0 if c.base == AFFINE else -bound, bound + 1)
+        unknowns, rows = dgal._balance_rows(c, n, window, m)
+        keys = sorted(rows)
+        dense = [[rows[key].get(t, 0) for t in range(len(unknowns))]
+                 for key in keys]
+        rhs = [-rows[key].get(None, 0) for key in keys]
+        # with no balance equation every unknown is free
+        x = solve_q(dense, rhs) if dense else [0] * len(unknowns)
+        assert entry.trivial == (x is not None)
+        if x is None:
+            row_of = {f"entry ({i + 1},{j + 1}), coefficient of x^{d}*pi^{p}": k
+                      for k, (i, j, d, p) in enumerate(keys)}
+            picked = [row_of[label] for label in entry.obstruction]
+            assert solve_q([dense[k] for k in picked],
+                           [rhs[k] for k in picked]) is None
+            return
+        # Gauss-Jordan's gauge: x^m*I plus every solved x^d*pi^p, free
+        # unknowns zero
+        expect = [[LaurentPoly.x_power(m) if i == j else LaurentPoly()
+                   for j in range(c.rank)] for i in range(c.rank)]
+        for t, (i, j, d, p) in enumerate(unknowns):
+            expect[i][j] = expect[i][j] + LaurentPoly({d: Scalar({p: x[t]})})
+        assert entry.gauge == expect
         assert check_gauge(c, entry)
 
 

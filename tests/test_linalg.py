@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neron.dgal import PUNCTURED, Connection, LaurentPoly, triviality_mod
-from neron.linalg import independent_rows, solve, solve_tracked
+from neron.linalg import canonical_point, independent_rows, solve, solve_tracked
 from neron.ring import Scalar
 from oracles import solve_q
 
@@ -148,6 +148,63 @@ class TestProperties:
             earlier = [matrix[k] for k in kept if k < i]
             span = [[r[c] for r in earlier] for c in range(width)]
             assert (i in kept) == (solve_q(span, row) is None)
+
+
+@st.composite
+def affine_spans(draw):
+    """(base, directions, width): a point and spanning vectors in width
+    columns plus up to three coordinates beyond, often with a direction
+    repeating a combination of two others."""
+    width = draw(st.integers(1, 5))
+    dims = width + draw(st.integers(0, 3))
+    vector = st.lists(ENTRIES, min_size=dims, max_size=dims)
+    directions = draw(st.lists(vector, max_size=4))
+    if len(directions) > 1 and draw(st.booleans()):
+        directions.append([a - 2 * b for a, b in zip(*directions[:2])])
+    return draw(vector), directions, width
+
+
+def spanned(directions, target):
+    """Whether target is a combination of the directions (solve_q on the
+    coefficients of the combination)."""
+    rows = [[v[k] for v in directions] for k in range(len(target))]
+    return solve_q(rows, target) is not None if rows else not any(target)
+
+
+class TestCanonicalPoint:
+    @given(problem=affine_spans())
+    @settings(max_examples=300, derandomize=True)
+    def test_the_point_the_definition_names(self, problem):
+        base, directions, width = problem
+        dims = len(base)
+        point = canonical_point(sparse([base])[0], sparse(directions), width)
+        # some point of base + span is zero beyond width
+        beyond = [[v[k] for v in directions] for k in range(width, dims)]
+        reachable = spanned([v[width:] for v in directions],
+                            [-x for x in base[width:]]) if beyond else True
+        assert (point is not None) == reachable
+        if point is None:
+            return
+        assert all(k < width and x for k, x in point.items())
+        y = [point.get(k, 0) for k in range(dims)]
+        assert spanned(directions, [a - b for a, b in zip(y, base)])
+        # zero wherever a vector of the span has its last nonzero entry
+        for f in range(dims):
+            tail = [v[f:] for v in directions]
+            if spanned(tail, [1] + [0] * (dims - f - 1)):
+                assert y[f] == 0
+
+    def test_matches_solve_on_a_parametrized_system(self):
+        # x0 + x1 + x2 = 1 and x1 - x2 = 0: the points (1 - 2t, t, t) read
+        # as x0 = 1 plus a direction; Gauss-Jordan leaves x2 free
+        assert solve(sparse([[1, 1, 1], [0, 1, -1]]), [1, 0], 3) == [1, 0, 0]
+        assert canonical_point({0: 1}, [{0: -2, 1: 1, 2: 1}], 3) == {0: 1}
+        assert canonical_point({0: -1, 1: 1, 2: 1}, [{0: -2, 1: 1, 2: 1}],
+                               3) == {0: 1}
+        # a coordinate beyond width that no direction reaches
+        assert canonical_point({3: 1}, [{0: 1}], 3) is None
+        assert canonical_point({0: 1, 3: 2}, [{1: 1, 3: 4}], 3) == {
+            0: 1, 1: Fraction(-1, 2)}
 
 
 class TestAgainstRationalReference:

@@ -107,10 +107,10 @@ class TestParse:
         # the end of a text that ends in a comment is where the comment starts
         ("group G { vars: x;   # trailing comment", ParseError,
          "1:22: expected 'name', found ''"),
-        # a newline escaped inside a quoted name starts no line, so the
-        # '@' on the third line is reported on the second
+        # a newline escaped inside a quoted name starts a line too, so the
+        # '@' on the third line is reported there
         ('group "a\\\nb" { vars: x;\n @', ParseError,
-         "2:2: unexpected character '@'"),
+         "3:2: unexpected character '@'"),
         ('group "abc', ParseError, "1:7: unterminated string"),
         ('group "ab\nc" { }', ParseError, "1:7: unterminated string"),
         # a tab and a CR take one column each
@@ -402,15 +402,15 @@ class TestCliExitCodes:
         assert err.startswith("resource limit:")
 
     def test_broken_gauge_fails_its_replay(self, capsys, golden_dir, monkeypatch):
-        solve_gauge = dgal._solve_gauge
+        lift = dgal._lift
 
-        def off_by_pi(*args):  # adds pi*x to entry (1,1) of a solved gauge
-            gauge, obstruction = solve_gauge(*args)
+        def off_by_pi(*args):  # adds pi*x to entry (1,1) of a lifted gauge
+            gauge = lift(*args)
             if gauge is not None:
                 gauge[0][0] = gauge[0][0] + dgal.LaurentPoly({1: Scalar({1: 1})})
-            return gauge, obstruction
+            return gauge
 
-        monkeypatch.setattr(dgal, "_solve_gauge", off_by_pi)
+        monkeypatch.setattr(dgal, "_lift", off_by_pi)
         for args in (["dgal-trivial", "--level", "2"],
                      ["dgal-diagnose", "--levels", "2"]):
             code, out, err = run(capsys, args[0], str(golden_dir / "exp.grp"),
