@@ -9,7 +9,7 @@ triviality levels of small connections on the line.
 from .blowup import (automatic_member, automatic_truncation, check_constancy,
                      neron_blowup, partial_blowup, standard_sequence,
                      strict_transform, universal_lift)
-from .config import DEFAULT_LIMITS, Limits
+from .config import DEFAULT_LIMITS, Limits, budget
 from .dgal import Connection, formal_solution, galois_diagnostic, triviality_mod
 from .errors import NeronError
 from .groebner import Ideal

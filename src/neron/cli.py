@@ -14,7 +14,7 @@ import sys
 from .blowup import (automatic_member, automatic_truncation, check_constancy,
                      neron_blowup, partial_blowup, standard_sequence,
                      strict_transform)
-from .config import DEFAULT_LIMITS, Limits
+from .config import DEFAULT_LIMITS, Limits, budget
 from .dgal import (check_gauge, formal_solution, galois_diagnostic,
                    triviality_mod)
 from .errors import NeronError, ParseError, ResourceLimit, UndefinedName
@@ -90,8 +90,8 @@ def _finish(args, ok: bool, report: Report, data: dict, lines) -> int:
     return 0 if ok else 1
 
 
-def _to_matrix(block: RepBlock, limits: Limits) -> RepMatrix:
-    return RepMatrix(block.group, block.entries, block.witness, limits)
+def _to_matrix(block: RepBlock) -> RepMatrix:
+    return RepMatrix(block.group, block.entries, block.witness)
 
 
 def _rep_payload(v: RepMatrix) -> dict:
@@ -100,35 +100,35 @@ def _rep_payload(v: RepMatrix) -> dict:
 
 
 # Each handler takes its looked-up block (a RepMatrix for `rep` commands,
-# the whole file for `rep-sum`), the parsed arguments and the budgets, and
-# returns (ok, report, data, text lines) for `_finish`.
+# the whole file for `rep-sum`) and the parsed arguments, and returns (ok,
+# report, data, text lines) for `_finish`; `main` opens the flags' budget.
 
 
-def cmd_check_hopf(h, args, limits):
-    rep = check_hopf(h, limits)
+def cmd_check_hopf(h, args):
+    rep = check_hopf(h)
     return rep.ok, rep, {"group": h.name}, None
 
 
-def cmd_check_flat(h, args, limits):
-    rep = check_flat(h, limits)
+def cmd_check_flat(h, args):
+    rep = check_flat(h)
     return rep.ok, rep, {"group": h.name}, None
 
 
-def cmd_check_morphism(m, args, limits):
-    rep = check_morphism(m, limits)
+def cmd_check_morphism(m, args):
+    rep = check_morphism(m)
     return rep.ok, rep, {"morphism": m.name}, None
 
 
-def cmd_fibre(h, args, limits):
+def cmd_fibre(h, args):
     fibre = special_fibre(h)
-    pruned, eliminated = prune(fibre, limits=limits)
+    pruned, eliminated = prune(fibre)
     data = {"group": _group_json(pruned),
             "eliminated": {v: format_poly(f) for v, f in eliminated.items()}}
     return True, None, data, print_group(pruned).splitlines()
 
 
-def cmd_reduce_mod(h, args, limits):
-    res = reduce_mod(h, args.modulus, limits)
+def cmd_reduce_mod(h, args):
+    res = reduce_mod(h, args.modulus)
     lines = [f"trivial modulo pi^{args.modulus + 1}: "
              + ("yes" if res.trivial else "no")]
     data = {"trivial": res.trivial, "level": args.modulus,
@@ -136,9 +136,9 @@ def cmd_reduce_mod(h, args, limits):
     return res.trivial, res.report, data, lines
 
 
-def cmd_blowup(h, args, limits):
+def cmd_blowup(h, args):
     centre = Ideal(h.ring, parse_poly_list(args.centre, h.ring))
-    b = neron_blowup(h, centre, limits=limits)
+    b = neron_blowup(h, centre)
     lines = print_group(b.blown).splitlines()
     lines.append("centre: " + ", ".join(format_poly(g) for g in centre.generators))
     data = {"group": _group_json(b.blown),
@@ -147,9 +147,9 @@ def cmd_blowup(h, args, limits):
     return b.report.ok, b.report, data, lines
 
 
-def cmd_partial_blowup(h, args, limits):
+def cmd_partial_blowup(h, args):
     sub = Ideal(h.ring, parse_poly_list(args.ideal, h.ring))
-    b = partial_blowup(h, sub, args.level, limits=limits)
+    b = partial_blowup(h, sub, args.level)
     lines = print_group(b.blown).splitlines()
     data = {"group": _group_json(b.blown), "level": args.level,
             "subgroup": [format_poly(g) for g in sub.generators],
@@ -157,15 +157,15 @@ def cmd_partial_blowup(h, args, limits):
     return b.report.ok, b.report, data, lines
 
 
-def cmd_auto_trunc(h, args, limits):
-    b = automatic_truncation(h, args.level, limits=limits)
+def cmd_auto_trunc(h, args):
+    b = automatic_truncation(h, args.level)
     lines = print_group(b.blown).splitlines()
     data = {"group": _group_json(b.blown), "level": b.level,
             "projection": _morphism_json(b.projection)}
     return b.report.ok, b.report, data, lines
 
 
-def cmd_auto_member(h, args, limits):
+def cmd_auto_member(h, args):
     numerator, power = parse_fraction(args.element, h.ring)
     member = automatic_member(h, numerator, power)
     eps = h.eps_of(numerator)
@@ -178,8 +178,8 @@ def cmd_auto_member(h, args, limits):
     return member, None, data, lines
 
 
-def cmd_standard_seq(rho, args, limits):
-    seq = standard_sequence(rho, args.depth, limits)
+def cmd_standard_seq(rho, args):
+    seq = standard_sequence(rho, args.depth)
     lines = []
     stages = []
     for i, stage in enumerate(seq.stages):
@@ -197,29 +197,29 @@ def cmd_standard_seq(rho, args, limits):
     return True, None, data, lines
 
 
-def cmd_strict_transform(h, args, limits):
+def cmd_strict_transform(h, args):
     centre = Ideal(h.ring, parse_poly_list(args.centre, h.ring))
     sub = Ideal(h.ring, parse_poly_list(args.ideal, h.ring))
-    b = neron_blowup(h, centre, limits=limits)
-    t = strict_transform(b, sub, limits)
-    gens = [format_poly(g) for g in t.basis(limits)]
+    b = neron_blowup(h, centre)
+    t = strict_transform(b, sub)
+    gens = [format_poly(g) for g in t.basis()]
     lines = ["strict transform: " + ", ".join(gens)]
     return True, None, {"generators": gens, "blown_group": b.blown.name}, lines
 
 
-def cmd_check_constancy(h, args, limits):
+def cmd_check_constancy(h, args):
     sub = Ideal(h.ring, parse_poly_list(args.ideal, h.ring))
-    rep = check_constancy(h, sub, args.depth, limits)
+    rep = check_constancy(h, sub, args.depth)
     return rep.ok, rep, {"group": h.name, "depth": args.depth}, None
 
 
-def cmd_rep_validate(v, args, limits):
-    rep = validate_rep(v, limits)
+def cmd_rep_validate(v, args):
+    rep = validate_rep(v)
     return rep.ok, rep, _rep_payload(v), _matrix_lines(v.entries, "matrix:")
 
 
-def cmd_rep_faithful(v, args, limits):
-    res = verify_faithful(v, limits)
+def cmd_rep_faithful(v, args):
+    res = verify_faithful(v)
     lines = [f"verdict: {res.verdict}"]
     if res.undecided:
         lines.append("undecided variables: " + ", ".join(res.undecided))
@@ -227,38 +227,38 @@ def cmd_rep_faithful(v, args, limits):
     return res.verdict == "faithful", res.report, data, lines
 
 
-def cmd_rep_blowup_identity(v, args, limits):
-    b = automatic_truncation(v.group, args.level, limits=limits)
-    doubled = identity_blowup_rep(v, b, limits)
-    rep = validate_rep(doubled, limits)
-    rep.extend(scaling_conjugation_report(v, b, doubled, limits))
+def cmd_rep_blowup_identity(v, args):
+    b = automatic_truncation(v.group, args.level)
+    doubled = identity_blowup_rep(v, b)
+    rep = validate_rep(doubled)
+    rep.extend(scaling_conjugation_report(v, b, doubled))
     lines = _matrix_lines(doubled.entries, f"doubled matrix over {doubled.group.name}:")
     data = _rep_payload(doubled)
     data["level"] = args.level
     return rep.ok, rep, data, lines
 
 
-def cmd_rep_blowup_line(v, args, limits):
-    b = neron_blowup(v.group, stabilizer_ideal(v, args.column), limits=limits)
+def cmd_rep_blowup_line(v, args):
+    b = neron_blowup(v.group, stabilizer_ideal(v, args.column))
     e = None
     if args.e_matrix:
         entries = parse_matrix(args.e_matrix, b.blown.ring)
         witness = (parse_poly(args.e_witness, b.blown.ring)
                    if args.e_witness else None)
-        e = RepMatrix(b.blown, entries, witness, limits)
-    glued = line_blowup_rep(v, b, e, args.column, limits)
-    rep = validate_rep(glued, limits)
+        e = RepMatrix(b.blown, entries, witness)
+    glued = line_blowup_rep(v, b, e, args.column)
+    rep = validate_rep(glued)
     lines = _matrix_lines(glued.entries, f"glued matrix over {glued.group.name}:")
     data = _rep_payload(glued)
     data["column"] = args.column
     return rep.ok, rep, data, lines
 
 
-def cmd_rep_rescale(v, args, limits):
-    b = neron_blowup(v.group, stabilizer_ideal(v, args.column), limits=limits)
-    rescaled, summed = rescaled_rep(v, b, args.column, limits)
-    rep = validate_rep(rescaled, limits)
-    rep.extend(validate_rep(summed, limits))
+def cmd_rep_rescale(v, args):
+    b = neron_blowup(v.group, stabilizer_ideal(v, args.column))
+    rescaled, summed = rescaled_rep(v, b, args.column)
+    rep = validate_rep(rescaled)
+    rep.extend(validate_rep(summed))
     lines = _matrix_lines(rescaled.entries,
                           f"rescaled matrix over {rescaled.group.name}:")
     lines.extend(_matrix_lines(summed.entries, "direct sum with the original:"))
@@ -267,21 +267,21 @@ def cmd_rep_rescale(v, args, limits):
     return rep.ok, rep, data, lines
 
 
-def cmd_rep_sum(pf, args, limits):
-    v = _to_matrix(pf.lookup("rep", args.left), limits)
-    w = _to_matrix(pf.lookup("rep", args.right), limits)
+def cmd_rep_sum(pf, args):
+    v = _to_matrix(pf.lookup("rep", args.left))
+    w = _to_matrix(pf.lookup("rep", args.right))
     s = direct_sum(v, w)
-    rep = validate_rep(s, limits)
+    rep = validate_rep(s)
     lines = _matrix_lines(s.entries, f"direct sum over {s.group.name}:")
     return rep.ok, rep, _rep_payload(s), lines
 
 
-def cmd_conormal(h, args, limits):
+def cmd_conormal(h, args):
     gk = special_fibre(h)
     sub = Ideal(gk.ring, parse_poly_list(args.ideal, gk.ring))
-    data_obj = conormal_rep(gk, sub, limits)
-    v = data_obj.rep(limits)
-    rep = validate_rep(v, limits)
+    data_obj = conormal_rep(gk, sub)
+    v = data_obj.rep()
+    rep = validate_rep(v)
     basis = [format_poly(f) for f in data_obj.basis]
     lines = ["conormal basis: " + ", ".join(basis)]
     lines.extend(_matrix_lines(data_obj.matrix,
@@ -291,8 +291,8 @@ def cmd_conormal(h, args, limits):
     return rep.ok, rep, data, lines
 
 
-def cmd_image(rho, args, limits):
-    res = image_hopf(rho, limits)
+def cmd_image(rho, args):
+    res = image_hopf(rho)
     lines = print_group(res.group).splitlines()
     data = {"group": _group_json(res.group),
             "embed": _morphism_json(res.embed),
@@ -300,8 +300,8 @@ def cmd_image(rho, args, limits):
     return True, None, data, lines
 
 
-def cmd_diptych(rho, args, limits):
-    d = saturated_image(rho, args.steps, limits)
+def cmd_diptych(rho, args):
+    d = saturated_image(rho, args.steps)
     lines = []
     stages = []
     for stage in [d.image.group] + d.stages:
@@ -313,8 +313,8 @@ def cmd_diptych(rho, args, limits):
     return d.report.ok and d.stabilized, d.report, data, lines
 
 
-def cmd_triptych(rho, args, limits):
-    t = triptych(rho, args.steps, limits)
+def cmd_triptych(rho, args):
+    t = triptych(rho, args.steps)
     lines = []
     for h in (t.saturated_fibre, t.mod_pi_image, t.image_fibre):
         lines.extend(print_group(h).splitlines())
@@ -328,7 +328,7 @@ def cmd_triptych(rho, args, limits):
     return report.ok and t.diptych.stabilized, report, data, lines
 
 
-def cmd_dgal_solve(c, args, limits):
+def cmd_dgal_solve(c, args):
     y = formal_solution(c, args.order)
     lines = ["fundamental solution modulo x^" + str(args.order + 1) + ":"]
     for row in y:
@@ -362,13 +362,13 @@ def _replay_gauge(c, entry):
         raise NeronError("gauge replay failed")
 
 
-def cmd_dgal_trivial(c, args, limits):
+def cmd_dgal_trivial(c, args):
     entry = triviality_mod(c, args.level, args.degree_bound)
     _replay_gauge(c, entry)
     return entry.trivial, None, _entry_json(entry), _entry_lines(entry)
 
 
-def cmd_dgal_diagnose(c, args, limits):
+def cmd_dgal_diagnose(c, args):
     rep, level_report, verdict = galois_diagnostic(c, args.levels,
                                                    args.degree_bound)
     for entry in rep.levels.values():
@@ -520,10 +520,10 @@ def main(argv=None) -> int:
             block = parse(fh.read())
         if args.kind is not None:
             block = block.lookup(args.kind, args.name)
-        limits = _limits(args)
-        if args.kind == "rep":
-            block = _to_matrix(block, limits)
-        return _finish(args, *args.func(block, args, limits))
+        with budget(_limits(args)):
+            if args.kind == "rep":
+                block = _to_matrix(block)
+            return _finish(args, *args.func(block, args))
     except (OSError, ValueError, ParseError, UndefinedName) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

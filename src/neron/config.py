@@ -1,7 +1,14 @@
-"""Resource budgets for basis computations."""
+"""Resource budgets for basis computations.
+
+A run has one budget: `budget(limits)` sets it for a `with` block, as
+`decimal.localcontext` sets a precision, and every Groebner walk spends
+the budget active when it starts, `DEFAULT_LIMITS` outside any scope.
+"""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 
@@ -18,3 +25,15 @@ class Limits:
 
 
 DEFAULT_LIMITS = Limits()
+ACTIVE = ContextVar("neron_budget", default=DEFAULT_LIMITS)
+
+
+@contextmanager
+def budget(limits: Limits):
+    """Make `limits` the active budget inside the block, and restore the
+    previous one on leaving it, however the block ends."""
+    token = ACTIVE.set(limits)
+    try:
+        yield
+    finally:
+        ACTIVE.reset(token)

@@ -35,6 +35,10 @@ reduced basis and the normal forms are unique, so every answer is the one a
 basis from scratch gives.  Tracked bases and membership certificates always
 walk from the generators.
 
+Every walk spends the budget active when it starts (`config.budget`), so
+a basis built lazily honours the scope of its first use, not the scope
+its ideal was made in.
+
 Saturation walks once, in lex with its tag variable first: that order
 eliminates the tag and is lex on the rest, so in a lex ring the tag-free
 part of the reduced basis is the saturation's reduced basis, and the
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .config import DEFAULT_LIMITS, Limits
+from .config import ACTIVE
 from .errors import DivisionObstruction, ResourceLimit, UnknownVariable
 from .ring import LEX, Poly, PolyRing, Substitution, elim_order, format_poly, quotient
 
@@ -269,8 +273,7 @@ def _reduce_full(f: Poly, divisors, track: bool = False):
         return out, ([pk.poly(ring, q) for q in quots] if track else None)
 
 
-def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool, blocks=(),
-                pi_unit: bool = False):
+def _buchberger(gens, ring: PolyRing, track: bool, blocks=(), pi_unit: bool = False):
     """Core loop; returns (basis, representations w.r.t. gens or None).
 
     `blocks` gives the sizes of consecutive runs at the start of `gens` that
@@ -287,18 +290,18 @@ def _buchberger(gens, ring: PolyRing, limits: Limits, track: bool, blocks=(),
     bits = _field_bits(gens)
     while True:
         try:
-            return _walk(gens, ring, limits, track, blocks, pi_unit,
+            return _walk(gens, ring, track, blocks, pi_unit,
                          _packing(ring.order, ring.nvars, bits))
         except _Overflow:
             bits = 2 * bits + 1
 
 
-def _walk(gens, ring: PolyRing, limits: Limits, track: bool, blocks, pi_unit: bool,
-          pk: _Packing):
+def _walk(gens, ring: PolyRing, track: bool, blocks, pi_unit: bool, pk: _Packing):
     """`_buchberger` at one field width; raises `_Overflow` if it is too narrow.
 
     A basis element is (lead, 1, tail) in packed monomials, and `negated`
     keeps each tail with its signs flipped, for the S-pairs."""
+    limits = ACTIVE.get()
     guard, flip = pk.guard, pk.flip
     basis = []
     negated = []
@@ -526,18 +529,18 @@ class Ideal:
             return [g for g in self.generators if not g.is_zero()], ()
         return [g for block in self._seed for g in block], tuple(map(len, self._seed))
 
-    def basis(self, limits: Limits = DEFAULT_LIMITS):
+    def basis(self):
         if self._basis is None:
             held, blocks = self._held()
-            self._basis, _ = _buchberger(held, self.ring, limits, False, blocks)
+            self._basis, _ = _buchberger(held, self.ring, False, blocks)
         return self._basis
 
-    def tracked_basis(self, limits: Limits = DEFAULT_LIMITS):
+    def tracked_basis(self):
         if self._tracked is None:
-            self._tracked = _buchberger(list(self.generators), self.ring, limits, True)
+            self._tracked = _buchberger(list(self.generators), self.ring, True)
         return self._tracked
 
-    def normal_form(self, f: Poly, limits: Limits = DEFAULT_LIMITS) -> Poly:
+    def normal_form(self, f: Poly) -> Poly:
         if f.ring != self.ring:
             f = f.in_ring(self.ring)
         if self._basis is None:
@@ -546,23 +549,23 @@ class Ideal:
             f, _ = _reduce_full(f, self._held_divisors)
             if f.is_zero():
                 return f
-        basis = self.basis(limits)
+        basis = self.basis()
         if self._basis_divisors is None:
             self._basis_divisors = _Divisors(basis)
         rem, _ = _reduce_full(f, self._basis_divisors)
         return rem
 
-    def contains(self, f: Poly, limits: Limits = DEFAULT_LIMITS) -> bool:
-        return self.normal_form(f, limits).is_zero()
+    def contains(self, f: Poly) -> bool:
+        return self.normal_form(f).is_zero()
 
-    def is_zero(self, limits: Limits = DEFAULT_LIMITS) -> bool:
-        return not self.basis(limits)
+    def is_zero(self) -> bool:
+        return not self.basis()
 
-    def same_ideal(self, other: "Ideal", limits: Limits = DEFAULT_LIMITS) -> bool:
+    def same_ideal(self, other: "Ideal") -> bool:
         if self.ring.variables != other.ring.variables:
             return False
-        return all(self.contains(g, limits) for g in other.generators) and all(
-            other.contains(g, limits) for g in self.generators
+        return all(self.contains(g) for g in other.generators) and all(
+            other.contains(g) for g in self.generators
         )
 
     def plus(self, extra) -> "Ideal":
@@ -576,7 +579,7 @@ class Ideal:
         return f"({inner})"
 
 
-def membership(f: Poly, ideal: Ideal, limits: Limits = DEFAULT_LIMITS) -> MembershipCertificate:
+def membership(f: Poly, ideal: Ideal) -> MembershipCertificate:
     """Decide f in ideal; on success return cofactors over the generators.
 
     The cofactor identity sum(cofactor_i * generator_i) == f is re-checked by
@@ -584,7 +587,7 @@ def membership(f: Poly, ideal: Ideal, limits: Limits = DEFAULT_LIMITS) -> Member
     """
     if f.ring != ideal.ring:
         f = f.in_ring(ideal.ring)
-    basis, reps = ideal.tracked_basis(limits)
+    basis, reps = ideal.tracked_basis()
     rem, quots = _reduce_full(f, basis, True)
     if not rem.is_zero():
         return MembershipCertificate(False, None, rem)
@@ -616,19 +619,19 @@ def _fresh_names(base: str, count: int, taken) -> list:
     return names
 
 
-def _eliminate(gens, big: PolyRing, front: int, small: PolyRing, limits: Limits,
+def _eliminate(gens, big: PolyRing, front: int, small: PolyRing,
                pi_unit: bool = False) -> Ideal:
     """The ideal of `gens` in `big`, whose order eliminates its first `front`
     variables, intersected with the subring free of them and moved into
     `small`.  By the Elimination Theorem, the basis elements free of those
     variables generate the intersection; they are the result's generators,
     in increasing order of leading term.  `pi_unit` is passed to the walk."""
-    basis, _ = _buchberger(gens, big, limits, False, pi_unit=pi_unit)
+    basis, _ = _buchberger(gens, big, False, pi_unit=pi_unit)
     return Ideal(small, [g.in_ring(small) for g in basis
                          if all(not any(m[:front]) for m in g.terms)])
 
 
-def saturate(ideal: Ideal, f: Poly, limits: Limits = DEFAULT_LIMITS) -> Ideal:
+def saturate(ideal: Ideal, f: Poly) -> Ideal:
     """Saturation (ideal : f^infinity) via a Rabinowitsch tag variable.
 
     The walk is in lex with the tag first, which eliminates the tag and is
@@ -643,23 +646,23 @@ def saturate(ideal: Ideal, f: Poly, limits: Limits = DEFAULT_LIMITS) -> Ideal:
     big = ring.prepend((tag,), LEX)
     gens = [g.in_ring(big) for g in ideal.generators]
     gens.append(big.one() - big.var(tag) * f.in_ring(big))
-    sat = _eliminate(gens, big, 1, ring, limits, pi_unit=f == ring.pi())
+    sat = _eliminate(gens, big, 1, ring, pi_unit=f == ring.pi())
     if ring.order == LEX:
         return Ideal.with_basis(ring, sat.generators, sat.generators)
     return sat
 
 
-def saturate_pi(ideal: Ideal, limits: Limits = DEFAULT_LIMITS) -> Ideal:
+def saturate_pi(ideal: Ideal) -> Ideal:
     """(ideal : pi^infinity), computed once per ideal object and kept on it;
     a saturation is its own saturation."""
     if ideal._saturation is None:
-        sat = saturate(ideal, ideal.ring.pi(), limits)
+        sat = saturate(ideal, ideal.ring.pi())
         sat._saturation = sat
         ideal._saturation = sat
     return ideal._saturation
 
 
-def eliminate(ideal: Ideal, drop, limits: Limits = DEFAULT_LIMITS) -> Ideal:
+def eliminate(ideal: Ideal, drop) -> Ideal:
     """Intersection with the subring omitting the dropped variables."""
     drop = [v for v in ideal.ring.variables if v in set(drop)]
     if not drop:
@@ -667,10 +670,10 @@ def eliminate(ideal: Ideal, drop, limits: Limits = DEFAULT_LIMITS) -> Ideal:
     keep = [v for v in ideal.ring.variables if v not in set(drop)]
     big = PolyRing(tuple(drop) + tuple(keep), elim_order(len(drop)))
     gens = [g.in_ring(big) for g in ideal.generators]
-    return _eliminate(gens, big, len(drop), PolyRing(tuple(keep), ideal.ring.order), limits)
+    return _eliminate(gens, big, len(drop), PolyRing(tuple(keep), ideal.ring.order))
 
 
-def contract(phi: Substitution, ideal_target: Ideal, limits: Limits = DEFAULT_LIMITS) -> Ideal:
+def contract(phi: Substitution, ideal_target: Ideal) -> Ideal:
     """Preimage of an ideal of the target presentation under a substitution.
 
     The target ideal should already include the target ring's relations when a
@@ -692,10 +695,10 @@ def contract(phi: Substitution, ideal_target: Ideal, limits: Limits = DEFAULT_LI
     gens = [g.in_ring(big, rename) for g in ideal_target.generators]
     for v in A.variables:
         gens.append(big.var(v) - phi.images[v].in_ring(big, rename))
-    return _eliminate(gens, big, len(bnames), A, limits)
+    return _eliminate(gens, big, len(bnames), A)
 
 
-def subalgebra_member(f: Poly, gens, relations: Ideal, limits: Limits = DEFAULT_LIMITS):
+def subalgebra_member(f: Poly, gens, relations: Ideal):
     """Search for f as a polynomial in `gens` modulo `relations`.
 
     Returns the witness expression over the tag ring (one variable per
@@ -710,7 +713,7 @@ def subalgebra_member(f: Poly, gens, relations: Ideal, limits: Limits = DEFAULT_
     idgens = [g.in_ring(big) for g in relations.generators]
     for tag, g in zip(tags, gens):
         idgens.append(big.var(tag) - g.in_ring(big))
-    basis, _ = _buchberger(idgens, big, limits, False)
+    basis, _ = _buchberger(idgens, big, False)
     rem, _ = _reduce_full(f.in_ring(big), basis)
     n = ring.nvars
     if any(any(m[:n]) for m in rem.terms):
@@ -718,22 +721,20 @@ def subalgebra_member(f: Poly, gens, relations: Ideal, limits: Limits = DEFAULT_
     return rem.in_ring(PolyRing(tuple(tags)))
 
 
-def certified_pi_division(
-    f: Poly, power: int, modulus: Ideal, limits: Limits = DEFAULT_LIMITS
-) -> Poly:
+def certified_pi_division(f: Poly, power: int, modulus: Ideal) -> Poly:
     """Find d with pi^power * d == f modulo the ideal, or raise.
 
     First tries the termwise route on the normal form; otherwise extracts the
     pi^power cofactor from a membership certificate.
     """
-    nf = modulus.normal_form(f, limits)
+    nf = modulus.normal_form(f)
     if nf.pi_valuation() >= power:
         return nf.divide_pi(power)
     ring = modulus.ring
-    widened = Ideal(ring, [ring.pi(power)] + list(modulus.basis(limits)))
-    cert = membership(nf, widened, limits)
+    widened = Ideal(ring, [ring.pi(power)] + list(modulus.basis()))
+    cert = membership(nf, widened)
     if not cert.member:
         raise DivisionObstruction(
             f"pi^{power} does not divide modulo the relations", witness=format_poly(nf)
         )
-    return modulus.normal_form(cert.cofactors[0], limits)
+    return modulus.normal_form(cert.cofactors[0])

@@ -10,13 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_LIMITS, Limits
 from .errors import UnknownVariable
 from .groebner import Ideal, contract, saturate_pi, subalgebra_member
 from .report import Report
-from .ring import Poly, PolyRing, Scalar, Substitution, format_poly, format_scalar
-
-SCALARS = PolyRing(())
+from .ring import SCALARS, Poly, PolyRing, Scalar, Substitution, format_poly, format_scalar
 
 PRIME1 = "'"
 PRIME2 = "''"
@@ -34,8 +31,7 @@ def copy_into(f: Poly, ring_t: PolyRing, suffix: str) -> Poly:
     return f.in_ring(ring_t, {v: v + suffix for v in f.ring.variables})
 
 
-def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes,
-                 limits: Limits = DEFAULT_LIMITS) -> Ideal:
+def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes) -> Ideal:
     """Relations of a tensor power, one renamed copy per factor.
 
     When no leading term involves pi, the copies' leading terms live on
@@ -47,7 +43,7 @@ def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes,
     zero by the copies alone and builds no basis.  The copies are also the
     generators, so each relation is renamed once per copy.
     """
-    rel_basis = relations.basis(limits)
+    rel_basis = relations.basis()
     blocks = []
     for s in suffixes:
         rename = {v: v + s for v in relations.ring.variables}
@@ -96,10 +92,10 @@ class HopfPresentation:
     def doubled_ring(self) -> PolyRing:
         return self.comul.target
 
-    def doubled_ideal(self, limits: Limits = DEFAULT_LIMITS) -> Ideal:
+    def doubled_ideal(self) -> Ideal:
         if "ideal2" not in self._memo:
             self._memo["ideal2"] = tensor_ideal(self.relations, self.doubled_ring(),
-                                                (PRIME1, PRIME2), limits)
+                                                (PRIME1, PRIME2))
         return self._memo["ideal2"]
 
     def tripled_ring(self) -> PolyRing:
@@ -107,10 +103,10 @@ class HopfPresentation:
             self._memo["ring3"] = tensor_ring(self.ring, (PRIME1, PRIME2, PRIME3))
         return self._memo["ring3"]
 
-    def tripled_ideal(self, limits: Limits = DEFAULT_LIMITS) -> Ideal:
+    def tripled_ideal(self) -> Ideal:
         if "ideal3" not in self._memo:
             self._memo["ideal3"] = tensor_ideal(self.relations, self.tripled_ring(),
-                                                (PRIME1, PRIME2, PRIME3), limits)
+                                                (PRIME1, PRIME2, PRIME3))
         return self._memo["ideal3"]
 
     def eps(self, v: str) -> Scalar:
@@ -183,21 +179,21 @@ def comul_squared(h: HopfPresentation, f: Poly) -> Poly:
     return first(h.comul(f))
 
 
-def check_flat(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS) -> Report:
+def check_flat(h: HopfPresentation) -> Report:
     """Certify pi-torsion freeness: the relation ideal equals its pi-saturation."""
     rep = Report(f"flatness of {h.name}")
-    sat = saturate_pi(h.relations, limits)
-    same = sat.same_ideal(h.relations, limits)
+    sat = saturate_pi(h.relations)
+    same = sat.same_ideal(h.relations)
     witness = ""
     if not same:
-        extra = [g for g in sat.basis(limits) if not h.relations.contains(g, limits)]
+        extra = [g for g in sat.basis() if not h.relations.contains(g)]
         if extra:
             witness = format_poly(extra[0]) + " has a pi multiple in the ideal"
     rep.add("pi-saturated", h.name, same, witness)
     return rep
 
 
-def check_hopf(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS) -> Report:
+def check_hopf(h: HopfPresentation) -> Report:
     """Verify the Hopf axioms for a presentation, relation by relation, and
     its flatness (`check_flat`).
 
@@ -205,16 +201,16 @@ def check_hopf(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS) -> Report:
     appropriate tensor power, so the checks are exact over R.
     """
     rep = Report(f"Hopf axioms for {h.name}")
-    rels2 = h.doubled_ideal(limits)
-    rels3 = h.tripled_ideal(limits)
+    rels2 = h.doubled_ideal()
+    rels3 = h.tripled_ideal()
 
     for i, r in enumerate(h.relations.generators):
         subject = f"relation {i + 1}"
         rep.vanishes("comultiplication respects relations", subject,
-                     rels2.normal_form(h.comul(r), limits))
+                     rels2.normal_form(h.comul(r)))
         rep.vanishes("counit kills relations", subject, h.eps_of(r))
         rep.vanishes("antipode respects relations", subject,
-                     h.relations.normal_form(h.antipode(r), limits))
+                     h.relations.normal_form(h.antipode(r)))
 
     left_eps, right_eps = _legs(h, {v: h.ring.scalar(h.eps(v)) for v in h.ring.variables})
     first, second = _coassoc_legs(h)
@@ -222,30 +218,30 @@ def check_hopf(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS) -> Report:
     for v in h.ring.variables:
         dv = h.comul.images[v]
         rep.vanishes("counit is left neutral", v,
-                     h.relations.normal_form(left_eps(dv) - h.ring.var(v), limits))
+                     h.relations.normal_form(left_eps(dv) - h.ring.var(v)))
         rep.vanishes("counit is right neutral", v,
-                     h.relations.normal_form(right_eps(dv) - h.ring.var(v), limits))
+                     h.relations.normal_form(right_eps(dv) - h.ring.var(v)))
         rep.vanishes("comultiplication is coassociative", v,
-                     rels3.normal_form(first(dv) - second(dv), limits))
+                     rels3.normal_form(first(dv) - second(dv)))
         target = h.ring.scalar(h.eps(v))
         rep.vanishes("antipode is a left inverse", v,
-                     h.relations.normal_form(s_left(dv) - target, limits))
+                     h.relations.normal_form(s_left(dv) - target))
         rep.vanishes("antipode is a right inverse", v,
-                     h.relations.normal_form(s_right(dv) - target, limits))
+                     h.relations.normal_form(s_right(dv) - target))
 
-    rep.extend(check_flat(h, limits))
+    rep.extend(check_flat(h))
     return rep
 
 
-def check_morphism(m: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> Report:
+def check_morphism(m: GroupMorphism) -> Report:
     """Verify that a pullback defines a morphism of group schemes."""
     rep = Report(f"morphism {m.name}: {m.source.name} -> {m.target.name}")
     src, tgt = m.source, m.target
     for i, r in enumerate(tgt.relations.generators):
         rep.vanishes("pullback respects relations", f"relation {i + 1}",
-                     src.relations.normal_form(m.pullback(r), limits))
+                     src.relations.normal_form(m.pullback(r)))
     ring2s = src.doubled_ring()
-    rels2s = src.doubled_ideal(limits)
+    rels2s = src.doubled_ideal()
     pull2 = Substitution(
         tgt.doubled_ring(), ring2s,
         {v + s: copy_into(m.pullback.images[v], ring2s, s)
@@ -254,11 +250,11 @@ def check_morphism(m: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> Report:
         lhs = src.comul(m.pullback.images[v])
         rhs = pull2(tgt.comul.images[v])
         rep.vanishes("pullback intertwines comultiplication", v,
-                     rels2s.normal_form(lhs - rhs, limits))
+                     rels2s.normal_form(lhs - rhs))
         rep.vanishes("pullback intertwines counit", v,
                      src.eps_of(m.pullback.images[v]) - tgt.eps(v))
         rep.vanishes("pullback intertwines antipode", v, src.relations.normal_form(
-            src.antipode(m.pullback.images[v]) - m.pullback(tgt.antipode.images[v]), limits))
+            src.antipode(m.pullback.images[v]) - m.pullback(tgt.antipode.images[v])))
     return rep
 
 
@@ -273,9 +269,9 @@ def special_fibre(h: HopfPresentation) -> HopfPresentation:
         {v: h.antipode.images[v].set_pi_zero() for v in ring.variables})
 
 
-def generic_fibre(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS) -> HopfPresentation:
+def generic_fibre(h: HopfPresentation) -> HopfPresentation:
     """The fibre over the fraction field: saturate the relations at pi."""
-    return h.with_relations(h.name + "_K", saturate_pi(h.relations, limits))
+    return h.with_relations(h.name + "_K", saturate_pi(h.relations))
 
 
 @dataclass
@@ -286,7 +282,7 @@ class ReduceResult:
     report: Report
 
 
-def reduce_mod(h: HopfPresentation, n: int, limits: Limits = DEFAULT_LIMITS) -> ReduceResult:
+def reduce_mod(h: HopfPresentation, n: int) -> ReduceResult:
     """Base change to R/(pi^(n+1)); reports whether the quotient group is trivial."""
     if n < 0:
         raise ValueError("modulus must be nonnegative")
@@ -297,11 +293,11 @@ def reduce_mod(h: HopfPresentation, n: int, limits: Limits = DEFAULT_LIMITS) -> 
     rep = Report(f"{h.name} mod pi^{n + 1} trivial")
     for v in ring.variables:
         rep.vanishes("coordinate is constant", v,
-                     rels.normal_form(ring.var(v) - ring.scalar(h.eps(v)), limits))
+                     rels.normal_form(ring.var(v) - ring.scalar(h.eps(v))))
     return ReduceResult(out, n, rep.ok, rep)
 
 
-def reduce_mod_image(m: GroupMorphism, n: int, limits: Limits = DEFAULT_LIMITS) -> ReduceResult:
+def reduce_mod_image(m: GroupMorphism, n: int) -> ReduceResult:
     """Base change the image of a morphism to R/(pi^(n+1)).
 
     The image of the source in the target is trivial at level n exactly
@@ -317,12 +313,11 @@ def reduce_mod_image(m: GroupMorphism, n: int, limits: Limits = DEFAULT_LIMITS) 
     rep = Report(f"image of {src.name} in {tgt.name} mod pi^{n + 1} trivial")
     for v in tgt.ring.variables:
         rep.vanishes("coordinate pulls back to a constant", v,
-                     rels.normal_form(m.pullback.images[v] - ring.scalar(tgt.eps(v)), limits))
+                     rels.normal_form(m.pullback.images[v] - ring.scalar(tgt.eps(v))))
     return ReduceResult(src.with_relations(f"{src.name}_mod{n}", rels), n, rep.ok, rep)
 
 
-def hopf_ideal_report(h: HopfPresentation, gens, pi_power: int = 0,
-                      limits: Limits = DEFAULT_LIMITS) -> Report:
+def hopf_ideal_report(h: HopfPresentation, gens, pi_power: int = 0) -> Report:
     """Check that an ideal is a Hopf ideal contained in the augmentation ideal.
 
     With pi_power = k > 0 the conditions are tested modulo pi^k; with k = 1
@@ -339,7 +334,7 @@ def hopf_ideal_report(h: HopfPresentation, gens, pi_power: int = 0,
         side.append(copy_into(g, ring2, PRIME2))
     if pi_power:
         side.append(ring2.pi(pi_power))
-    rels2 = h.doubled_ideal(limits).plus(side)
+    rels2 = h.doubled_ideal().plus(side)
     inside = h.relations.plus(list(gens) + ([ring.pi(pi_power)] if pi_power else []))
     for i, g in enumerate(gens):
         subject = f"generator {i + 1}"
@@ -347,9 +342,9 @@ def hopf_ideal_report(h: HopfPresentation, gens, pi_power: int = 0,
         ok_e = e.pi_valuation() >= pi_power if pi_power else e.is_zero()
         rep.add("counit vanishes", subject, ok_e, "" if ok_e else format_scalar(e))
         rep.vanishes("comultiplication stays in the two-sided span", subject,
-                     rels2.normal_form(h.comul(g), limits))
+                     rels2.normal_form(h.comul(g)))
         rep.vanishes("antipode preserves the ideal", subject,
-                     inside.normal_form(h.antipode(g), limits))
+                     inside.normal_form(h.antipode(g)))
     return rep
 
 
@@ -358,7 +353,7 @@ def quotient_presentation(h: HopfPresentation, gens, name: str) -> HopfPresentat
     return h.with_relations(name, h.relations.plus(gens))
 
 
-def prune(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS):
+def prune(h: HopfPresentation):
     """Eliminate variables that the relations express in the others.
 
     A variable w can go when the reduced lex basis holds w - g.  No term
@@ -377,7 +372,7 @@ def prune(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS):
     ring = h.ring
     solved = {}
     kept = []
-    for g in h.relations.basis(limits):
+    for g in h.relations.basis():
         m = g.lead_monomial()
         if sum(m[:-1]) == 1 and m[-1] == 0:
             solved[ring.variables[m.index(1)]] = -g.tail()
@@ -401,20 +396,20 @@ def prune(h: HopfPresentation, limits: Limits = DEFAULT_LIMITS):
     return pruned, eliminated
 
 
-def isomorphism_report(m: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> Report:
+def isomorphism_report(m: GroupMorphism) -> Report:
     """Certify that a morphism is an isomorphism of group schemes.
 
     The pullback must be a bijective ring map: injectivity is contraction
     of the source relations being exactly the target relations, and
     surjectivity is every source coordinate lying in the image subalgebra.
     """
-    rep = check_morphism(m, limits)
+    rep = check_morphism(m)
     src, tgt = m.source, m.target
-    pulled = contract(m.pullback, src.relations, limits)
+    pulled = contract(m.pullback, src.relations)
     rep.add("pullback is injective", tgt.name,
-            pulled.same_ideal(tgt.relations, limits))
+            pulled.same_ideal(tgt.relations))
     gens = [m.pullback.images[v] for v in tgt.ring.variables]
     for v in src.ring.variables:
-        expr = subalgebra_member(src.ring.var(v), gens, src.relations, limits)
+        expr = subalgebra_member(src.ring.var(v), gens, src.relations)
         rep.add("pullback is surjective", v, expr is not None)
     return rep

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blowup import _lift_pullback, neron_blowup
-from .config import DEFAULT_LIMITS, Limits
 from .groebner import Ideal, contract, saturate_pi
 from .hopf import PRIME1, PRIME2, GroupMorphism, HopfPresentation, copy_into, prune, special_fibre
 from .report import Report
@@ -46,7 +45,7 @@ class Triptych:
     into: Substitution  # image coordinates -> the saturated fibre
 
 
-def image_hopf(rho: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> ImageResult:
+def image_hopf(rho: GroupMorphism) -> ImageResult:
     """The flat closed subgroup of the target that rho lands in.
 
     Relations are the contraction of the source relations along the
@@ -54,8 +53,8 @@ def image_hopf(rho: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> ImageResu
     generic-fibre image.
     """
     tgt = rho.target
-    kernel = contract(rho.pullback, rho.source.relations, limits)
-    group = tgt.with_relations(f"Im({rho.name})", saturate_pi(kernel, limits))
+    kernel = contract(rho.pullback, rho.source.relations)
+    group = tgt.with_relations(f"Im({rho.name})", saturate_pi(kernel))
     embed = GroupMorphism(f"{group.name}->{tgt.name}", group, tgt,
                           Substitution.identity(tgt.ring))
     cover = GroupMorphism(f"{rho.source.name}->{group.name}", rho.source, group,
@@ -63,17 +62,16 @@ def image_hopf(rho: GroupMorphism, limits: Limits = DEFAULT_LIMITS) -> ImageResu
     return ImageResult(group, embed, cover)
 
 
-def _pruned_fibre(h: HopfPresentation, limits: Limits):
+def _pruned_fibre(h: HopfPresentation):
     """Special fibre with forced variables eliminated; returns the fibre
     and the pullback of the original coordinates into it."""
-    small, eliminated = prune(special_fibre(h), limits=limits)
+    small, eliminated = prune(special_fibre(h))
     images = {v: eliminated[v] if v in eliminated else small.ring.var(v)
               for v in h.ring.variables}
     return small, Substitution(h.ring, small.ring, images)
 
 
-def saturated_image(rho: GroupMorphism, steps: int,
-                    limits: Limits = DEFAULT_LIMITS) -> Diptych:
+def saturated_image(rho: GroupMorphism, steps: int) -> Diptych:
     """Grow the image by repeatedly adjoining its pi-divisible part.
 
     Each stage blows up the previous one at the contraction of the
@@ -83,7 +81,7 @@ def saturated_image(rho: GroupMorphism, steps: int,
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    img = image_hopf(rho, limits)
+    img = image_hopf(rho)
     src = rho.source
     rep = Report(f"image tower for {rho.name}")
     stages = [img.group]
@@ -94,14 +92,14 @@ def saturated_image(rho: GroupMorphism, steps: int,
     fibre_ideal = src.fibre_ideal()
     for i in range(steps):
         current = stages[-1]
-        centre = contract(pull, fibre_ideal, limits)
-        if centre.same_ideal(current.fibre_ideal(), limits):
+        centre = contract(pull, fibre_ideal)
+        if centre.same_ideal(current.fibre_ideal()):
             stabilized = True
             rep.add("tower stabilized", f"stage {i}", True,
                     "centre is the whole special fibre")
             break
-        b = neron_blowup(current, centre, f"{img.group.name}[{i + 1}]", limits)
-        pull = _lift_pullback(pull, b, src.relations, limits,
+        b = neron_blowup(current, centre, f"{img.group.name}[{i + 1}]")
+        pull = _lift_pullback(pull, b, src.relations,
                               f"stage {i + 1} lift fails")
         rep.add("stage adjoined pi-divisible coordinates", b.blown.name, True,
                 ", ".join(b.adjoined))
@@ -110,8 +108,8 @@ def saturated_image(rho: GroupMorphism, steps: int,
         lifts.append(GroupMorphism(f"{src.name}->{b.blown.name}", src,
                                    b.blown, pull))
     else:
-        centre = contract(pull, fibre_ideal, limits)
-        stabilized = centre.same_ideal(stages[-1].fibre_ideal(), limits)
+        centre = contract(pull, fibre_ideal)
+        stabilized = centre.same_ideal(stages[-1].fibre_ideal())
         rep.add("tower stabilized", f"stage {steps}", stabilized,
                 "" if stabilized else "the centre still exceeds the special fibre")
     for i, lift in enumerate(lifts):
@@ -121,14 +119,13 @@ def saturated_image(rho: GroupMorphism, steps: int,
         ok = True
         for v in img.group.ring.variables:
             g = img.group.ring.var(v)
-            d = src.relations.normal_form(composed(g) - rho.pullback(g), limits)
+            d = src.relations.normal_form(composed(g) - rho.pullback(g))
             ok = ok and d.is_zero()
         rep.add("stage factors the morphism", stages[i].name, ok)
     return Diptych(img, stages, projections, lifts, stabilized, rep)
 
 
-def triptych(rho: GroupMorphism, steps: int = 8,
-             limits: Limits = DEFAULT_LIMITS) -> Triptych:
+def triptych(rho: GroupMorphism, steps: int = 8) -> Triptych:
     """The three special-fibre groups of a morphism.
 
     The saturation tower's fibre maps onto the mod-pi image of the
@@ -136,33 +133,33 @@ def triptych(rho: GroupMorphism, steps: int = 8,
     schematic image; the middle term is certified to equal the image of
     the outer map.
     """
-    dip = saturated_image(rho, steps, limits)
+    dip = saturated_image(rho, steps)
     img = dip.image
     rep = Report(f"special fibres for {rho.name}")
     rep.extend(dip.report)
 
-    image_fibre, _ = _pruned_fibre(img.group, limits)
+    image_fibre, _ = _pruned_fibre(img.group)
 
     last = dip.stages[-1]
     pull = Substitution.identity(img.group.ring)
     for proj in dip.projections:
         pull = pull.then(proj.pullback)
-    saturated_fibre, to_fibre = _pruned_fibre(last, limits)
+    saturated_fibre, to_fibre = _pruned_fibre(last)
 
-    mod_pi_rels = contract(rho.pullback, rho.source.fibre_ideal(), limits)
-    mod_pi_basis = mod_pi_rels.basis(limits)
+    mod_pi_rels = contract(rho.pullback, rho.source.fibre_ideal())
+    mod_pi_basis = mod_pi_rels.basis()
     mod_pi_image = img.group.with_relations(
         f"Im({rho.name}_k)", Ideal.with_basis(img.group.ring, mod_pi_basis, mod_pi_basis))
 
     into = pull.then(to_fibre)
-    outer = contract(into, saturated_fibre.fibre_ideal(), limits)
-    same = outer.same_ideal(mod_pi_rels, limits)
+    outer = contract(into, saturated_fibre.fibre_ideal())
+    same = outer.same_ideal(mod_pi_rels)
     bad = ""
     if not same:
-        bad = next((format_poly(g) for g in outer.basis(limits)
-                    if not mod_pi_rels.contains(g, limits)),
-                   next(format_poly(g) for g in mod_pi_rels.basis(limits)
-                        if not outer.contains(g, limits)))
+        bad = next((format_poly(g) for g in outer.basis()
+                    if not mod_pi_rels.contains(g)),
+                   next(format_poly(g) for g in mod_pi_rels.basis()
+                        if not outer.contains(g)))
     rep.add("middle fibre is the image of the saturated fibre",
             mod_pi_image.name, same, bad)
     return Triptych(dip, saturated_fibre, mod_pi_image, image_fibre, rep, into)
@@ -177,7 +174,7 @@ def fibre_kernel(t: Triptych) -> HopfPresentation:
     return sat.with_relations(f"Ker({sat.name}->{mid.name})", ideal)
 
 
-def check_unipotent_kernel(t: Triptych, limits: Limits = DEFAULT_LIMITS) -> Report:
+def check_unipotent_kernel(t: Triptych) -> Report:
     """Certify that the kernel of the fibre surjection is unipotent.
 
     Sufficient certificates, tried in order: a filtration of the kernel's
@@ -190,10 +187,10 @@ def check_unipotent_kernel(t: Triptych, limits: Limits = DEFAULT_LIMITS) -> Repo
     rep = Report(f"unipotence certificate for {ker.name}")
     ring = ker.ring
     ring2 = ker.doubled_ring()
-    rels2 = ker.doubled_ideal(limits)
+    rels2 = ker.doubled_ideal()
     aug = ker.aug_gens()
     todo = [v for i, v in enumerate(ring.variables)
-            if not ker.relations.contains(aug[i], limits)]
+            if not ker.relations.contains(aug[i])]
     shifted = dict(zip(ring.variables, aug))
     if not todo:
         rep.add("kernel is the trivial group", ker.name, True)
@@ -209,8 +206,7 @@ def check_unipotent_kernel(t: Triptych, limits: Limits = DEFAULT_LIMITS) -> Repo
             mod = rels2.plus(lower) if lower else rels2
             g = shifted[v]
             d = mod.normal_form(
-                ker.comul(g) - copy_into(g, ring2, PRIME1) - copy_into(g, ring2, PRIME2),
-                limits)
+                ker.comul(g) - copy_into(g, ring2, PRIME1) - copy_into(g, ring2, PRIME2))
             if d.is_zero():
                 rep.add("coordinate is primitive modulo the previous ones", v, True)
                 certified.append(v)
@@ -220,11 +216,11 @@ def check_unipotent_kernel(t: Triptych, limits: Limits = DEFAULT_LIMITS) -> Repo
         rep.add("unipotence", ker.name, True,
                 "certified: additive filtration " + " < ".join(certified))
         return rep
-    live = [g for g in (ker.relations.normal_form(a, limits) for a in aug)
+    live = [g for g in (ker.relations.normal_form(a) for a in aug)
             if not g.is_zero()]
     power = live
     for m in range(2, 6 + 1):
-        power = [ker.relations.normal_form(a * g, limits)
+        power = [ker.relations.normal_form(a * g)
                  for a in power for g in live]
         power = [g for g in power if not g.is_zero()]
         if not power:

@@ -8,10 +8,9 @@ of the matrix must be the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .blowup import BlowupResult, universal_lift
-from .config import DEFAULT_LIMITS, Limits
 from .errors import (DivisionObstruction, NotASubgroup, NotFiniteDimensional,
                      ShapeMismatch)
 from .groebner import Ideal, certified_pi_division, membership, subalgebra_member
@@ -26,12 +25,11 @@ from .ring import Poly, Substitution, format_poly
 @dataclass
 class RepMatrix:
     """A comodule matrix over a group; without a determinant witness, one
-    is searched for within `limits`."""
+    is searched for within the active budget (`config.budget`)."""
 
     group: HopfPresentation
     entries: list
     det_inverse_witness: Poly = None
-    limits: Limits = field(default=DEFAULT_LIMITS, compare=False, repr=False)
 
     def __post_init__(self):
         ring = self.group.ring
@@ -65,15 +63,15 @@ class RepMatrix:
             return ring.one()
         d = self.det()
         rels = self.group.relations
-        cert = membership(ring.one(), rels.plus([d]), self.limits)
+        cert = membership(ring.one(), rels.plus([d]))
         if not cert.member:
             raise DivisionObstruction(
                 "determinant is not invertible modulo the relations",
                 witness=format_poly(d))
-        return rels.normal_form(cert.cofactors[len(rels.generators)], self.limits)
+        return rels.normal_form(cert.cofactors[len(rels.generators)])
 
 
-def validate_rep(m: RepMatrix, limits: Limits = DEFAULT_LIMITS) -> Report:
+def validate_rep(m: RepMatrix) -> Report:
     """Check the comodule axioms and the determinant witness exactly."""
     h = m.group
     rep = Report(f"comodule axioms for a rank-{m.size} matrix over {h.name}")
@@ -81,18 +79,18 @@ def validate_rep(m: RepMatrix, limits: Limits = DEFAULT_LIMITS) -> Report:
         rep.add("empty matrix", h.name, True)
         return rep
     ring2 = h.doubled_ring()
-    rels2 = h.doubled_ideal(limits)
+    rels2 = h.doubled_ideal()
     left = mat_in_ring(m.entries, ring2, {v: v + PRIME1 for v in h.ring.variables})
     right = mat_in_ring(m.entries, ring2, {v: v + PRIME2 for v in h.ring.variables})
     prod = mat_mul(left, right)
     for i in range(m.size):
         for j in range(m.size):
             rep.vanishes("comultiplication matches matrix product", f"entry {i + 1},{j + 1}",
-                         rels2.normal_form(h.comul(m.entries[i][j]) - prod[i][j], limits))
+                         rels2.normal_form(h.comul(m.entries[i][j]) - prod[i][j]))
             rep.vanishes("counit is the identity matrix", f"entry {i + 1},{j + 1}",
                          h.eps_of(m.entries[i][j]) - (1 if i == j else 0))
     rep.vanishes("determinant witness inverts the determinant", h.name,
-                 h.relations.normal_form(m.det() * m.det_inverse_witness - 1, limits))
+                 h.relations.normal_form(m.det() * m.det_inverse_witness - 1))
     return rep
 
 
@@ -103,7 +101,7 @@ class FaithfulResult:
     report: Report
 
 
-def verify_faithful(m: RepMatrix, limits: Limits = DEFAULT_LIMITS) -> FaithfulResult:
+def verify_faithful(m: RepMatrix) -> FaithfulResult:
     """Decide whether the entries generate the coordinate ring.
 
     Three-valued: "faithful" when every presentation variable is reached,
@@ -111,7 +109,7 @@ def verify_faithful(m: RepMatrix, limits: Limits = DEFAULT_LIMITS) -> FaithfulRe
     bounds, "fail" when the matrix is not a comodule at all.  Membership
     search is a semi-decision, so "not-at-bound" is not a refutation.
     """
-    base = validate_rep(m, limits)
+    base = validate_rep(m)
     if not base.ok:
         return FaithfulResult("fail", [], base)
     h = m.group
@@ -119,7 +117,7 @@ def verify_faithful(m: RepMatrix, limits: Limits = DEFAULT_LIMITS) -> FaithfulRe
     rep = Report(f"generation of {h.name} by matrix entries")
     undecided = []
     for v in h.ring.variables:
-        expr = subalgebra_member(h.ring.var(v), gens, h.relations, limits)
+        expr = subalgebra_member(h.ring.var(v), gens, h.relations)
         rep.add("variable generated by entries", v, expr is not None)
         if expr is None:
             undecided.append(v)
@@ -145,8 +143,7 @@ def _pull_entries(v: RepMatrix, b: BlowupResult):
     return [[pull(e) for e in row] for row in v.entries]
 
 
-def identity_blowup_rep(v: RepMatrix, b: BlowupResult,
-                        limits: Limits = DEFAULT_LIMITS) -> RepMatrix:
+def identity_blowup_rep(v: RepMatrix, b: BlowupResult) -> RepMatrix:
     """Double a representation across the blowup of the unit section.
 
     The output acts on the fibre product of the lattice with the trivial
@@ -159,13 +156,13 @@ def identity_blowup_rep(v: RepMatrix, b: BlowupResult,
     rels = list(base.relations.generators)
     unit = Ideal(base.ring, [base.ring.pi()] + base.aug_gens() + rels)
     full = Ideal(base.ring, list(b.centre.generators) + rels)
-    if not full.same_ideal(unit, limits):
+    if not full.same_ideal(unit):
         raise NotASubgroup("blowup centre is not the unit section of the fibre")
     blown = b.blown
     a = _pull_entries(v, b)
     r = v.size
     prime = [[certified_pi_division(a[i][j] - (1 if i == j else 0), b.level,
-                                    blown.relations, limits)
+                                    blown.relations)
               for j in range(r)] for i in range(r)]
     top = mat_block([[a, prime]])
     bottom = mat_block([[mat_zero(blown.ring, r, r), mat_id(blown.ring, r)]])
@@ -174,8 +171,7 @@ def identity_blowup_rep(v: RepMatrix, b: BlowupResult,
     return RepMatrix(blown, entries, witness)
 
 
-def scaling_conjugation_report(v: RepMatrix, b: BlowupResult, doubled: RepMatrix,
-                               limits: Limits = DEFAULT_LIMITS) -> Report:
+def scaling_conjugation_report(v: RepMatrix, b: BlowupResult, doubled: RepMatrix) -> Report:
     """Certify that the doubled matrix is the conjugate of v + trivial.
 
     The scaling matrix beta has pi on the diagonal and the identity in the
@@ -198,7 +194,7 @@ def scaling_conjugation_report(v: RepMatrix, b: BlowupResult, doubled: RepMatrix
     for i in range(2 * r):
         for j in range(2 * r):
             rep.vanishes("scaled conjugation identity", f"entry {i + 1},{j + 1}",
-                         blown.relations.normal_form(lhs[i][j] - rhs[i][j], limits))
+                         blown.relations.normal_form(lhs[i][j] - rhs[i][j]))
     return rep
 
 
@@ -208,7 +204,7 @@ def _permuted(v: RepMatrix, column: int):
     return [[v.entries[order[i]][order[j]] for j in range(v.size)] for i in range(v.size)]
 
 
-def _check_line_centre(v: RepMatrix, b: BlowupResult, column: int, limits: Limits):
+def _check_line_centre(v: RepMatrix, b: BlowupResult, column: int):
     base = b.projection.target
     if v.group.ring != base.ring:
         raise ShapeMismatch("representation does not live over the blown-down group")
@@ -216,14 +212,14 @@ def _check_line_centre(v: RepMatrix, b: BlowupResult, column: int, limits: Limit
     centre_full = Ideal(base.ring, list(b.centre.generators)
                         + list(base.relations.generators))
     for g in stab.generators:
-        if not centre_full.contains(g, limits):
+        if not centre_full.contains(g):
             raise NotASubgroup(
                 "blowup centre does not stabilize the chosen line: "
                 + format_poly(g) + " is not in the centre")
 
 
 def line_blowup_rep(v: RepMatrix, b: BlowupResult, e: RepMatrix = None,
-                    column: int = 1, limits: Limits = DEFAULT_LIMITS) -> RepMatrix:
+                    column: int = 1) -> RepMatrix:
     """Glue a representation to a covering one across a line-stabilizer blowup.
 
     The output acts on the fibre product over the line: the original block
@@ -232,7 +228,7 @@ def line_blowup_rep(v: RepMatrix, b: BlowupResult, e: RepMatrix = None,
     its first basis vector: its first row is congruent to that of the
     original matrix modulo pi.
     """
-    _check_line_centre(v, b, column, limits)
+    _check_line_centre(v, b, column)
     blown = b.blown
     ring = blown.ring
     if e is None:
@@ -241,14 +237,14 @@ def line_blowup_rep(v: RepMatrix, b: BlowupResult, e: RepMatrix = None,
         raise ShapeMismatch("covering representation does not live over the blown group")
     a = [[b.projection.pullback(x) for x in row] for row in _permuted(v, column)]
     r, s = v.size, e.size
-    a_prime = [certified_pi_division(a[i][0], 1, blown.relations, limits)
+    a_prime = [certified_pi_division(a[i][0], 1, blown.relations)
                for i in range(1, r)]
     c = []
     try:
         c.append(certified_pi_division(e.entries[0][0] - a[0][0], 1,
-                                       blown.relations, limits))
+                                       blown.relations))
         for j in range(1, s):
-            c.append(certified_pi_division(e.entries[0][j], 1, blown.relations, limits))
+            c.append(certified_pi_division(e.entries[0][j], 1, blown.relations))
     except DivisionObstruction as exc:
         raise ShapeMismatch(
             "covering matrix does not restrict to the line on its first "
@@ -262,8 +258,7 @@ def line_blowup_rep(v: RepMatrix, b: BlowupResult, e: RepMatrix = None,
     return RepMatrix(blown, entries, witness)
 
 
-def rescaled_rep(v: RepMatrix, b: BlowupResult, column: int = 1,
-                 limits: Limits = DEFAULT_LIMITS):
+def rescaled_rep(v: RepMatrix, b: BlowupResult, column: int = 1):
     """Rescale a representation through a line-stabilizer blowup.
 
     Returns the rescaled matrix (first row multiplied by pi off the
@@ -271,7 +266,7 @@ def rescaled_rep(v: RepMatrix, b: BlowupResult, column: int = 1,
     direct sum of the original and the rescaled matrix, both over the
     blown group.
     """
-    _check_line_centre(v, b, column, limits)
+    _check_line_centre(v, b, column)
     blown = b.blown
     ring = blown.ring
     a = [[b.projection.pullback(x) for x in row] for row in _permuted(v, column)]
@@ -280,7 +275,7 @@ def rescaled_rep(v: RepMatrix, b: BlowupResult, column: int = 1,
     for j in range(1, r):
         out[0][j] = a[0][j].mul_pi()
     for i in range(1, r):
-        out[i][0] = certified_pi_division(a[i][0], 1, blown.relations, limits)
+        out[i][0] = certified_pi_division(a[i][0], 1, blown.relations)
     witness = b.projection.pullback(v.det_inverse_witness)
     rescaled = RepMatrix(blown, out, witness)
     original = RepMatrix(blown, a, witness)
@@ -297,8 +292,7 @@ def direct_sum(v: RepMatrix, w: RepMatrix) -> RepMatrix:
 
 
 def sum_faithful(rho: RepMatrix, sigma: RepMatrix, b: BlowupResult,
-                 quotient: GroupMorphism, a_blowup: BlowupResult,
-                 limits: Limits = DEFAULT_LIMITS) -> RepMatrix:
+                 quotient: GroupMorphism, a_blowup: BlowupResult) -> RepMatrix:
     """Representation of the blowup at a flat normal subgroup's fibre.
 
     The subgroup is cut out by the augmentation ideal of the quotient
@@ -314,12 +308,12 @@ def sum_faithful(rho: RepMatrix, sigma: RepMatrix, b: BlowupResult,
     aq = quotient.target
     expected = Ideal(g.ring, [g.ring.pi()]
                      + [quotient.pullback(x) for x in aq.aug_gens()])
-    if not b.centre.same_ideal(expected, limits):
+    if not b.centre.same_ideal(expected):
         raise NotASubgroup(
             "blowup centre is not the fibre of the quotient's kernel")
     composite = GroupMorphism(f"{b.blown.name}->{aq.name}", b.blown, aq,
                               quotient.pullback.then(b.projection.pullback))
-    lifted = universal_lift(composite, a_blowup, limits)
+    lifted = universal_lift(composite, a_blowup)
     moved = [[lifted.pullback(x) for x in row] for row in sigma.entries]
     rho_up = RepMatrix(b.blown, _pull_entries(rho, b),
                        b.projection.pullback(rho.det_inverse_witness))
@@ -333,12 +327,11 @@ class ConormalData:
     basis: list
     matrix: list
 
-    def rep(self, limits: Limits = DEFAULT_LIMITS) -> RepMatrix:
-        return RepMatrix(self.group, self.matrix, limits=limits)
+    def rep(self) -> RepMatrix:
+        return RepMatrix(self.group, self.matrix)
 
 
-def conormal_rep(gk: HopfPresentation, subgroup: Ideal,
-                 limits: Limits = DEFAULT_LIMITS) -> ConormalData:
+def conormal_rep(gk: HopfPresentation, subgroup: Ideal) -> ConormalData:
     """Conjugation action of a fibre subgroup on its conormal space.
 
     The space is the subgroup ideal modulo its product with the
@@ -356,7 +349,7 @@ def conormal_rep(gk: HopfPresentation, subgroup: Ideal,
     aug = gk.aug_gens()
     fibre_rels = list(gk.relations.generators) + [pi]
     small = Ideal(ring, fibre_rels + [a * g for a in aug for g in gens])
-    cls = [small.normal_form(g, limits) for g in gens]
+    cls = [small.normal_form(g) for g in gens]
 
     support = sorted({m for f in cls for m in f.terms},
                      key=ring.order.key, reverse=True)
@@ -391,13 +384,13 @@ def conormal_rep(gk: HopfPresentation, subgroup: Ideal,
         for k, cf in row.items():
             matrix[k][i] = cf
     for jcol, f in enumerate(basis):
-        reduced = modulus.normal_form(twist(comul_squared(gk, f)), limits)
+        reduced = modulus.normal_form(twist(comul_squared(gk, f)))
         groups: dict = {}
         for m, cf in reduced.terms.items():
             main = m[:nmain] + (m[-1],)
             groups.setdefault(m[nmain:-1], {})[main] = cf
         for hmono, coeffs in sorted(groups.items()):
-            part = small.normal_form(Poly(ring, dict(coeffs)), limits)
+            part = small.normal_form(Poly(ring, dict(coeffs)))
             rhs = [0] * len(support)
             for m, cf in part.terms.items():
                 if m not in col:
@@ -413,5 +406,5 @@ def conormal_rep(gk: HopfPresentation, subgroup: Ideal,
                 if lam[i]:
                     out[i][jcol] = out[i][jcol] + hpoly.scale(lam[i])
     total = Ideal(ring, fibre_rels + gens)
-    out = [[total.normal_form(x, limits) for x in row] for row in out]
+    out = [[total.normal_form(x) for x in row] for row in out]
     return ConormalData(quot, basis, out)

@@ -241,6 +241,9 @@ class PolyRing:
         return PolyRing(tuple(v for v in self.variables if v not in gone), self.order)
 
 
+SCALARS = PolyRing(())  # the base ring R, where counits land
+
+
 class Poly:
     """Polynomial over Q[pi]; immutable by convention.
 
@@ -487,8 +490,7 @@ class Substitution:
 
 
 def format_scalar(s: Scalar) -> str:
-    ring = PolyRing(())
-    return format_poly(ring.scalar(s))
+    return format_poly(SCALARS.scalar(s))
 
 
 def _format_term(ring: PolyRing, mono: Monomial, coeff):

@@ -274,18 +274,16 @@ def _monomials_upto(nslots, degree):
     return out
 
 
-def solve_q(rows, rhs):
-    """One solution of the exact rational system, or None.
+def solve_q(rows, rhs, width):
+    """One solution of the exact rational system in `width` unknowns, or None.
 
     Sparse forward elimination: each equation, a dict {column: value} with
     its right-hand side in column `width`, is reduced by the stored pivot
     equations until its leading column is new, then stored under it.  An
     equation left with only the right-hand side is 0 = nonzero.  Back
-    substitution sets the free unknowns to zero.
+    substitution sets the free unknowns to zero, so a system with no rows
+    has the zero solution.
     """
-    if not rows:
-        return [] if not any(rhs) else None
-    width = len(rows[0])
     pivots = {}
     for row, b in zip(rows, rhs):
         eq = {c: Fraction(v) for c, v in enumerate(list(row) + [b]) if v}
@@ -390,4 +388,4 @@ def membership_linear(f, gens, degree: int) -> bool:
         for m, c in col.items():
             rows[index[m]][j] = c
     rhs = [f.terms.get(m, Fraction(0)) for m in support]
-    return solve_q(rows, rhs) is not None
+    return solve_q(rows, rhs, len(columns)) is not None

@@ -11,7 +11,6 @@ import random
 from fractions import Fraction
 
 from neron.blowup import neron_blowup, universal_lift
-from neron.config import Limits
 from neron.errors import LiftFailure
 from neron.groebner import Ideal, eliminate, membership, saturate
 from neron.hopf import check_flat, check_hopf, check_morphism
@@ -21,7 +20,6 @@ from neron.ring import Poly, PolyRing
 
 from oracles import membership_linear
 
-LIMITS = Limits()
 
 
 def _total_degree(f) -> int:
@@ -66,9 +64,9 @@ def groebner_oracle_suite(count: int, seed: int = 20260815) -> int:
                 f = f + _random_poly(rng, ring, 2, 2) * g
         else:
             f = _random_poly(rng, ring, rng.randint(1, 3), rng.randint(0, 3))
-        member = ideal.contains(f, LIMITS)
+        member = ideal.contains(f)
         if member:
-            cert = membership(f, ideal, LIMITS)
+            cert = membership(f, ideal)
             assert cert.member
             ceiling = max((_total_degree(c) for c in cert.cofactors), default=0)
             # certificate cofactors overshoot; search low bounds first
@@ -122,16 +120,16 @@ def blowup_suite(count: int, seed: int = 20260815) -> int:
     while done < count:
         h = rng.choice(pool)
         centre = rng.choice(_centres(h))
-        res = neron_blowup(h, Ideal(h.ring, centre), limits=LIMITS)
+        res = neron_blowup(h, Ideal(h.ring, centre))
         assert res.report.ok, res.report.lines()
         blown = res.blown
         if rng.random() < 0.25:
             second = [blown.ring.pi()] + list(blown.aug_gens())
-            res2 = neron_blowup(blown, Ideal(blown.ring, second), limits=LIMITS)
+            res2 = neron_blowup(blown, Ideal(blown.ring, second))
             assert res2.report.ok
             blown = res2.blown
-        assert check_hopf(blown, LIMITS).ok, blown.name
-        assert check_flat(blown, LIMITS).ok, blown.name
+        assert check_hopf(blown).ok, blown.name
+        assert check_flat(blown).ok, blown.name
         done += 1
     return done
 
@@ -150,24 +148,24 @@ def saturation_suite(count: int, seed: int = 20260815) -> int:
             continue
         ideal = Ideal(ring, gens)
         f = ring.pi() if rng.random() < 0.6 else ring.var(rng.choice(ring.variables))
-        sat = saturate(ideal, f, LIMITS)
+        sat = saturate(ideal, f)
         for g in ideal.generators:
-            assert sat.contains(g, LIMITS), "ideal not inside its saturation"
-        for s in sat.basis(LIMITS):
+            assert sat.contains(g), "ideal not inside its saturation"
+        for s in sat.basis():
             power = next((m for m in range(7)
-                          if ideal.contains(f ** m * s, LIMITS)), None)
+                          if ideal.contains(f ** m * s)), None)
             assert power is not None, "saturation element lacks a witness power"
         if ring.nvars == 2:
             drop = rng.choice(ring.variables)
-            elim = eliminate(ideal, [drop], LIMITS)
+            elim = eliminate(ideal, [drop])
             for g in elim.generators:
                 assert drop not in g.variables_used()
-                assert ideal.contains(g.in_ring(ring), LIMITS), (
+                assert ideal.contains(g.in_ring(ring)), (
                     "eliminated generator left the ideal")
             probe = _random_poly(rng, ring, 2, 2) * gens[0]
             if drop not in probe.variables_used():
                 small = elim.ring
-                assert elim.contains(probe.in_ring(small), LIMITS), (
+                assert elim.contains(probe.in_ring(small)), (
                     "subring member missed by elimination")
         done += 1
     return done
@@ -183,26 +181,25 @@ def lift_suite(count: int, seed: int = 20260815) -> int:
     done = 0
     while done < count:
         g = rng.choice(pool)
-        b = neron_blowup(g, Ideal(g.ring, [g.ring.pi()] + list(g.aug_gens())),
-                         limits=LIMITS)
+        b = neron_blowup(g, Ideal(g.ring, [g.ring.pi()] + list(g.aug_gens())))
         level = rng.randint(1, 2)
-        tower = automatic_truncation(g, level, limits=LIMITS)
-        lifted = universal_lift(tower.projection, b, limits=LIMITS)
-        assert check_morphism(lifted, LIMITS).ok
+        tower = automatic_truncation(g, level)
+        lifted = universal_lift(tower.projection, b)
+        assert check_morphism(lifted).ok
         # composing with the projection recovers the original morphism
         proj = b.projection.pullback
         orig = tower.projection.pullback
         rels = Ideal(tower.blown.ring, list(tower.blown.relations.generators))
         for var in g.ring.variables:
             diff = lifted.pullback(proj(g.ring.var(var))) - orig(g.ring.var(var))
-            assert rels.normal_form(diff, LIMITS).is_zero(), var
+            assert rels.normal_form(diff).is_zero(), var
         if rng.random() < 0.3:
             # the identity of G does not kill the unit section mod pi
             from neron.hopf import GroupMorphism
             from neron.ring import Substitution
             ident = GroupMorphism("id", g, g, Substitution.identity(g.ring))
             try:
-                universal_lift(ident, b, limits=LIMITS)
+                universal_lift(ident, b)
                 raise AssertionError("identity morphism lifted unexpectedly")
             except LiftFailure:
                 pass

@@ -10,7 +10,6 @@ from fractions import Fraction
 from neron.blowup import (automatic_member, automatic_truncation,
                           check_constancy, neron_blowup, partial_blowup,
                           standard_sequence)
-from neron.config import Limits
 from neron.dgal import LaurentPoly, check_gauge, galois_diagnostic
 from neron.groebner import Ideal
 from neron.hopf import check_flat, check_hopf, prune, reduce_mod_image, special_fibre
@@ -24,7 +23,6 @@ from neron.ring import Scalar, format_poly
 from oracles import beta_conjugation_oracle
 from suites import blowup_suite, groebner_oracle_suite, lift_suite, saturation_suite
 
-LIM = Limits()
 
 
 def rels_of(h) -> list:
@@ -36,15 +34,15 @@ def test_criterion_01():
     ga = additive_group()
     x = ga.ring.var("x")
     for n in (1, 2, 3, 4):
-        tower = automatic_truncation(ga, n, limits=LIM)
+        tower = automatic_truncation(ga, n)
         blown = tower.blown
         assert blown.ring.variables == (f"xi{n}",)
-        assert blown.relations.is_zero(LIM)
+        assert blown.relations.is_zero()
         assert tower.projection.pullback.images["x"] == (
             blown.ring.var(f"xi{n}") * blown.ring.pi(n))
         for m in range(n):
-            assert reduce_mod_image(tower.projection, m, limits=LIM).trivial
-        assert not reduce_mod_image(tower.projection, n, limits=LIM).trivial
+            assert reduce_mod_image(tower.projection, m).trivial
+        assert not reduce_mod_image(tower.projection, n).trivial
     for m in range(1, 8):
         assert automatic_member(ga, x, m)
     assert not automatic_member(ga, x + 1, 1)
@@ -54,14 +52,14 @@ def test_criterion_02(golden):
     """Multiplicative truncations match the recorded twisted presentations."""
     gm = multiplicative_group()
     for n in (1, 2, 3):
-        tower = automatic_truncation(gm, n, limits=LIM)
+        tower = automatic_truncation(gm, n)
         blown = tower.blown
         lo, hi = f"xi{2 * n - 1}", f"xi{2 * n}"
         assert blown.ring.variables == (lo, hi)
         recorded = golden(f"gm-twisted-{n}.grp").groups[f"Gm^({n})"]
         rename = {"x": lo, "y": hi}
         moved = recorded.relations.in_ring(blown.ring, rename)
-        assert blown.relations.same_ideal(moved, LIM)
+        assert blown.relations.same_ideal(moved)
         two = blown.doubled_ring()
         assert blown.comul.images[lo] == (
             two.var(lo + "'") * two.var(lo + "''") * two.pi(n)
@@ -76,8 +74,8 @@ def test_criterion_03():
     gm = multiplicative_group()
     u = gm.ring.var("u")
     std = RepMatrix(gm, [[u]])
-    b = neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u - 1]), limits=LIM)
-    w = identity_blowup_rep(std, b, LIM)
+    b = neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u - 1]))
+    w = identity_blowup_rep(std, b)
     assert [[format_poly(e) for e in row] for row in w.entries] == [
         ["xi1*pi + 1", "xi1"], ["0", "1"]]
     # the chart encodes [[u, (u-1)/pi], [0, 1]]: top-left pulls back u and
@@ -85,11 +83,11 @@ def test_criterion_03():
     assert w.entries[0][0] == b.projection.pullback(u)
     assert w.entries[0][1] * b.blown.ring.pi() == (
         w.entries[0][0] - b.blown.ring.one())
-    assert validate_rep(w, LIM).ok
-    assert verify_faithful(w, LIM).verdict == "faithful"
-    fib, _ = prune(special_fibre(b.blown), limits=LIM)
+    assert validate_rep(w).ok
+    assert verify_faithful(w).verdict == "faithful"
+    fib, _ = prune(special_fibre(b.blown))
     assert len(fib.ring.variables) == 1
-    assert fib.relations.is_zero(LIM)
+    assert fib.relations.is_zero()
     name = fib.ring.variables[0]
     two = fib.doubled_ring()
     assert fib.comul.images[name] == two.var(name + "'") + two.var(name + "''")
@@ -98,7 +96,7 @@ def test_criterion_03():
 def test_criterion_04(golden):
     """Triple of fibres for the torus dilatation: additive, trivial, torus."""
     rho = golden("gprime.grp").morphisms["rho"]
-    t = triptych(rho, 5, LIM)
+    t = triptych(rho, 5)
     assert t.report.ok
     sat = t.saturated_fibre
     assert sat.name == "Im(rho)[1]_k"
@@ -118,16 +116,16 @@ def test_criterion_04(golden):
 def test_criterion_05():
     """The standard sequence recovers the additive truncation tower."""
     ga = additive_group()
-    tower = automatic_truncation(ga, 3, limits=LIM)
-    seq = standard_sequence(tower.projection, 3, limits=LIM)
+    tower = automatic_truncation(ga, 3)
+    seq = standard_sequence(tower.projection, 3)
     assert seq.depth == 3
     centres = [[format_poly(g) for g in s.centre.generators]
                for s in seq.stages]
     assert centres == [["pi", "x"], ["pi", "xi1"], ["pi", "xi2"]]
     for i, stage in enumerate(seq.stages, start=1):
-        step = automatic_truncation(ga, i, limits=LIM).blown
+        step = automatic_truncation(ga, i).blown
         assert stage.group.ring.variables == step.ring.variables
-        assert stage.group.relations.same_ideal(step.relations, LIM)
+        assert stage.group.relations.same_ideal(step.relations)
         assert stage.group.comul.images == step.comul.images
     assert seq.lifted.source.name == "Ga^(3)"
 
@@ -137,22 +135,20 @@ def test_criterion_06():
     gm = multiplicative_group()
     aug = Ideal(gm.ring, list(gm.aug_gens()))
     for n in (0, 1, 2):
-        res = partial_blowup(gm, aug, n, limits=LIM)
+        res = partial_blowup(gm, aug, n)
         assert res.level == n + 1
         for m in range(n + 1):
-            assert reduce_mod_image(res.projection, m, limits=LIM).trivial
-        assert not reduce_mod_image(res.projection, n + 1, limits=LIM).trivial
+            assert reduce_mod_image(res.projection, m).trivial
+        assert not reduce_mod_image(res.projection, n + 1).trivial
 
 
 def test_criterion_07():
     """Centre fibres stay constant along iterated unit blowups."""
     gm = multiplicative_group()
-    rep = check_constancy(gm, Ideal(gm.ring, list(gm.aug_gens())), 3,
-                          limits=LIM)
+    rep = check_constancy(gm, Ideal(gm.ring, list(gm.aug_gens())), 3)
     assert rep.ok
     both = product(multiplicative_group(), additive_group())
-    rep = check_constancy(both, Ideal(both.ring, [both.ring.var("x")]), 2,
-                          limits=LIM)
+    rep = check_constancy(both, Ideal(both.ring, [both.ring.var("x")]), 2)
     assert rep.ok
 
 
@@ -194,19 +190,17 @@ def test_criterion_10(golden):
     gm = pf.groups["Gm"]
     block = pf.reps["V"]
     v = RepMatrix(gm, block.entries, block.witness)
-    b = neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), gm.ring.var("u") - 1]),
-                     limits=LIM)
-    w = identity_blowup_rep(v, b, LIM)
+    b = neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), gm.ring.var("u") - 1]))
+    w = identity_blowup_rep(v, b)
     # route one cross-multiplies over R; route two inverts beta over Q(pi)
-    assert scaling_conjugation_report(v, b, w, LIM).ok
+    assert scaling_conjugation_report(v, b, w).ok
     assert beta_conjugation_oracle(v, b, w)
 
     pf = golden("ga-rep.grp")
     ga = pf.groups["Ga"]
     block = pf.reps["W"]
     va = RepMatrix(ga, block.entries, block.witness)
-    ba = neron_blowup(ga, Ideal(ga.ring, [ga.ring.pi()] + list(ga.aug_gens())),
-                      limits=LIM)
-    wa = identity_blowup_rep(va, ba, LIM)
-    assert scaling_conjugation_report(va, ba, wa, LIM).ok
+    ba = neron_blowup(ga, Ideal(ga.ring, [ga.ring.pi()] + list(ga.aug_gens())))
+    wa = identity_blowup_rep(va, ba)
+    assert scaling_conjugation_report(va, ba, wa).ok
     assert beta_conjugation_oracle(va, ba, wa)

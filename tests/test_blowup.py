@@ -5,7 +5,7 @@ import pytest
 from neron.blowup import (automatic_member, automatic_truncation, check_constancy,
                           fresh_xi_names, neron_blowup, partial_blowup,
                           standard_sequence, strict_transform, universal_lift)
-from neron.config import Limits
+from neron.config import Limits, budget
 from neron.errors import LiftFailure, NotASubgroup
 from neron.groebner import Ideal
 from neron.hopf import (GroupMorphism, check_flat, check_hopf, check_morphism,
@@ -16,7 +16,6 @@ from neron.ring import PolyRing, Substitution, format_poly
 
 import suites
 
-LIM = Limits()
 
 
 def identity_centre(h) -> Ideal:
@@ -27,7 +26,7 @@ class TestSingleStep:
     def test_multiplicative_at_unit_section(self):
         gm = multiplicative_group()
         u = gm.ring.var("u")
-        b = neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u - 1]), limits=LIM)
+        b = neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u - 1]))
         assert b.report.ok
         assert b.level == 1
         assert b.blown.name == "Gm'"
@@ -42,34 +41,34 @@ class TestSingleStep:
         assert format_poly(b.xi_map["xi1"]) == "u - 1"
         assert format_poly(b.eliminated["u"]) == "xi1*pi + 1"
         assert format_poly(b.projection.pullback.images["u"]) == "xi1*pi + 1"
-        assert check_morphism(b.projection, LIM).ok
+        assert check_morphism(b.projection).ok
 
     def test_blown_group_is_twisted_form(self):
         gm = multiplicative_group()
         u = gm.ring.var("u")
-        b = neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u - 1]), limits=LIM)
+        b = neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u - 1]))
         t = twisted_multiplicative(1)
         ring = b.blown.ring
         xi, v = ring.var("xi1"), ring.var("v")
         iso = GroupMorphism("match", b.blown, t,
                             Substitution(t.ring, ring, {"x": xi, "y": -v * xi}))
-        assert isomorphism_report(iso, LIM).ok
+        assert isomorphism_report(iso).ok
 
     def test_centre_must_be_a_subgroup(self):
         gm = multiplicative_group()
         u = gm.ring.var("u")
         with pytest.raises(NotASubgroup):
-            neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u]), limits=LIM)
+            neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u]))
         with pytest.raises(NotASubgroup):
-            neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u + 1]), limits=LIM)
+            neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u + 1]))
 
     def test_special_fibre_becomes_additive(self):
         gm = multiplicative_group()
-        b = neron_blowup(gm, identity_centre(gm), limits=LIM)
-        fib, _ = prune(special_fibre(b.blown), limits=LIM)
+        b = neron_blowup(gm, identity_centre(gm))
+        fib, _ = prune(special_fibre(b.blown))
         assert len(fib.ring.variables) == 1
         x = fib.ring.var(fib.ring.variables[0])
-        assert fib.relations.is_zero(LIM)
+        assert fib.relations.is_zero()
         img = fib.comul.images[fib.ring.variables[0]]
         two = fib.doubled_ring()
         assert img == two.var(fib.ring.variables[0] + "'") + two.var(
@@ -83,7 +82,7 @@ class TestAutomaticTruncation:
     def test_matches_twisted_presentation(self):
         gm = multiplicative_group()
         for n in (1, 2, 3):
-            tower = automatic_truncation(gm, n, limits=LIM)
+            tower = automatic_truncation(gm, n)
             blown = tower.blown
             assert blown.name == f"Gm^({n})"
             lo, hi = f"xi{2 * n - 1}", f"xi{2 * n}"
@@ -91,7 +90,7 @@ class TestAutomaticTruncation:
             t = twisted_multiplicative(n)
             rename = {"x": lo, "y": hi}
             moved = t.relations.in_ring(blown.ring, rename)
-            assert blown.relations.same_ideal(moved, LIM)
+            assert blown.relations.same_ideal(moved)
             two = blown.doubled_ring()
             expect = (two.var(lo + "'") * two.var(lo + "''") * two.pi(n)
                       + two.var(lo + "'") + two.var(lo + "''"))
@@ -104,11 +103,11 @@ class TestAutomaticTruncation:
     def test_additive_levels(self):
         ga = additive_group()
         for n in (1, 2, 3, 4):
-            tower = automatic_truncation(ga, n, limits=LIM)
+            tower = automatic_truncation(ga, n)
             blown = tower.blown
             assert blown.name == f"Ga^({n})"
             assert blown.ring.variables == (f"xi{n}",)
-            assert blown.relations.is_zero(LIM)
+            assert blown.relations.is_zero()
             two = blown.doubled_ring()
             assert blown.comul.images[f"xi{n}"] == (
                 two.var(f"xi{n}'") + two.var(f"xi{n}''"))
@@ -123,7 +122,8 @@ class TestAutomaticTruncation:
         # A scale guard that reads no clock: a pi-saturation is one lex walk
         # whose result keeps its basis, so no walk of these towers reduces
         # more than a handful of pairs (10 suffice today).
-        tower = automatic_truncation(group(), level, limits=Limits(max_pairs=20))
+        with budget(Limits(max_pairs=20)):
+            tower = automatic_truncation(group(), level)
         assert tower.report.ok
         assert tower.level == level
 
@@ -144,20 +144,20 @@ class TestPartialBlowup:
         gm = multiplicative_group()
         aug = Ideal(gm.ring, list(gm.aug_gens()))
         for n in (0, 1, 2):
-            res = partial_blowup(gm, aug, n, limits=LIM)
+            res = partial_blowup(gm, aug, n)
             assert res.level == n + 1
             assert res.blown.name == f"Gm^[{n}]"
             power = "pi" if n == 0 else f"pi^{n + 1}"
             assert format_poly(res.projection.pullback.images["u"]) == (
                 f"xi1*{power} + 1")
-            assert check_hopf(res.blown, LIM).ok
+            assert check_hopf(res.blown).ok
 
 
 class TestStandardSequence:
     def test_additive_tower(self):
         ga = additive_group()
-        tower = automatic_truncation(ga, 3, limits=LIM)
-        seq = standard_sequence(tower.projection, 3, limits=LIM)
+        tower = automatic_truncation(ga, 3)
+        seq = standard_sequence(tower.projection, 3)
         assert seq.depth == 3
         assert [s.group.name for s in seq.stages] == ["Ga[1]", "Ga[2]", "Ga[3]"]
         centres = [[format_poly(g) for g in s.centre.generators]
@@ -165,9 +165,9 @@ class TestStandardSequence:
         assert centres == [["pi", "x"], ["pi", "xi1"], ["pi", "xi2"]]
         # the tower of truncations is exactly the sequence of stages
         for i, stage in enumerate(seq.stages, start=1):
-            step = automatic_truncation(ga, i, limits=LIM).blown
+            step = automatic_truncation(ga, i).blown
             assert stage.group.ring.variables == step.ring.variables
-            assert stage.group.relations.same_ideal(step.relations, LIM)
+            assert stage.group.relations.same_ideal(step.relations)
             assert stage.group.comul.images == step.comul.images
         assert seq.lifted.source.name == "Ga^(3)"
         xi3 = seq.lifted.source.ring.var("xi3")
@@ -178,56 +178,54 @@ class TestStrictTransform:
     def test_torsion_inside_unit_blowup(self):
         gm = multiplicative_group()
         u, v = gm.ring.var("u"), gm.ring.var("v")
-        b = neron_blowup(gm, identity_centre(gm), limits=LIM)
-        out = strict_transform(b, Ideal(gm.ring, [u * u - 1, v - u]), limits=LIM)
+        b = neron_blowup(gm, identity_centre(gm))
+        out = strict_transform(b, Ideal(gm.ring, [u * u - 1, v - u]))
         ring = out.ring
         x1, x2 = ring.var("xi1"), ring.var("xi2")
         expect = Ideal(ring, [x1 - x2, x2 * x2 * ring.pi() + x2 * 2])
-        assert out.same_ideal(expect, LIM)
+        assert out.same_ideal(expect)
 
     def test_transform_is_pi_saturated(self):
         from neron.groebner import saturate_pi
         gm = multiplicative_group()
         u = gm.ring.var("u")
-        b = neron_blowup(gm, identity_centre(gm), limits=LIM)
-        out = strict_transform(b, Ideal(gm.ring, [u * u - 1]), limits=LIM)
-        assert saturate_pi(out, LIM).same_ideal(out, LIM)
+        b = neron_blowup(gm, identity_centre(gm))
+        out = strict_transform(b, Ideal(gm.ring, [u * u - 1]))
+        assert saturate_pi(out).same_ideal(out)
 
 
 class TestConstancy:
     def test_multiplicative_identity(self):
         gm = multiplicative_group()
-        rep = check_constancy(gm, Ideal(gm.ring, list(gm.aug_gens())), 3,
-                              limits=LIM)
+        rep = check_constancy(gm, Ideal(gm.ring, list(gm.aug_gens())), 3)
         assert rep.ok
         assert rep.title == "centre fibres along 3 blowups of Gm"
 
     def test_additive_factor(self):
         both = product(multiplicative_group(), additive_group())
-        rep = check_constancy(both, Ideal(both.ring, [both.ring.var("x")]), 2,
-                              limits=LIM)
+        rep = check_constancy(both, Ideal(both.ring, [both.ring.var("x")]), 2)
         assert rep.ok
 
 
 class TestUniversalLift:
     def test_deeper_truncation_lifts(self):
         gm = multiplicative_group()
-        b = neron_blowup(gm, identity_centre(gm), limits=LIM)
-        tower = automatic_truncation(gm, 2, limits=LIM)
-        lifted = universal_lift(tower.projection, b, limits=LIM)
-        assert check_morphism(lifted, LIM).ok
+        b = neron_blowup(gm, identity_centre(gm))
+        tower = automatic_truncation(gm, 2)
+        lifted = universal_lift(tower.projection, b)
+        assert check_morphism(lifted).ok
         rels = tower.blown.relations
         for var in gm.ring.variables:
             through = lifted.pullback(b.projection.pullback(gm.ring.var(var)))
             direct = tower.projection.pullback(gm.ring.var(var))
-            assert rels.normal_form(through - direct, LIM).is_zero()
+            assert rels.normal_form(through - direct).is_zero()
 
     def test_identity_does_not_lift(self):
         gm = multiplicative_group()
-        b = neron_blowup(gm, identity_centre(gm), limits=LIM)
+        b = neron_blowup(gm, identity_centre(gm))
         ident = GroupMorphism("id", gm, gm, Substitution.identity(gm.ring))
         with pytest.raises(LiftFailure):
-            universal_lift(ident, b, limits=LIM)
+            universal_lift(ident, b)
 
 
 class TestRandomizedSlices:

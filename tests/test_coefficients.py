@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neron.cli import main
-from neron.config import Limits
 from neron.groebner import Ideal, membership
 from neron.ring import (GREVLEX, LEX, Poly, PolyRing, Scalar, Substitution, elim_order,
                         quotient, rational)
@@ -182,11 +181,9 @@ class TestKernelDivisions:
         R = PolyRing(SOURCE.variables, order)
         gens = data.draw(st.lists(polys(R, True), min_size=1, max_size=2))
         f = data.draw(polys(R, True))
-        limits = Limits()
         ideal = Ideal(R, gens)
-        out = [ideal.normal_form(f, limits), *ideal.basis(limits),
-               ideal.normal_form(f, limits)]
-        cert = membership(f, Ideal(R, gens), limits)
+        out = [ideal.normal_form(f), *ideal.basis(), ideal.normal_form(f)]
+        cert = membership(f, Ideal(R, gens))
         out += [cert.remainder, *(cert.cofactors or [])]
         for p in out:
             assert_exact(p, False)

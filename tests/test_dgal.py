@@ -322,15 +322,14 @@ class TestAgainstEliminationOracle:
         dense = [[rows[key].get(t, 0) for t in range(len(unknowns))]
                  for key in keys]
         rhs = [-rows[key].get(None, 0) for key in keys]
-        # with no balance equation every unknown is free
-        x = solve_q(dense, rhs) if dense else [0] * len(unknowns)
+        x = solve_q(dense, rhs, len(unknowns))
         assert entry.trivial == (x is not None)
         if x is None:
             row_of = {f"entry ({i + 1},{j + 1}), coefficient of x^{d}*pi^{p}": k
                       for k, (i, j, d, p) in enumerate(keys)}
             picked = [row_of[label] for label in entry.obstruction]
             assert solve_q([dense[k] for k in picked],
-                           [rhs[k] for k in picked]) is None
+                           [rhs[k] for k in picked], len(unknowns)) is None
             return
         # Gauss-Jordan's gauge: x^m*I plus every solved x^d*pi^p, free
         # unknowns zero

@@ -7,7 +7,7 @@ import pytest
 import neron.blowup
 import neron.groebner
 from neron.blowup import automatic_truncation, neron_blowup
-from neron.config import Limits
+from neron.config import Limits, budget
 from neron.errors import ResourceLimit, UnknownVariable
 from neron.groebner import Ideal
 from neron.hopf import (PRIME1, PRIME2, PRIME3, GroupMorphism, HopfPresentation,
@@ -24,7 +24,6 @@ from neron.ring import Order, PolyRing, Scalar, Substitution
 
 from test_goldens import load_script
 
-LIM = Limits()
 
 
 def all_stock():
@@ -51,7 +50,7 @@ class TestReport:
 class TestAxioms:
     @pytest.mark.parametrize("h", all_stock(), ids=lambda h: h.name)
     def test_stock_groups_are_hopf_and_flat(self, h):
-        rep = check_hopf(h, LIM)
+        rep = check_hopf(h)
         assert rep.ok, "\n".join(rep.lines())
 
     def test_one_legged_comultiplication_fails(self):
@@ -62,7 +61,7 @@ class TestAxioms:
                                "v": gm.doubled_ring().var("v'")})
         bad = HopfPresentation("Bad", ring, gm.relations, broken,
                                gm.counit, gm.antipode)
-        rep = check_hopf(bad, LIM)
+        rep = check_hopf(bad)
         assert not rep.ok
         names = {c.name for c in rep.failures()}
         assert "counit is left neutral" in names
@@ -76,7 +75,7 @@ class TestAxioms:
         antipode = Substitution(ring, ring, {"x": -x})
         torsion = HopfPresentation("T", ring, Ideal(ring, [ring.pi() * x]),
                                    comul, counit, antipode)
-        rep = check_flat(torsion, LIM)
+        rep = check_flat(torsion)
         assert not rep.ok
         assert any("pi multiple" in c.witness for c in rep.failures())
 
@@ -86,8 +85,8 @@ class TestAxioms:
         t = twisted_multiplicative(1)
         ring2 = t.doubled_ring()
         moved = copy_into(t.relations.generators[0], ring2, "'")
-        assert t.doubled_ideal().contains(moved, LIM)
-        assert t.doubled_ideal().contains(t.comul(t.relations.generators[0]), LIM)
+        assert t.doubled_ideal().contains(moved)
+        assert t.doubled_ideal().contains(t.comul(t.relations.generators[0]))
 
 
 STOCK_NAMES = [name for _, name in load_script().STOCK]
@@ -110,12 +109,12 @@ class TestTensorIdeals:
                                 (h.tripled_ideal(), (PRIME1, PRIME2, PRIME3))):
             ring_t = ideal.ring
             gens = [copy_into(g, ring_t, s) for s in suffixes for g in h.relations.generators]
-            assert ideal.basis(LIM) == Ideal(ring_t, gens).basis(LIM)
+            assert ideal.basis() == Ideal(ring_t, gens).basis()
 
     def test_passing_check_builds_no_tripled_basis(self):
         h = automatic_truncation(multiplicative_group(), 1).blown
-        assert any(g.lead_monomial()[-1] for g in h.relations.basis(LIM))
-        assert check_hopf(h, LIM).ok
+        assert any(g.lead_monomial()[-1] for g in h.relations.basis())
+        assert check_hopf(h).ok
         assert h.tripled_ideal()._basis is None
 
     def test_comultiplication_must_land_in_the_doubled_ring(self):
@@ -137,18 +136,18 @@ class TestSaturationKept:
         saturate = neron.groebner.saturate
         monkeypatch.setattr(neron.groebner, "saturate",
                             lambda *a: calls.append(a) or saturate(*a))
-        assert check_hopf(h, LIM).ok
-        assert check_flat(h, LIM).ok
+        assert check_hopf(h).ok
+        assert check_flat(h).ok
         assert len(calls) == 1
 
     def test_saturation_is_its_own_saturation(self):
         ring = PolyRing(("x",))
         x = ring.var("x")
         ideal = Ideal(ring, [ring.pi() * x])
-        sat = neron.groebner.saturate_pi(ideal, LIM)
-        assert neron.groebner.saturate_pi(ideal, LIM) is sat
-        assert neron.groebner.saturate_pi(sat, LIM) is sat
-        assert sat.contains(x, LIM)
+        sat = neron.groebner.saturate_pi(ideal)
+        assert neron.groebner.saturate_pi(ideal) is sat
+        assert neron.groebner.saturate_pi(sat) is sat
+        assert sat.contains(x)
 
 
 class TestMorphisms:
@@ -158,14 +157,14 @@ class TestMorphisms:
         pull = Substitution(gm.ring, mu.ring,
                             {"u": mu.ring.var("u"), "v": mu.ring.var("v")})
         incl = GroupMorphism("incl", mu, gm, pull)
-        assert check_morphism(incl, LIM).ok
-        iso = isomorphism_report(incl, LIM)
+        assert check_morphism(incl).ok
+        iso = isomorphism_report(incl)
         assert not iso.ok
 
     def test_identity_is_isomorphism(self):
         gm = multiplicative_group()
         ident = GroupMorphism("id", gm, gm, Substitution.identity(gm.ring))
-        assert isomorphism_report(ident, LIM).ok
+        assert isomorphism_report(ident).ok
 
     def test_wrong_pullback_rejected(self):
         gm = multiplicative_group()
@@ -173,7 +172,7 @@ class TestMorphisms:
         pull = Substitution(gm.ring, ga.ring,
                             {"u": ga.ring.var("x"), "v": ga.ring.var("x")})
         bad = GroupMorphism("bad", ga, gm, pull)
-        rep = check_morphism(bad, LIM)
+        rep = check_morphism(bad)
         assert not rep.ok
         assert any(c.name == "pullback respects relations" for c in rep.failures())
 
@@ -182,7 +181,7 @@ class TestMorphisms:
         pull = Substitution(gm.ring, gm.ring,
                             {"u": gm.ring.var("v"), "v": gm.ring.var("u")})
         inv = GroupMorphism("inv", gm, gm, pull)
-        assert isomorphism_report(inv, LIM).ok
+        assert isomorphism_report(inv).ok
 
 
 class TestFibres:
@@ -191,8 +190,8 @@ class TestFibres:
         fib = special_fibre(t)
         assert fib.name == "Gm^(1)_k"
         x, y = fib.ring.var("x"), fib.ring.var("y")
-        assert fib.relations.same_ideal(Ideal(fib.ring, [x + y]), LIM)
-        assert check_hopf(fib, LIM).ok
+        assert fib.relations.same_ideal(Ideal(fib.ring, [x + y]))
+        assert check_hopf(fib).ok
 
     def test_generic_fibre_saturates(self):
         ring = PolyRing(("x",))
@@ -205,7 +204,7 @@ class TestFibres:
                                    comul, counit, antipode)
         fib = generic_fibre(torsion)
         assert fib.name == "T_K"
-        assert fib.relations.contains(x, LIM)
+        assert fib.relations.contains(x)
 
     def test_generic_fibre_honours_the_pair_budget(self):
         # Saturating (pi*x) walks the pair of pi*x and 1 - t*pi, whose
@@ -217,33 +216,33 @@ class TestFibres:
         comul = Substitution(ring, ring2, {"x": ring2.var("x'") + ring2.var("x''")})
         torsion = HopfPresentation("T", ring, Ideal(ring, [ring.pi() * x]), comul,
                                    counit, Substitution(ring, ring, {"x": -x}))
-        with pytest.raises(ResourceLimit):
-            generic_fibre(torsion, Limits(max_pairs=0))
-        assert generic_fibre(torsion, LIM).relations.contains(x, LIM)
+        with pytest.raises(ResourceLimit), budget(Limits(max_pairs=0)):
+            generic_fibre(torsion)
+        assert generic_fibre(torsion).relations.contains(x)
 
 
 class TestReduceMod:
     def test_multiplicative_group_stays_nontrivial(self):
         gm = multiplicative_group()
-        res = reduce_mod(gm, 0, LIM)
+        res = reduce_mod(gm, 0)
         assert not res.trivial
         assert res.presentation.name == "Gm_mod0"
 
     def test_forced_constants_are_trivial(self):
         mu1 = roots_of_unity(1)
-        res = reduce_mod(mu1, 3, LIM)
+        res = reduce_mod(mu1, 3)
         assert res.trivial
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
-            reduce_mod(multiplicative_group(), -1, LIM)
+            reduce_mod(multiplicative_group(), -1)
 
     def test_image_of_congruence_subgroup(self):
         from neron.blowup import automatic_truncation
         gm = multiplicative_group()
-        tower = automatic_truncation(gm, 2, limits=LIM)
+        tower = automatic_truncation(gm, 2)
         for n in range(4):
-            res = reduce_mod_image(tower.projection, n, LIM)
+            res = reduce_mod_image(tower.projection, n)
             assert res.trivial == (n < 2), n
 
 
@@ -251,9 +250,9 @@ class TestQuotientAndPrune:
     def test_hopf_ideal_conditions(self):
         gm = multiplicative_group()
         u, v = gm.ring.var("u"), gm.ring.var("v")
-        good = hopf_ideal_report(gm, [u - 1, v - 1], 0, LIM)
+        good = hopf_ideal_report(gm, [u - 1, v - 1], 0)
         assert good.ok
-        bad = hopf_ideal_report(gm, [u + 1], 0, LIM)
+        bad = hopf_ideal_report(gm, [u + 1], 0)
         assert not bad.ok
         assert any(c.name == "counit vanishes" for c in bad.failures())
 
@@ -261,8 +260,8 @@ class TestQuotientAndPrune:
         gm = multiplicative_group()
         u, v = gm.ring.var("u"), gm.ring.var("v")
         q = quotient_presentation(gm, [u * u - 1], "mu2q")
-        assert check_hopf(q, LIM).ok
-        assert q.relations.same_ideal(roots_of_unity(2).relations.in_ring(q.ring), LIM)
+        assert check_hopf(q).ok
+        assert q.relations.same_ideal(roots_of_unity(2).relations.in_ring(q.ring))
 
     def test_with_relations_keeps_the_structure_maps(self):
         gm = multiplicative_group()
@@ -272,24 +271,24 @@ class TestQuotientAndPrune:
         assert (mu2.name, mu2.ring, mu2.relations) == ("mu2", gm.ring, rels)
         assert (mu2.comul, mu2.counit, mu2.antipode) == (gm.comul, gm.counit, gm.antipode)
         assert mu2.doubled_ideal() is not doubled
-        assert check_hopf(mu2, LIM).ok
+        assert check_hopf(mu2).ok
 
     def test_prune_eliminates_solved_variable(self):
         both = product(multiplicative_group(), additive_group())
         killed = quotient_presentation(both, [both.ring.var("x")], "GmxGa/x")
-        small, eliminated = prune(killed, limits=LIM)
+        small, eliminated = prune(killed)
         assert set(small.ring.variables) == {"u", "v"}
         assert eliminated["x"].is_zero()
-        assert check_hopf(small, LIM).ok
+        assert check_hopf(small).ok
 
 
-def iterative_prune(h, limits):
+def iterative_prune(h):
     """The reference: one solved variable per turn, each turn substituting
     into the basis, rebuilding the presentation and walking again."""
     current, eliminated = h, {}
     while True:
         ring = current.ring
-        basis = current.relations.basis(limits)
+        basis = current.relations.basis()
         found = None
         for g in basis:
             m = g.lead_monomial()
@@ -357,10 +356,10 @@ class TestPruneInOneSubstitution:
         counts = []
         for seed in range(30):
             h = random_quotient(random.Random(seed), PRUNE_GROUPS[name]())
-            small, eliminated = prune(h, limits=LIM)
-            ref, ref_eliminated = iterative_prune(h, LIM)
+            small, eliminated = prune(h)
+            ref, ref_eliminated = iterative_prune(h)
             assert print_group(small) == print_group(ref), seed
-            assert small.relations.basis(LIM) == ref.relations.basis(LIM), seed
+            assert small.relations.basis() == ref.relations.basis(), seed
             assert list(eliminated.items()) == list(ref_eliminated.items()), seed
             counts.append(len(eliminated))
         assert 0 in counts and max(counts) >= 2
@@ -376,11 +375,11 @@ class TestPruneInOneSubstitution:
         both = product(multiplicative_group(), additive_group())
         x, u = both.ring.var("x"), both.ring.var("u")
         h = quotient_presentation(both, [x - u * u + 1, u - 1], "GmxGa/q")
-        h.relations.basis(LIM)
+        h.relations.basis()
         walks = self.count_walks(monkeypatch)
-        small, eliminated = prune(h, limits=LIM)
+        small, eliminated = prune(h)
         assert list(eliminated) == ["x", "v", "u"]
-        assert small.relations.basis(LIM) == ()
+        assert small.relations.basis() == ()
         assert walks == []
 
     def test_prune_after_a_blowup_walks_nothing(self, monkeypatch):
@@ -389,14 +388,14 @@ class TestPruneInOneSubstitution:
         walks = self.count_walks(monkeypatch)
         seen = []
 
-        def counted(h, limits):
+        def counted(h):
             before = len(walks)
-            small, eliminated = prune(h, limits=limits)
-            small.relations.basis(limits)
+            small, eliminated = prune(h)
+            small.relations.basis()
             seen.append((len(walks) - before, list(eliminated)))
             return small, eliminated
 
         monkeypatch.setattr(neron.blowup, "prune", counted)
-        neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u - 1, v - 1]), limits=LIM)
+        neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u - 1, v - 1]))
         assert seen == [(0, ["v", "u"])]
 

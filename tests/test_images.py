@@ -3,7 +3,6 @@
 import pytest
 
 from neron.blowup import automatic_truncation, neron_blowup
-from neron.config import Limits
 from neron.groebner import Ideal
 from neron.hopf import GroupMorphism, check_hopf, check_morphism
 from neron.images import (check_unipotent_kernel, fibre_kernel, image_hopf,
@@ -12,7 +11,6 @@ from neron.library import (additive_group, multiplicative_group, product,
                            roots_of_unity, trivial_group)
 from neron.ring import Substitution, format_poly
 
-LIM = Limits()
 
 
 def rels_of(h) -> list:
@@ -23,17 +21,17 @@ def rels_of(h) -> list:
 def unit_projection():
     gm = multiplicative_group()
     R = gm.ring
-    b = neron_blowup(gm, Ideal(R, [R.pi(), R.var("u") - 1]), limits=LIM)
+    b = neron_blowup(gm, Ideal(R, [R.pi(), R.var("u") - 1]))
     return b.projection
 
 
 class TestImage:
     def test_projection_image_is_everything(self, unit_projection):
-        img = image_hopf(unit_projection, LIM)
+        img = image_hopf(unit_projection)
         assert rels_of(img.group) == ["u*v - 1"]
-        assert check_hopf(img.group, LIM).ok
-        assert check_morphism(img.embed, LIM).ok
-        assert check_morphism(img.cover, LIM).ok
+        assert check_hopf(img.group).ok
+        assert check_morphism(img.embed).ok
+        assert check_morphism(img.cover).ok
 
     def test_unit_section_image(self):
         gm = multiplicative_group()
@@ -41,13 +39,13 @@ class TestImage:
         emb = GroupMorphism("unit", tr, gm,
                             Substitution(gm.ring, tr.ring,
                                          {"u": tr.ring.one(), "v": tr.ring.one()}))
-        img = image_hopf(emb, LIM)
+        img = image_hopf(emb)
         assert rels_of(img.group) == ["v - 1", "u - 1"]
 
 
 class TestDiptych:
     def test_unit_blowup_stabilizes_in_one_step(self, unit_projection):
-        dip = saturated_image(unit_projection, 5, LIM)
+        dip = saturated_image(unit_projection, 5)
         assert dip.stabilized
         assert dip.report.ok
         assert [s.name for s in dip.stages] == ["Im(Gm'->Gm)", "Im(Gm'->Gm)[1]"]
@@ -59,14 +57,14 @@ class TestDiptych:
     def test_identity_needs_no_steps(self):
         gm = multiplicative_group()
         ident = GroupMorphism("id", gm, gm, Substitution.identity(gm.ring))
-        dip = saturated_image(ident, 3, LIM)
+        dip = saturated_image(ident, 3)
         assert dip.stabilized
         assert [s.name for s in dip.stages] == ["Im(id)"]
 
     def test_truncation_towers_stabilize(self):
         ga = additive_group()
-        tower = automatic_truncation(ga, 2, limits=LIM)
-        dip = saturated_image(tower.projection, 6, LIM)
+        tower = automatic_truncation(ga, 2)
+        dip = saturated_image(tower.projection, 6)
         assert dip.stabilized
         assert [s.ring.variables for s in dip.stages] == [
             ("x",), ("xi1",), ("xi2",)]
@@ -74,7 +72,7 @@ class TestDiptych:
 
 class TestTriptych:
     def test_unit_blowup_triple(self, unit_projection):
-        t = triptych(unit_projection, 5, LIM)
+        t = triptych(unit_projection, 5)
         assert t.report.ok
         sat = t.saturated_fibre
         assert sat.name == "Im(Gm'->Gm)[1]_k"
@@ -88,11 +86,11 @@ class TestTriptych:
     def test_identity_triple_collapses(self):
         gm = multiplicative_group()
         ident = GroupMorphism("id", gm, gm, Substitution.identity(gm.ring))
-        t = triptych(ident, 3, LIM)
+        t = triptych(ident, 3)
         assert t.report.ok
         assert t.saturated_fibre.ring.variables == ("u", "v")
         assert t.mod_pi_image.ring.variables == ("u", "v")
-        assert check_unipotent_kernel(t, limits=LIM).ok
+        assert check_unipotent_kernel(t).ok
 
     def test_unit_immersion_triple(self):
         gm = multiplicative_group()
@@ -100,7 +98,7 @@ class TestTriptych:
         emb = GroupMorphism("unit", tr, gm,
                             Substitution(gm.ring, tr.ring,
                                          {"u": tr.ring.one(), "v": tr.ring.one()}))
-        t = triptych(emb, 3, LIM)
+        t = triptych(emb, 3)
         assert t.report.ok
         assert t.diptych.stabilized
         assert rels_of(t.saturated_fibre) == []
@@ -114,7 +112,7 @@ class TestTriptych:
                             Substitution(gm.ring, mu.ring,
                                          {"u": mu.ring.var("u"),
                                           "v": mu.ring.var("v")}))
-        t = triptych(emb, 3, LIM)
+        t = triptych(emb, 3)
         assert t.report.ok
         assert t.diptych.stabilized
         assert rels_of(t.saturated_fibre) == ["v^2 - 1"]
@@ -123,8 +121,8 @@ class TestTriptych:
 
     def test_multiplicative_tower_fibre_is_additive(self):
         gm = multiplicative_group()
-        tower = automatic_truncation(gm, 2, limits=LIM)
-        t = triptych(tower.projection, 6, LIM)
+        tower = automatic_truncation(gm, 2)
+        t = triptych(tower.projection, 6)
         assert t.report.ok
         assert [s.ring.variables for s in t.diptych.stages] == [
             ("u", "v"), ("xi1", "xi2"), ("xi3", "xi4")]
@@ -136,10 +134,10 @@ class TestTriptych:
 
 class TestKernel:
     def test_unit_blowup_kernel_is_unipotent(self, unit_projection):
-        t = triptych(unit_projection, 5, LIM)
+        t = triptych(unit_projection, 5)
         ker = fibre_kernel(t)
         assert "pi" in rels_of(ker)
-        rep = check_unipotent_kernel(t, limits=LIM)
+        rep = check_unipotent_kernel(t)
         assert rep.ok
         names = {c.name for c in rep.checks}
         assert "coordinate is primitive modulo the previous ones" in names
@@ -147,17 +145,16 @@ class TestKernel:
     def test_truncation_kernels(self):
         ga = additive_group()
         gm = multiplicative_group()
-        for tower in (automatic_truncation(ga, 2, limits=LIM),
-                      automatic_truncation(gm, 2, limits=LIM)):
-            t = triptych(tower.projection, 6, LIM)
-            assert check_unipotent_kernel(t, limits=LIM).ok
+        for tower in (automatic_truncation(ga, 2),
+                      automatic_truncation(gm, 2)):
+            t = triptych(tower.projection, 6)
+            assert check_unipotent_kernel(t).ok
 
     def test_filtration_mods_out_certified_coordinates(self):
         # The kernel of GmxGa's level-1 truncation has two coordinates, so
         # the second is checked modulo the first once that one is certified.
-        tower = automatic_truncation(product(multiplicative_group(), additive_group()), 1,
-                                     limits=LIM)
-        rep = check_unipotent_kernel(triptych(tower.projection, 6, LIM), limits=LIM)
+        tower = automatic_truncation(product(multiplicative_group(), additive_group()), 1)
+        rep = check_unipotent_kernel(triptych(tower.projection, 6))
         assert rep.ok
         steps = [c for c in rep.checks
                  if c.name == "coordinate is primitive modulo the previous ones"]

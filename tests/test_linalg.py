@@ -128,14 +128,14 @@ class TestProperties:
         width = len(matrix[0]) if matrix else 0
         status, payload = solve_tracked(sparse(matrix), rhs,
                                         list(range(len(matrix))), width)
-        assert (status == "ok") == (solve_q(matrix, rhs) is not None)
+        assert (status == "ok") == (solve_q(matrix, rhs, width) is not None)
         if status == "ok":
             assert satisfies(matrix, rhs, payload)
             assert solve(sparse(matrix), rhs, width) == payload
         else:
             assert payload == sorted(set(payload))
             assert solve_q([matrix[i] for i in payload],
-                           [rhs[i] for i in payload]) is None
+                           [rhs[i] for i in payload], width) is None
             assert solve(sparse(matrix), rhs, width) is None
 
     @given(system=systems())
@@ -147,7 +147,7 @@ class TestProperties:
         for i, row in enumerate(matrix):
             earlier = [matrix[k] for k in kept if k < i]
             span = [[r[c] for r in earlier] for c in range(width)]
-            assert (i in kept) == (solve_q(span, row) is None)
+            assert (i in kept) == (solve_q(span, row, len(earlier)) is None)
 
 
 @st.composite
@@ -168,7 +168,7 @@ def spanned(directions, target):
     """Whether target is a combination of the directions (solve_q on the
     coefficients of the combination)."""
     rows = [[v[k] for v in directions] for k in range(len(target))]
-    return solve_q(rows, target) is not None if rows else not any(target)
+    return solve_q(rows, target, len(directions)) is not None
 
 
 class TestCanonicalPoint:

@@ -10,6 +10,7 @@ from jsonschema import validate
 
 from neron import dgal
 from neron.cli import build_parser, main
+from neron.config import ACTIVE, DEFAULT_LIMITS
 from neron.errors import ParseError, UndefinedName
 from neron.hopf import check_hopf
 from neron.library import general_linear, special_linear, twisted_multiplicative
@@ -379,6 +380,19 @@ class TestCliExitCodes:
         code, out, _ = run(capsys, "check-morphism", path, "--max-pairs", "4")
         assert code == 0
         assert out.startswith("morphism incl: mu2 -> Gm: PASS")
+
+    def test_a_run_leaves_no_budget_behind(self, capsys, golden_dir):
+        # `main` sets the flags' budget for one call only: after a run
+        # stopped by --max-pairs 3, runs with no flag get the default, and
+        # the morphism check that needs 4 pairs passes.
+        path = str(golden_dir / "mu2-to-gm.grp")
+        code, _, _ = run(capsys, "check-morphism", path, "--max-pairs", "3")
+        assert code == 3
+        assert ACTIVE.get() is DEFAULT_LIMITS
+        code, _, _ = run(capsys, "check-hopf", str(golden_dir / "gm.grp"))
+        assert code == 0
+        code, _, _ = run(capsys, "check-morphism", path)
+        assert code == 0
 
     def test_witness_search_honours_the_pair_budget(self, capsys, golden_dir, tmp_path):
         # Without its witness line, the determinant's inverse is found by a

@@ -3,7 +3,6 @@
 import pytest
 
 from neron.blowup import automatic_truncation, neron_blowup
-from neron.config import Limits
 from neron.errors import DivisionObstruction, NotASubgroup, ShapeMismatch
 from neron.groebner import Ideal
 from neron.hopf import GroupMorphism, special_fibre
@@ -17,7 +16,6 @@ from neron.ring import Substitution, format_poly
 
 from oracles import beta_conjugation_oracle
 
-LIM = Limits()
 
 
 def shown(m) -> list:
@@ -34,21 +32,20 @@ def standard_gm(gm):
     return RepMatrix(gm, [[gm.ring.var("u")]])
 
 
-def unit_blowup(h, limits=LIM):
-    return neron_blowup(h, Ideal(h.ring, [h.ring.pi()] + list(h.aug_gens())),
-                        limits=limits)
+def unit_blowup(h):
+    return neron_blowup(h, Ideal(h.ring, [h.ring.pi()] + list(h.aug_gens())))
 
 
 def gm_unit_blowup(gm):
     # the one-generator centre keeps u eliminable, giving the (v, xi1) chart
     u = gm.ring.var("u")
-    return neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u - 1]), limits=LIM)
+    return neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u - 1]))
 
 
 class TestRepMatrix:
     def test_witness_search(self, gm, standard_gm):
         assert format_poly(standard_gm.det_inverse_witness) == "v"
-        assert validate_rep(standard_gm, LIM).ok
+        assert validate_rep(standard_gm).ok
 
     def test_witness_obstruction(self):
         ga = additive_group()
@@ -57,19 +54,19 @@ class TestRepMatrix:
 
     def test_non_comodule_rejected(self, gm):
         bad = RepMatrix(gm, [[gm.ring.var("u") + 1]], gm.ring.var("v"))
-        rep = validate_rep(bad, LIM)
+        rep = validate_rep(bad)
         assert not rep.ok
         assert rep.title == "comodule axioms for a rank-1 matrix over Gm"
 
     def test_direct_sum(self, gm, standard_gm):
         both = direct_sum(standard_gm, standard_gm)
         assert shown(both) == [["u", "0"], ["0", "u"]]
-        assert validate_rep(both, LIM).ok
+        assert validate_rep(both).ok
 
 
 class TestFaithful:
     def test_standard_is_faithful(self, standard_gm):
-        res = verify_faithful(standard_gm, LIM)
+        res = verify_faithful(standard_gm)
         assert res.verdict == "faithful"
         assert res.undecided == []
 
@@ -78,7 +75,7 @@ class TestFaithful:
         pull = b.projection.pullback
         pulled = RepMatrix(b.blown, [[pull(gm.ring.var("u"))]],
                            pull(gm.ring.var("v")))
-        res = verify_faithful(pulled, LIM)
+        res = verify_faithful(pulled)
         assert res.verdict == "not-at-bound"
         assert res.undecided == ["xi1"]
 
@@ -86,44 +83,44 @@ class TestFaithful:
 class TestIdentityBlowup:
     def test_multiplicative_doubling(self, gm, standard_gm):
         b = gm_unit_blowup(gm)
-        w = identity_blowup_rep(standard_gm, b, LIM)
+        w = identity_blowup_rep(standard_gm, b)
         assert shown(w) == [["xi1*pi + 1", "xi1"], ["0", "1"]]
         assert format_poly(w.det_inverse_witness) == "v"
-        assert validate_rep(w, LIM).ok
-        assert verify_faithful(w, LIM).verdict == "faithful"
-        assert scaling_conjugation_report(standard_gm, b, w, LIM).ok
+        assert validate_rep(w).ok
+        assert verify_faithful(w).verdict == "faithful"
+        assert scaling_conjugation_report(standard_gm, b, w).ok
 
     def test_additive_doubling(self):
         ga = additive_group()
         x = ga.ring.var("x")
         va = RepMatrix(ga, [[ga.ring.one(), x], [ga.ring.zero(), ga.ring.one()]])
         b = unit_blowup(ga)
-        w = identity_blowup_rep(va, b, LIM)
+        w = identity_blowup_rep(va, b)
         assert shown(w) == [["1", "xi1*pi", "0", "xi1"],
                             ["0", "1", "0", "0"],
                             ["0", "0", "1", "0"],
                             ["0", "0", "0", "1"]]
-        assert validate_rep(w, LIM).ok
-        assert scaling_conjugation_report(va, b, w, LIM).ok
+        assert validate_rep(w).ok
+        assert scaling_conjugation_report(va, b, w).ok
 
     def test_level_two_chain(self, gm, standard_gm):
-        tower = automatic_truncation(gm, 2, limits=LIM)
-        w = identity_blowup_rep(standard_gm, tower, LIM)
+        tower = automatic_truncation(gm, 2)
+        w = identity_blowup_rep(standard_gm, tower)
         assert shown(w) == [["xi3*pi^2 + 1", "xi3"], ["0", "1"]]
-        assert validate_rep(w, LIM).ok
-        assert scaling_conjugation_report(standard_gm, tower, w, LIM).ok
+        assert validate_rep(w).ok
+        assert scaling_conjugation_report(standard_gm, tower, w).ok
 
     def test_wrong_centre_rejected(self, gm, standard_gm):
         u, v = gm.ring.var("u"), gm.ring.var("v")
         torsion = neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u * u - 1,
-                                                   v - u]), limits=LIM)
+                                                   v - u]))
         with pytest.raises(NotASubgroup):
-            identity_blowup_rep(standard_gm, torsion, LIM)
+            identity_blowup_rep(standard_gm, torsion)
 
     def test_conjugation_oracle_agrees(self, gm, standard_gm):
         # same identity, decided over Q(pi) with beta inverted outright
         b = gm_unit_blowup(gm)
-        w = identity_blowup_rep(standard_gm, b, LIM)
+        w = identity_blowup_rep(standard_gm, b)
         assert beta_conjugation_oracle(standard_gm, b, w)
 
 
@@ -148,7 +145,7 @@ class TestLineBlowup:
         G = gl.ring
         std = RepMatrix(gl, [[G.var("a11"), G.var("a12")],
                              [G.var("a21"), G.var("a22")]])
-        b = neron_blowup(gl, stabilizer_ideal(std, 1), limits=LIM)
+        b = neron_blowup(gl, stabilizer_ideal(std, 1))
         assert b.blown.ring.variables == ("a11", "a12", "a22", "d", "xi1")
         assert [format_poly(g) for g in b.blown.relations.generators] == [
             "a11*a22*d - a12*d*xi1*pi - 1"]
@@ -158,11 +155,11 @@ class TestLineBlowup:
         G = gl.ring
         std = RepMatrix(gl, [[G.var("a11"), G.var("a12")],
                              [G.var("a21"), G.var("a22")]])
-        b = neron_blowup(gl, stabilizer_ideal(std, 1), limits=LIM)
+        b = neron_blowup(gl, stabilizer_ideal(std, 1))
         det = RepMatrix(b.blown, [[b.projection.pullback(
             G.var("a11") * G.var("a22") - G.var("a12") * G.var("a21"))]])
         with pytest.raises(ShapeMismatch) as exc:
-            line_blowup_rep(std, b, det, limits=LIM)
+            line_blowup_rep(std, b, det)
         assert "a11*a22 - a11 - a12*xi1*pi" in str(exc.value)
 
     def test_vector_stabilizer_glues_faithfully(self):
@@ -171,36 +168,36 @@ class TestLineBlowup:
         std = RepMatrix(gl, [[G.var("a11"), G.var("a12")],
                              [G.var("a21"), G.var("a22")]])
         vec = Ideal(G, [G.pi(), G.var("a21"), G.var("a11") - 1])
-        b = neron_blowup(gl, vec, limits=LIM)
-        glued = line_blowup_rep(std, b, limits=LIM)
+        b = neron_blowup(gl, vec)
+        glued = line_blowup_rep(std, b)
         assert shown(glued) == [["xi2*pi + 1", "a12", "xi2"],
                                 ["xi1*pi", "a22", "xi1"],
                                 ["0", "0", "1"]]
-        assert validate_rep(glued, LIM).ok
-        assert verify_faithful(glued, LIM).verdict == "faithful"
+        assert validate_rep(glued).ok
+        assert verify_faithful(glued).verdict == "faithful"
 
     def test_borel_second_column_with_character(self):
         bo = borel2()
         B = bo.ring
         bstd = RepMatrix(bo, [[B.var("a11"), B.var("a12")],
                               [B.zero(), B.var("a22")]])
-        b = neron_blowup(bo, stabilizer_ideal(bstd, 2), limits=LIM)
+        b = neron_blowup(bo, stabilizer_ideal(bstd, 2))
         echar = RepMatrix(b.blown, [[b.projection.pullback(B.var("a22"))]])
-        glued = line_blowup_rep(bstd, b, echar, column=2, limits=LIM)
+        glued = line_blowup_rep(bstd, b, echar, column=2)
         assert shown(glued) == [["a22", "0", "0"],
                                 ["xi1*pi", "a11", "xi1"],
                                 ["0", "0", "a22"]]
-        assert validate_rep(glued, LIM).ok
-        assert verify_faithful(glued, LIM).verdict == "faithful"
+        assert validate_rep(glued).ok
+        assert verify_faithful(glued).verdict == "faithful"
 
     def test_line_outside_centre_rejected(self):
         gl = general_linear(2)
         G = gl.ring
         std = RepMatrix(gl, [[G.var("a11"), G.var("a12")],
                              [G.var("a21"), G.var("a22")]])
-        b = neron_blowup(gl, stabilizer_ideal(std, 1), limits=LIM)
+        b = neron_blowup(gl, stabilizer_ideal(std, 1))
         with pytest.raises(NotASubgroup):
-            line_blowup_rep(std, b, column=2, limits=LIM)
+            line_blowup_rep(std, b, column=2)
 
 
 class TestRescaleAndSum:
@@ -209,12 +206,12 @@ class TestRescaleAndSum:
         G = gl.ring
         std = RepMatrix(gl, [[G.var("a11"), G.var("a12")],
                              [G.var("a21"), G.var("a22")]])
-        b = neron_blowup(gl, stabilizer_ideal(std, 1), limits=LIM)
-        resc, summed = rescaled_rep(std, b, limits=LIM)
+        b = neron_blowup(gl, stabilizer_ideal(std, 1))
+        resc, summed = rescaled_rep(std, b)
         assert shown(resc) == [["a11", "a12*pi"], ["xi1", "a22"]]
-        assert validate_rep(resc, LIM).ok
-        assert validate_rep(summed, LIM).ok
-        assert verify_faithful(summed, LIM).verdict == "faithful"
+        assert validate_rep(resc).ok
+        assert validate_rep(summed).ok
+        assert verify_faithful(summed).verdict == "faithful"
 
     def test_sum_through_quotient(self):
         g2 = product(multiplicative_group("u1", "v1", name="Gm1"),
@@ -225,37 +222,37 @@ class TestRescaleAndSum:
                           Substitution(amb.ring, P,
                                        {"u": P.var("u2"), "v": P.var("v2")}))
         b = neron_blowup(g2, Ideal(P, [P.pi(), P.var("u2") - 1,
-                                       P.var("v2") - 1]), limits=LIM)
+                                       P.var("v2") - 1]))
         ab = unit_blowup(amb)
         rho = RepMatrix(g2, [[P.var("u1"), P.zero()], [P.zero(), P.var("u2")]])
-        sigma = identity_blowup_rep(RepMatrix(amb, [[amb.ring.var("u")]]), ab, LIM)
-        big = sum_faithful(rho, sigma, b, q, ab, LIM)
+        sigma = identity_blowup_rep(RepMatrix(amb, [[amb.ring.var("u")]]), ab)
+        big = sum_faithful(rho, sigma, b, q, ab)
         assert shown(big) == [["u1", "0", "0", "0"],
                               ["0", "xi1*pi + 1", "0", "0"],
                               ["0", "0", "xi1*pi + 1", "xi1"],
                               ["0", "0", "0", "1"]]
-        assert validate_rep(big, LIM).ok
-        assert verify_faithful(big, LIM).verdict == "faithful"
+        assert validate_rep(big).ok
+        assert verify_faithful(big).verdict == "faithful"
 
 
 class TestConormal:
     def test_additive_line(self):
         ga = additive_group()
         gak = special_fibre(ga)
-        data = conormal_rep(gak, Ideal(ga.ring, [ga.ring.var("x")]), LIM)
+        data = conormal_rep(gak, Ideal(ga.ring, [ga.ring.var("x")]))
         assert [format_poly(f) for f in data.basis] == ["x"]
         assert [[format_poly(e) for e in row] for row in data.matrix] == [["1"]]
-        assert validate_rep(data.rep(), LIM).ok
+        assert validate_rep(data.rep()).ok
 
     def test_borel_unipotent_direction(self):
         bo = borel2()
         bok = special_fibre(bo)
         B = bo.ring
-        data = conormal_rep(bok, Ideal(B, [B.var("a12")]), LIM)
+        data = conormal_rep(bok, Ideal(B, [B.var("a12")]))
         assert [format_poly(f) for f in data.basis] == ["a12"]
         assert [[format_poly(e) for e in row] for row in data.matrix] == [
             ["a22^2*e"]]
         assert data.group.name == "B2_k/H"
         assert [format_poly(g) for g in data.group.relations.generators] == [
             "a11*a22*e - 1", "a12", "pi"]
-        assert validate_rep(data.rep(), LIM).ok
+        assert validate_rep(data.rep()).ok
