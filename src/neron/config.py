@@ -9,19 +9,26 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class Limits:
     """Hard budgets; exceeding either raises ResourceLimit, never truncates."""
 
-    max_pairs: int = 100_000
-    max_degree: int = 40
+    __slots__ = ("max_pairs", "max_degree")
 
-    def __post_init__(self):
-        if self.max_pairs < 0 or self.max_degree < 0:
+    def __init__(self, max_pairs: int = 100_000, max_degree: int = 40):
+        if max_pairs < 0 or max_degree < 0:
             raise ValueError("resource budgets must be nonnegative")
+        self.max_pairs = max_pairs
+        self.max_degree = max_degree
+
+    def __eq__(self, other):
+        if other.__class__ is not Limits:
+            return NotImplemented
+        return self.max_pairs == other.max_pairs and self.max_degree == other.max_degree
+
+    def __hash__(self):
+        return hash((self.max_pairs, self.max_degree))
 
 
 DEFAULT_LIMITS = Limits()

@@ -17,7 +17,6 @@ elimination, to name the balance equations that contradict each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ShapeMismatch
@@ -111,26 +110,25 @@ def format_laurent(f: LaurentPoly) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-@dataclass
 class Connection:
-    base: str
-    matrix: list
+    __slots__ = ("base", "matrix")
 
-    def __post_init__(self):
-        if self.base not in (AFFINE, PUNCTURED):
-            raise ShapeMismatch(f"unknown base {self.base!r}")
-        r = len(self.matrix)
+    def __init__(self, base: str, matrix: list):
+        if base not in (AFFINE, PUNCTURED):
+            raise ShapeMismatch(f"unknown base {base!r}")
+        r = len(matrix)
         if r == 0:
             raise ShapeMismatch("connection matrix must have rank at least 1")
         rows = []
-        for row in self.matrix:
+        for row in matrix:
             if len(row) != r:
                 raise ShapeMismatch("connection matrix must be square")
             rows.append([e if isinstance(e, LaurentPoly) else LaurentPoly({0: e})
                          for e in row])
+        self.base = base
         self.matrix = rows
-        if self.base == AFFINE:
-            for row in self.matrix:
+        if base == AFFINE:
+            for row in rows:
                 for e in row:
                     if e.coeffs and e.exponents()[0] < 0:
                         raise ShapeMismatch(
@@ -192,18 +190,22 @@ def formal_solution(c: Connection, order: int):
     return out
 
 
-@dataclass
 class TrivialityEntry:
-    level: int
-    trivial: bool
-    gauge: list = None
-    obstruction: list = field(default_factory=list)
+    __slots__ = ("level", "trivial", "gauge", "obstruction")
+
+    def __init__(self, level: int, trivial: bool, gauge: list = None, obstruction: list = None):
+        self.level = level
+        self.trivial = trivial
+        self.gauge = gauge
+        self.obstruction = [] if obstruction is None else obstruction
 
 
-@dataclass
 class TrivialityReport:
-    connection: Connection
-    levels: dict = field(default_factory=dict)
+    __slots__ = ("connection", "levels")
+
+    def __init__(self, connection: Connection, levels: dict = None):
+        self.connection = connection
+        self.levels = {} if levels is None else levels
 
     def trivial_through(self) -> int:
         """Largest n with every level <= n trivial; -1 when even level 0 fails."""

@@ -52,7 +52,6 @@ first use.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
@@ -466,13 +465,15 @@ def _interreduce(pk: _Packing, basis, reps, ring: PolyRing, track: bool):
     return tuple(final), outreps
 
 
-@dataclass
 class MembershipCertificate:
     """Outcome of an ideal membership test with exact cofactors on success."""
 
-    member: bool
-    cofactors: list | None
-    remainder: Poly
+    __slots__ = ("member", "cofactors", "remainder")
+
+    def __init__(self, member: bool, cofactors: list | None, remainder: Poly):
+        self.member = member
+        self.cofactors = cofactors
+        self.remainder = remainder
 
 
 class Ideal:

@@ -8,8 +8,6 @@ lands in the scalar ring, the antipode is an endomorphism of the ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import UnknownVariable
 from .groebner import Ideal, contract, saturate_pi, subalgebra_member
 from .report import Report
@@ -55,24 +53,25 @@ def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes) -> Ideal:
     return Ideal.seeded(ring_t, gens, blocks)
 
 
-@dataclass
 class HopfPresentation:
-    name: str
-    ring: PolyRing
-    relations: Ideal
-    comul: Substitution
-    counit: Substitution
-    antipode: Substitution
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("name", "ring", "relations", "comul", "counit", "antipode", "_memo")
 
-    def __post_init__(self):
-        if self.comul.source != self.ring:
+    def __init__(self, name: str, ring: PolyRing, relations: Ideal, comul: Substitution,
+                 counit: Substitution, antipode: Substitution):
+        if comul.source != ring:
             raise UnknownVariable("comultiplication source ring mismatch")
-        if self.comul.target != tensor_ring(self.ring, (PRIME1, PRIME2)):
+        if comul.target != tensor_ring(ring, (PRIME1, PRIME2)):
             raise UnknownVariable("comultiplication target is not the doubled ring")
-        for v in self.ring.variables:
-            if v not in self.comul.images or v not in self.counit.images or v not in self.antipode.images:
+        for v in ring.variables:
+            if v not in comul.images or v not in counit.images or v not in antipode.images:
                 raise UnknownVariable(f"structure maps missing image of '{v}'")
+        self.name = name
+        self.ring = ring
+        self.relations = relations
+        self.comul = comul
+        self.counit = counit
+        self.antipode = antipode
+        self._memo = {}
 
     @classmethod
     def from_images(cls, name: str, ring: PolyRing, relations: Ideal,
@@ -127,18 +126,20 @@ class HopfPresentation:
         return self.relations.plus([self.ring.pi()])
 
 
-@dataclass
 class GroupMorphism:
     """Morphism of group schemes, recorded by its pullback on coordinates."""
-    name: str
-    source: HopfPresentation
-    target: HopfPresentation
-    pullback: Substitution
 
-    def __post_init__(self):
-        for v in self.target.ring.variables:
-            if v not in self.pullback.images:
+    __slots__ = ("name", "source", "target", "pullback")
+
+    def __init__(self, name: str, source: HopfPresentation, target: HopfPresentation,
+                 pullback: Substitution):
+        for v in target.ring.variables:
+            if v not in pullback.images:
                 raise UnknownVariable(f"pullback missing image of '{v}'")
+        self.name = name
+        self.source = source
+        self.target = target
+        self.pullback = pullback
 
 
 def _legs(h: HopfPresentation, images):
@@ -274,12 +275,14 @@ def generic_fibre(h: HopfPresentation) -> HopfPresentation:
     return h.with_relations(h.name + "_K", saturate_pi(h.relations))
 
 
-@dataclass
 class ReduceResult:
-    presentation: HopfPresentation
-    level: int
-    trivial: bool
-    report: Report
+    __slots__ = ("presentation", "level", "trivial", "report")
+
+    def __init__(self, presentation: HopfPresentation, level: int, trivial: bool, report: Report):
+        self.presentation = presentation
+        self.level = level
+        self.trivial = trivial
+        self.report = report
 
 
 def reduce_mod(h: HopfPresentation, n: int) -> ReduceResult:

@@ -9,8 +9,6 @@ is the mod-pi picture of the factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .blowup import _lift_pullback, neron_blowup
 from .groebner import Ideal, contract, saturate_pi
 from .hopf import PRIME1, PRIME2, GroupMorphism, HopfPresentation, copy_into, prune, special_fibre
@@ -18,31 +16,40 @@ from .report import Report
 from .ring import Substitution, format_poly
 
 
-@dataclass
 class ImageResult:
-    group: HopfPresentation
-    embed: GroupMorphism
-    cover: GroupMorphism
+    __slots__ = ("group", "embed", "cover")
+
+    def __init__(self, group: HopfPresentation, embed: GroupMorphism, cover: GroupMorphism):
+        self.group = group
+        self.embed = embed
+        self.cover = cover
 
 
-@dataclass
 class Diptych:
-    image: ImageResult
-    stages: list
-    projections: list
-    lifts: list
-    stabilized: bool
-    report: Report
+    __slots__ = ("image", "stages", "projections", "lifts", "stabilized", "report")
+
+    def __init__(self, image: ImageResult, stages: list, projections: list, lifts: list,
+                 stabilized: bool, report: Report):
+        self.image = image
+        self.stages = stages
+        self.projections = projections
+        self.lifts = lifts
+        self.stabilized = stabilized
+        self.report = report
 
 
-@dataclass
 class Triptych:
-    diptych: Diptych
-    saturated_fibre: HopfPresentation
-    mod_pi_image: HopfPresentation
-    image_fibre: HopfPresentation
-    report: Report
-    into: Substitution  # image coordinates -> the saturated fibre
+    __slots__ = ("diptych", "saturated_fibre", "mod_pi_image", "image_fibre", "report", "into")
+
+    def __init__(self, diptych: Diptych, saturated_fibre: HopfPresentation,
+                 mod_pi_image: HopfPresentation, image_fibre: HopfPresentation, report: Report,
+                 into: Substitution):
+        self.diptych = diptych
+        self.saturated_fibre = saturated_fibre
+        self.mod_pi_image = mod_pi_image
+        self.image_fibre = image_fibre
+        self.report = report
+        self.into = into  # image coordinates -> the saturated fibre
 
 
 def image_hopf(rho: GroupMorphism) -> ImageResult:

@@ -27,7 +27,6 @@ for square brackets) reads every list, with optional commas between items.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .dgal import AFFINE, PUNCTURED, Connection, LaurentPoly
 from .errors import ParseError, UndefinedName
@@ -45,12 +44,14 @@ X = "x"
 _MAX_NESTING = 100
 
 
-@dataclass
 class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 # One match is optional blanks and then one token; the alternatives are
@@ -102,22 +103,28 @@ def _tokenize(text: str):
     return tokens
 
 
-@dataclass
 class RepBlock:
     """A comodule matrix as written, before any witness search runs."""
-    name: str
-    group: HopfPresentation
-    entries: list
-    witness: Poly = None
+
+    __slots__ = ("name", "group", "entries", "witness")
+
+    def __init__(self, name: str, group: HopfPresentation, entries: list, witness: Poly = None):
+        self.name = name
+        self.group = group
+        self.entries = entries
+        self.witness = witness
 
 
-@dataclass
 class PresentationFile:
-    groups: dict = field(default_factory=dict)
-    morphisms: dict = field(default_factory=dict)
-    reps: dict = field(default_factory=dict)
-    connections: dict = field(default_factory=dict)
-    order: list = field(default_factory=list)
+    __slots__ = ("groups", "morphisms", "reps", "connections", "order")
+
+    def __init__(self, groups: dict = None, morphisms: dict = None, reps: dict = None,
+                 connections: dict = None, order: list = None):
+        self.groups = {} if groups is None else groups
+        self.morphisms = {} if morphisms is None else morphisms
+        self.reps = {} if reps is None else reps
+        self.connections = {} if connections is None else connections
+        self.order = [] if order is None else order
 
     def sole(self, kind: str):
         table = getattr(self, kind + "s")

@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .ring import Poly, format_poly, format_scalar
 
 
-@dataclass
 class Check:
-    name: str
-    subject: str
-    ok: bool
-    witness: str = ""
+    __slots__ = ("name", "subject", "ok", "witness")
+
+    def __init__(self, name: str, subject: str, ok: bool, witness: str = ""):
+        self.name = name
+        self.subject = subject
+        self.ok = ok
+        self.witness = witness
 
     def line(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"
@@ -20,10 +20,12 @@ class Check:
         return f"{self.name} [{self.subject}]: {verdict}{tail}"
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list = field(default_factory=list)
+    __slots__ = ("title", "checks")
+
+    def __init__(self, title: str, checks: list = None):
+        self.title = title
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

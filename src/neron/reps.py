@@ -8,8 +8,6 @@ of the matrix must be the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .blowup import BlowupResult, universal_lift
 from .errors import (DivisionObstruction, NotASubgroup, NotFiniteDimensional,
                      ShapeMismatch)
@@ -22,31 +20,29 @@ from .report import Report
 from .ring import Poly, Substitution, format_poly
 
 
-@dataclass
 class RepMatrix:
     """A comodule matrix over a group; without a determinant witness, one
     is searched for within the active budget (`config.budget`)."""
 
-    group: HopfPresentation
-    entries: list
-    det_inverse_witness: Poly = None
+    __slots__ = ("group", "entries", "det_inverse_witness")
 
-    def __post_init__(self):
-        ring = self.group.ring
-        n = len(self.entries)
+    def __init__(self, group: HopfPresentation, entries: list, det_inverse_witness: Poly = None):
+        ring = group.ring
+        n = len(entries)
         coerced = []
-        for row in self.entries:
+        for row in entries:
             if len(row) != n:
                 raise ShapeMismatch("representation matrix must be square")
             coerced.append([e.in_ring(ring) if isinstance(e, Poly) else ring.scalar(e)
                             for e in row])
+        self.group = group
         self.entries = coerced
-        if self.det_inverse_witness is None:
+        if det_inverse_witness is None:
             self.det_inverse_witness = self._find_witness()
-        elif isinstance(self.det_inverse_witness, Poly):
-            self.det_inverse_witness = self.det_inverse_witness.in_ring(ring)
+        elif isinstance(det_inverse_witness, Poly):
+            self.det_inverse_witness = det_inverse_witness.in_ring(ring)
         else:
-            self.det_inverse_witness = ring.scalar(self.det_inverse_witness)
+            self.det_inverse_witness = ring.scalar(det_inverse_witness)
 
     @property
     def size(self) -> int:
@@ -94,11 +90,13 @@ def validate_rep(m: RepMatrix) -> Report:
     return rep
 
 
-@dataclass
 class FaithfulResult:
-    verdict: str
-    undecided: list
-    report: Report
+    __slots__ = ("verdict", "undecided", "report")
+
+    def __init__(self, verdict: str, undecided: list, report: Report):
+        self.verdict = verdict
+        self.undecided = undecided
+        self.report = report
 
 
 def verify_faithful(m: RepMatrix) -> FaithfulResult:
@@ -321,11 +319,13 @@ def sum_faithful(rho: RepMatrix, sigma: RepMatrix, b: BlowupResult,
     return direct_sum(rho_up, sig_up)
 
 
-@dataclass
 class ConormalData:
-    group: HopfPresentation
-    basis: list
-    matrix: list
+    __slots__ = ("group", "basis", "matrix")
+
+    def __init__(self, group: HopfPresentation, basis: list, matrix: list):
+        self.group = group
+        self.basis = basis
+        self.matrix = matrix
 
     def rep(self) -> RepMatrix:
         return RepMatrix(self.group, self.matrix)

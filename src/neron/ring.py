@@ -26,7 +26,6 @@ applying one substitution to many polynomials computes each power once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -62,7 +61,6 @@ def _grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-@dataclass(frozen=True)
 class Order:
     """Monomial order tag: lex, grevlex, or a two-block elimination order.
 
@@ -70,8 +68,19 @@ class Order:
     each block is compared by grevlex, block one first.
     """
 
-    kind: str = "lex"
-    split: int = 0
+    __slots__ = ("kind", "split")
+
+    def __init__(self, kind: str = "lex", split: int = 0):
+        self.kind = kind
+        self.split = split
+
+    def __eq__(self, other):
+        if other.__class__ is not Order:
+            return NotImplemented
+        return self.kind == other.kind and self.split == other.split
+
+    def __hash__(self):
+        return hash((self.kind, self.split))
 
     def key(self, mono: Monomial):
         if self.kind == "lex":
@@ -181,18 +190,28 @@ class Scalar:
         return format_scalar(self)
 
 
-@dataclass(frozen=True)
 class PolyRing:
     """Polynomial ring over Q[pi] with named variables and a monomial order."""
 
-    variables: tuple
-    order: Order = LEX
+    __slots__ = ("variables", "order")
 
-    def __post_init__(self):
-        if PI in self.variables:
+    def __init__(self, variables: tuple, order: Order = LEX):
+        if PI in variables:
             raise UnknownVariable("pi is reserved and cannot be a ring variable")
-        if len(set(self.variables)) != len(self.variables):
-            raise UnknownVariable(f"duplicate variable in {self.variables}")
+        if len(set(variables)) != len(variables):
+            raise UnknownVariable(f"duplicate variable in {variables}")
+        self.variables = variables
+        self.order = order
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not PolyRing:
+            return NotImplemented
+        return self.variables == other.variables and self.order == other.order
+
+    def __hash__(self):
+        return hash((self.variables, self.order))
 
     @property
     def nvars(self) -> int:

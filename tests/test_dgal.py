@@ -1,13 +1,12 @@
 """Connections on the line: formal solutions and triviality levels."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from neron import dgal
-from neron.dgal import (AFFINE, PUNCTURED, Connection, LaurentPoly,
+from neron.dgal import (AFFINE, PUNCTURED, Connection, LaurentPoly, TrivialityEntry,
                         check_gauge, default_degree_bound, formal_solution,
                         format_laurent, galois_diagnostic, triviality_mod)
 from neron.errors import ShapeMismatch
@@ -148,7 +147,9 @@ class TestTriviality:
         g = entry.gauge[0][0]
 
         def replay(extra):
-            return check_gauge(c, replace(entry, gauge=[[g + lp(extra)]]))
+            moved = TrivialityEntry(entry.level, entry.trivial, [[g + lp(extra)]],
+                                    entry.obstruction)
+            return check_gauge(c, moved)
 
         # the replay solves nothing
         for name in ("_balance_rows", "solve_tracked"):

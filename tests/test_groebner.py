@@ -293,6 +293,11 @@ def _twisted_cubic():
 
 
 class TestLimits:
+    @pytest.mark.parametrize("kwargs", [{"max_pairs": -1}, {"max_degree": -1}])
+    def test_negative_budget(self, kwargs):
+        with pytest.raises(ValueError, match="resource budgets must be nonnegative"):
+            Limits(**kwargs)
+
     def test_pair_budget(self):
         with pytest.raises(ResourceLimit), budget(Limits(max_pairs=1)):
             _twisted_cubic().basis()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neron.config import Limits
 from neron.errors import NotDivisible, UnknownVariable
 from neron.ring import (GREVLEX, LEX, Order, Poly, PolyRing, Scalar,
                         Substitution, elim_order, format_poly, format_scalar)
@@ -214,6 +215,38 @@ def image_polys(ring: PolyRing):
     mono = st.tuples(*([st.integers(0, 2)] * ring.nvars), st.integers(0, 1))
     coeff = st.fractions(min_value=-2, max_value=2, max_denominator=3)
     return st.dictionaries(mono, coeff, max_size=3).map(lambda t: Poly(ring, t))
+
+
+class TestValueTypes:
+    # Rings, orders and budgets are values: rings are compared on every
+    # coercion, and orders key the packing cache.  Each hash is that of
+    # the tuple of fields.
+    @pytest.mark.parametrize("make, fields", [
+        (lambda: PolyRing(("x", "y")), (("x", "y"), LEX)),
+        (lambda: PolyRing(("t", "x"), elim_order(1)), (("t", "x"), Order("elim", 1))),
+        (lambda: Order("grevlex"), ("grevlex", 0)),
+        (lambda: Limits(3, 4), (3, 4)),
+    ], ids=["ring", "elim-ring", "order", "limits"])
+    def test_equal_values_are_one_key(self, make, fields):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) == hash(fields)
+        assert {a: "a"}[b] == "a"
+        assert a != fields
+
+    @pytest.mark.parametrize("a, b", [
+        (PolyRing(("x", "y")), PolyRing(("y", "x"))),
+        (PolyRing(("x", "y")), PolyRing(("x", "y"), GREVLEX)),
+        (Order("elim", 1), Order("elim", 2)),
+        (Limits(max_pairs=3), Limits(max_degree=3)),
+    ], ids=["ring-variables", "ring-order", "order", "limits"])
+    def test_unequal_values(self, a, b):
+        assert a != b and not a == b
+
+    @pytest.mark.parametrize("variables", [("pi",), ("x", "pi"), ("x", "y", "x")])
+    def test_reserved_or_repeated_variable(self, variables):
+        with pytest.raises(UnknownVariable):
+            PolyRing(variables)
 
 
 class TestSubstitution:
