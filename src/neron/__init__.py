@@ -14,8 +14,8 @@ from .dgal import Connection, formal_solution, galois_diagnostic, triviality_mod
 from .errors import NeronError
 from .groebner import Ideal
 from .hopf import (GroupMorphism, HopfPresentation, check_flat, check_hopf,
-                   check_morphism, generic_fibre, prune, reduce_mod,
-                   special_fibre)
+                   check_morphism, generic_fibre, isomorphism_report, prune,
+                   reduce_mod, special_fibre)
 from .images import image_hopf, saturated_image, triptych
 from .library import (additive_group, borel2, general_linear,
                       multiplicative_group, product, roots_of_unity,

@@ -75,18 +75,8 @@ class LaurentPoly:
                 out[e] = out.get(e, Scalar()) + c1 * c2
         return LaurentPoly(out)
 
-    def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({e - 1: c * e for e, c in self.coeffs.items() if e})
-
-    def truncate_pi(self, n: int) -> "LaurentPoly":
-        """Reduce modulo pi^(n+1)."""
-        return LaurentPoly({e: c.truncate(n) for e, c in self.coeffs.items()})
-
     def exponents(self):
         return sorted(self.coeffs)
-
-    def coeff(self, e: int) -> Scalar:
-        return self.coeffs.get(e, Scalar())
 
 
 def format_laurent(f: LaurentPoly) -> str:
@@ -166,8 +156,8 @@ def formal_solution(c: Connection, order: int):
     if order < 0:
         raise ValueError("order must be nonnegative")
     if c.base != AFFINE:
-        raise ShapeMismatch("formal solutions are taken at the origin of the "
-                            "affine line")
+        raise ValueError("formal solutions are taken at the origin of the "
+                         "affine line")
     r = c.rank
     layers = [_identity_matrix(r)]
     for m in range(order):
@@ -201,11 +191,10 @@ class TrivialityEntry:
 
 
 class TrivialityReport:
-    __slots__ = ("connection", "levels")
+    __slots__ = ("levels",)
 
-    def __init__(self, connection: Connection, levels: dict = None):
-        self.connection = connection
-        self.levels = {} if levels is None else levels
+    def __init__(self):
+        self.levels = {}
 
     def trivial_through(self) -> int:
         """Largest n with every level <= n trivial; -1 when even level 0 fails."""
@@ -432,7 +421,7 @@ def galois_diagnostic(c: Connection, levels: int,
     """
     if levels < 0:
         raise ValueError("levels must be nonnegative")
-    rep = TrivialityReport(c)
+    rep = TrivialityReport()
     verdict_rep = Report(f"triviality levels 0..{levels}")
     for n in range(levels + 1):
         entry = triviality_mod(c, n, degree_bound)

@@ -663,17 +663,6 @@ def saturate_pi(ideal: Ideal) -> Ideal:
     return ideal._saturation
 
 
-def eliminate(ideal: Ideal, drop) -> Ideal:
-    """Intersection with the subring omitting the dropped variables."""
-    drop = [v for v in ideal.ring.variables if v in set(drop)]
-    if not drop:
-        return Ideal(ideal.ring, list(ideal.generators))
-    keep = [v for v in ideal.ring.variables if v not in set(drop)]
-    big = PolyRing(tuple(drop) + tuple(keep), elim_order(len(drop)))
-    gens = [g.in_ring(big) for g in ideal.generators]
-    return _eliminate(gens, big, len(drop), PolyRing(tuple(keep), ideal.ring.order))
-
-
 def contract(phi: Substitution, ideal_target: Ideal) -> Ideal:
     """Preimage of an ideal of the target presentation under a substitution.
 

@@ -300,26 +300,6 @@ def reduce_mod(h: HopfPresentation, n: int) -> ReduceResult:
     return ReduceResult(out, n, rep.ok, rep)
 
 
-def reduce_mod_image(m: GroupMorphism, n: int) -> ReduceResult:
-    """Base change the image of a morphism to R/(pi^(n+1)).
-
-    The image of the source in the target is trivial at level n exactly
-    when every target coordinate pulls back to its counit value modulo
-    the source relations and pi^(n+1).
-    """
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    src, tgt = m.source, m.target
-    ring = src.ring
-    cut = ring.pi() ** (n + 1)
-    rels = src.relations.plus([cut])
-    rep = Report(f"image of {src.name} in {tgt.name} mod pi^{n + 1} trivial")
-    for v in tgt.ring.variables:
-        rep.vanishes("coordinate pulls back to a constant", v,
-                     rels.normal_form(m.pullback.images[v] - ring.scalar(tgt.eps(v))))
-    return ReduceResult(src.with_relations(f"{src.name}_mod{n}", rels), n, rep.ok, rep)
-
-
 def hopf_ideal_report(h: HopfPresentation, gens, pi_power: int = 0) -> Report:
     """Check that an ideal is a Hopf ideal contained in the augmentation ideal.
 

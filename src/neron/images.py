@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .blowup import _lift_pullback, neron_blowup
 from .groebner import Ideal, contract, saturate_pi
-from .hopf import PRIME1, PRIME2, GroupMorphism, HopfPresentation, copy_into, prune, special_fibre
+from .hopf import GroupMorphism, HopfPresentation, prune, special_fibre
 from .report import Report
 from .ring import Substitution, format_poly
 
@@ -26,14 +26,13 @@ class ImageResult:
 
 
 class Diptych:
-    __slots__ = ("image", "stages", "projections", "lifts", "stabilized", "report")
+    __slots__ = ("image", "stages", "projections", "stabilized", "report")
 
-    def __init__(self, image: ImageResult, stages: list, projections: list, lifts: list,
+    def __init__(self, image: ImageResult, stages: list, projections: list,
                  stabilized: bool, report: Report):
         self.image = image
         self.stages = stages
         self.projections = projections
-        self.lifts = lifts
         self.stabilized = stabilized
         self.report = report
 
@@ -129,7 +128,7 @@ def saturated_image(rho: GroupMorphism, steps: int) -> Diptych:
             d = src.relations.normal_form(composed(g) - rho.pullback(g))
             ok = ok and d.is_zero()
         rep.add("stage factors the morphism", stages[i].name, ok)
-    return Diptych(img, stages, projections, lifts, stabilized, rep)
+    return Diptych(img, stages, projections, stabilized, rep)
 
 
 def triptych(rho: GroupMorphism, steps: int = 8) -> Triptych:
@@ -170,70 +169,3 @@ def triptych(rho: GroupMorphism, steps: int = 8) -> Triptych:
     rep.add("middle fibre is the image of the saturated fibre",
             mod_pi_image.name, same, bad)
     return Triptych(dip, saturated_fibre, mod_pi_image, image_fibre, rep, into)
-
-
-def fibre_kernel(t: Triptych) -> HopfPresentation:
-    """Kernel of the saturated fibre mapping onto the mod-pi image:
-    the fibre product with the unit section of the middle group."""
-    sat = t.saturated_fibre
-    mid = t.mod_pi_image
-    ideal = sat.fibre_ideal().plus(t.into(g) for g in mid.aug_gens())
-    return sat.with_relations(f"Ker({sat.name}->{mid.name})", ideal)
-
-
-def check_unipotent_kernel(t: Triptych) -> Report:
-    """Certify that the kernel of the fibre surjection is unipotent.
-
-    Sufficient certificates, tried in order: a filtration of the kernel's
-    coordinates by primitives (each variable comultiplies additively
-    modulo the ones already certified), or nilpotence of the augmentation
-    ideal with exponent at most 6.  Reports one line per certificate step
-    and a final verdict line; an undecided result is not a refutation.
-    """
-    ker = fibre_kernel(t)
-    rep = Report(f"unipotence certificate for {ker.name}")
-    ring = ker.ring
-    ring2 = ker.doubled_ring()
-    rels2 = ker.doubled_ideal()
-    aug = ker.aug_gens()
-    todo = [v for i, v in enumerate(ring.variables)
-            if not ker.relations.contains(aug[i])]
-    shifted = dict(zip(ring.variables, aug))
-    if not todo:
-        rep.add("kernel is the trivial group", ker.name, True)
-        rep.add("unipotence", ker.name, True, "certified")
-        return rep
-    certified = []
-    progress = True
-    while todo and progress:
-        progress = False
-        for v in list(todo):
-            lower = [copy_into(shifted[w], ring2, s)
-                     for w in certified for s in (PRIME1, PRIME2)]
-            mod = rels2.plus(lower) if lower else rels2
-            g = shifted[v]
-            d = mod.normal_form(
-                ker.comul(g) - copy_into(g, ring2, PRIME1) - copy_into(g, ring2, PRIME2))
-            if d.is_zero():
-                rep.add("coordinate is primitive modulo the previous ones", v, True)
-                certified.append(v)
-                todo.remove(v)
-                progress = True
-    if not todo:
-        rep.add("unipotence", ker.name, True,
-                "certified: additive filtration " + " < ".join(certified))
-        return rep
-    live = [g for g in (ker.relations.normal_form(a) for a in aug)
-            if not g.is_zero()]
-    power = live
-    for m in range(2, 6 + 1):
-        power = [ker.relations.normal_form(a * g)
-                 for a in power for g in live]
-        power = [g for g in power if not g.is_zero()]
-        if not power:
-            rep.add("augmentation ideal is nilpotent", f"exponent {m}", True)
-            rep.add("unipotence", ker.name, True, "certified: nilpotent augmentation")
-            return rep
-    rep.add("unipotence", ker.name, False,
-            "not decided at bound; unresolved: " + ", ".join(sorted(todo)))
-    return rep

@@ -118,13 +118,12 @@ class RepBlock:
 class PresentationFile:
     __slots__ = ("groups", "morphisms", "reps", "connections", "order")
 
-    def __init__(self, groups: dict = None, morphisms: dict = None, reps: dict = None,
-                 connections: dict = None, order: list = None):
-        self.groups = {} if groups is None else groups
-        self.morphisms = {} if morphisms is None else morphisms
-        self.reps = {} if reps is None else reps
-        self.connections = {} if connections is None else connections
-        self.order = [] if order is None else order
+    def __init__(self):
+        self.groups = {}
+        self.morphisms = {}
+        self.reps = {}
+        self.connections = {}
+        self.order = []
 
     def sole(self, kind: str):
         table = getattr(self, kind + "s")
@@ -164,6 +163,13 @@ class _Parser:
         if t.kind != kind:
             self.fail(t, f"expected {kind!r}, found {t.text!r}")
         return t
+
+    def square(self, rows: list, at: Token) -> list:
+        """`rows` itself when there are as many entries in each row as there
+        are rows; otherwise an error at `at`, the token opening the matrix."""
+        if any(len(row) != len(rows) for row in rows):
+            self.fail(at, "matrix must be square")
+        return rows
 
     def nest(self, tok: Token):
         """Enter one level of parentheses or unary sign, opened at `tok`."""
@@ -538,7 +544,7 @@ class _FileParser(_Parser):
             raise UndefinedName(f"rep {name!r} references an undefined group")
         allowed = set(group.ring.variables)
         rows = [[self.plain_poly(e, group.ring, allowed) for e in row]
-                for row in matrix]
+                for row in self.square(matrix, opener)]
         wit = self.plain_poly(witness, group.ring, allowed) if witness else None
         return RepBlock(name, group, rows, wit)
 
@@ -589,10 +595,11 @@ def parse_poly_list(text: str, ring: PolyRing):
 def parse_matrix(text: str, ring: PolyRing):
     """A bracketed matrix [[...], ...] of polynomials over the given ring."""
     p = _Parser(text)
+    start = p.peek()
     rows = p.bracketed(lambda: p.bracketed(p.expression))
     p.expect("eof")
     allowed = set(ring.variables)
-    return [[p.plain_poly(e, ring, allowed) for e in row] for row in rows]
+    return [[p.plain_poly(e, ring, allowed) for e in row] for row in p.square(rows, start)]
 
 
 def _name_text(name: str) -> str:

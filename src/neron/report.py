@@ -23,9 +23,9 @@ class Check:
 class Report:
     __slots__ = ("title", "checks")
 
-    def __init__(self, title: str, checks: list = None):
+    def __init__(self, title: str):
         self.title = title
-        self.checks = [] if checks is None else checks
+        self.checks = []
 
     @property
     def ok(self) -> bool:

@@ -182,10 +182,6 @@ class Scalar:
     def set_pi_zero(self):
         return self.coeffs.get(0, 0)
 
-    def truncate(self, n: int) -> "Scalar":
-        """Reduce modulo pi^{n+1}."""
-        return Scalar({e: c for e, c in self.coeffs.items() if e <= n})
-
     def __repr__(self):
         return format_scalar(self)
 
@@ -363,32 +359,16 @@ class Poly:
             self._lead = max(self.terms, key=self.ring.order.key)
         return self._lead
 
-    def lead_coeff(self):
-        return self.terms[self.lead_monomial()]
-
     def tail(self) -> "Poly":
         """Everything below the leading term."""
         m = self.lead_monomial()
         rest = {k: c for k, c in self.terms.items() if k != m}
         return Poly(self.ring, rest)
 
-    def monic(self) -> "Poly":
-        if not self.terms:
-            return self
-        return self.scale(quotient(1, self.lead_coeff()))
-
     def sorted_terms(self):
         """Terms in descending order under the ring order; deterministic."""
         key = self.ring.order.key
         return [(m, self.terms[m]) for m in sorted(self.terms, key=key, reverse=True)]
-
-    def variables_used(self):
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m[:-1]):
-                if e:
-                    used.add(self.ring.variables[i])
-        return used
 
     def pi_valuation(self):
         if not self.terms:
@@ -405,10 +385,6 @@ class Poly:
 
     def set_pi_zero(self) -> "Poly":
         return Poly(self.ring, {m: c for m, c in self.terms.items() if m[-1] == 0})
-
-    def truncate_pi(self, n: int) -> "Poly":
-        """Drop terms divisible by pi^{n+1}."""
-        return Poly(self.ring, {m: c for m, c in self.terms.items() if m[-1] <= n})
 
     def is_scalar(self) -> bool:
         return all(not any(m[:-1]) for m in self.terms)

@@ -12,11 +12,12 @@ from fractions import Fraction
 
 from neron.blowup import neron_blowup, universal_lift
 from neron.errors import LiftFailure
-from neron.groebner import Ideal, eliminate, membership, saturate
-from neron.hopf import check_flat, check_hopf, check_morphism
+from neron.groebner import Ideal, _eliminate, membership, saturate
+from neron.hopf import GroupMorphism, ReduceResult, check_flat, check_hopf, check_morphism
 from neron.library import (additive_group, multiplicative_group, product,
                            roots_of_unity, twisted_multiplicative)
-from neron.ring import Poly, PolyRing
+from neron.report import Report
+from neron.ring import Poly, PolyRing, elim_order
 
 from oracles import membership_linear
 
@@ -26,6 +27,47 @@ def _total_degree(f) -> int:
     """The largest total degree of a term of f, pi's exponent included; 0
     for the zero polynomial."""
     return max((sum(m) for m in f.terms), default=0)
+
+
+def variables_used(f: Poly) -> set:
+    """The ring variables that occur in some term of f."""
+    used = set()
+    for m in f.terms:
+        for i, e in enumerate(m[:-1]):
+            if e:
+                used.add(f.ring.variables[i])
+    return used
+
+
+def eliminate(ideal: Ideal, drop) -> Ideal:
+    """Intersection with the subring omitting the dropped variables."""
+    drop = [v for v in ideal.ring.variables if v in set(drop)]
+    if not drop:
+        return Ideal(ideal.ring, list(ideal.generators))
+    keep = [v for v in ideal.ring.variables if v not in set(drop)]
+    big = PolyRing(tuple(drop) + tuple(keep), elim_order(len(drop)))
+    gens = [g.in_ring(big) for g in ideal.generators]
+    return _eliminate(gens, big, len(drop), PolyRing(tuple(keep), ideal.ring.order))
+
+
+def reduce_mod_image(m: GroupMorphism, n: int) -> ReduceResult:
+    """Base change the image of a morphism to R/(pi^(n+1)).
+
+    The image of the source in the target is trivial at level n exactly
+    when every target coordinate pulls back to its counit value modulo
+    the source relations and pi^(n+1).
+    """
+    if n < 0:
+        raise ValueError("level must be nonnegative")
+    src, tgt = m.source, m.target
+    ring = src.ring
+    cut = ring.pi() ** (n + 1)
+    rels = src.relations.plus([cut])
+    rep = Report(f"image of {src.name} in {tgt.name} mod pi^{n + 1} trivial")
+    for v in tgt.ring.variables:
+        rep.vanishes("coordinate pulls back to a constant", v,
+                     rels.normal_form(m.pullback.images[v] - ring.scalar(tgt.eps(v))))
+    return ReduceResult(src.with_relations(f"{src.name}_mod{n}", rels), n, rep.ok, rep)
 
 
 def _random_poly(rng: random.Random, ring: PolyRing, terms: int, degree: int,
@@ -159,11 +201,11 @@ def saturation_suite(count: int, seed: int = 20260815) -> int:
             drop = rng.choice(ring.variables)
             elim = eliminate(ideal, [drop])
             for g in elim.generators:
-                assert drop not in g.variables_used()
+                assert drop not in variables_used(g)
                 assert ideal.contains(g.in_ring(ring)), (
                     "eliminated generator left the ideal")
             probe = _random_poly(rng, ring, 2, 2) * gens[0]
-            if drop not in probe.variables_used():
+            if drop not in variables_used(probe):
                 small = elim.ring
                 assert elim.contains(probe.in_ring(small)), (
                     "subring member missed by elimination")
@@ -195,7 +237,6 @@ def lift_suite(count: int, seed: int = 20260815) -> int:
             assert rels.normal_form(diff).is_zero(), var
         if rng.random() < 0.3:
             # the identity of G does not kill the unit section mod pi
-            from neron.hopf import GroupMorphism
             from neron.ring import Substitution
             ident = GroupMorphism("id", g, g, Substitution.identity(g.ring))
             try:

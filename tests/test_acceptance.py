@@ -12,7 +12,7 @@ from neron.blowup import (automatic_member, automatic_truncation,
                           standard_sequence)
 from neron.dgal import LaurentPoly, check_gauge, galois_diagnostic
 from neron.groebner import Ideal
-from neron.hopf import check_flat, check_hopf, prune, reduce_mod_image, special_fibre
+from neron.hopf import prune, special_fibre
 from neron.images import triptych
 from neron.library import additive_group, multiplicative_group, product
 from neron.reps import (RepMatrix, identity_blowup_rep,
@@ -21,7 +21,8 @@ from neron.reps import (RepMatrix, identity_blowup_rep,
 from neron.ring import Scalar, format_poly
 
 from oracles import beta_conjugation_oracle
-from suites import blowup_suite, groebner_oracle_suite, lift_suite, saturation_suite
+from suites import (blowup_suite, groebner_oracle_suite, lift_suite, reduce_mod_image,
+                    saturation_suite)
 
 
 

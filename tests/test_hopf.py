@@ -13,8 +13,8 @@ from neron.groebner import Ideal
 from neron.hopf import (PRIME1, PRIME2, PRIME3, GroupMorphism, HopfPresentation,
                         check_flat, check_hopf, check_morphism, copy_into,
                         generic_fibre, hopf_ideal_report, isomorphism_report,
-                        prune, quotient_presentation, reduce_mod,
-                        reduce_mod_image, special_fibre, tensor_ring)
+                        prune, quotient_presentation, reduce_mod, special_fibre,
+                        tensor_ring)
 from neron.library import (additive_group, borel2, general_linear,
                            multiplicative_group, product, roots_of_unity,
                            special_linear, trivial_group, twisted_multiplicative)
@@ -22,6 +22,7 @@ from neron.parser import print_group
 from neron.report import Report
 from neron.ring import Order, PolyRing, Scalar, Substitution
 
+from suites import reduce_mod_image, variables_used
 from test_goldens import load_script
 
 
@@ -295,7 +296,7 @@ def iterative_prune(h):
             if sum(m[:-1]) != 1 or m[-1] != 0:
                 continue
             w = ring.variables[m.index(1)]
-            if w not in g.tail().variables_used():
+            if w not in variables_used(g.tail()):
                 found = (w, -g.tail())
                 break
         if found is None:

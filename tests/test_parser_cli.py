@@ -26,6 +26,11 @@ SCHEMA = json.loads(
      / "src" / "neron" / "schema" / "report.v1.json").read_text())
 
 
+# a group over which the rep blocks in the tables below are read
+GROUP_X = ("group G { vars: x; relations: ; comul: x -> x'+x''; counit: x -> 0; "
+           "antipode: x -> -x; }\n")
+
+
 def same_group(a, b) -> bool:
     return (a.ring.variables == b.ring.variables
             and list(a.relations.generators) == list(b.relations.generators)
@@ -119,6 +124,14 @@ class TestParse:
         # commas between list items are optional: this matrix is 2 x 2
         ("connection E { base: affine-line; rank: 3; matrix: [[0 x] [pi, 0],]; }",
          ParseError, "1:1: declared rank 3 but the matrix is 2 x 2"),
+        # a rep matrix that is not square is rejected at its block, as a
+        # connection matrix is
+        (GROUP_X + "rep V { group: G; matrix: [[x, 0]]; }", ParseError,
+         "2:1: matrix must be square"),
+        (GROUP_X + "\n rep V { group: G; matrix: [[x, 0], [0]]; }", ParseError,
+         "3:2: matrix must be square"),
+        ("connection E { base: affine-line; matrix: [[0, x]]; }", ParseError,
+         "1:1: connection matrix must be square"),
     ])
     def test_rejects_with_position(self, bad, kind, message):
         with pytest.raises(kind) as exc:
@@ -271,6 +284,23 @@ class TestCliExitCodes:
             assert out == ""
             assert err.startswith("error:") and "rank at least 1" in err
             assert "Traceback" not in err
+
+    def test_non_square_matrix_exits_two(self, capsys, golden_dir, tmp_path):
+        path = tmp_path / "non-square.grp"
+        path.write_text(GROUP_X + "rep V {\n  group: G;\n  matrix: [[x, x]];\n}\n")
+        code, out, err = run(capsys, "rep-validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: 2:1: matrix must be square\n"
+        code, out, err = run(capsys, "rep-blowup-line", str(golden_dir / "borel.grp"),
+                             "--column", "2", "--e-matrix", " [[a22, a22]]")
+        assert (code, out) == (2, "")
+        assert err == "error: 1:2: matrix must be square\n"
+
+    def test_punctured_line_has_no_formal_solution(self, capsys, golden_dir):
+        # no check is refuted: the request itself has no answer
+        code, out, err = run(capsys, "dgal-solve", str(golden_dir / "log.grp"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: formal solutions are taken at the origin")
 
     def test_non_ascii_character_exits_two(self, capsys, golden_dir, tmp_path):
         path = tmp_path / "non-ascii.grp"
