@@ -253,85 +253,84 @@ def _contradiction(c: Connection, n: int, window, m: int):
     return solve_tracked(matrix, rhs, labels, len(unknowns))[1]
 
 
-def _lift(c: Connection, n: int, window, m: int):
-    """The gauge Gauss-Jordan finds for _balance_rows' system, built one
-    power of pi at a time, or None when the system is inconsistent.
+def _lifts(c: Connection, windows: dict, m: int) -> dict:
+    """For each level n of windows, a map level -> window, the gauge
+    Gauss-Jordan finds for _balance_rows' system at n, or None when that
+    system is inconsistent.  The layers in pi are built once, up to the
+    top level and over its window, the widest: windows grow with the level.
 
     With g = x^m*I + sum_p pi^p*g_p and A = (m/x)*I + sum_q pi^q*A_q, the
     pi^p part of dg/dx - g*A is g_p' - (m/x)*g_p - R_p, where
     R_p = sum_{q=1..p} g_(p-q)*A_q involves only lower layers.  At x^(d-1)
     it reads (d - m)*c_(p,d) = [x^(d-1)] R_p entry by entry, so each
     coefficient of g_p is an affine form in the constants c_(p',m),
-    p' <= p, which are free; the rows at x^(m-1), and those whose d falls
-    outside the window, are constraints on them.  `canonical_point` then
-    picks the solution with Gauss-Jordan's free unknowns zero.
+    p' <= p, which are free; a form names each by (i, j, p') and its
+    constant term by None.  The rows at x^(m-1), and those whose d falls
+    outside the widest window, are constraints on them.  Level n takes
+    layers p <= n, and a coefficient whose d falls outside its own window
+    is one more constraint: the terms it feeds into higher layers are
+    multiples of that constraint, so the solution set is level n's.
+    `canonical_point` then picks the solution with Gauss-Jordan's free
+    unknowns zero, which depends only on that set and on the order of the
+    unknowns; so a level numbers, in _balance_rows' order, only the
+    unknowns some form gives a value, and every other one is zero.
     """
-    r, lo = c.rank, window.start
-    width = r * r * len(window) * n  # the number of unknowns
-    a = [[] for _ in range(n + 1)]  # q -> (k, j, x exponent, rational) of A_q
-    for k, row in enumerate(c.matrix):
-        for j, f in enumerate(row):
-            for e, cf in f.coeffs.items():
-                for q, val in cf.coeffs.items():
-                    if 0 < q <= n:
-                        a[q].append((k, j, e, val))
-
-    def column(i, j, d, p):  # _balance_rows' numbering of the unknowns
-        return ((i * r + j) * len(window) + d - lo) * n + p - 1
-
-    one = -1  # an affine form's constant term, among the constants' columns
-    # layer p -> (i, j) -> x exponent -> affine form {column or one: rational}
-    g = [{(i, i): {m: {one: 1}} for i in range(r)}]
-    constraints = []
-    for p in range(1, n + 1):
+    r, top = c.rank, max(windows, default=0)
+    # (k, j, e, q, rational) for each term x^e*pi^q, q >= 1, of entry (k, j) of A
+    a = [(k, j, e, q, val)
+         for k, row in enumerate(c.matrix) for j, f in enumerate(row)
+         for e, cf in f.coeffs.items() for q, val in cf.coeffs.items() if q]
+    # layer p -> (i, j) -> x exponent -> affine form {(i, j, p') or None: rational}
+    g = [{(i, i): {m: {None: 1}} for i in range(r)}]
+    constraints = []  # (layer p, an affine form that must vanish)
+    for p in range(1, top + 1):
         rp = {}  # (i, j, x exponent) -> affine form of R_p's coefficient
-        for q in range(1, p + 1):
-            lower = g[p - q]
-            for k, j, e, val in a[q]:
+        for k, j, e, q, val in a:
+            if q <= p:
                 for i in range(r):
-                    for d, form in lower.get((i, k), {}).items():
+                    for d, form in g[p - q].get((i, k), {}).items():
                         acc = rp.setdefault((i, j, d + e), {})
                         for t, v in form.items():
                             acc[t] = acc.get(t, 0) + val * v
-        layer = {(i, j): {m: {column(i, j, m, p): 1}}
-                 for i in range(r) for j in range(r)}
+        layer = {(i, j): {m: {(i, j, p): 1}} for i in range(r) for j in range(r)}
         for (i, j, e), form in rp.items():
             form = {t: v for t, v in form.items() if v}
             if not form:
                 continue
             d = e + 1
-            if d != m and d in window:
+            if d != m and d in windows[top]:
                 layer[i, j][d] = {t: quotient(v, d - m) for t, v in form.items()}
-            elif one in form and len(form) == 1:  # 0 = a nonzero constant
-                return None
             else:
-                constraints.append(form)
+                constraints.append((p, form))
         g.append(layer)
-    # one vector per free constant and one for the constant terms: its
-    # value in every unknown's column, then in each constraint's
-    vectors = {}
-    for p in range(1, n + 1):
-        for (i, j), entry in g[p].items():
-            for d, form in entry.items():
-                k = column(i, j, d, p)
-                for t, v in form.items():
-                    vectors.setdefault(t, {})[k] = v
-    for s, form in enumerate(constraints, width):
-        for t, v in form.items():
-            vectors.setdefault(t, {})[s] = v
-    base = vectors.pop(one, {})
-    point = canonical_point(base, vectors.values(), width)
-    if point is None:
-        return None
-    gauge = [[{m: {0: 1}} if i == j else {} for j in range(r)]
-             for i in range(r)]
-    for k, v in point.items():
-        k, p = divmod(k, n)
-        k, d = divmod(k, len(window))
-        i, j = divmod(k, r)
-        gauge[i][j].setdefault(d + lo, {})[p + 1] = v
-    return [[LaurentPoly({d: Scalar(cf) for d, cf in entry.items()})
-             for entry in row] for row in gauge]
+    gauges = dict.fromkeys(windows)  # level -> gauge, or None
+    for n, window in windows.items():
+        cells, rows = {}, [form for p, form in constraints if p <= n]
+        for p in range(1, n + 1):
+            for (i, j), entry in g[p].items():
+                for d, form in entry.items():
+                    if d in window:
+                        cells[i, j, d, p] = form
+                    else:  # a constraint at this level
+                        rows.append(form)
+        # one vector per free constant and one for the constant terms: its
+        # value at each unknown, in _balance_rows' order, then at each constraint
+        names = sorted(cells)
+        vectors = {}
+        for k, form in enumerate([cells[u] for u in names] + rows):
+            for t, v in form.items():
+                vectors.setdefault(t, {})[k] = v
+        point = canonical_point(vectors.pop(None, {}), vectors.values(), len(names))
+        if point is None:
+            continue
+        gauge = [[{m: {0: 1}} if i == j else {} for j in range(r)]
+                 for i in range(r)]
+        for k, v in point.items():
+            i, j, d, p = names[k]
+            gauge[i][j].setdefault(d, {})[p] = v
+        gauges[n] = [[LaurentPoly({d: Scalar(cf) for d, cf in entry.items()})
+                      for entry in row] for row in gauge]
+    return gauges
 
 
 def triviality_mod(c: Connection, n: int,
@@ -346,7 +345,7 @@ def triviality_mod(c: Connection, n: int,
     A0 = 0), and when no integer m within the degree bound fits, the pi^0
     coefficients of A are the obstruction.
 
-    At that m, `_lift` builds the gauge layer by layer in pi, with the
+    At that m, `_lifts` builds the gauge layer by layer in pi, with the
     coefficients of x^d*pi^p for d in the window; the level is trivial
     exactly when its constraints are consistent.  Of the gauges the
     window allows it returns the one Gauss-Jordan finds on the balance
@@ -358,25 +357,37 @@ def triviality_mod(c: Connection, n: int,
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
+    return next(_levels(c, (n,), degree_bound))
+
+
+def _levels(c: Connection, levels, degree_bound: int):
+    """`triviality_mod`'s entry for each level of levels, in turn, from one
+    lift."""
     if degree_bound is not None and degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    bound = default_degree_bound(c, n) if degree_bound is None else degree_bound
-    window = range(0 if c.base == AFFINE else -bound, bound + 1)
     # A mod pi, as (i, j, e) -> the coefficient of x^e*pi^0 in entry (i, j)
     a0 = {(i, j, e): f.coeffs[e].coeffs[0]
           for i, row in enumerate(c.matrix) for j, f in enumerate(row)
           for e in f.exponents() if 0 in f.coeffs[e].coeffs}
     m = a0.get((0, 0, -1), 0)
-    if a0 and (a0 != {(i, i, -1): m for i in range(c.rank)}
-               or m.denominator != 1 or abs(m) > bound):
-        return TrivialityEntry(n, False, None, [
-            f"entry ({i + 1},{j + 1}), coefficient of x^{e}*pi^0"
-            for i, j, e in a0])
-    gauge = _lift(c, n, window, int(m))
-    if gauge is None:
-        return TrivialityEntry(n, False, None,
-                               _contradiction(c, n, window, int(m)))
-    return TrivialityEntry(n, True, gauge)
+    fits = not a0 or (a0 == {(i, i, -1): m for i in range(c.rank)}
+                      and m.denominator == 1)
+    windows = {}
+    for n in levels:
+        bound = default_degree_bound(c, n) if degree_bound is None else degree_bound
+        if fits and abs(m) <= bound:
+            windows[n] = range(0 if c.base == AFFINE else -bound, bound + 1)
+    gauges = _lifts(c, windows, int(m))
+    for n in levels:
+        if n not in windows:  # no shift m fits in this level's window
+            yield TrivialityEntry(n, False, None, [
+                f"entry ({i + 1},{j + 1}), coefficient of x^{e}*pi^0"
+                for i, j, e in a0])
+        elif gauges[n] is None:
+            yield TrivialityEntry(n, False, None,
+                                  _contradiction(c, n, windows[n], int(m)))
+        else:
+            yield TrivialityEntry(n, True, gauges[n])
 
 
 def _terms(f: LaurentPoly, n: int):
@@ -423,8 +434,7 @@ def galois_diagnostic(c: Connection, levels: int,
         raise ValueError("levels must be nonnegative")
     rep = TrivialityReport()
     verdict_rep = Report(f"triviality levels 0..{levels}")
-    for n in range(levels + 1):
-        entry = triviality_mod(c, n, degree_bound)
+    for n, entry in enumerate(_levels(c, range(levels + 1), degree_bound)):
         rep.levels[n] = entry
         witness = ""
         if entry.trivial:

@@ -231,6 +231,8 @@ def line_blowup_rep(v: RepMatrix, b: BlowupResult, e: RepMatrix = None,
     ring = blown.ring
     if e is None:
         e = RepMatrix(blown, [[ring.one()]], ring.one())
+    if not e.size:
+        raise ValueError("covering matrix must have rank at least 1")
     if e.group.ring != ring:
         raise ShapeMismatch("covering representation does not live over the blown group")
     a = [[b.projection.pullback(x) for x in row] for row in _permuted(v, column)]

@@ -344,6 +344,71 @@ class TestAgainstEliminationOracle:
         assert check_gauge(c, entry)
 
 
+@st.composite
+def narrowing_problems(draw):
+    """(connection, top level, degree bound).  Under the default bound a
+    low level's window is narrower than the top level's, and a coefficient
+    that a layer p <= n has outside level n's window is a constraint of
+    level n; the draws favour that case: punctured connections whose
+    shift lies near the level-0 bound, with positive x-powers that carry
+    the layers past a low window."""
+    r = draw(st.sampled_from([1, 1, 2]))
+    base = draw(st.sampled_from([PUNCTURED, PUNCTURED, PUNCTURED, AFFINE]))
+    deg = draw(st.integers(1, 2))
+    m = 0
+    if base == PUNCTURED:
+        m = draw(st.integers(2 * deg, 4 * deg + 1))
+        m *= draw(st.sampled_from([1, 1, 1, -1]))
+    low = -1 if base == PUNCTURED else 0
+    terms = st.tuples(st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+                      st.sampled_from([deg, *range(low, deg + 1)]),  # x^deg twice
+                      st.integers(1, 2))
+    matrix = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            f = LaurentPoly({-1: m} if i == j else {})
+            for v, e, q in draw(st.lists(terms, min_size=int(i == j), max_size=3)):
+                f = f + LaurentPoly({e: Scalar({q: v})})
+            row.append(f)
+        matrix.append(row)
+    top = draw(st.integers(1, 5 if r == 1 else 3))
+    bound = draw(st.sampled_from([None, None, None, 2, 5]))
+    return Connection(base, matrix), top, bound
+
+
+class TestOneLiftForEveryLevel:
+    """`galois_diagnostic` lifts all its levels at once, over the top
+    level's window, and `triviality_mod` lifts one level over its own:
+    each level of a diagnosis must be the one-level search's entry."""
+
+    @staticmethod
+    def assert_levels_agree(c, top, bound):
+        rep, _, _ = galois_diagnostic(c, top, bound)
+        for n in range(top + 1):
+            entry, alone = rep.levels[n], triviality_mod(c, n, bound)
+            assert (entry.trivial, entry.gauge, entry.obstruction) == (
+                alone.trivial, alone.gauge, alone.obstruction), n
+        return rep
+
+    @given(problem=narrowing_problems())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_diagnosis_agrees_with_each_level(self, problem):
+        self.assert_levels_agree(*problem)
+
+    @pytest.mark.parametrize("rows, top, trivial", [
+        # at level 2 the window is [-6, 6], but layer 1 reaches x^7
+        ("[[5/x + pi*x]]", 5, [False] * 6),
+        # at level 1 the window is [-4, 4], but layer 1 reaches x^5
+        ("[[4/x, pi], [0, 4/x]]", 2, [False, False, True]),
+    ])
+    def test_layer_outside_a_low_window(self, rows, top, trivial):
+        text = f"connection c {{ base: {PUNCTURED}; matrix: {rows}; }}"
+        c = parse(text).connections["c"]
+        rep = self.assert_levels_agree(c, top, None)
+        assert [rep.levels[n].trivial for n in range(top + 1)] == trivial
+
+
 class TestDiagnostic:
     def test_full_tower(self):
         rep, verdict_rep, verdict = galois_diagnostic(exp_conn(), 5)

@@ -13,7 +13,8 @@ from neron.groebner import (Ideal, _buchberger, _Overflow, _Packing, _reduce_ful
                             certified_pi_division, contract, membership,
                             saturate, saturate_pi, subalgebra_member)
 from neron.hopf import PRIME1, PRIME2, PRIME3, copy_into, tensor_ideal, tensor_ring
-from neron.library import borel2, general_linear, multiplicative_group
+from neron.library import (additive_group, borel2, general_linear, multiplicative_group,
+                           product)
 from neron.ring import GREVLEX, LEX, Poly, PolyRing, Substitution, elim_order
 
 import suites
@@ -400,18 +401,24 @@ class TestContractWalk:
     """The S-pairs one contraction reduces, pinned as in `TestPairWalk`:
     the relations of a level-1 blowup pulled back along its projection.
     The count depends on the ring and the generator order `contract`
-    walks in."""
+    walks in: with the graph generators before the target ideal's, Gm
+    and Gm x Ga would need 5 and 10 pairs.  The degree is the smallest
+    degree budget that succeeds."""
 
-    @pytest.mark.parametrize("group, pairs", [(borel2, 35), (general_linear, 64)],
-                             ids=["b2", "gl2"])
-    def test_pairs_reduced(self, group, pairs):
+    @pytest.mark.parametrize("group, pairs, degree", [
+        (multiplicative_group, 6, 3),
+        (lambda: product(multiplicative_group(), additive_group()), 12, 3),
+        (borel2, 35, 4),
+        (general_linear, 64, 4),
+    ], ids=["gm", "gmxga", "b2", "gl2"])
+    def test_pairs_reduced(self, group, pairs, degree):
         b = automatic_truncation(group(), 1)
         compute = lambda: contract(b.projection.pullback, b.blown.relations)
-        with budget(Limits(max_pairs=pairs, max_degree=4)):
+        with budget(Limits(max_pairs=pairs, max_degree=degree)):
             compute()
-        with pytest.raises(ResourceLimit), budget(Limits(max_pairs=pairs - 1, max_degree=4)):
+        with pytest.raises(ResourceLimit), budget(Limits(max_pairs=pairs - 1, max_degree=degree)):
             compute()
-        with pytest.raises(ResourceLimit), budget(Limits(max_pairs=pairs, max_degree=3)):
+        with pytest.raises(ResourceLimit), budget(Limits(max_pairs=pairs, max_degree=degree - 1)):
             compute()
 
 

@@ -296,6 +296,12 @@ class TestCliExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: 1:2: matrix must be square\n"
 
+    def test_rank_zero_covering_matrix_exits_two(self, capsys, golden_dir):
+        code, out, err = run(capsys, "rep-blowup-line", str(golden_dir / "borel.grp"),
+                             "--column", "1", "--e-matrix", "[]")
+        assert (code, out) == (2, "")
+        assert err == "error: covering matrix must have rank at least 1\n"
+
     def test_punctured_line_has_no_formal_solution(self, capsys, golden_dir):
         # no check is refuted: the request itself has no answer
         code, out, err = run(capsys, "dgal-solve", str(golden_dir / "log.grp"))
@@ -446,15 +452,16 @@ class TestCliExitCodes:
         assert err.startswith("resource limit:")
 
     def test_broken_gauge_fails_its_replay(self, capsys, golden_dir, monkeypatch):
-        lift = dgal._lift
+        lifts = dgal._lifts
 
-        def off_by_pi(*args):  # adds pi*x to entry (1,1) of a lifted gauge
-            gauge = lift(*args)
-            if gauge is not None:
-                gauge[0][0] = gauge[0][0] + dgal.LaurentPoly({1: Scalar({1: 1})})
-            return gauge
+        def off_by_pi(*args):  # adds pi*x to entry (1,1) of each lifted gauge
+            gauges = lifts(*args)
+            for gauge in gauges.values():
+                if gauge is not None:
+                    gauge[0][0] = gauge[0][0] + dgal.LaurentPoly({1: Scalar({1: 1})})
+            return gauges
 
-        monkeypatch.setattr(dgal, "_lift", off_by_pi)
+        monkeypatch.setattr(dgal, "_lifts", off_by_pi)
         for args in (["dgal-trivial", "--level", "2"],
                      ["dgal-diagnose", "--levels", "2"]):
             code, out, err = run(capsys, args[0], str(golden_dir / "exp.grp"),

@@ -162,6 +162,15 @@ class TestLineBlowup:
             line_blowup_rep(std, b, det)
         assert "a11*a22 - a11 - a12*xi1*pi" in str(exc.value)
 
+    def test_rank_zero_covering_rejected(self):
+        gl = general_linear(2)
+        G = gl.ring
+        std = RepMatrix(gl, [[G.var("a11"), G.var("a12")],
+                             [G.var("a21"), G.var("a22")]])
+        b = neron_blowup(gl, stabilizer_ideal(std, 1))
+        with pytest.raises(ValueError, match="rank at least 1"):
+            line_blowup_rep(std, b, RepMatrix(b.blown, []))
+
     def test_vector_stabilizer_glues_faithfully(self):
         gl = general_linear(2)
         G = gl.ring
