@@ -8,6 +8,7 @@ of the centre generators by pi^k with certified exactness.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 from .errors import DivisionObstruction, LiftFailure, NotASubgroup
 from .groebner import Ideal, certified_pi_division, contract, saturate_pi, subalgebra_member
@@ -28,40 +29,10 @@ def fresh_xi_names(ring: PolyRing, count: int):
     return [f"xi{top + 1 + i}" for i in range(count)]
 
 
-class BlowupResult:
-    __slots__ = ("blown", "projection", "centre", "adjoined", "xi_map", "level", "eliminated",
-                 "report", "chain")
-
-    def __init__(self, blown: HopfPresentation, projection: GroupMorphism, centre: Ideal,
-                 adjoined: tuple, xi_map: dict, level: int, eliminated: dict, report: Report,
-                 chain: tuple = ()):
-        self.blown = blown
-        self.projection = projection
-        self.centre = centre
-        self.adjoined = adjoined
-        self.xi_map = xi_map
-        self.level = level
-        self.eliminated = eliminated
-        self.report = report
-        self.chain = chain
-
-
-class Stage:
-    __slots__ = ("group", "centre", "projection")
-
-    def __init__(self, group: HopfPresentation, centre: Ideal, projection: GroupMorphism):
-        self.group = group
-        self.centre = centre
-        self.projection = projection
-
-
-class StandardSequence:
-    __slots__ = ("stages", "depth", "lifted")
-
-    def __init__(self, stages: list, depth: int, lifted: GroupMorphism):
-        self.stages = stages
-        self.depth = depth
-        self.lifted = lifted
+BlowupResult = namedtuple("BlowupResult", "blown projection centre adjoined xi_map level "
+                          "eliminated report chain", defaults=((),))
+Stage = namedtuple("Stage", "group centre projection")
+StandardSequence = namedtuple("StandardSequence", "stages depth lifted")
 
 
 def _require(rep: Report, what: str):

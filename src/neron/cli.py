@@ -239,6 +239,8 @@ def cmd_rep_blowup_identity(v, args):
 
 
 def cmd_rep_blowup_line(v, args):
+    if args.e_witness is not None and not args.e_matrix:
+        raise ValueError("--e-witness needs --e-matrix")
     b = neron_blowup(v.group, stabilizer_ideal(v, args.column))
     e = None
     if args.e_matrix:
@@ -346,13 +348,13 @@ def _entry_json(entry) -> dict:
     return out
 
 
-def _entry_lines(entry):
-    if entry.trivial:
-        rows = ["[" + ", ".join(print_laurent(e) for e in row) + "]"
-                for row in entry.gauge]
-        return [f"level {entry.level}: trivial, gauge " + ", ".join(rows)]
-    lines = [f"level {entry.level}: not trivial"]
-    for label in entry.obstruction:
+def _entry_lines(data: dict):
+    """Text of one level from its `_entry_json` data."""
+    if data["trivial"]:
+        rows = ["[" + ", ".join(row) + "]" for row in data["gauge"]]
+        return [f"level {data['level']}: trivial, gauge " + ", ".join(rows)]
+    lines = [f"level {data['level']}: not trivial"]
+    for label in data["obstruction"]:
         lines.append(f"  inconsistent: {label}")
     return lines
 
@@ -365,7 +367,8 @@ def _replay_gauge(c, entry):
 def cmd_dgal_trivial(c, args):
     entry = triviality_mod(c, args.level, args.degree_bound)
     _replay_gauge(c, entry)
-    return entry.trivial, None, _entry_json(entry), _entry_lines(entry)
+    data = _entry_json(entry)
+    return entry.trivial, None, data, _entry_lines(data)
 
 
 def cmd_dgal_diagnose(c, args):
@@ -373,12 +376,12 @@ def cmd_dgal_diagnose(c, args):
                                                    args.degree_bound)
     for entry in rep.levels.values():
         _replay_gauge(c, entry)
+    levels = [_entry_json(rep.levels[n]) for n in range(args.levels + 1)]
     lines = []
-    for n in range(args.levels + 1):
-        lines.extend(_entry_lines(rep.levels[n]))
+    for level in levels:
+        lines.extend(_entry_lines(level))
     lines.append(f"verdict: {verdict}")
-    data = {"levels": [_entry_json(rep.levels[n])
-                       for n in range(args.levels + 1)],
+    data = {"levels": levels,
             "trivial_through": rep.trivial_through(),
             "verdict": verdict}
     return True, level_report, data, lines

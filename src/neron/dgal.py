@@ -17,6 +17,7 @@ elimination, to name the balance equations that contradict each other.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ShapeMismatch
@@ -180,14 +181,8 @@ def formal_solution(c: Connection, order: int):
     return out
 
 
-class TrivialityEntry:
-    __slots__ = ("level", "trivial", "gauge", "obstruction")
-
-    def __init__(self, level: int, trivial: bool, gauge: list = None, obstruction: list = None):
-        self.level = level
-        self.trivial = trivial
-        self.gauge = gauge
-        self.obstruction = [] if obstruction is None else obstruction
+TrivialityEntry = namedtuple("TrivialityEntry", "level trivial gauge obstruction",
+                             defaults=(None, ()))
 
 
 class TrivialityReport:

@@ -52,6 +52,7 @@ first use.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
@@ -465,15 +466,9 @@ def _interreduce(pk: _Packing, basis, reps, ring: PolyRing, track: bool):
     return tuple(final), outreps
 
 
-class MembershipCertificate:
-    """Outcome of an ideal membership test with exact cofactors on success."""
-
-    __slots__ = ("member", "cofactors", "remainder")
-
-    def __init__(self, member: bool, cofactors: list | None, remainder: Poly):
-        self.member = member
-        self.cofactors = cofactors
-        self.remainder = remainder
+MembershipCertificate = namedtuple("MembershipCertificate", "member cofactors remainder")
+MembershipCertificate.__doc__ = ("Outcome of an ideal membership test with exact "
+                                 "cofactors on success.")
 
 
 class Ideal:

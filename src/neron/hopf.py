@@ -8,6 +8,8 @@ lands in the scalar ring, the antipode is an endomorphism of the ring.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .errors import UnknownVariable
 from .groebner import Ideal, contract, saturate_pi, subalgebra_member
 from .report import Report
@@ -275,14 +277,7 @@ def generic_fibre(h: HopfPresentation) -> HopfPresentation:
     return h.with_relations(h.name + "_K", saturate_pi(h.relations))
 
 
-class ReduceResult:
-    __slots__ = ("presentation", "level", "trivial", "report")
-
-    def __init__(self, presentation: HopfPresentation, level: int, trivial: bool, report: Report):
-        self.presentation = presentation
-        self.level = level
-        self.trivial = trivial
-        self.report = report
+ReduceResult = namedtuple("ReduceResult", "presentation level trivial report")
 
 
 def reduce_mod(h: HopfPresentation, n: int) -> ReduceResult:

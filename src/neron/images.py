@@ -9,6 +9,8 @@ is the mod-pi picture of the factorization.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .blowup import _lift_pullback, neron_blowup
 from .groebner import Ideal, contract, saturate_pi
 from .hopf import GroupMorphism, HopfPresentation, prune, special_fibre
@@ -16,39 +18,10 @@ from .report import Report
 from .ring import Substitution, format_poly
 
 
-class ImageResult:
-    __slots__ = ("group", "embed", "cover")
-
-    def __init__(self, group: HopfPresentation, embed: GroupMorphism, cover: GroupMorphism):
-        self.group = group
-        self.embed = embed
-        self.cover = cover
-
-
-class Diptych:
-    __slots__ = ("image", "stages", "projections", "stabilized", "report")
-
-    def __init__(self, image: ImageResult, stages: list, projections: list,
-                 stabilized: bool, report: Report):
-        self.image = image
-        self.stages = stages
-        self.projections = projections
-        self.stabilized = stabilized
-        self.report = report
-
-
-class Triptych:
-    __slots__ = ("diptych", "saturated_fibre", "mod_pi_image", "image_fibre", "report", "into")
-
-    def __init__(self, diptych: Diptych, saturated_fibre: HopfPresentation,
-                 mod_pi_image: HopfPresentation, image_fibre: HopfPresentation, report: Report,
-                 into: Substitution):
-        self.diptych = diptych
-        self.saturated_fibre = saturated_fibre
-        self.mod_pi_image = mod_pi_image
-        self.image_fibre = image_fibre
-        self.report = report
-        self.into = into  # image coordinates -> the saturated fibre
+ImageResult = namedtuple("ImageResult", "group embed cover")
+Diptych = namedtuple("Diptych", "image stages projections stabilized report")
+# into maps the image coordinates to the saturated fibre
+Triptych = namedtuple("Triptych", "diptych saturated_fibre mod_pi_image image_fibre report into")
 
 
 def image_hopf(rho: GroupMorphism) -> ImageResult:

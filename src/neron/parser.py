@@ -27,8 +27,9 @@ for square brackets) reads every list, with optional commas between items.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
-from .dgal import AFFINE, PUNCTURED, Connection, LaurentPoly
+from .dgal import AFFINE, PUNCTURED, Connection, LaurentPoly, format_laurent
 from .errors import ParseError, UndefinedName
 from .groebner import Ideal
 from .hopf import PRIME1, PRIME2, SCALARS, GroupMorphism, HopfPresentation, tensor_ring
@@ -44,14 +45,7 @@ X = "x"
 _MAX_NESTING = 100
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+Token = namedtuple("Token", "kind text line column")
 
 
 # One match is optional blanks and then one token; the alternatives are
@@ -87,32 +81,22 @@ def _tokenize(text: str):
             message = "unterminated string" if c == '"' else f"unexpected character {c!r}"
             raise ParseError(message, line, at - start + 1)
         elif kind != "comment":
-            word = m.group(kind)
-            token = Token(kind, word, line, at - start + 1)
+            word = value = m.group(kind)
             if kind == "punct":
-                token.kind = word
+                kind = word
             elif kind == "string":
-                token.text = _ESCAPE.sub(r"\1", word[1:-1])
-                breaks = word.count("\n")  # newlines escaped inside it
-                if breaks:
-                    line, start = line + breaks, at + word.rindex("\n") + 1
-            tokens.append(token)
+                value = _ESCAPE.sub(r"\1", word[1:-1])
+            tokens.append(Token(kind, value, line, at - start + 1))
+            if kind == "string" and "\n" in word:  # newlines escaped inside it
+                line, start = line + word.count("\n"), at + word.rindex("\n") + 1
     # a trailing comment leaves the end of the text at the comment's start
     end = m.start("comment") if m is not None and m.lastgroup == "comment" else len(text)
     tokens.append(Token("eof", "", line, end - start + 1))
     return tokens
 
 
-class RepBlock:
-    """A comodule matrix as written, before any witness search runs."""
-
-    __slots__ = ("name", "group", "entries", "witness")
-
-    def __init__(self, name: str, group: HopfPresentation, entries: list, witness: Poly = None):
-        self.name = name
-        self.group = group
-        self.entries = entries
-        self.witness = witness
+RepBlock = namedtuple("RepBlock", "name group entries witness", defaults=(None,))
+RepBlock.__doc__ = "A comodule matrix as written, before any witness search runs."
 
 
 class PresentationFile:
@@ -611,7 +595,6 @@ def _name_text(name: str) -> str:
 
 def print_laurent(f: LaurentPoly) -> str:
     """Render with at most one division, so the result parses back."""
-    from .dgal import format_laurent
     if f.is_zero():
         return "0"
     low = f.exponents()[0]
@@ -629,7 +612,7 @@ def print_group(h: HopfPresentation) -> str:
     lines = [f"group {_name_text(h.name)} {{"]
     lines.append("  vars: " + ", ".join(h.ring.variables) + ";")
     rels = ", ".join(format_poly(g) for g in h.relations.generators)
-    lines.append(f"  relations: {rels};" if rels else "  relations: ;")
+    lines.append(f"  relations: {rels};")
     for label, sub in (("comul", h.comul), ("counit", h.counit),
                        ("antipode", h.antipode)):
         body = ", ".join(f"{v} -> {format_poly(sub.images[v])}"

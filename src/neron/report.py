@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .ring import Poly, format_poly, format_scalar
 
 
-class Check:
-    __slots__ = ("name", "subject", "ok", "witness")
-
-    def __init__(self, name: str, subject: str, ok: bool, witness: str = ""):
-        self.name = name
-        self.subject = subject
-        self.ok = ok
-        self.witness = witness
+class Check(namedtuple("Check", "name subject ok witness", defaults=("",))):
+    __slots__ = ()
 
     def line(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"

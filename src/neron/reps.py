@@ -8,6 +8,8 @@ of the matrix must be the identity.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .blowup import BlowupResult, universal_lift
 from .errors import (DivisionObstruction, NotASubgroup, NotFiniteDimensional,
                      ShapeMismatch)
@@ -90,13 +92,7 @@ def validate_rep(m: RepMatrix) -> Report:
     return rep
 
 
-class FaithfulResult:
-    __slots__ = ("verdict", "undecided", "report")
-
-    def __init__(self, verdict: str, undecided: list, report: Report):
-        self.verdict = verdict
-        self.undecided = undecided
-        self.report = report
+FaithfulResult = namedtuple("FaithfulResult", "verdict undecided report")
 
 
 def verify_faithful(m: RepMatrix) -> FaithfulResult:
@@ -321,13 +317,8 @@ def sum_faithful(rho: RepMatrix, sigma: RepMatrix, b: BlowupResult,
     return direct_sum(rho_up, sig_up)
 
 
-class ConormalData:
-    __slots__ = ("group", "basis", "matrix")
-
-    def __init__(self, group: HopfPresentation, basis: list, matrix: list):
-        self.group = group
-        self.basis = basis
-        self.matrix = matrix
+class ConormalData(namedtuple("ConormalData", "group basis matrix")):
+    __slots__ = ()
 
     def rep(self) -> RepMatrix:
         return RepMatrix(self.group, self.matrix)

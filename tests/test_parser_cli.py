@@ -302,6 +302,20 @@ class TestCliExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: covering matrix must have rank at least 1\n"
 
+    def test_covering_witness_needs_its_matrix(self, capsys, golden_dir):
+        code, out, err = run(capsys, "rep-blowup-line", str(golden_dir / "borel.grp"),
+                             "--column", "2", "--e-witness", "a11*e")
+        assert (code, out, err) == (2, "", "error: --e-witness needs --e-matrix\n")
+
+    def test_covering_witness_given_matches_the_search(self, capsys, golden_dir):
+        # a11*e is the witness RepMatrix finds for [[a22]] over the blowup
+        argv = ("rep-blowup-line", str(golden_dir / "borel.grp"), "--column", "2",
+                "--e-matrix", "[[a22]]")
+        searched = run(capsys, *argv)
+        given = run(capsys, *argv, "--e-witness", "a11*e")
+        assert searched[0] == 0
+        assert given == searched
+
     def test_punctured_line_has_no_formal_solution(self, capsys, golden_dir):
         # no check is refuted: the request itself has no answer
         code, out, err = run(capsys, "dgal-solve", str(golden_dir / "log.grp"))

@@ -36,6 +36,6 @@ class TestImports:
     def test_cli_loads_neither_dataclasses_nor_inspect(self):
         # -S keeps site-packages, and whatever their .pth files import, out
         probe = ("import sys; sys.path.insert(0, sys.argv[1]); import neron.cli, neron.library; "
-                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+                 "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
         done = python("-S", "-c", probe, str(SRC))
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
