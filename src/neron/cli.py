@@ -239,14 +239,14 @@ def cmd_rep_blowup_identity(v, args):
 
 
 def cmd_rep_blowup_line(v, args):
-    if args.e_witness is not None and not args.e_matrix:
+    if args.e_witness is not None and args.e_matrix is None:
         raise ValueError("--e-witness needs --e-matrix")
     b = neron_blowup(v.group, stabilizer_ideal(v, args.column))
     e = None
-    if args.e_matrix:
+    if args.e_matrix is not None:
         entries = parse_matrix(args.e_matrix, b.blown.ring)
         witness = (parse_poly(args.e_witness, b.blown.ring)
-                   if args.e_witness else None)
+                   if args.e_witness is not None else None)
         e = RepMatrix(b.blown, entries, witness)
     glued = line_blowup_rep(v, b, e, args.column)
     rep = validate_rep(glued)

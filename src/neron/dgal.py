@@ -102,7 +102,10 @@ def format_laurent(f: LaurentPoly) -> str:
 
 
 class Connection:
-    __slots__ = ("base", "matrix")
+    """A connection matrix A, with `terms[k]` the terms x^e*pi^q of row k
+    of A as (column j, e, q, rational), in x and then pi order."""
+
+    __slots__ = ("base", "matrix", "terms")
 
     def __init__(self, base: str, matrix: list):
         if base not in (AFFINE, PUNCTURED):
@@ -118,23 +121,21 @@ class Connection:
                          for e in row])
         self.base = base
         self.matrix = rows
-        if base == AFFINE:
-            for row in rows:
-                for e in row:
-                    if e.coeffs and e.exponents()[0] < 0:
-                        raise ShapeMismatch(
-                            "affine-line connection entries cannot involve 1/x")
+        self.terms = [[(j, e, q, val) for j, f in enumerate(row)
+                       for e in f.exponents() for q, val in f.coeffs[e].coeffs.items()]
+                      for row in rows]
+        if base == AFFINE and any(e < 0 for row in self.terms for _, e, _, _ in row):
+            raise ShapeMismatch("affine-line connection entries cannot involve 1/x")
 
     @property
     def rank(self) -> int:
         return len(self.matrix)
 
     def x_degree(self) -> int:
-        degs = [abs(e) for row in self.matrix for f in row for e in f.exponents()]
-        return max(degs) if degs else 0
+        return max((abs(e) for row in self.terms for _, e, _, _ in row), default=0)
 
     def is_zero(self) -> bool:
-        return all(f.is_zero() for row in self.matrix for f in row)
+        return not any(self.terms)
 
 
 def _zero_matrix(r: int):
@@ -203,6 +204,18 @@ def default_degree_bound(c: Connection, n: int) -> int:
     return 2 * (n + 1) * max(1, c.x_degree())
 
 
+def _balance(c: Connection, n: int, i: int, k: int, d: int, p: int):
+    """(label, factor) for each coefficient of dg/dx - g*A mod pi^(n+1)
+    that the term x^d*pi^p, p <= n, of entry (i, k) of g reaches: it adds
+    factor times the term's coefficient to the coefficient of x^e*pi^q in
+    entry (i, j), labelled (i, j, e, q)."""
+    if d:
+        yield (i, k, d - 1, p), d
+    for j, e, q, val in c.terms[k]:
+        if p + q <= n:
+            yield (i, j, d + e, p + q), -val
+
+
 def _balance_rows(c: Connection, n: int, window, m: int):
     """Linear system for dg/dx = g*A mod pi^(n+1) with the mod-pi part of
     g frozen to x^m times the identity.
@@ -217,21 +230,13 @@ def _balance_rows(c: Connection, n: int, window, m: int):
     index = {u: t for t, u in enumerate(unknowns)}
 
     rows = {}
-
-    def emit(i, j, d, p, col, val):
-        if p <= n and val:
-            row = rows.setdefault((i, j, d, p), {})
-            row[col] = row[col] + val if col in row else val
-
     # each term x^d*pi^p of entry (i, k) of g: an unknown, or the frozen
-    # x^m of the identity (col None); it adds to dg/dx and to -g*A
+    # x^m of the identity (col None)
     terms = list(index.items()) + [((i, i, m, 0), None) for i in range(r)]
     for (i, k, d, p), col in terms:
-        emit(i, k, d - 1, p, col, d)
-        for j in range(r):
-            for e, cf in c.matrix[k][j].coeffs.items():
-                for q, val in cf.coeffs.items():
-                    emit(i, j, d + e, p + q, col, -val)
+        for label, factor in _balance(c, n, i, k, d, p):
+            row = rows.setdefault(label, {})
+            row[col] = row[col] + factor if col in row else factor
     return unknowns, rows
 
 
@@ -245,7 +250,7 @@ def _contradiction(c: Connection, n: int, window, m: int):
     rhs = [-row.pop(None, 0) for row in matrix]  # the frozen x^m's part
     labels = [f"entry ({i + 1},{j + 1}), coefficient of x^{d}*pi^{p}"
               for i, j, d, p in keys]
-    return solve_tracked(matrix, rhs, labels, len(unknowns))[1]
+    return solve_tracked(matrix, rhs, labels, len(unknowns))
 
 
 def _lifts(c: Connection, windows: dict, m: int) -> dict:
@@ -273,8 +278,7 @@ def _lifts(c: Connection, windows: dict, m: int) -> dict:
     r, top = c.rank, max(windows, default=0)
     # (k, j, e, q, rational) for each term x^e*pi^q, q >= 1, of entry (k, j) of A
     a = [(k, j, e, q, val)
-         for k, row in enumerate(c.matrix) for j, f in enumerate(row)
-         for e, cf in f.coeffs.items() for q, val in cf.coeffs.items() if q]
+         for k, row in enumerate(c.terms) for j, e, q, val in row if q]
     # layer p -> (i, j) -> x exponent -> affine form {(i, j, p') or None: rational}
     g = [{(i, i): {m: {None: 1}} for i in range(r)}]
     constraints = []  # (layer p, an affine form that must vanish)
@@ -361,9 +365,8 @@ def _levels(c: Connection, levels, degree_bound: int):
     if degree_bound is not None and degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     # A mod pi, as (i, j, e) -> the coefficient of x^e*pi^0 in entry (i, j)
-    a0 = {(i, j, e): f.coeffs[e].coeffs[0]
-          for i, row in enumerate(c.matrix) for j, f in enumerate(row)
-          for e in f.exponents() if 0 in f.coeffs[e].coeffs}
+    a0 = {(i, j, e): val
+          for i, row in enumerate(c.terms) for j, e, q, val in row if not q}
     m = a0.get((0, 0, -1), 0)
     fits = not a0 or (a0 == {(i, i, -1): m for i in range(c.rank)}
                       and m.denominator == 1)
@@ -385,12 +388,6 @@ def _levels(c: Connection, levels, degree_bound: int):
             yield TrivialityEntry(n, True, gauges[n])
 
 
-def _terms(f: LaurentPoly, n: int):
-    """(x exponent, pi exponent, rational) for each term of f mod pi^(n+1)."""
-    return [(e, p, v) for e, cf in f.coeffs.items()
-            for p, v in cf.coeffs.items() if p <= n]
-
-
 def check_gauge(c: Connection, entry: TrivialityEntry) -> bool:
     """Replay the horizontality identity dg/dx = g*A mod pi^(level+1),
     entry by entry; a product of a pi^p and a pi^q coefficient with
@@ -398,22 +395,15 @@ def check_gauge(c: Connection, entry: TrivialityEntry) -> bool:
     if not entry.trivial:
         return False
     n = entry.level
-    a = [[_terms(f, n) for f in row] for row in c.matrix]
-    for g_row in entry.gauge:
-        g = [_terms(f, n) for f in g_row]
-        for j in range(c.rank):
-            bal = {}  # (x exponent, pi exponent) -> coefficient of dg/dx - g*A
-            for d, p, v in g[j]:
-                if d:
-                    bal[d - 1, p] = bal.get((d - 1, p), 0) + d * v
-            for k, g_terms in enumerate(g):
-                for d, p, v in g_terms:
-                    for e, q, w in a[k][j]:
-                        if p + q <= n:
-                            bal[d + e, p + q] = bal.get((d + e, p + q), 0) - v * w
-            if any(bal.values()):
-                return False
-    return True
+    bal = {}  # (i, j, x exponent, pi exponent) -> coefficient of dg/dx - g*A
+    for i, row in enumerate(entry.gauge):
+        for k, f in enumerate(row):
+            for d, cf in f.coeffs.items():
+                for p, v in cf.coeffs.items():
+                    if p <= n:
+                        for label, factor in _balance(c, n, i, k, d, p):
+                            bal[label] = bal.get(label, 0) + v * factor
+    return not any(bal.values())
 
 
 def galois_diagnostic(c: Connection, levels: int,

@@ -1,22 +1,26 @@
 """Sparse exact linear algebra over Q, computed on integer rows.
 
-Callers pass each row as a dict {column: value} of its entries, ints or
-Fractions, and name the width: the number of unknowns, numbered from 0.  A
-column that no row mentions is an unknown that is free, and a row may hold
-zeros or be empty.  Inside, a row keeps only its nonzero entries, scaled
-once by a positive rational to clear its denominators, so zeros are never
-converted, multiplied or stored, and a Fraction is made only for a
-solution entry that is not an integer.  Elimination is fraction-free: a
-row loses its entry in column c as row <- a*row - b*pivot_row with a/b the
-pivot entry over the row's entry in lowest terms, and is then divided by
-its content (the gcd of its entries).  Each row stays a nonzero multiple
-of the row rational Gauss-Jordan would hold, so supports, pivots,
-solutions and inconsistency certificates are the same as with rows
-normalised over Q.
+Vectors are dicts {coordinate: value} of ints or Fractions, with
+coordinates >= 0; a coordinate a vector does not mention is zero.  Three
+questions are answered.  `solve_tracked` names the equations of a system
+in width unknowns that contradict each other, or finds that there are
+none; an unknown that no row mentions is free.  `canonical_point` picks
+one point of an affine subspace, and `independent_rows` keeps the rows
+that enlarge the span of the ones before.  Inside, a vector keeps only its
+nonzero entries, scaled once by a positive rational to clear its
+denominators, so zeros are never converted, multiplied or stored, and a
+Fraction is made only for a coordinate of a point that is not an integer.
+Elimination is fraction-free: a vector loses its entry at coordinate c as
+v <- a*v - b*pivot with a/b the pivot's entry over v's in lowest terms,
+and is then divided by its content (the gcd of its entries).  Each vector
+stays a nonzero multiple of the one rational elimination would hold, so
+supports, pivots, points and contradictions are the same as over Q.
 
 `_reduce` keeps a column -> rows index and each row's position, so a pivot
-search and a sweep visit only the rows with an entry in the column.  The
-pivot rule is unchanged: the first remaining row, in current order.
+search and a sweep visit only the rows with an entry in the column.  Its
+pivot rule is the first remaining row, in current order, which decides the
+rows that combine.  The other two questions do not depend on pivots, and
+share `_echelon`.
 """
 
 from __future__ import annotations
@@ -63,16 +67,14 @@ def _eliminate(row, c, pivot_row):
         _divide_content(row)
 
 
-def _reduce(matrix, rhs, width, tracked):
-    """Gauss-Jordan on [A | b | I]: (solution with free variables zero, [])
-    or (None, the input rows combined into 0 = nonzero, when tracked).  The
-    pivot of column c is the first remaining row, in current order, with an
-    entry there; the solution does not depend on that rule, but which rows
-    combine does.  Column width holds b."""
+def _reduce(matrix, rhs, width):
+    """Gauss-Jordan on [A | b | I]: the indices of the input rows combined
+    into 0 = nonzero, or None when A x = b is consistent.  The pivot of
+    column c is the first remaining row, in current order, with an entry
+    there; which rows combine depends on that rule.  Column width holds b."""
     rows = [_sparse({**row, width: b}) for row, b in zip(matrix, rhs)]
-    if tracked:  # input row i carries a 1 in column width+1+i
-        for i, aug in enumerate(rows):
-            aug[width + 1 + i] = 1
+    for i, aug in enumerate(rows):  # input row i carries a 1 in column width+1+i
+        aug[width + 1 + i] = 1
     holders = [set() for _ in range(width)]  # column -> ids of rows with it
     for i, row in enumerate(rows):
         for k in row:
@@ -80,9 +82,8 @@ def _reduce(matrix, rhs, width, tracked):
                 holders[k].add(i)
     order = list(range(len(rows)))  # position -> row id
     pos = list(range(len(rows)))  # row id -> position
-    pivots = []
+    r = 0  # pivots so far
     for c in range(width):
-        r = len(pivots)
         if r == len(rows):
             break
         pivot = min((i for i in holders[c] if pos[i] >= r),
@@ -103,34 +104,39 @@ def _reduce(matrix, rhs, width, tracked):
                         holders[k].add(i)
                     else:
                         holders[k].discard(i)
-        pivots.append(c)
-    for i in order[len(pivots):]:  # zero below width
+        r += 1
+    for i in order[r:]:  # zero below width
         row = rows[i]
         if width in row:
-            return None, [k - width - 1 for k in sorted(row) if k > width]
-    x = [0] * width
-    for i, c in zip(order, pivots):
-        row = rows[i]
-        x[c] = quotient(row.get(width, 0), row[c])
-    return x, []
-
-
-def solve(matrix, rhs, width):
-    """One solution of A x = b in width unknowns, with free variables set
-    to zero, or None.  Each row of A is a {column: value} dict."""
-    if not matrix:
-        return None if any(rhs) else [0] * width
-    return _reduce(matrix, rhs, width, False)[0]
+            return [k - width - 1 for k in sorted(row) if k > width]
+    return None
 
 
 def solve_tracked(matrix, rhs, labels, width):
-    """("ok", a solution of A x = b in width unknowns) or ("inconsistent",
-    the labels of the input rows that combine to 0 = 1).  Each row of A is
-    a {column: value} dict."""
-    x, bad = _reduce(matrix, rhs, width, True)
-    if x is None:
-        return ("inconsistent", [labels[i] for i in bad])
-    return ("ok", x)
+    """The labels of the rows of A x = b, in width unknowns, that
+    Gauss-Jordan combines into 0 = 1, or None when the system is
+    consistent.  Each row of A is a {column: value} dict."""
+    bad = _reduce(matrix, rhs, width)
+    return None if bad is None else [labels[i] for i in bad]
+
+
+def _echelon(vectors):
+    """The span of vectors in echelon form, as {last coordinate: the vector
+    of the span ending there}, and the indices of the vectors that enlarged
+    it: each vector is reduced against the basis from its last coordinate
+    down, and kept when something is left."""
+    basis, grew = {}, []
+    for i, v in enumerate(vectors):
+        v = _sparse(v)
+        while v:
+            last = max(v)
+            prow = basis.get(last)
+            if prow is None:
+                basis[last] = v
+                grew.append(i)
+                break
+            _eliminate(v, last, prow)
+    return basis, grew
 
 
 def canonical_point(base, directions, width):
@@ -138,25 +144,16 @@ def canonical_point(base, directions, width):
     coordinate >= width and at every coordinate where a vector of the span
     has its last nonzero entry, as a dict of its nonzero coordinates, or
     None when no point of base + span is zero at every coordinate >= width.
-    Vectors are {coordinate: value} dicts with coordinates >= 0.
 
     Read the coordinates >= width as the equations of a system in width
     unknowns whose solutions are the points zero there.  The span's
     vectors zero there are its kernel, and Gauss-Jordan leaves a column
     free exactly when a kernel vector has its last nonzero entry in it,
-    whatever the pivot rule; so the point is the solution `solve` returns,
-    with the free unknowns zero.  The span is put in echelon form by last
-    entry, and base is reduced by it from the last coordinate down."""
-    basis = {}  # last coordinate -> the vector of the span ending there
-    for v in directions:
-        v = _sparse(v)
-        while v:
-            last = max(v)
-            prow = basis.get(last)
-            if prow is None:
-                basis[last] = v
-                break
-            _eliminate(v, last, prow)
+    whatever the pivot rule; so the point is the solution Gauss-Jordan
+    gives with the free unknowns zero, and the only solution when the
+    directions are independent in their coordinates >= width.  Base is
+    reduced by the echelon basis from the last coordinate down."""
+    basis = _echelon(directions)[0]
     point = _sparse({**base, -1: 1})  # coordinate -1 carries the scale
     for last in sorted(basis, reverse=True):
         if last in point:
@@ -167,22 +164,7 @@ def canonical_point(base, directions, width):
     return {k: quotient(x, scale) for k, x in point.items()}
 
 
-def independent_rows(matrix, width):
-    """Indices of a maximal independent subset of {column: value} rows,
-    read in their first width columns, scanning in order: each row is
-    reduced once against the kept rows, held in reduced echelon form."""
-    kept = []
-    basis = {}  # pivot column -> row with an entry there, the others with 0
-    for i, row in enumerate(matrix):
-        row = _sparse({c: x for c, x in row.items() if c < width})
-        for c, prow in basis.items():
-            if c in row:
-                _eliminate(row, c, prow)
-        if row:
-            c = min(row)
-            for prow in basis.values():
-                if c in prow:
-                    _eliminate(prow, c, row)
-            basis[c] = row
-            kept.append(i)
-    return kept
+def independent_rows(matrix):
+    """Indices of the rows that the rows before them do not span, a
+    maximal independent subset."""
+    return _echelon(matrix)[1]

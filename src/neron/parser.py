@@ -279,11 +279,9 @@ def _eval_poly(node, ring: PolyRing, allowed):
     elif kind == "neg":
         f, m = _eval_poly(node[1], ring, allowed)
         f = -f
-    elif kind == "pow":
+    else:  # pow
         f, m = _eval_poly(node[1], ring, allowed)
         f, m = f ** node[2], m * node[2]
-    else:
-        raise AssertionError(kind)
     terms = None  # a running sum's terms, over pi^m, while the spine adds
     for node in spine:
         kind = node[0]
@@ -353,13 +351,11 @@ def _eval_laurent(node):
             raise ParseError(f"connection entries use only {X!r} and 'pi'", tok.line, tok.column)
     elif kind == "neg":
         f = -_eval_laurent(node[1])
-    elif kind == "pow":
+    else:  # pow
         a = _eval_laurent(node[1])
         f = LaurentPoly({0: 1})
         for _ in range(node[2]):
             f = f * a
-    else:
-        raise AssertionError(kind)
     coeffs = None  # a running sum's coefficients while the spine adds
     for node in spine:
         kind = node[0]

@@ -16,7 +16,7 @@ from .errors import (DivisionObstruction, NotASubgroup, NotFiniteDimensional,
 from .groebner import Ideal, certified_pi_division, membership, subalgebra_member
 from .hopf import (PRIME1, PRIME2, PRIME3, GroupMorphism, HopfPresentation,
                    comul_squared, copy_into, quotient_presentation, tensor_ring)
-from .linalg import independent_rows, solve
+from .linalg import canonical_point, independent_rows
 from .matrix import mat_block, mat_det, mat_id, mat_in_ring, mat_mul, mat_zero
 from .report import Report
 from .ring import Poly, Substitution, format_poly
@@ -348,9 +348,8 @@ def conormal_rep(gk: HopfPresentation, subgroup: Ideal) -> ConormalData:
                      key=ring.order.key, reverse=True)
     col = {m: i for i, m in enumerate(support)}
     rows = [{col[m]: cf for m, cf in f.terms.items()} for f in cls]
-    keep = independent_rows(rows, len(support))
+    keep = independent_rows(rows)
     basis = [cls[i] for i in keep]
-    basis_rows = [rows[i] for i in keep]
 
     quot = quotient_presentation(gk, gens + [pi], gk.name + "/H")
     if not basis:
@@ -372,10 +371,10 @@ def conormal_rep(gk: HopfPresentation, subgroup: Ideal) -> ConormalData:
     t = len(basis)
     out = [[ring.zero() for _ in range(t)] for _ in range(t)]
     nmain = ring.nvars
-    matrix = [{} for _ in support]  # column k of the basis rows, as a row
-    for i, row in enumerate(basis_rows):
-        for k, cf in row.items():
-            matrix[k][i] = cf
+    # lam solves sum_i lam_i*rows[keep[i]] = part: coordinate i carries
+    # lam_i and t + k the sum's column k; the kept rows are independent
+    directions = [{i: 1, **{t + k: cf for k, cf in rows[r].items()}}
+                  for i, r in enumerate(keep)]
     for jcol, f in enumerate(basis):
         reduced = modulus.normal_form(twist(comul_squared(gk, f)))
         groups: dict = {}
@@ -384,20 +383,19 @@ def conormal_rep(gk: HopfPresentation, subgroup: Ideal) -> ConormalData:
             groups.setdefault(m[nmain:-1], {})[main] = cf
         for hmono, coeffs in sorted(groups.items()):
             part = small.normal_form(Poly(ring, dict(coeffs)))
-            rhs = [0] * len(support)
+            target = {}
             for m, cf in part.terms.items():
                 if m not in col:
                     raise NotFiniteDimensional(
                         "coaction leaves the span of the subgroup generators")
-                rhs[col[m]] = cf
-            lam = solve(matrix, rhs, t)
+                target[t + col[m]] = -cf
+            lam = canonical_point(target, directions, t)
             if lam is None:
                 raise NotFiniteDimensional(
                     "coaction leaves the span of the subgroup generators")
             hpoly = Poly(ring, {hmono + (0,): 1})
-            for i in range(t):
-                if lam[i]:
-                    out[i][jcol] = out[i][jcol] + hpoly.scale(lam[i])
+            for i, v in lam.items():
+                out[i][jcol] = out[i][jcol] + hpoly.scale(v)
     total = Ideal(ring, fibre_rels + gens)
     out = [[total.normal_form(x) for x in row] for row in out]
     return ConormalData(quot, basis, out)

@@ -344,6 +344,39 @@ class TestAgainstEliminationOracle:
         assert check_gauge(c, entry)
 
 
+def balance_below(c: Connection, gauge, n: int) -> bool:
+    """Whether every coefficient of dg/dx - g*A with pi exponent <= n is
+    zero, from Laurent arithmetic on whole entries."""
+    for i, row in enumerate(gauge):
+        for j in range(c.rank):
+            bal = derivative(row[j])
+            for k, g in enumerate(row):
+                bal = bal - g * c.matrix[k][j]
+            if any(p <= n for cf in bal.coeffs.values() for p in cf.coeffs):
+                return False
+    return True
+
+
+class TestReplayVerdicts:
+    @given(problem=gauge_problems(), data=st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_a_moved_gauge_against_the_balance(self, problem, data):
+        c, m, n, bound = problem
+        entry = triviality_mod(c, n, bound)
+        if not entry.trivial:
+            return
+        # one drawn term x^d*pi^p added to one entry, at most one level up
+        i, j = (data.draw(st.integers(0, c.rank - 1)) for _ in range(2))
+        low = 0 if c.base == AFFINE else m - 2
+        d = data.draw(st.integers(low, m + 2))
+        p = data.draw(st.integers(0, n + 1))
+        v = data.draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+        gauge = [list(row) for row in entry.gauge]
+        gauge[i][j] = gauge[i][j] + lp({d: (p, v)})
+        moved = TrivialityEntry(n, True, gauge, ())
+        assert check_gauge(c, moved) == balance_below(c, gauge, n)
+
+
 @st.composite
 def narrowing_problems(draw):
     """(connection, top level, degree bound).  Under the default bound a

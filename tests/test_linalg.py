@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neron.dgal import PUNCTURED, Connection, LaurentPoly, triviality_mod
-from neron.linalg import canonical_point, independent_rows, solve, solve_tracked
+from neron.linalg import canonical_point, independent_rows, solve_tracked
 from neron.ring import Scalar
 from oracles import solve_q
 
@@ -93,10 +93,11 @@ def ref_reduce(matrix, rhs, tracked):
 
 
 def ref_solve_tracked(matrix, rhs):
+    """(solution, None) or (None, the rows combining to 0 = nonzero)."""
     if not matrix:
-        return ("ok", [])
+        return [], None
     x, bad = ref_reduce(matrix, rhs, True)
-    return ("inconsistent", bad) if x is None else ("ok", x)
+    return (None, bad) if x is None else (x, None)
 
 
 def ref_independent_rows(matrix, width):
@@ -115,6 +116,18 @@ def sparse(matrix):
     return [{c: x for c, x in enumerate(row) if x} for row in matrix]
 
 
+def canonical_solution(rows, rhs, width):
+    """`canonical_point` on A x = b written as base plus directions: the
+    coordinates below width carry x, and coordinate width + r the residual
+    of equation r, which the point must make zero.  So the point is
+    Gauss-Jordan's solution with free unknowns zero, densely, or None."""
+    base = {width + r: -b for r, b in enumerate(rhs)}
+    directions = [{c: 1, **{width + r: row[c] for r, row in enumerate(rows)
+                            if c in row}} for c in range(width)]
+    point = canonical_point(base, directions, width)
+    return None if point is None else [point.get(c, 0) for c in range(width)]
+
+
 def satisfies(matrix, rhs, x):
     return all(sum((a * v for a, v in zip(row, x)), Fraction(0)) == b
                for row, b in zip(matrix, rhs))
@@ -126,24 +139,23 @@ class TestProperties:
     def test_solution_or_certificate(self, system):
         matrix, rhs = system
         width = len(matrix[0]) if matrix else 0
-        status, payload = solve_tracked(sparse(matrix), rhs,
-                                        list(range(len(matrix))), width)
-        assert (status == "ok") == (solve_q(matrix, rhs, width) is not None)
-        if status == "ok":
-            assert satisfies(matrix, rhs, payload)
-            assert solve(sparse(matrix), rhs, width) == payload
+        bad = solve_tracked(sparse(matrix), rhs, list(range(len(matrix))), width)
+        x = canonical_solution(sparse(matrix), rhs, width)
+        assert (bad is None) == (solve_q(matrix, rhs, width) is not None)
+        assert (bad is None) == (x is not None)
+        if bad is None:
+            assert satisfies(matrix, rhs, x)
         else:
-            assert payload == sorted(set(payload))
-            assert solve_q([matrix[i] for i in payload],
-                           [rhs[i] for i in payload], width) is None
-            assert solve(sparse(matrix), rhs, width) is None
+            assert bad == sorted(set(bad))
+            assert solve_q([matrix[i] for i in bad],
+                           [rhs[i] for i in bad], width) is None
 
     @given(system=systems())
     @settings(max_examples=200, derandomize=True)
     def test_independent_rows_is_the_greedy_choice(self, system):
         matrix, _ = system
         width = len(matrix[0]) if matrix else 0
-        kept = independent_rows(sparse(matrix), width)
+        kept = independent_rows(sparse(matrix))
         for i, row in enumerate(matrix):
             earlier = [matrix[k] for k in kept if k < i]
             span = [[r[c] for r in earlier] for c in range(width)]
@@ -194,10 +206,12 @@ class TestCanonicalPoint:
             if spanned(tail, [1] + [0] * (dims - f - 1)):
                 assert y[f] == 0
 
-    def test_matches_solve_on_a_parametrized_system(self):
+    def test_matches_gauss_jordan_on_a_parametrized_system(self):
         # x0 + x1 + x2 = 1 and x1 - x2 = 0: the points (1 - 2t, t, t) read
         # as x0 = 1 plus a direction; Gauss-Jordan leaves x2 free
-        assert solve(sparse([[1, 1, 1], [0, 1, -1]]), [1, 0], 3) == [1, 0, 0]
+        assert ref_reduce([[1, 1, 1], [0, 1, -1]], [1, 0], False)[0] == [1, 0, 0]
+        assert canonical_solution(sparse([[1, 1, 1], [0, 1, -1]]), [1, 0],
+                                  3) == [1, 0, 0]
         assert canonical_point({0: 1}, [{0: -2, 1: 1, 2: 1}], 3) == {0: 1}
         assert canonical_point({0: -1, 1: 1, 2: 1}, [{0: -2, 1: 1, 2: 1}],
                                3) == {0: 1}
@@ -212,47 +226,50 @@ class TestAgainstRationalReference:
     @settings(max_examples=400, derandomize=True)
     def test_same_results_as_rational_elimination(self, system):
         matrix, rhs = system
-        expected = ref_solve_tracked(matrix, rhs)
+        x, bad = ref_solve_tracked(matrix, rhs)
         width = len(matrix[0]) if matrix else 0
         assert solve_tracked(sparse(matrix), rhs, list(range(len(matrix))),
-                             width) == expected
-        assert solve(sparse(matrix), rhs, width) == (
-            expected[1] if expected[0] == "ok" else None)
-        assert independent_rows(sparse(matrix), width) == ref_independent_rows(
+                             width) == bad
+        assert canonical_solution(sparse(matrix), rhs, width) == x
+        assert independent_rows(sparse(matrix)) == ref_independent_rows(
             matrix, width)
 
 
 class TestEdgeCases:
     def test_empty_matrix(self):
-        assert solve([], [], 0) == []
-        assert solve([], [1], 0) is None
-        assert solve_tracked([], [], [], 0) == ("ok", [])
-        assert independent_rows([], 3) == []
+        assert canonical_solution([], [], 0) == []
+        assert canonical_solution([], [1], 0) is None
+        assert canonical_point({}, [], 0) == {}
+        assert solve_tracked([], [], [], 0) is None
+        assert independent_rows([]) == []
 
     def test_all_zero_rows(self):
-        assert solve(sparse([[0, 0], [0, 0]]), [0, 0], 2) == [0, 0]
-        assert solve(sparse([[0, 0], [0, 0]]), [0, 1], 2) is None
+        assert canonical_solution(sparse([[0, 0], [0, 0]]), [0, 0], 2) == [0, 0]
+        assert canonical_solution(sparse([[0, 0], [0, 0]]), [0, 1], 2) is None
+        assert solve_tracked(sparse([[0, 0], [0, 0]]), [0, 0], ["a", "b"], 2) is None
         assert solve_tracked(sparse([[0, 0], [1, 0], [0, 0]]), [0, 2, 5],
-                             ["a", "b", "c"], 2) == ("inconsistent", ["c"])
-        assert independent_rows(sparse([[0, 0], [1, 1], [0, 0]]), 2) == [1]
+                             ["a", "b", "c"], 2) == ["c"]
+        assert independent_rows(sparse([[0, 0], [1, 1], [0, 0]])) == [1]
 
     def test_zero_rhs(self):
-        x = solve(sparse([[1, 2], [3, 4]]), [0, 0], 2)
+        x = canonical_solution(sparse([[1, 2], [3, 4]]), [0, 0], 2)
         assert x == ref_reduce([[1, 2], [3, 4]], [0, 0], False)[0]
         assert all(type(v) in (int, Fraction) for v in x)
-        assert solve_tracked(sparse([[0, 1, 1]]), [0], ["a"], 3) == ("ok", [0, 0, 0])
+        assert canonical_solution(sparse([[0, 1, 1]]), [0], 3) == [0, 0, 0]
+        assert solve_tracked(sparse([[0, 1, 1]]), [0], ["a"], 3) is None
 
     def test_rank_deficient(self):
-        assert solve(sparse([[1, 2], [2, 4]]), [3, 6], 2) == [3, 0]
-        assert solve(sparse([[0, 1, 1]]), [2], 3) == [0, 2, 0]
-        assert solve(sparse([[2, 4], [1, 2]]), [Fraction(1, 3), Fraction(1, 6)],
-                     2) == [Fraction(1, 6), 0]
+        assert canonical_solution(sparse([[1, 2], [2, 4]]), [3, 6], 2) == [3, 0]
+        assert canonical_solution(sparse([[0, 1, 1]]), [2], 3) == [0, 2, 0]
+        assert canonical_solution(sparse([[2, 4], [1, 2]]),
+                                  [Fraction(1, 3), Fraction(1, 6)],
+                                  2) == [Fraction(1, 6), 0]
+        assert solve_tracked(sparse([[1, 2], [2, 4]]), [3, 6], ["p", "q"], 2) is None
         assert solve_tracked(sparse([[1, 2], [2, 4]]), [3, 7],
-                             ["p", "q"], 2) == ("inconsistent", ["p", "q"])
+                             ["p", "q"], 2) == ["p", "q"]
         assert solve_tracked(sparse([[0, 1], [1, 0], [1, 0]]), [1, 1, 2],
-                             ["a", "b", "c"], 2) == ("inconsistent", ["b", "c"])
-        assert independent_rows(sparse([[1, 2], [2, 4], [0, 1], [1, 0]]),
-                                2) == [0, 2]
+                             ["a", "b", "c"], 2) == ["b", "c"]
+        assert independent_rows(sparse([[1, 2], [2, 4], [0, 1], [1, 0]])) == [0, 2]
 
 
 def lp(terms) -> LaurentPoly:

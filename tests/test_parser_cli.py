@@ -307,6 +307,19 @@ class TestCliExitCodes:
                              "--column", "2", "--e-witness", "a11*e")
         assert (code, out, err) == (2, "", "error: --e-witness needs --e-matrix\n")
 
+    def test_empty_covering_texts_are_parsed(self, capsys, golden_dir):
+        # an empty --e-matrix is a matrix text that fails to parse, not an
+        # absent one, with or without a witness; so is an empty --e-witness
+        argv = ("rep-blowup-line", str(golden_dir / "borel.grp"), "--column", "2")
+        for extra, where in ((("--e-matrix", ""), "1:1: expected '['"),
+                             (("--e-matrix", "", "--e-witness", "a11*e"),
+                              "1:1: expected '['"),
+                             (("--e-matrix", "[[a22]]", "--e-witness", ""),
+                              "1:1: expected a value")):
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, out) == (2, ""), extra
+            assert err.startswith(f"error: {where}"), (extra, err)
+
     def test_covering_witness_given_matches_the_search(self, capsys, golden_dir):
         # a11*e is the witness RepMatrix finds for [[a22]] over the blowup
         argv = ("rep-blowup-line", str(golden_dir / "borel.grp"), "--column", "2",
