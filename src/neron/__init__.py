@@ -24,7 +24,7 @@ from .parser import parse, parse_poly, print_file, print_group
 from .reps import (RepMatrix, conormal_rep, direct_sum, identity_blowup_rep,
                    line_blowup_rep, rescaled_rep, stabilizer_ideal,
                    sum_faithful, validate_rep, verify_faithful)
-from .ring import Poly, PolyRing, Scalar, Substitution, format_poly
+from .ring import Poly, PolyRing, Substitution, format_poly
 
 __version__ = "0.1.0"
 

@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from .errors import DivisionObstruction, LiftFailure, NotASubgroup
 from .groebner import Ideal, certified_pi_division, contract, saturate_pi, subalgebra_member
-from .hopf import (PRIME1, PRIME2, SCALARS, GroupMorphism, HopfPresentation,
+from .hopf import (PRIME1, PRIME2, GroupMorphism, HopfPresentation,
                    hopf_ideal_report, prune, tensor_ideal, tensor_ring)
 from .report import Report
 from .ring import Poly, PolyRing, Substitution, format_poly
@@ -60,7 +60,7 @@ def _blow(h: HopfPresentation, centre: Ideal, gens, power: int, name: str) -> Bl
     for nm, a in zip(names, carried):
         comul_images[nm] = certified_pi_division(
             h.comul(a).in_ring(ring2_b), power, rels2_b)
-        counit_images[nm] = SCALARS.scalar(h.eps_of(a).divide_pi(power))
+        counit_images[nm] = h.eps_of(a).divide_pi(power)
         anti_images[nm] = certified_pi_division(
             h.antipode(a).in_ring(ring_b), power, rels_b)
 

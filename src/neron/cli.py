@@ -28,7 +28,7 @@ from .report import Report
 from .reps import (RepMatrix, conormal_rep, direct_sum, identity_blowup_rep,
                    line_blowup_rep, rescaled_rep, scaling_conjugation_report,
                    stabilizer_ideal, validate_rep, verify_faithful)
-from .ring import format_poly, format_scalar
+from .ring import format_poly
 
 SCHEMA_VERSION = 1
 
@@ -170,11 +170,11 @@ def cmd_auto_member(h, args):
     member = automatic_member(h, numerator, power)
     eps = h.eps_of(numerator)
     lines = [f"element: {format_poly(numerator)} / pi^{power}",
-             f"counit numerator: {format_scalar(eps)}",
+             f"counit numerator: {format_poly(eps)}",
              "member of the automatic blowup: " + ("yes" if member else "no")]
     data = {"member": member, "power": power,
             "numerator": format_poly(numerator),
-            "counit_numerator": format_scalar(eps)}
+            "counit_numerator": format_poly(eps)}
     return member, None, data, lines
 
 

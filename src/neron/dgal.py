@@ -23,23 +23,26 @@ from fractions import Fraction
 from .errors import ShapeMismatch
 from .linalg import canonical_point, solve_tracked
 from .report import Report
-from .ring import Scalar, format_scalar, quotient
+from .ring import SCALARS, Poly, format_poly, quotient
 
 AFFINE = "affine-line"
 PUNCTURED = "punctured-line"
 
 
 class LaurentPoly:
-    """Polynomial in x and 1/x with coefficients in Q[pi]."""
+    """Polynomial in x and 1/x with coefficients in R: `coeffs` maps an x
+    exponent to a nonzero `Poly` over `SCALARS`, and a rational given as
+    a coefficient is made one."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         out = {}
         for e, c in (coeffs or {}).items():
-            s = c if isinstance(c, Scalar) else Scalar.from_rational(c)
-            if not s.is_zero():
-                out[e] = s
+            if not isinstance(c, Poly):
+                c = SCALARS.scalar(c)
+            if c:
+                out[e] = c
         self.coeffs = out
 
     @classmethod
@@ -57,7 +60,7 @@ class LaurentPoly:
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Scalar()) + c
+            out[e] = out[e] + c if e in out else c
         return LaurentPoly(out)
 
     def __sub__(self, other):
@@ -67,13 +70,13 @@ class LaurentPoly:
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
+        if isinstance(other, (int, Fraction, Poly)):
             other = LaurentPoly({0: other})
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, Scalar()) + c1 * c2
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
         return LaurentPoly(out)
 
     def exponents(self):
@@ -85,7 +88,7 @@ def format_laurent(f: LaurentPoly) -> str:
         return "0"
     parts = []
     for e in f.exponents():
-        c = format_scalar(f.coeffs[e])
+        c = format_poly(f.coeffs[e])
         if "+" in c or "-" in c[1:]:
             c = f"({c})"
         if e == 0:
@@ -122,7 +125,8 @@ class Connection:
         self.base = base
         self.matrix = rows
         self.terms = [[(j, e, q, val) for j, f in enumerate(row)
-                       for e in f.exponents() for q, val in f.coeffs[e].coeffs.items()]
+                       for e in f.exponents()
+                       for (q,), val in sorted(f.coeffs[e].terms.items())]
                       for row in rows]
         if base == AFFINE and any(e < 0 for row in self.terms for _, e, _, _ in row):
             raise ShapeMismatch("affine-line connection entries cannot involve 1/x")
@@ -327,7 +331,8 @@ def _lifts(c: Connection, windows: dict, m: int) -> dict:
         for k, v in point.items():
             i, j, d, p = names[k]
             gauge[i][j].setdefault(d, {})[p] = v
-        gauges[n] = [[LaurentPoly({d: Scalar(cf) for d, cf in entry.items()})
+        gauges[n] = [[LaurentPoly({d: Poly(SCALARS, {(p,): v for p, v in cf.items()})
+                                   for d, cf in entry.items()})
                       for entry in row] for row in gauge]
     return gauges
 
@@ -399,7 +404,7 @@ def check_gauge(c: Connection, entry: TrivialityEntry) -> bool:
     for i, row in enumerate(entry.gauge):
         for k, f in enumerate(row):
             for d, cf in f.coeffs.items():
-                for p, v in cf.coeffs.items():
+                for (p,), v in cf.terms.items():
                     if p <= n:
                         for label, factor in _balance(c, n, i, k, d, p):
                             bal[label] = bal.get(label, 0) + v * factor

@@ -13,7 +13,7 @@ from collections import namedtuple
 from .errors import UnknownVariable
 from .groebner import Ideal, contract, saturate_pi, subalgebra_member
 from .report import Report
-from .ring import SCALARS, Poly, PolyRing, Scalar, Substitution, format_poly, format_scalar
+from .ring import SCALARS, Poly, PolyRing, Substitution, format_poly
 
 PRIME1 = "'"
 PRIME2 = "''"
@@ -110,17 +110,17 @@ class HopfPresentation:
                                                 (PRIME1, PRIME2, PRIME3))
         return self._memo["ideal3"]
 
-    def eps(self, v: str) -> Scalar:
-        return self.counit.images[v].as_scalar()
+    def eps(self, v: str) -> Poly:
+        return self.counit.images[v]
 
-    def eps_of(self, f: Poly) -> Scalar:
-        return self.counit(f).as_scalar()
+    def eps_of(self, f: Poly) -> Poly:
+        return self.counit(f)
 
     def aug_gens(self):
         """Generators of the augmentation ideal: v - eps(v)."""
         out = []
         for v in self.ring.variables:
-            out.append(self.ring.var(v) - self.ring.scalar(self.eps(v)))
+            out.append(self.ring.var(v) - self.eps(v).in_ring(self.ring))
         return out
 
     def fibre_ideal(self) -> Ideal:
@@ -215,7 +215,7 @@ def check_hopf(h: HopfPresentation) -> Report:
         rep.vanishes("antipode respects relations", subject,
                      h.relations.normal_form(h.antipode(r)))
 
-    left_eps, right_eps = _legs(h, {v: h.ring.scalar(h.eps(v)) for v in h.ring.variables})
+    left_eps, right_eps = _legs(h, {v: h.eps(v).in_ring(h.ring) for v in h.ring.variables})
     first, second = _coassoc_legs(h)
     s_left, s_right = _legs(h, h.antipode.images)
     for v in h.ring.variables:
@@ -226,7 +226,7 @@ def check_hopf(h: HopfPresentation) -> Report:
                      h.relations.normal_form(right_eps(dv) - h.ring.var(v)))
         rep.vanishes("comultiplication is coassociative", v,
                      rels3.normal_form(first(dv) - second(dv)))
-        target = h.ring.scalar(h.eps(v))
+        target = h.eps(v).in_ring(h.ring)
         rep.vanishes("antipode is a left inverse", v,
                      h.relations.normal_form(s_left(dv) - target))
         rep.vanishes("antipode is a right inverse", v,
@@ -267,8 +267,7 @@ def special_fibre(h: HopfPresentation) -> HopfPresentation:
     return HopfPresentation.from_images(
         h.name + "_k", ring, Ideal(ring, [g.set_pi_zero() for g in h.relations.generators]),
         {v: h.comul.images[v].set_pi_zero() for v in ring.variables},
-        {v: SCALARS.scalar(Scalar.from_rational(h.eps(v).set_pi_zero()))
-         for v in ring.variables},
+        {v: h.eps(v).set_pi_zero() for v in ring.variables},
         {v: h.antipode.images[v].set_pi_zero() for v in ring.variables})
 
 
@@ -291,7 +290,7 @@ def reduce_mod(h: HopfPresentation, n: int) -> ReduceResult:
     rep = Report(f"{h.name} mod pi^{n + 1} trivial")
     for v in ring.variables:
         rep.vanishes("coordinate is constant", v,
-                     rels.normal_form(ring.var(v) - ring.scalar(h.eps(v))))
+                     rels.normal_form(ring.var(v) - h.eps(v).in_ring(ring)))
     return ReduceResult(out, n, rep.ok, rep)
 
 
@@ -318,7 +317,7 @@ def hopf_ideal_report(h: HopfPresentation, gens, pi_power: int = 0) -> Report:
         subject = f"generator {i + 1}"
         e = h.eps_of(g)
         ok_e = e.pi_valuation() >= pi_power if pi_power else e.is_zero()
-        rep.add("counit vanishes", subject, ok_e, "" if ok_e else format_scalar(e))
+        rep.add("counit vanishes", subject, ok_e, "" if ok_e else format_poly(e))
         rep.vanishes("comultiplication stays in the two-sided span", subject,
                      rels2.normal_form(h.comul(g)))
         rep.vanishes("antipode preserves the ideal", subject,

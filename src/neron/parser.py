@@ -33,7 +33,7 @@ from .dgal import AFFINE, PUNCTURED, Connection, LaurentPoly, format_laurent
 from .errors import ParseError, UndefinedName
 from .groebner import Ideal
 from .hopf import PRIME1, PRIME2, SCALARS, GroupMorphism, HopfPresentation, tensor_ring
-from .ring import Poly, PolyRing, Scalar, Substitution, format_poly, quotient
+from .ring import Poly, PolyRing, Substitution, format_poly, quotient
 
 KEYWORDS = ("group", "morphism", "rep", "connection")
 PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -309,11 +309,10 @@ def _eval_poly(node, ring: PolyRing, allowed):
         op = node[3]
         if mb:
             raise ParseError("nested fractions", op.line, op.column)
-        s = b.as_scalar() if b.is_scalar() else None
-        if s is None or len(s.coeffs) != 1:
+        if len(b.terms) != 1 or not b.is_scalar():
             raise ParseError("can only divide by rationals or powers of pi", op.line, op.column)
-        e, q = next(iter(s.coeffs.items()))
-        f, m = f.scale(quotient(1, q)), m + e
+        (mono, q), = b.terms.items()
+        f, m = f.scale(quotient(1, q)), m + mono[-1]
     if terms is not None:
         f = Poly(ring, terms)
     return f, m
@@ -344,7 +343,7 @@ def _eval_laurent(node):
     elif kind == "name":
         text, tok = node[1], node[2]
         if text == "pi":
-            f = LaurentPoly({0: Scalar.pi_power(1)})
+            f = LaurentPoly({0: SCALARS.pi()})
         elif text == X:
             f = LaurentPoly({1: 1})
         else:
@@ -377,10 +376,10 @@ def _eval_laurent(node):
         if len(b.coeffs) != 1:
             raise ParseError("can only divide by rationals and powers of x", op.line, op.column)
         e, s = next(iter(b.coeffs.items()))
-        if list(s.coeffs) != [0]:
+        if list(s.terms) != [(0,)]:
             raise ParseError("cannot divide by pi", op.line, op.column)
-        q = s.coeffs[0]
-        f = LaurentPoly({d - e: c * quotient(1, q) for d, c in f.coeffs.items()})
+        q = s.terms[(0,)]
+        f = LaurentPoly({d - e: c.scale(quotient(1, q)) for d, c in f.coeffs.items()})
     if coeffs is not None:
         f = LaurentPoly(coeffs)
     return f

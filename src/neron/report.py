@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .ring import Poly, format_poly, format_scalar
+from .ring import format_poly
 
 
 class Check(namedtuple("Check", "name subject ok witness", defaults=("",))):
@@ -32,11 +32,10 @@ class Report:
         return self
 
     def vanishes(self, name: str, subject: str, residue) -> "Report":
-        """Check that a Poly or Scalar residue is zero; if not, it is the witness."""
+        """Check that a Poly residue is zero; if not, it is the witness."""
         if residue.is_zero():
             return self.add(name, subject, True)
-        fmt = format_poly if isinstance(residue, Poly) else format_scalar
-        return self.add(name, subject, False, fmt(residue))
+        return self.add(name, subject, False, format_poly(residue))
 
     def extend(self, other: "Report") -> "Report":
         self.checks.extend(other.checks)

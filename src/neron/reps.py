@@ -336,7 +336,7 @@ def conormal_rep(gk: HopfPresentation, subgroup: Ideal) -> ConormalData:
     ring = gk.ring
     gens = list(subgroup.in_ring(ring).generators)
     for g in gens:
-        if gk.eps_of(g).set_pi_zero() != 0:
+        if gk.eps_of(g).set_pi_zero():
             raise NotASubgroup("ideal is not contained in the augmentation ideal mod pi")
     pi = ring.pi()
     aug = gk.aug_gens()

@@ -9,6 +9,11 @@ degree and breaks a degree tie on the pi exponent first, the smaller one
 ranking higher.  The Groebner kernel packs these tuples into ints
 (`groebner._Packing`); nothing outside it sees the packed form.
 
+An element of R is a `Poly` over `SCALARS`, the ring with no variables:
+its pi exponent is the monomial's only slot.  Counits land there, so
+their valuations, pi-divisions and reductions mod pi are the `Poly`
+methods, and `in_ring` moves one into any other ring.
+
 A coefficient is an `int` when integral and a `Fraction` otherwise, never
 a `float`.  `rational` makes one from any exact number.  Sums, differences
 and products of ints stay native ints, so only a division can make a
@@ -100,92 +105,6 @@ def elim_order(split: int) -> Order:
     return Order("elim", split)
 
 
-class Scalar:
-    """Element of Q[pi] stored as a pi-exponent -> coefficient map, zeros
-    dropped; each coefficient is an int when integral, else a Fraction."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        if coeffs is None:
-            coeffs = {}
-        clean = {}
-        for e in sorted(coeffs):
-            c = coeffs[e]
-            if c:
-                clean[e] = rational(c)
-        self.coeffs = clean
-
-    @classmethod
-    def from_rational(cls, q) -> "Scalar":
-        return cls({0: rational(q)})
-
-    @classmethod
-    def pi_power(cls, e: int, c=1) -> "Scalar":
-        return cls({e: rational(c)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == Scalar.from_rational(other).coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.from_rational(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out[e] + c if e in out else c
-        return Scalar(out)
-
-    def __neg__(self):
-        return Scalar({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.from_rational(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar({e: c * other for e, c in self.coeffs.items()})
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return Scalar(out)
-
-    __rmul__ = __mul__
-
-    def pi_valuation(self):
-        """Smallest pi exponent with a nonzero coefficient; +inf for zero."""
-        if not self.coeffs:
-            return INFINITE
-        return min(self.coeffs)
-
-    def divide_pi(self, m: int = 1) -> "Scalar":
-        if self.pi_valuation() < m:
-            raise NotDivisible(f"scalar {format_scalar(self)} not divisible by pi^{m}")
-        return Scalar({e - m: c for e, c in self.coeffs.items()})
-
-    def set_pi_zero(self):
-        return self.coeffs.get(0, 0)
-
-    def __repr__(self):
-        return format_scalar(self)
-
-
 class PolyRing:
     """Polynomial ring over Q[pi] with named variables and a monomial order."""
 
@@ -226,9 +145,6 @@ class PolyRing:
         return self.scalar(1)
 
     def scalar(self, value) -> "Poly":
-        if isinstance(value, Scalar):
-            base = (0,) * self.nvars
-            return Poly(self, {base + (e,): c for e, c in value.coeffs.items()})
         q = rational(value)
         if not q:
             return self.zero()
@@ -240,7 +156,7 @@ class PolyRing:
         return Poly(self, {tuple(mono): 1})
 
     def pi(self, power: int = 1) -> "Poly":
-        return self.scalar(Scalar.pi_power(power))
+        return Poly(self, {(0,) * self.nvars + (power,): 1})
 
     def monomial(self, mono: Monomial) -> "Poly":
         return Poly(self, {tuple(mono): 1})
@@ -296,8 +212,6 @@ class Poly:
                 raise UnknownVariable("polynomials from different rings")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.ring.scalar(other)
-        if isinstance(other, Scalar):
             return self.ring.scalar(other)
         return NotImplemented
 
@@ -389,11 +303,6 @@ class Poly:
     def is_scalar(self) -> bool:
         return all(not any(m[:-1]) for m in self.terms)
 
-    def as_scalar(self) -> Scalar:
-        if not self.is_scalar():
-            raise UnknownVariable(f"{format_poly(self)} is not a scalar")
-        return Scalar({m[-1]: c for m, c in self.terms.items()})
-
     def in_ring(self, ring: PolyRing, rename=None) -> "Poly":
         """Re-express in another ring, optionally renaming variables.
 
@@ -482,10 +391,6 @@ class Substitution:
     def __repr__(self):
         inner = ", ".join(f"{v} -> {format_poly(self.images[v])}" for v in self.source.variables if v in self.images)
         return f"<subst {inner}>"
-
-
-def format_scalar(s: Scalar) -> str:
-    return format_poly(SCALARS.scalar(s))
 
 
 def _format_term(ring: PolyRing, mono: Monomial, coeff):

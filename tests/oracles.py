@@ -126,17 +126,6 @@ class RatFunc:
         return f"RatFunc({self.num}, {self.den})"
 
 
-def scalar_to_ratfunc(s) -> RatFunc:
-    """Library Scalar (pi-exponent map) to a dense numerator."""
-    if not s.coeffs:
-        return RatFunc(())
-    top = max(s.coeffs)
-    dense = [Fraction(0)] * (top + 1)
-    for e, c in s.coeffs.items():
-        dense[e] = c
-    return RatFunc(dense)
-
-
 # polynomials over Q(pi) in deglex order
 
 def _deglex_key(m):

@@ -66,7 +66,7 @@ def reduce_mod_image(m: GroupMorphism, n: int) -> ReduceResult:
     rep = Report(f"image of {src.name} in {tgt.name} mod pi^{n + 1} trivial")
     for v in tgt.ring.variables:
         rep.vanishes("coordinate pulls back to a constant", v,
-                     rels.normal_form(m.pullback.images[v] - ring.scalar(tgt.eps(v))))
+                     rels.normal_form(m.pullback.images[v] - tgt.eps(v).in_ring(ring)))
     return ReduceResult(src.with_relations(f"{src.name}_mod{n}", rels), n, rep.ok, rep)
 
 

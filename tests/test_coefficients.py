@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from neron.cli import main
 from neron.groebner import Ideal, membership
-from neron.ring import (GREVLEX, LEX, Poly, PolyRing, Scalar, Substitution, elim_order,
+from neron.ring import (GREVLEX, LEX, SCALARS, Poly, PolyRing, Substitution, elim_order,
                         quotient, rational)
 
 LADDER = json.loads((Path(__file__).resolve().parent / "ladder_stdout.json")
@@ -184,11 +184,11 @@ class TestKernelDivisions:
 
 class TestScalar:
     def test_holds_ints(self):
-        s = Scalar({0: Fraction(4, 2), 1: Fraction(1, 2)}) * 2
-        assert s.coeffs == {0: 4, 1: 1}
-        assert all(type(c) is int for c in s.coeffs.values())
-        assert type(Scalar.pi_power(2, Fraction(3)).coeffs[2]) is int
-        assert type(Scalar().set_pi_zero()) is int
+        s = (SCALARS.scalar(Fraction(4, 2)) + SCALARS.pi().scale(Fraction(1, 2))).scale(2)
+        assert s.terms == {(0,): 4, (1,): 1}
+        assert all(type(c) is int for c in s.terms.values())
+        assert type(SCALARS.pi(2).scale(Fraction(3)).terms[2,]) is int
+        assert type(s.set_pi_zero().terms[0,]) is int
 
 
 # -- the CLI end to end --------------------------------------------------------
@@ -214,18 +214,13 @@ def _argv(golden_dir, line: str) -> list:
 @pytest.mark.parametrize("line", WATCHED)
 def test_cli_makes_no_float_coefficient(monkeypatch, capsys, golden_dir, line):
     seen = set()
+    init = Poly.__init__
 
-    def watch(cls, slot):
-        init = cls.__init__
+    def wrapped(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        seen.update(map(type, self.terms.values()))
 
-        def wrapped(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            seen.update(map(type, getattr(self, slot).values()))
-
-        monkeypatch.setattr(cls, "__init__", wrapped)
-
-    watch(Poly, "terms")
-    watch(Scalar, "coeffs")
+    monkeypatch.setattr(Poly, "__init__", wrapped)
     code = main(_argv(golden_dir, line))
     capsys.readouterr()
     assert code == 0

@@ -20,7 +20,7 @@ from neron.library import (additive_group, borel2, general_linear,
                            special_linear, trivial_group, twisted_multiplicative)
 from neron.parser import print_group
 from neron.report import Report
-from neron.ring import Order, PolyRing, Scalar, Substitution
+from neron.ring import SCALARS, Order, PolyRing, Substitution
 
 from suites import reduce_mod_image, variables_used
 from test_goldens import load_script
@@ -41,7 +41,7 @@ class TestReport:
         rep = Report("residues")
         rep.vanishes("zero poly", "a", ring.zero())
         rep.vanishes("nonzero poly", "b", ring.var("x") - 1)
-        rep.vanishes("nonzero scalar", "c", Scalar.pi_power(1, 2))
+        rep.vanishes("nonzero scalar", "c", SCALARS.pi().scale(2))
         assert [(c.name, c.subject, c.ok, c.witness) for c in rep.checks] == [
             ("zero poly", "a", True, ""),
             ("nonzero poly", "b", False, "x - 1"),

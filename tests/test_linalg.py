@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from neron.dgal import PUNCTURED, Connection, LaurentPoly, triviality_mod
 from neron.linalg import canonical_point, independent_rows, solve_tracked
-from neron.ring import Scalar
+from neron.ring import SCALARS
 from oracles import solve_q
 
 # mostly zeros, as in the gauge systems
@@ -274,7 +274,7 @@ class TestEdgeCases:
 
 def lp(terms) -> LaurentPoly:
     """{x exponent: (pi exponent, rational)} as a Laurent polynomial."""
-    return LaurentPoly({e: Scalar({p: Fraction(q)}) for e, (p, q) in terms.items()})
+    return LaurentPoly({e: SCALARS.pi(p).scale(q) for e, (p, q) in terms.items()})
 
 
 ZERO = LaurentPoly()

@@ -16,7 +16,7 @@ from neron.hopf import check_hopf
 from neron.library import general_linear, special_linear, twisted_multiplicative
 from neron.parser import (_MAX_NESTING, parse, parse_fraction, parse_matrix,
                           parse_poly, parse_poly_list, print_file, print_group)
-from neron.ring import PolyRing, Scalar, format_poly
+from neron.ring import SCALARS, PolyRing, format_poly
 
 from test_goldens import load_script
 from test_ring import small_polys
@@ -485,7 +485,7 @@ class TestCliExitCodes:
             gauges = lifts(*args)
             for gauge in gauges.values():
                 if gauge is not None:
-                    gauge[0][0] = gauge[0][0] + dgal.LaurentPoly({1: Scalar({1: 1})})
+                    gauge[0][0] = gauge[0][0] + dgal.LaurentPoly({1: SCALARS.pi()})
             return gauges
 
         monkeypatch.setattr(dgal, "_lifts", off_by_pi)

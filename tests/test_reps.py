@@ -3,11 +3,13 @@
 import pytest
 
 from neron.blowup import automatic_truncation, neron_blowup
+from neron.cli import main
 from neron.errors import DivisionObstruction, NotASubgroup, ShapeMismatch
 from neron.groebner import Ideal
 from neron.hopf import GroupMorphism, special_fibre
 from neron.library import (additive_group, borel2, general_linear,
                            multiplicative_group, product)
+from neron.parser import parse_poly_list
 from neron.reps import (RepMatrix, conormal_rep, direct_sum, identity_blowup_rep,
                         line_blowup_rep, rescaled_rep, scaling_conjugation_report,
                         stabilizer_ideal, sum_faithful, validate_rep,
@@ -265,3 +267,19 @@ class TestConormal:
         assert [format_poly(g) for g in data.group.relations.generators] == [
             "a11*a22*e - 1", "a12", "pi"]
         assert validate_rep(data.rep()).ok
+
+    # u has counit 1, a unit mod pi; u - 1 + pi has counit pi
+    @pytest.mark.parametrize("ideal, inside", [("u, x", False), ("u-1+pi, x", True)])
+    def test_augmentation_guard(self, capsys, golden, golden_dir, ideal, inside):
+        gk = special_fibre(golden("gmxga.grp").groups["GmxGa"])
+        sub = Ideal(gk.ring, parse_poly_list(ideal, gk.ring))
+        if inside:
+            assert validate_rep(conormal_rep(gk, sub).rep()).ok
+        else:
+            with pytest.raises(NotASubgroup):
+                conormal_rep(gk, sub)
+        code = main(["conormal", str(golden_dir / "gmxga.grp"), "--ideal", ideal])
+        err = capsys.readouterr().err
+        assert code == (0 if inside else 1)
+        refusal = "ideal is not contained in the augmentation ideal mod pi"
+        assert (refusal in err) != inside

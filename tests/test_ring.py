@@ -1,4 +1,4 @@
-"""Scalars, polynomials, orders, substitutions."""
+"""Elements of R, polynomials, orders, substitutions."""
 
 from fractions import Fraction
 
@@ -7,19 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from neron.config import Limits
 from neron.errors import NotDivisible, UnknownVariable
-from neron.ring import (GREVLEX, LEX, Order, Poly, PolyRing, Scalar,
-                        Substitution, elim_order, format_poly, format_scalar)
+from neron.ring import (GREVLEX, LEX, SCALARS, Order, Poly, PolyRing,
+                        Substitution, elim_order, format_poly)
 
 from suites import variables_used
 
 
 def ring2() -> PolyRing:
     return PolyRing(("x", "y"))
-
-
-def small_scalars():
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    return st.dictionaries(st.integers(0, 3), coeff, max_size=3).map(Scalar)
 
 
 def small_polys(ring: PolyRing):
@@ -29,44 +24,40 @@ def small_polys(ring: PolyRing):
 
 
 class TestScalar:
+    """Elements of R: polynomials over SCALARS, whose monomials hold only
+    the pi exponent."""
+
     def test_constructors_agree(self):
-        assert Scalar.from_rational(Fraction(3, 2)) == Scalar({0: Fraction(3, 2)})
-        assert Scalar.pi_power(2) == Scalar({2: Fraction(1)})
-        assert Scalar.pi_power(1, 5) == Scalar({1: Fraction(5)})
-        assert Scalar() == Scalar.from_rational(0)
-        assert not Scalar()
+        assert SCALARS.scalar(Fraction(3, 2)) == Poly(SCALARS, {(0,): Fraction(3, 2)})
+        assert SCALARS.pi(2) == Poly(SCALARS, {(2,): 1})
+        assert SCALARS.pi().scale(5) == Poly(SCALARS, {(1,): 5})
+        assert SCALARS.pi(0) == SCALARS.one()
+        assert SCALARS.zero() == SCALARS.scalar(0)
+        assert not SCALARS.zero()
+        with pytest.raises(TypeError):  # scalar takes only a rational
+            ring2().scalar(SCALARS.pi())
 
     def test_arithmetic(self):
-        a = Scalar({0: Fraction(1), 1: Fraction(2)})
-        b = Scalar({1: Fraction(-2), 2: Fraction(1)})
-        assert a + b == Scalar({0: Fraction(1), 2: Fraction(1)})
-        assert a - a == Scalar()
-        prod = a * b
-        assert prod == Scalar({1: Fraction(-2), 2: Fraction(-3), 3: Fraction(2)})
-        assert a * 2 == Scalar({0: Fraction(2), 1: Fraction(4)})
-        assert a * Fraction(1, 2) == Scalar({0: Fraction(1, 2), 1: Fraction(1)})
+        a = 1 + SCALARS.pi().scale(2)
+        b = SCALARS.pi() * -2 + SCALARS.pi(2)
+        assert a + b == 1 + SCALARS.pi(2)
+        assert a - a == SCALARS.zero()
+        assert a * b == Poly(SCALARS, {(1,): -2, (2,): -3, (3,): 2})
+        assert a * 2 == Poly(SCALARS, {(0,): 2, (1,): 4})
+        assert a * Fraction(1, 2) == Poly(SCALARS, {(0,): Fraction(1, 2), (1,): 1})
 
     def test_valuation_and_truncation(self):
-        s = Scalar({2: Fraction(3), 4: Fraction(1)})
+        s = SCALARS.pi(2).scale(3) + SCALARS.pi(4)
         assert s.pi_valuation() == 2
-        assert Scalar().pi_valuation() == float("inf")
-        assert s.set_pi_zero() == Fraction(0)
-        assert Scalar({0: Fraction(7), 1: Fraction(1)}).set_pi_zero() == Fraction(7)
+        assert SCALARS.zero().pi_valuation() == float("inf")
+        assert s.set_pi_zero() == SCALARS.zero()
+        assert not s.set_pi_zero()
+        assert (7 + SCALARS.pi()).set_pi_zero() == SCALARS.scalar(7)
 
     def test_divide_pi(self):
-        s = Scalar({2: Fraction(3)})
-        assert s.divide_pi(2) == Scalar({0: Fraction(3)})
+        assert SCALARS.pi(2).scale(3).divide_pi(2) == SCALARS.scalar(3)
         with pytest.raises(NotDivisible):
-            Scalar({0: Fraction(1)}).divide_pi()
-
-    @given(a=small_scalars(), b=small_scalars(), c=small_scalars())
-    @settings(max_examples=60, derandomize=True)
-    def test_ring_axioms(self, a, b, c):
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) * c == a * c + b * c
-        assert a + Scalar() == a
-        assert a - a == Scalar()
+            SCALARS.one().divide_pi()
 
 
 class TestPoly:
@@ -78,7 +69,7 @@ class TestPoly:
         xi = PolyRing(("xi1",)).var("xi1")
         assert format_poly(xi * xi.ring.pi() + 1) == "xi1*pi + 1"
         assert format_poly(R.zero()) == "0"
-        assert format_scalar(Scalar({1: Fraction(-1)})) == "-pi"
+        assert format_poly(-SCALARS.pi()) == "-pi"
 
     def test_coercion(self):
         R = ring2()
@@ -141,16 +132,18 @@ class TestPoly:
 
     def test_scalar_round_trip(self):
         R = ring2()
-        f = R.scalar(Scalar({1: Fraction(2)}))
+        s = SCALARS.pi().scale(2)
+        f = s.in_ring(R)
+        assert f == R.pi().scale(2)
         assert f.is_scalar()
-        assert f.as_scalar() == Scalar({1: Fraction(2)})
+        assert f.in_ring(SCALARS) == s
         assert not R.var("x").is_scalar()
 
     def test_q_pi_coefficients(self):
         R = ring2()
         x = R.var("x")
         f = x * R.pi() + x * 3
-        assert f == x * R.scalar(Scalar({0: Fraction(3), 1: Fraction(1)}))
+        assert f == x * (3 + SCALARS.pi()).in_ring(R)
         assert variables_used(f) == {"x"}
 
     def test_in_ring_rename_and_missing(self):
@@ -162,9 +155,11 @@ class TestPoly:
         with pytest.raises(UnknownVariable):
             f.in_ring(PolyRing(("x",)))
 
-    @given(f=small_polys(ring2()), g=small_polys(ring2()), h=small_polys(ring2()))
+    @pytest.mark.parametrize("ring", [ring2(), SCALARS], ids=["xy", "R"])
+    @given(data=st.data())
     @settings(max_examples=60, derandomize=True)
-    def test_ring_axioms(self, f, g, h):
+    def test_ring_axioms(self, ring, data):
+        f, g, h = (data.draw(small_polys(ring)) for _ in range(3))
         assert f + g == g + f
         assert f * g == g * f
         assert (f + g) * h == f * h + g * h
@@ -184,7 +179,7 @@ def term_by_term(images: dict, target: PolyRing, f: Poly) -> Poly:
     products, one variable factor at a time, then summed."""
     out = target.zero()
     for m, c in f.terms.items():
-        term = target.scalar(Scalar.pi_power(m[-1], c))
+        term = target.pi(m[-1]).scale(c)
         for name, e in zip(f.ring.variables, m):
             for _ in range(e):
                 term = term * images[name]
