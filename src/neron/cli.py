@@ -60,14 +60,14 @@ def _morphism_json(m) -> dict:
     }
 
 
-def _rows_json(entries):
-    return [[format_poly(e) for e in row] for row in entries]
+def _rows_json(entries, fmt=format_poly):
+    return [[fmt(e) for e in row] for row in entries]
 
 
-def _matrix_lines(entries, head: str):
+def _matrix_lines(entries, head: str, fmt=format_poly):
     lines = [head]
     for row in entries:
-        lines.append("  [" + ", ".join(format_poly(e) for e in row) + "]")
+        lines.append("  [" + ", ".join(fmt(e) for e in row) + "]")
     return lines
 
 
@@ -332,11 +332,9 @@ def cmd_triptych(rho, args):
 
 def cmd_dgal_solve(c, args):
     y = formal_solution(c, args.order)
-    lines = ["fundamental solution modulo x^" + str(args.order + 1) + ":"]
-    for row in y:
-        lines.append("  [" + ", ".join(print_laurent(e) for e in row) + "]")
-    data = {"order": args.order,
-            "rows": [[print_laurent(e) for e in row] for row in y]}
+    lines = _matrix_lines(y, f"fundamental solution modulo x^{args.order + 1}:",
+                          print_laurent)
+    data = {"order": args.order, "rows": _rows_json(y, print_laurent)}
     return True, None, data, lines
 
 
@@ -344,7 +342,7 @@ def _entry_json(entry) -> dict:
     out = {"level": entry.level, "trivial": entry.trivial,
            "obstruction": list(entry.obstruction)}
     if entry.gauge is not None:
-        out["gauge"] = [[print_laurent(e) for e in row] for row in entry.gauge]
+        out["gauge"] = _rows_json(entry.gauge, print_laurent)
     return out
 
 

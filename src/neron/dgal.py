@@ -13,88 +13,48 @@ them.  So the gauge is lifted one power of pi at a time, and the printed
 gauge is the solution Gauss-Jordan elimination gives with its free
 unknowns zero.  Only a level whose constraints are inconsistent runs the
 elimination, to name the balance equations that contradict each other.
+
+The entries of A and of every gauge lie in R[x, 1/x], and each is a `Poly`
+over `LINE`, the ring in x alone, keyed (x exponent, pi exponent) with the
+x exponent possibly negative.  `Poly`'s arithmetic never reads an
+exponent's sign, and no such polynomial reaches a Groebner basis.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import ShapeMismatch
 from .linalg import canonical_point, solve_tracked
+from .matrix import mat_id, mat_zero
 from .report import Report
-from .ring import SCALARS, Poly, format_poly, quotient
+from .ring import SCALARS, Poly, PolyRing, format_poly, quotient
 
 AFFINE = "affine-line"
 PUNCTURED = "punctured-line"
 
 
-class LaurentPoly:
-    """Polynomial in x and 1/x with coefficients in R: `coeffs` maps an x
-    exponent to a nonzero `Poly` over `SCALARS`, and a rational given as
-    a coefficient is made one."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        out = {}
-        for e, c in (coeffs or {}).items():
-            if not isinstance(c, Poly):
-                c = SCALARS.scalar(c)
-            if c:
-                out[e] = c
-        self.coeffs = out
-
-    @classmethod
-    def x_power(cls, e: int, c=1) -> "LaurentPoly":
-        return cls({e: c})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out[e] + c if e in out else c
-        return LaurentPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = LaurentPoly({0: other})
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return LaurentPoly(out)
-
-    def exponents(self):
-        return sorted(self.coeffs)
+X = "x"
+LINE = PolyRing((X,))  # R[x, 1/x]: the one ring whose x exponent may be negative
 
 
-def format_laurent(f: LaurentPoly) -> str:
-    if f.is_zero():
+def format_laurent(f: Poly) -> str:
+    """f's terms grouped by x exponent, lowest first, each group's
+    coefficient in R printed by `format_poly`."""
+    if not f.terms:
         return "0"
+    coeffs = {}  # x exponent -> the terms of its coefficient in R
+    for (e, q), v in f.terms.items():
+        coeffs.setdefault(e, {})[q,] = v
     parts = []
-    for e in f.exponents():
-        c = format_poly(f.coeffs[e])
+    for e in sorted(coeffs):
+        c = format_poly(Poly(SCALARS, coeffs[e]))
         if "+" in c or "-" in c[1:]:
             c = f"({c})"
         if e == 0:
             parts.append(c)
         else:
-            x = "x" if e == 1 else f"x^{e}"
+            x = X if e == 1 else f"{X}^{e}"
             if c == "1":
                 parts.append(x)
             elif c == "-1":
@@ -105,8 +65,9 @@ def format_laurent(f: LaurentPoly) -> str:
 
 
 class Connection:
-    """A connection matrix A, with `terms[k]` the terms x^e*pi^q of row k
-    of A as (column j, e, q, rational), in x and then pi order."""
+    """A connection matrix A, its entries `Poly`s over `LINE`, with
+    `terms[k]` the terms x^e*pi^q of row k of A as (column j, e, q,
+    rational), in x and then pi order."""
 
     __slots__ = ("base", "matrix", "terms")
 
@@ -120,13 +81,12 @@ class Connection:
         for row in matrix:
             if len(row) != r:
                 raise ShapeMismatch("connection matrix must be square")
-            rows.append([e if isinstance(e, LaurentPoly) else LaurentPoly({0: e})
+            rows.append([e.in_ring(LINE) if isinstance(e, Poly) else LINE.scalar(e)
                          for e in row])
         self.base = base
         self.matrix = rows
         self.terms = [[(j, e, q, val) for j, f in enumerate(row)
-                       for e in f.exponents()
-                       for (q,), val in sorted(f.coeffs[e].terms.items())]
+                       for (e, q), val in sorted(f.terms.items())]
                       for row in rows]
         if base == AFFINE and any(e < 0 for row in self.terms for _, e, _, _ in row):
             raise ShapeMismatch("affine-line connection entries cannot involve 1/x")
@@ -142,17 +102,6 @@ class Connection:
         return not any(self.terms)
 
 
-def _zero_matrix(r: int):
-    return [[LaurentPoly() for _ in range(r)] for _ in range(r)]
-
-
-def _identity_matrix(r: int):
-    out = _zero_matrix(r)
-    for i in range(r):
-        out[i][i] = LaurentPoly({0: 1})
-    return out
-
-
 def formal_solution(c: Connection, order: int):
     """Truncated fundamental series Y with Y(0) = identity and Y' = -A*Y.
 
@@ -165,25 +114,19 @@ def formal_solution(c: Connection, order: int):
         raise ValueError("formal solutions are taken at the origin of the "
                          "affine line")
     r = c.rank
-    layers = [_identity_matrix(r)]
+    layers = [mat_id(SCALARS, r)]  # layer m: the coefficient matrix of x^m
     for m in range(order):
-        nxt = _zero_matrix(r)
-        for i in range(r):
-            for j in range(r):
-                acc = LaurentPoly()
-                for k in range(r):
-                    for e, coef in c.matrix[i][k].coeffs.items():
-                        if 0 <= m - e < len(layers):
-                            acc = acc + layers[m - e][k][j] * coef
-                nxt[i][j] = -acc * quotient(1, m + 1)
+        nxt = mat_zero(SCALARS, r, r)
+        for i, row in enumerate(c.terms):
+            for k, e, q, val in row:
+                if e <= m:
+                    coef = SCALARS.pi(q).scale(quotient(-val, m + 1))
+                    for j in range(r):
+                        nxt[i][j] = nxt[i][j] + layers[m - e][k][j] * coef
         layers.append(nxt)
-    out = _zero_matrix(r)
-    for m, layer in enumerate(layers):
-        xm = LaurentPoly.x_power(m)
-        for i in range(r):
-            for j in range(r):
-                out[i][j] = out[i][j] + layer[i][j] * xm
-    return out
+    return [[Poly(LINE, {(m, q): v for m, layer in enumerate(layers)
+                         for (q,), v in layer[i][j].terms.items()})
+             for j in range(r)] for i in range(r)]
 
 
 TrivialityEntry = namedtuple("TrivialityEntry", "level trivial gauge obstruction",
@@ -326,14 +269,12 @@ def _lifts(c: Connection, windows: dict, m: int) -> dict:
         point = canonical_point(vectors.pop(None, {}), vectors.values(), len(names))
         if point is None:
             continue
-        gauge = [[{m: {0: 1}} if i == j else {} for j in range(r)]
+        gauge = [[{(m, 0): 1} if i == j else {} for j in range(r)]
                  for i in range(r)]
         for k, v in point.items():
             i, j, d, p = names[k]
-            gauge[i][j].setdefault(d, {})[p] = v
-        gauges[n] = [[LaurentPoly({d: Poly(SCALARS, {(p,): v for p, v in cf.items()})
-                                   for d, cf in entry.items()})
-                      for entry in row] for row in gauge]
+            gauge[i][j][d, p] = v
+        gauges[n] = [[Poly(LINE, entry) for entry in row] for row in gauge]
     return gauges
 
 
@@ -403,11 +344,10 @@ def check_gauge(c: Connection, entry: TrivialityEntry) -> bool:
     bal = {}  # (i, j, x exponent, pi exponent) -> coefficient of dg/dx - g*A
     for i, row in enumerate(entry.gauge):
         for k, f in enumerate(row):
-            for d, cf in f.coeffs.items():
-                for (p,), v in cf.terms.items():
-                    if p <= n:
-                        for label, factor in _balance(c, n, i, k, d, p):
-                            bal[label] = bal.get(label, 0) + v * factor
+            for (d, p), v in f.terms.items():
+                if p <= n:
+                    for label, factor in _balance(c, n, i, k, d, p):
+                        bal[label] = bal.get(label, 0) + v * factor
     return not any(bal.values())
 
 

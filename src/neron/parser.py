@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .dgal import AFFINE, PUNCTURED, Connection, LaurentPoly, format_laurent
+from .dgal import AFFINE, LINE, PUNCTURED, X, Connection, format_laurent
 from .errors import ParseError, UndefinedName
 from .groebner import Ideal
 from .hopf import PRIME1, PRIME2, SCALARS, GroupMorphism, HopfPresentation, tensor_ring
@@ -37,7 +37,6 @@ from .ring import Poly, PolyRing, Substitution, format_poly, quotient
 
 KEYWORDS = ("group", "morphism", "rep", "connection")
 PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-X = "x"
 
 # Deepest nesting of parentheses and unary signs an expression may use.
 # Parsing and evaluation take a few stack frames per level, so this bounds
@@ -336,52 +335,50 @@ def _pi_division(node, ring, allowed):
 
 
 def _eval_laurent(node):
+    """A connection entry over `LINE`; a divisor must be a rational times
+    a power of x."""
     node, spine = _spine(node)
     kind = node[0]
     if kind == "num":
-        f = LaurentPoly({0: node[1]})
+        f = LINE.scalar(node[1])
     elif kind == "name":
         text, tok = node[1], node[2]
         if text == "pi":
-            f = LaurentPoly({0: SCALARS.pi()})
+            f = LINE.pi()
         elif text == X:
-            f = LaurentPoly({1: 1})
+            f = LINE.var(X)
         else:
             raise ParseError(f"connection entries use only {X!r} and 'pi'", tok.line, tok.column)
     elif kind == "neg":
         f = -_eval_laurent(node[1])
     else:  # pow
-        a = _eval_laurent(node[1])
-        f = LaurentPoly({0: 1})
-        for _ in range(node[2]):
-            f = f * a
-    coeffs = None  # a running sum's coefficients while the spine adds
+        f = _eval_laurent(node[1]) ** node[2]
+    terms = None  # a running sum's terms while the spine adds
     for node in spine:
         kind = node[0]
         b = _eval_laurent(node[2])
         if kind in ("add", "sub"):
-            if coeffs is None:
-                coeffs = dict(f.coeffs)
-            for e, c in b.coeffs.items():
+            if terms is None:
+                terms = dict(f.terms)
+            for mono, c in b.terms.items():
                 if kind == "sub":
                     c = -c
-                coeffs[e] = coeffs[e] + c if e in coeffs else c
+                terms[mono] = terms[mono] + c if mono in terms else c
             continue
-        if coeffs is not None:
-            f, coeffs = LaurentPoly(coeffs), None
+        if terms is not None:
+            f, terms = Poly(LINE, terms), None
         if kind == "mul":
             f = f * b
             continue
         op = node[3]
-        if len(b.coeffs) != 1:
+        if len({e for e, _ in b.terms}) != 1:
             raise ParseError("can only divide by rationals and powers of x", op.line, op.column)
-        e, s = next(iter(b.coeffs.items()))
-        if list(s.terms) != [(0,)]:
+        (e, p), q = next(iter(b.terms.items()))
+        if p or len(b.terms) > 1:
             raise ParseError("cannot divide by pi", op.line, op.column)
-        q = s.terms[(0,)]
-        f = LaurentPoly({d - e: c.scale(quotient(1, q)) for d, c in f.coeffs.items()})
-    if coeffs is not None:
-        f = LaurentPoly(coeffs)
+        f = f.scale(quotient(1, q)) * LINE.monomial((-e, 0))
+    if terms is not None:
+        f = Poly(LINE, terms)
     return f
 
 
@@ -588,18 +585,17 @@ def _name_text(name: str) -> str:
     return f'"{escaped}"'
 
 
-def print_laurent(f: LaurentPoly) -> str:
+def print_laurent(f: Poly) -> str:
     """Render with at most one division, so the result parses back."""
-    if f.is_zero():
+    if not f.terms:
         return "0"
-    low = f.exponents()[0]
+    low = min(e for e, _ in f.terms)
     if low >= 0:
         return format_laurent(f)
-    shifted = LaurentPoly({e - low: c for e, c in f.coeffs.items()})
-    num = format_laurent(shifted)
-    if len(shifted.coeffs) > 1:
+    num = format_laurent(Poly(LINE, {(e - low, p): c for (e, p), c in f.terms.items()}))
+    if any(e != low for e, _ in f.terms):
         num = f"({num})"
-    den = "x" if low == -1 else f"x^{-low}"
+    den = X if low == -1 else f"{X}^{-low}"
     return f"{num}/{den}"
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from neron.blowup import (automatic_member, automatic_truncation,
                           check_constancy, neron_blowup, partial_blowup,
                           standard_sequence)
-from neron.dgal import LaurentPoly, check_gauge, galois_diagnostic
+from neron.dgal import LINE, check_gauge, galois_diagnostic
 from neron.groebner import Ideal
 from neron.hopf import prune, special_fibre
 from neron.images import triptych
@@ -18,7 +18,7 @@ from neron.library import additive_group, multiplicative_group, product
 from neron.reps import (RepMatrix, identity_blowup_rep,
                         scaling_conjugation_report, validate_rep,
                         verify_faithful)
-from neron.ring import SCALARS, format_poly
+from neron.ring import Poly, format_poly
 
 from oracles import beta_conjugation_oracle
 from suites import (blowup_suite, groebner_oracle_suite, lift_suite, reduce_mod_image,
@@ -160,8 +160,7 @@ def test_criterion_08(golden):
     assert verdict_rep.ok
     assert rep.trivial_through() == 5
     factorial = [1, 1, 2, 6, 24, 120]
-    expect = LaurentPoly({k: SCALARS.pi(k).scale(Fraction(1, factorial[k]))
-                          for k in range(6)})
+    expect = Poly(LINE, {(k, k): Fraction(1, factorial[k]) for k in range(6)})
     top = rep.levels[5]
     assert top.gauge[0][0] == expect
     assert check_gauge(exp, top)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neron import dgal
-from neron.dgal import (AFFINE, PUNCTURED, Connection, LaurentPoly, TrivialityEntry,
+from neron.dgal import (AFFINE, LINE, PUNCTURED, Connection, TrivialityEntry,
                         check_gauge, default_degree_bound, formal_solution,
                         format_laurent, galois_diagnostic, triviality_mod)
 from neron.errors import ShapeMismatch
@@ -18,20 +18,27 @@ PI = SCALARS.pi()
 RESIDUE = "entry ({},{}), coefficient of x^-1*pi^0"
 
 
-def lp(pairs) -> LaurentPoly:
-    return LaurentPoly({e: SCALARS.pi(p).scale(q) for e, (p, q) in pairs.items()})
+def lp(pairs) -> Poly:
+    """{x exponent: (pi exponent, rational)} as a Poly over LINE."""
+    return Poly(LINE, {(e, p): q for e, (p, q) in pairs.items()})
 
 
-def const(q, p=0) -> LaurentPoly:
-    return LaurentPoly({0: SCALARS.pi(p).scale(q)})
+def const(q, p=0) -> Poly:
+    return lp({0: (p, q)})
 
 
-def derivative(f: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly({e - 1: c * e for e, c in f.coeffs.items() if e})
+def xp(e: int, c=1) -> Poly:
+    """c*x^e over LINE; e may be negative."""
+    return lp({e: (0, c)})
 
 
-def coeff(f: LaurentPoly, e: int) -> Poly:
-    return f.coeffs.get(e, SCALARS.zero())
+def derivative(f: Poly) -> Poly:
+    return Poly(LINE, {(e - 1, p): c * e for (e, p), c in f.terms.items() if e})
+
+
+def coeff(f: Poly, e: int) -> Poly:
+    """The coefficient of x^e, in R."""
+    return Poly(SCALARS, {(p,): c for (d, p), c in f.terms.items() if d == e})
 
 
 def exp_conn(power=1) -> Connection:
@@ -39,12 +46,12 @@ def exp_conn(power=1) -> Connection:
 
 
 def log_conn() -> Connection:
-    return Connection(PUNCTURED, [[LaurentPoly({-1: PI})]])
+    return Connection(PUNCTURED, [[lp({-1: (1, 1)})]])
 
 
 class TestLaurent:
     def test_arithmetic(self):
-        x = LaurentPoly.x_power(1)
+        x = xp(1)
         f = x * x + x * 2 + const(1)
         assert coeff(f, 2) == SCALARS.scalar(1)
         assert coeff(f, 1) == SCALARS.scalar(2)
@@ -52,22 +59,22 @@ class TestLaurent:
         assert derivative(f) == x * 2 + const(2)
 
     def test_negative_exponents(self):
-        inv = LaurentPoly.x_power(-1)
-        assert (inv * LaurentPoly.x_power(1)) == const(1)
-        assert derivative(inv) == LaurentPoly.x_power(-2, -1)
+        inv = xp(-1)
+        assert (inv * xp(1)) == const(1)
+        assert derivative(inv) == xp(-2, -1)
 
     def test_format(self):
         assert format_laurent(const(1)) == "1"
-        assert format_laurent(LaurentPoly.x_power(1, -1)) == "-x"
-        assert format_laurent(LaurentPoly.x_power(2) + const(1, 1)) == "pi + x^2"
-        assert format_laurent(LaurentPoly.x_power(-1, 3)) == "3*x^-1"
-        assert format_laurent(LaurentPoly()) == "0"
+        assert format_laurent(xp(1, -1)) == "-x"
+        assert format_laurent(xp(2) + const(1, 1)) == "pi + x^2"
+        assert format_laurent(xp(-1, 3)) == "3*x^-1"
+        assert format_laurent(LINE.zero()) == "0"
 
     @given(st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=30, derandomize=True)
     def test_product_rule(self, a, b):
-        f = LaurentPoly.x_power(2, a) + const(1)
-        g = LaurentPoly.x_power(-1, b) + LaurentPoly.x_power(1)
+        f = xp(2, a) + const(1)
+        g = xp(-1, b) + xp(1)
         lhs = derivative(f * g)
         rhs = derivative(f) * g + f * derivative(g)
         assert lhs == rhs
@@ -80,7 +87,7 @@ class TestConnection:
         with pytest.raises(ShapeMismatch):
             Connection(AFFINE, [[0, 0]])
         with pytest.raises(ShapeMismatch):
-            Connection(AFFINE, [[LaurentPoly.x_power(-1)]])
+            Connection(AFFINE, [[xp(-1)]])
         with pytest.raises(ShapeMismatch):
             Connection(AFFINE, [])
         ok = log_conn()
@@ -94,7 +101,7 @@ class TestConnection:
         assert c.matrix[1][0] == const(1, 1)
 
     def test_degree(self):
-        c = Connection(AFFINE, [[LaurentPoly.x_power(2) + const(1)]])
+        c = Connection(AFFINE, [[xp(2) + const(1)]])
         assert c.x_degree() == 2
         assert log_conn().x_degree() == 1
 
@@ -130,7 +137,7 @@ class TestFormalSolution:
         rhs = -(c.matrix[0][0] * y[0][0])
         assert ([coeff(lhs, e) for e in range(order)]
                 == [coeff(rhs, e) for e in range(order)])
-        assert min(lhs.exponents() + rhs.exponents()) >= 0
+        assert min(e for e, _ in [*lhs.terms, *rhs.terms]) >= 0
 
 
 class TestTriviality:
@@ -138,8 +145,7 @@ class TestTriviality:
         c = exp_conn()
         entry = triviality_mod(c, 3)
         assert entry.trivial
-        expect = LaurentPoly({k: SCALARS.pi(k).scale(Fraction(1, [1, 1, 2, 6][k]))
-                              for k in range(4)})
+        expect = lp({k: (k, Fraction(1, [1, 1, 2, 6][k])) for k in range(4)})
         assert entry.gauge[0][0] == expect
         assert check_gauge(c, entry)
 
@@ -174,31 +180,31 @@ class TestTriviality:
         assert level1.obstruction == ["entry (1,1), coefficient of x^-1*pi^1"]
 
     def test_residue_shift_gauge(self):
-        c = Connection(PUNCTURED, [[LaurentPoly({-1: 3})]])
+        c = Connection(PUNCTURED, [[xp(-1, 3)]])
         entry = triviality_mod(c, 1, degree_bound=4)
         assert entry.trivial
         assert format_laurent(entry.gauge[0][0]) == "x^3"
         assert check_gauge(c, entry)
 
     @pytest.mark.parametrize("base, matrix, level, bound, expect", [
-        (PUNCTURED, [[LaurentPoly({-1: 5})]], 2, None, [["x^5"]]),
+        (PUNCTURED, [[xp(-1, 5)]], 2, None, [["x^5"]]),
         # the shift 5 lies outside a window of 1 or 3
-        (PUNCTURED, [[LaurentPoly({-1: 5})]], 2, 1, [RESIDUE.format(1, 1)]),
-        (PUNCTURED, [[LaurentPoly({-1: 5})]], 2, 3, [RESIDUE.format(1, 1)]),
+        (PUNCTURED, [[xp(-1, 5)]], 2, 1, [RESIDUE.format(1, 1)]),
+        (PUNCTURED, [[xp(-1, 5)]], 2, 3, [RESIDUE.format(1, 1)]),
         # no integer shift for a residue of 1/2
-        *[(PUNCTURED, [[LaurentPoly({-1: Fraction(1, 2)})]], n, None,
+        *[(PUNCTURED, [[xp(-1, Fraction(1, 2))]], n, None,
            [RESIDUE.format(1, 1)]) for n in range(3)],
         # a residue that is not scalar
-        (PUNCTURED, [[LaurentPoly({-1: 1}), 0], [0, LaurentPoly({-1: 2})]], 1,
+        (PUNCTURED, [[xp(-1), 0], [0, xp(-1, 2)]], 1,
          None, [RESIDUE.format(1, 1), RESIDUE.format(2, 2)]),
-        (PUNCTURED, [[0, LaurentPoly({-1: 1})], [0, 0]], 1, None,
+        (PUNCTURED, [[0, xp(-1)], [0, 0]], 1, None,
          [RESIDUE.format(1, 2)]),
-        (PUNCTURED, [[LaurentPoly({-1: 3}), PI], [0, LaurentPoly({-1: 3})]], 1,
+        (PUNCTURED, [[xp(-1, 3), PI], [0, xp(-1, 3)]], 1,
          None, [["x^3", "pi*x^4"], ["0", "x^3"]]),
         # the residue 2 passes mod pi, and the solve at shift 2 fails
-        (PUNCTURED, [[LaurentPoly({-1: 2 + PI})]], 1, None,
+        (PUNCTURED, [[xp(-1, 2) + lp({-1: (1, 1)})]], 1, None,
          ["entry (1,1), coefficient of x^1*pi^1"]),
-        (AFFINE, [[LaurentPoly({0: 1, 1: 1})]], 1, None,
+        (AFFINE, [[const(1) + xp(1)]], 1, None,
          ["entry (1,1), coefficient of x^0*pi^0",
           "entry (1,1), coefficient of x^1*pi^0"]),
     ])
@@ -292,10 +298,10 @@ def gauge_problems(draw):
     for i in range(r):
         row = []
         for j in range(r):
-            f = LaurentPoly({-1: m} if i == j else {})
+            f = xp(-1, m if i == j else 0)
             for v, e, q in ([] if zero else draw(st.lists(TERMS, max_size=3))):
                 if base == PUNCTURED or e >= 0:
-                    f = f + LaurentPoly({e: SCALARS.pi(q).scale(v)})
+                    f = f + lp({e: (q, v)})
             row.append(f)
         matrix.append(row)
     # drawn from the top, where the free constants interact; the default
@@ -336,10 +342,10 @@ class TestAgainstEliminationOracle:
             return
         # Gauss-Jordan's gauge: x^m*I plus every solved x^d*pi^p, free
         # unknowns zero
-        expect = [[LaurentPoly.x_power(m) if i == j else LaurentPoly()
-                   for j in range(c.rank)] for i in range(c.rank)]
+        expect = [[xp(m) if i == j else LINE.zero() for j in range(c.rank)]
+                  for i in range(c.rank)]
         for t, (i, j, d, p) in enumerate(unknowns):
-            expect[i][j] = expect[i][j] + LaurentPoly({d: SCALARS.pi(p).scale(x[t])})
+            expect[i][j] = expect[i][j] + lp({d: (p, x[t])})
         assert entry.gauge == expect
         assert check_gauge(c, entry)
 
@@ -352,7 +358,7 @@ def balance_below(c: Connection, gauge, n: int) -> bool:
             bal = derivative(row[j])
             for k, g in enumerate(row):
                 bal = bal - g * c.matrix[k][j]
-            if any(p <= n for cf in bal.coeffs.values() for (p,) in cf.terms):
+            if any(p <= n for _, p in bal.terms):
                 return False
     return True
 
@@ -400,9 +406,9 @@ def narrowing_problems(draw):
     for i in range(r):
         row = []
         for j in range(r):
-            f = LaurentPoly({-1: m} if i == j else {})
+            f = xp(-1, m if i == j else 0)
             for v, e, q in draw(st.lists(terms, min_size=int(i == j), max_size=3)):
-                f = f + LaurentPoly({e: SCALARS.pi(q).scale(v)})
+                f = f + lp({e: (q, v)})
             row.append(f)
         matrix.append(row)
     top = draw(st.integers(1, 5 if r == 1 else 3))
@@ -467,7 +473,7 @@ class TestDiagnostic:
 
     def test_full_group_on_fibre(self):
         # a unit residue obstruction already at level 0
-        c = Connection(PUNCTURED, [[LaurentPoly({-2: 1})]])
+        c = Connection(PUNCTURED, [[xp(-2)]])
         rep, _, verdict = galois_diagnostic(c, 1)
         assert verdict == ("not trivial even modulo pi: the special fibre "
                            "already carries the full group")

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neron.dgal import PUNCTURED, Connection, LaurentPoly, triviality_mod
+from neron.dgal import LINE, PUNCTURED, Connection, triviality_mod
 from neron.linalg import canonical_point, independent_rows, solve_tracked
-from neron.ring import SCALARS
+from neron.ring import Poly
 from oracles import solve_q
 
 # mostly zeros, as in the gauge systems
@@ -272,12 +272,12 @@ class TestEdgeCases:
         assert independent_rows(sparse([[1, 2], [2, 4], [0, 1], [1, 0]])) == [0, 2]
 
 
-def lp(terms) -> LaurentPoly:
-    """{x exponent: (pi exponent, rational)} as a Laurent polynomial."""
-    return LaurentPoly({e: SCALARS.pi(p).scale(q) for e, (p, q) in terms.items()})
+def lp(terms) -> Poly:
+    """{x exponent: (pi exponent, rational)} as a Poly over LINE."""
+    return Poly(LINE, {(e, p): q for e, (p, q) in terms.items()})
 
 
-ZERO = LaurentPoly()
+ZERO = LINE.zero()
 CONNECTIONS = {
     "pi^2/x+pi*x": [[lp({-1: (2, 1), 1: (1, 1)})]],
     "antidiagonal": [[ZERO, lp({-1: (1, 1)})], [lp({-1: (1, 1)}), ZERO]],

@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
 from neron import dgal
@@ -14,9 +14,11 @@ from neron.config import ACTIVE, DEFAULT_LIMITS
 from neron.errors import ParseError, UndefinedName
 from neron.hopf import check_hopf
 from neron.library import general_linear, special_linear, twisted_multiplicative
+from neron.dgal import LINE, PUNCTURED, Connection
 from neron.parser import (_MAX_NESTING, parse, parse_fraction, parse_matrix,
-                          parse_poly, parse_poly_list, print_file, print_group)
-from neron.ring import SCALARS, PolyRing, format_poly
+                          parse_poly, parse_poly_list, print_connection, print_file,
+                          print_group)
+from neron.ring import Poly, PolyRing, format_poly
 
 from test_goldens import load_script
 from test_ring import small_polys
@@ -37,6 +39,20 @@ def same_group(a, b) -> bool:
             and a.comul.images == b.comul.images
             and a.counit.images == b.counit.images
             and a.antipode.images == b.antipode.images)
+
+
+# the terms {(x exponent, pi exponent): rational} of a connection entry over LINE
+LAURENT_TERMS = st.dictionaries(
+    st.tuples(st.integers(-4, 4), st.integers(0, 3)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7), max_size=5)
+
+
+@st.composite
+def laurent_connections(draw):
+    """Rank-1 and rank-2 punctured-line connections over LINE."""
+    r = draw(st.integers(1, 2))
+    return Connection(PUNCTURED, [[Poly(LINE, draw(LAURENT_TERMS)) for _ in range(r)]
+                                  for _ in range(r)])
 
 
 class TestParse:
@@ -132,6 +148,16 @@ class TestParse:
          "3:2: matrix must be square"),
         ("connection E { base: affine-line; matrix: [[0, x]]; }", ParseError,
          "1:1: connection matrix must be square"),
+        # a connection entry is in x and pi, and divides by c*x^e alone;
+        # the x exponents are checked first, which decides x/(1+pi)
+        *[(f"connection E {{ base: punctured-line; matrix: [[{entry}]]; }}",
+           ParseError, message) for entry, message in [
+              ("y", "1:48: connection entries use only 'x' and 'pi'"),
+              ("1/(x+1)", "1:49: can only divide by rationals and powers of x"),
+              ("x/0", "1:49: can only divide by rationals and powers of x"),
+              ("x/pi", "1:49: cannot divide by pi"),
+              ("x/(1+pi)", "1:49: cannot divide by pi"),
+          ]],
     ])
     def test_rejects_with_position(self, bad, kind, message):
         with pytest.raises(kind) as exc:
@@ -237,6 +263,12 @@ class TestPrint:
     @settings(max_examples=60, derandomize=True)
     def test_poly_text_round_trip(self, f):
         assert parse_poly(format_poly(f), f.ring) == f
+
+    @given(c=laurent_connections())
+    @settings(max_examples=60, derandomize=True)
+    def test_laurent_text_round_trip(self, c):
+        back = parse(print_connection("C", c)).connections["C"]
+        assert back.matrix == c.matrix
 
 
 def run(capsys, *argv):
@@ -485,7 +517,7 @@ class TestCliExitCodes:
             gauges = lifts(*args)
             for gauge in gauges.values():
                 if gauge is not None:
-                    gauge[0][0] = gauge[0][0] + dgal.LaurentPoly({1: SCALARS.pi()})
+                    gauge[0][0] = gauge[0][0] + dgal.LINE.var(dgal.X) * dgal.LINE.pi()
             return gauges
 
         monkeypatch.setattr(dgal, "_lifts", off_by_pi)
