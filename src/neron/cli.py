@@ -8,6 +8,7 @@ check (the witness appears in the output), 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -392,7 +393,8 @@ class _Subcommand:
     `parser_class`, so `add_parser` files it under the command's name with
     the keyword arguments argparse would have built the parser from.  Help,
     usage errors and invalid-choice messages read only the names and help
-    texts, so a call builds the parser of the command it names and no other.
+    texts, so a tree builds the parser of a command only when a call names
+    it, and then keeps it: `main`'s one tree builds each at most once.
     """
 
     parser = None
@@ -423,99 +425,111 @@ class _Subcommand:
         return getattr(self.parser, attr)
 
 
+_COLUMN = ("--column", dict(type=int, default=1))
+_STEPS = ("--steps", dict(type=int, default=8))
+
+# (name, block kind or None for the whole file, handler, help, options).
+# `main` calls the handler that the module holds under the name of the one
+# listed, so that a patched handler is the one called, even through a
+# parser built before the patch.
+_COMMANDS = (
+    ("check-hopf", "group", cmd_check_hopf,
+     "verify the Hopf algebra axioms", ()),
+    ("check-flat", "group", cmd_check_flat,
+     "certify flatness over the base", ()),
+    ("check-morphism", "morphism", cmd_check_morphism,
+     "verify a pullback is a Hopf algebra map", ()),
+    ("fibre", "group", cmd_fibre, "pruned special fibre of a group", ()),
+    ("reduce-mod", "group", cmd_reduce_mod, "base change to R/(pi^(n+1))",
+     [("--modulus", dict(type=int, required=True,
+                         help="reduce modulo pi^(modulus+1)"))]),
+    ("blowup", "group", cmd_blowup, "dilatation at a subgroup of the fibre",
+     [("--centre", dict(required=True, help="generators of the centre "
+                                            "ideal, comma separated"))]),
+    ("partial-blowup", "group", cmd_partial_blowup,
+     "dilatation at a flat subgroup reduced mod pi^(level+1)",
+     [("--ideal", dict(required=True,
+                       help="generators of the flat subgroup ideal")),
+      ("--level", dict(type=int, default=0))]),
+    ("auto-trunc", "group", cmd_auto_trunc,
+     "level-n truncation of the automatic blowup",
+     [("--level", dict(type=int, default=1))]),
+    ("auto-member", "group", cmd_auto_member,
+     "membership of f/pi^m in the automatic blowup",
+     [("--element", dict(required=True,
+                         help="an element such as \"x/pi^2\""))]),
+    ("standard-seq", "morphism", cmd_standard_seq,
+     "standard sequence of blowups factoring a morphism",
+     [("--depth", dict(type=int, default=3))]),
+    ("strict-transform", "group", cmd_strict_transform,
+     "flat transform of a subgroup through a blowup",
+     [("--centre", dict(required=True)), ("--ideal", dict(required=True))]),
+    ("check-constancy", "group", cmd_check_constancy,
+     "watch a subgroup's fibre along repeated blowups",
+     [("--ideal", dict(required=True)),
+      ("--depth", dict(type=int, default=3))]),
+    ("rep-validate", "rep", cmd_rep_validate,
+     "check the comodule axioms", ()),
+    ("rep-faithful", "rep", cmd_rep_faithful,
+     "decide whether matrix entries generate the coordinate ring", ()),
+    ("rep-blowup-identity", "rep", cmd_rep_blowup_identity,
+     "double a representation across a unit-section blowup",
+     [("--level", dict(type=int, default=1))]),
+    ("rep-blowup-line", "rep", cmd_rep_blowup_line,
+     "glue a representation across a line-stabilizer blowup",
+     [_COLUMN,
+      ("--e-matrix", dict(default=None, help="covering matrix over the "
+                                             "blown group, e.g. \"[[a22]]\"")),
+      ("--e-witness", dict(default=None, help="inverse-determinant "
+                                              "witness for the covering matrix"))]),
+    ("rep-rescale", "rep", cmd_rep_rescale,
+     "rescale a representation through a line-stabilizer blowup", [_COLUMN]),
+    ("rep-sum", None, cmd_rep_sum, "direct sum of two representations",
+     [("left", {}), ("right", {})]),
+    ("conormal", "group", cmd_conormal,
+     "conjugation action on the conormal space of a fibre subgroup",
+     [("--ideal", dict(required=True,
+                       help="generators of the subgroup ideal in the fibre"))]),
+    ("image", "morphism", cmd_image, "flat schematic image of a morphism", ()),
+    ("diptych", "morphism", cmd_diptych,
+     "image and its saturation tower", [_STEPS]),
+    ("triptych", "morphism", cmd_triptych,
+     "special fibres of the image, its saturation, and the mod-pi image",
+     [_STEPS]),
+    ("dgal-solve", "connection", cmd_dgal_solve,
+     "truncated fundamental solution at the origin",
+     [("--order", dict(type=int, default=3))]),
+    ("dgal-trivial", "connection", cmd_dgal_trivial,
+     "search for a trivializing gauge modulo pi^(level+1)",
+     [("--level", dict(type=int, default=0))]),
+    ("dgal-diagnose", "connection", cmd_dgal_diagnose,
+     "triviality levels and the blowup depth they evidence",
+     [("--levels", dict(type=int, default=3))]),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser tree for every subcommand in `_COMMANDS`."""
     root = argparse.ArgumentParser(
         prog="neron",
         description="Flat group schemes over a discrete valuation ring, "
                     "presented as Hopf algebras.")
     sub = root.add_subparsers(dest="command", required=True,
                               parser_class=_Subcommand)
-    column = ("--column", dict(type=int, default=1))
-    steps = ("--steps", dict(type=int, default=8))
-
-    # (name, block kind or None for the whole file, handler, help, options);
-    # built here, not at import, so that patched handlers are the ones bound.
-    table = (
-        ("check-hopf", "group", cmd_check_hopf,
-         "verify the Hopf algebra axioms", ()),
-        ("check-flat", "group", cmd_check_flat,
-         "certify flatness over the base", ()),
-        ("check-morphism", "morphism", cmd_check_morphism,
-         "verify a pullback is a Hopf algebra map", ()),
-        ("fibre", "group", cmd_fibre, "pruned special fibre of a group", ()),
-        ("reduce-mod", "group", cmd_reduce_mod, "base change to R/(pi^(n+1))",
-         [("--modulus", dict(type=int, required=True,
-                             help="reduce modulo pi^(modulus+1)"))]),
-        ("blowup", "group", cmd_blowup, "dilatation at a subgroup of the fibre",
-         [("--centre", dict(required=True, help="generators of the centre "
-                                                "ideal, comma separated"))]),
-        ("partial-blowup", "group", cmd_partial_blowup,
-         "dilatation at a flat subgroup reduced mod pi^(level+1)",
-         [("--ideal", dict(required=True,
-                           help="generators of the flat subgroup ideal")),
-          ("--level", dict(type=int, default=0))]),
-        ("auto-trunc", "group", cmd_auto_trunc,
-         "level-n truncation of the automatic blowup",
-         [("--level", dict(type=int, default=1))]),
-        ("auto-member", "group", cmd_auto_member,
-         "membership of f/pi^m in the automatic blowup",
-         [("--element", dict(required=True,
-                             help="an element such as \"x/pi^2\""))]),
-        ("standard-seq", "morphism", cmd_standard_seq,
-         "standard sequence of blowups factoring a morphism",
-         [("--depth", dict(type=int, default=3))]),
-        ("strict-transform", "group", cmd_strict_transform,
-         "flat transform of a subgroup through a blowup",
-         [("--centre", dict(required=True)), ("--ideal", dict(required=True))]),
-        ("check-constancy", "group", cmd_check_constancy,
-         "watch a subgroup's fibre along repeated blowups",
-         [("--ideal", dict(required=True)),
-          ("--depth", dict(type=int, default=3))]),
-        ("rep-validate", "rep", cmd_rep_validate,
-         "check the comodule axioms", ()),
-        ("rep-faithful", "rep", cmd_rep_faithful,
-         "decide whether matrix entries generate the coordinate ring", ()),
-        ("rep-blowup-identity", "rep", cmd_rep_blowup_identity,
-         "double a representation across a unit-section blowup",
-         [("--level", dict(type=int, default=1))]),
-        ("rep-blowup-line", "rep", cmd_rep_blowup_line,
-         "glue a representation across a line-stabilizer blowup",
-         [column,
-          ("--e-matrix", dict(default=None, help="covering matrix over the "
-                                                 "blown group, e.g. \"[[a22]]\"")),
-          ("--e-witness", dict(default=None, help="inverse-determinant "
-                                                  "witness for the covering matrix"))]),
-        ("rep-rescale", "rep", cmd_rep_rescale,
-         "rescale a representation through a line-stabilizer blowup", [column]),
-        ("rep-sum", None, cmd_rep_sum, "direct sum of two representations",
-         [("left", {}), ("right", {})]),
-        ("conormal", "group", cmd_conormal,
-         "conjugation action on the conormal space of a fibre subgroup",
-         [("--ideal", dict(required=True,
-                           help="generators of the subgroup ideal in the fibre"))]),
-        ("image", "morphism", cmd_image, "flat schematic image of a morphism", ()),
-        ("diptych", "morphism", cmd_diptych,
-         "image and its saturation tower", [steps]),
-        ("triptych", "morphism", cmd_triptych,
-         "special fibres of the image, its saturation, and the mod-pi image",
-         [steps]),
-        ("dgal-solve", "connection", cmd_dgal_solve,
-         "truncated fundamental solution at the origin",
-         [("--order", dict(type=int, default=3))]),
-        ("dgal-trivial", "connection", cmd_dgal_trivial,
-         "search for a trivializing gauge modulo pi^(level+1)",
-         [("--level", dict(type=int, default=0))]),
-        ("dgal-diagnose", "connection", cmd_dgal_diagnose,
-         "triviality levels and the blowup depth they evidence",
-         [("--levels", dict(type=int, default=3))]),
-    )
-    for name, kind, func, text, options in table:
+    for name, kind, func, text, options in _COMMANDS:
         sub.add_parser(name, help=text).row = (kind, func, options)
     return root
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one tree `main` parses with, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    func = globals()[args.func.__name__]
     try:
         with open(args.file, encoding="utf-8") as fh:
             block = parse(fh.read())
@@ -524,7 +538,7 @@ def main(argv=None) -> int:
         with budget(_limits(args)):
             if args.kind == "rep":
                 block = _to_matrix(block)
-            return _finish(args, *args.func(block, args))
+            return _finish(args, *func(block, args))
     except (OSError, ValueError, ParseError, UndefinedName) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from .errors import ShapeMismatch
 from .linalg import canonical_point, solve_tracked
 from .matrix import mat_id, mat_zero
 from .report import Report
-from .ring import SCALARS, Poly, PolyRing, format_poly, quotient
+from .ring import SCALARS, Poly, PolyRing, format_terms, quotient
 
 AFFINE = "affine-line"
 PUNCTURED = "punctured-line"
@@ -40,15 +40,15 @@ LINE = PolyRing((X,))  # R[x, 1/x]: the one ring whose x exponent may be negativ
 
 def format_laurent(f: Poly) -> str:
     """f's terms grouped by x exponent, lowest first, each group's
-    coefficient in R printed by `format_poly`."""
+    coefficient in R printed by `format_terms` as `format_poly` would."""
     if not f.terms:
         return "0"
-    coeffs = {}  # x exponent -> the terms of its coefficient in R
-    for (e, q), v in f.terms.items():
-        coeffs.setdefault(e, {})[q,] = v
+    coeffs = {}  # x exponent -> its coefficient's terms in R; both descending
+    for (e, q), v in sorted(f.terms.items(), reverse=True):
+        coeffs.setdefault(e, []).append(((q,), v))
     parts = []
-    for e in sorted(coeffs):
-        c = format_poly(Poly(SCALARS, coeffs[e]))
+    for e in reversed(coeffs):
+        c = format_terms(SCALARS, coeffs[e])
         if "+" in c or "-" in c[1:]:
             c = f"({c})"
         if e == 0:

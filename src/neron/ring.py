@@ -419,14 +419,18 @@ def _format_term(ring: PolyRing, mono: Monomial, coeff):
     return coeff < 0, "*".join(parts)
 
 
-def format_poly(f: Poly) -> str:
-    if not f.terms:
-        return "0"
+def format_terms(ring: PolyRing, terms) -> str:
+    """Terms (monomial, coefficient) of a poly over `ring`, printed in the
+    order given; "0" when there are none."""
     pieces = []
-    for m, c in f.sorted_terms():
-        neg, body = _format_term(f.ring, m, c)
+    for m, c in terms:
+        neg, body = _format_term(ring, m, c)
         if not pieces:
             pieces.append(("-" if neg else "") + body)
         else:
             pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces)
+    return " ".join(pieces) or "0"
+
+
+def format_poly(f: Poly) -> str:
+    return format_terms(f.ring, f.sorted_terms())

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from neron import cli
 from neron.cli import main
 
 RECORDING = Path(__file__).resolve().parent / "cli_help.json"
@@ -63,6 +64,18 @@ def test_help_and_usage_bytes(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     got = run(argv)
     assert got in [v["outputs"][" ".join(argv)] for v in load()]
+
+
+def test_bytes_do_not_depend_on_what_was_built(monkeypatch):
+    # main shares one parser: build every subcommand's parser in it first,
+    # then replay the cases in reverse order against the recording
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    cli._parser.cache_clear()
+    for name in COMMANDS:
+        run([name, "--help"])
+    variants = load()
+    for argv in reversed(CASES):
+        assert run(argv) in [v["outputs"][" ".join(argv)] for v in variants], argv
 
 
 def record():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
-from neron import dgal
+from neron import cli, dgal
 from neron.cli import build_parser, main
 from neron.config import ACTIVE, DEFAULT_LIMITS
 from neron.errors import ParseError, UndefinedName
@@ -537,7 +537,14 @@ class TestCliExitCodes:
 
 
 class TestCliParser:
-    def test_a_call_builds_only_the_parser_it_names(self, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        # main's shared parser starts unbuilt, whatever ran before
+        cli._parser.cache_clear()
+
+    @staticmethod
+    def count_parsers(monkeypatch) -> list:
+        """The prog of every ArgumentParser built from here on."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -546,11 +553,46 @@ class TestCliParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return built
+
+    def test_a_call_builds_only_the_parser_it_names(self, monkeypatch):
+        built = self.count_parsers(monkeypatch)
         parser = build_parser()
         for _ in range(2):
             args = parser.parse_args(["check-hopf", "golden/gm.grp"])
         assert built == ["neron", "neron check-hopf"]
         assert (args.command, args.kind, args.format) == ("check-hopf", "group", "text")
+
+    def test_main_builds_each_parser_once(self, monkeypatch, capsys, golden_dir):
+        built = self.count_parsers(monkeypatch)
+        gm = str(golden_dir / "gm.grp")
+        for argv in (["check-hopf", gm], ["fibre", gm],
+                     ["check-hopf", gm, "--format", "json"], ["fibre", gm]):
+            assert main(argv) == 0
+        assert built == ["neron", "neron check-hopf", "neron fibre"]
+
+    def test_a_patched_handler_is_the_one_called(self, monkeypatch, capsys,
+                                                 golden_dir):
+        gm = str(golden_dir / "gm.grp")
+        first = run(capsys, "check-hopf", gm)
+        handler, seen = cli.cmd_check_hopf, []
+
+        def patched(block, args):
+            seen.append(block.name)
+            return handler(block, args)
+
+        monkeypatch.setattr(cli, "cmd_check_hopf", patched)
+        assert run(capsys, "check-hopf", gm) == first
+        assert seen == ["Gm"]
+
+    def test_a_usage_error_leaves_the_parser_as_it_was(self, capsys, golden_dir):
+        gm = str(golden_dir / "gm.grp")
+        first = run(capsys, "check-hopf", gm)
+        with pytest.raises(SystemExit) as exc:
+            main(["check-hopf", gm, "--format", "xml"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+        assert run(capsys, "check-hopf", gm) == first
 
 
 class TestCliOutput:
