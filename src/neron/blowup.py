@@ -1,8 +1,13 @@
 """Dilatations: blow up a closed subgroup of a fibre and divide by pi.
 
 Each blowup adjoins one fresh variable per carried centre generator a,
-imposes pi^k * xi = a, saturates at pi, and divides the structure maps
-of the centre generators by pi^k with certified exactness.
+imposes pi^k * xi = a, and saturates at pi.  It then prunes the
+saturated relations (the relation step of `hopf.prune`), and divides the
+structure maps of the centre generators by pi^k with certified exactness
+in the pruned ring and its doubled ring.  The normal form of an image
+modulo the saturated relations is free of the solved variables, so it is
+the normal form of its pushed image modulo the kept relations: the
+divisions give what they would give before the pruning.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from collections import namedtuple
 
 from .errors import DivisionObstruction, LiftFailure, NotASubgroup
 from .groebner import Ideal, certified_pi_division, contract, saturate_pi, subalgebra_member
-from .hopf import (PRIME1, PRIME2, GroupMorphism, HopfPresentation,
-                   hopf_ideal_report, prune, tensor_ideal, tensor_ring)
+from .hopf import (PRIME1, PRIME2, GroupMorphism, HopfPresentation, _prune_relations,
+                   doubled, hopf_ideal_report, tensor_ideal)
 from .report import Report
 from .ring import Poly, PolyRing, Substitution, format_poly
 
@@ -49,25 +54,30 @@ def _blow(h: HopfPresentation, centre: Ideal, gens, power: int, name: str) -> Bl
     gens_b = [g.in_ring(ring_b) for g in h.relations.generators]
     for nm, a in zip(names, carried):
         gens_b.append(ring_b.var(nm).mul_pi(power) - a.in_ring(ring_b))
-    rels_b = saturate_pi(Ideal(ring_b, gens_b))
+    # saturate at pi, then prune: the solved variables go before any
+    # structure map is reduced, so every division runs in the pruned ring
+    # and its doubled ring
+    rels, eliminated, sub = _prune_relations(saturate_pi(Ideal(ring_b, gens_b)))
+    push = doubled(sub)
+    rels2 = tensor_ideal(rels, push.target, (PRIME1, PRIME2))
 
-    ring2_b = tensor_ring(ring_b, (PRIME1, PRIME2))
-    rels2_b = tensor_ideal(rels_b, ring2_b, (PRIME1, PRIME2))
-
-    comul_images = {v: h.comul.images[v].in_ring(ring2_b) for v in h.ring.variables}
-    counit_images = {v: h.counit.images[v] for v in h.ring.variables}
-    anti_images = {v: h.antipode.images[v].in_ring(ring_b) for v in h.ring.variables}
+    comul_images, counit_images, anti_images = {}, {}, {}
+    for v in h.ring.variables:
+        if v not in eliminated:
+            comul_images[v] = push(h.comul.images[v])
+            counit_images[v] = h.eps(v)
+            anti_images[v] = sub(h.antipode.images[v])
     for nm, a in zip(names, carried):
-        comul_images[nm] = certified_pi_division(
-            h.comul(a).in_ring(ring2_b), power, rels2_b)
-        counit_images[nm] = h.eps_of(a).divide_pi(power)
-        anti_images[nm] = certified_pi_division(
-            h.antipode(a).in_ring(ring_b), power, rels_b)
+        # a fresh variable that pruning eliminates is divided too: the
+        # division certifies that pi^power divides the images of a
+        divided = (certified_pi_division(push(h.comul(a)), power, rels2),
+                   h.eps_of(a).divide_pi(power),
+                   certified_pi_division(sub(h.antipode(a)), power, rels))
+        if nm not in eliminated:
+            comul_images[nm], counit_images[nm], anti_images[nm] = divided
 
-    blown = HopfPresentation.from_images(name, ring_b, rels_b, comul_images,
+    blown = HopfPresentation.from_images(name, sub.target, rels, comul_images,
                                          counit_images, anti_images)
-
-    blown, eliminated = prune(blown)
 
     proj_images = {v: eliminated[v] if v in eliminated else blown.ring.var(v)
                    for v in h.ring.variables}

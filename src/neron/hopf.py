@@ -31,6 +31,14 @@ def copy_into(f: Poly, ring_t: PolyRing, suffix: str) -> Poly:
     return f.in_ring(ring_t, {v: v + suffix for v in f.ring.variables})
 
 
+def doubled(sub: Substitution) -> Substitution:
+    """A substitution applied to both copies of a doubled ring."""
+    ring2 = tensor_ring(sub.target, (PRIME1, PRIME2))
+    return Substitution(tensor_ring(sub.source, (PRIME1, PRIME2)), ring2,
+                        {v + s: copy_into(img, ring2, s)
+                         for v, img in sub.images.items() for s in (PRIME1, PRIME2)})
+
+
 def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes) -> Ideal:
     """Relations of a tensor power, one renamed copy per factor.
 
@@ -243,12 +251,8 @@ def check_morphism(m: GroupMorphism) -> Report:
     for i, r in enumerate(tgt.relations.generators):
         rep.vanishes("pullback respects relations", f"relation {i + 1}",
                      src.relations.normal_form(m.pullback(r)))
-    ring2s = src.doubled_ring()
     rels2s = src.doubled_ideal()
-    pull2 = Substitution(
-        tgt.doubled_ring(), ring2s,
-        {v + s: copy_into(m.pullback.images[v], ring2s, s)
-         for v in tgt.ring.variables for s in (PRIME1, PRIME2)})
+    pull2 = doubled(m.pullback)
     for v in tgt.ring.variables:
         lhs = src.comul(m.pullback.images[v])
         rhs = pull2(tgt.comul.images[v])
@@ -330,8 +334,8 @@ def quotient_presentation(h: HopfPresentation, gens, name: str) -> HopfPresentat
     return h.with_relations(name, h.relations.plus(gens))
 
 
-def prune(h: HopfPresentation):
-    """Eliminate variables that the relations express in the others.
+def _prune_relations(relations: Ideal):
+    """Eliminate variables that a lex relation ideal expresses in the others.
 
     A variable w can go when the reduced lex basis holds w - g.  No term
     of a reduced basis is divisible by another element's lead, and none
@@ -340,33 +344,47 @@ def prune(h: HopfPresentation):
     therefore the chain of one-at-a-time ones, and the other elements,
     which it leaves alone, are the reduced lex basis of the smaller ideal:
     no element turns solvable after a step, and the result keeps that
-    basis.  Returns the smaller presentation (h itself when nothing is
-    solved) and, in basis order, each eliminated variable's expression in
-    the survivors.
+    basis.  The normal form of any f modulo `relations` is free of every
+    solved w, so it is the normal form of its substitution modulo the
+    smaller ideal.  Returns the smaller ideal (`relations` itself when
+    nothing is solved), each eliminated variable's expression in the
+    survivors in basis order, and the substitution onto the smaller ring.
     """
-    if h.ring.order.kind != "lex":
+    ring = relations.ring
+    if ring.order.kind != "lex":
         raise ValueError("pruning requires the lex order")
-    ring = h.ring
     solved = {}
     kept = []
-    for g in h.relations.basis():
+    for g in relations.basis():
         m = g.lead_monomial()
         if sum(m[:-1]) == 1 and m[-1] == 0:
             solved[ring.variables[m.index(1)]] = -g.tail()
         else:
             kept.append(g)
     if not solved:
-        return h, {}
+        return relations, {}, Substitution.identity(ring)
     small = ring.drop(solved)
     eliminated = {w: g.in_ring(small) for w, g in solved.items()}
     sub = Substitution(ring, small, {v: small.var(v) for v in small.variables} | eliminated)
-    ring2 = tensor_ring(small, (PRIME1, PRIME2))
-    push = Substitution(h.doubled_ring(), ring2,
-                        {v + s: copy_into(img, ring2, s)
-                         for v, img in sub.images.items() for s in (PRIME1, PRIME2)})
     kept = [g.in_ring(small) for g in kept]
+    return Ideal.with_basis(small, kept, kept), eliminated, sub
+
+
+def prune(h: HopfPresentation):
+    """Eliminate variables that the relations express in the others.
+
+    The relations are pruned by `_prune_relations`, the step that
+    `blowup` shares, and the structure maps follow the substitution.
+    Returns the smaller presentation (h itself when nothing is solved)
+    and, in basis order, each eliminated variable's expression in the
+    survivors.
+    """
+    relations, eliminated, sub = _prune_relations(h.relations)
+    if not eliminated:
+        return h, {}
+    small, push = sub.target, doubled(sub)
     pruned = HopfPresentation.from_images(
-        h.name, small, Ideal.with_basis(small, kept, kept),
+        h.name, small, relations,
         {v: push(h.comul.images[v]) for v in small.variables},
         {v: h.counit.images[v] for v in small.variables},
         {v: sub(h.antipode.images[v]) for v in small.variables})

@@ -2,16 +2,21 @@
 
 import pytest
 
-from neron.blowup import (automatic_member, automatic_truncation, check_constancy,
-                          fresh_xi_names, neron_blowup, partial_blowup,
+import neron.blowup
+import neron.groebner
+from neron.blowup import (BlowupResult, automatic_member, automatic_truncation,
+                          check_constancy, fresh_xi_names, neron_blowup, partial_blowup,
                           standard_sequence, strict_transform, universal_lift)
 from neron.config import Limits, budget
 from neron.errors import LiftFailure, NotASubgroup
-from neron.groebner import Ideal
-from neron.hopf import (GroupMorphism, check_flat, check_hopf, check_morphism,
-                        isomorphism_report, special_fibre, prune)
+from neron.groebner import Ideal, certified_pi_division, saturate_pi
+from neron.hopf import (PRIME1, PRIME2, GroupMorphism, HopfPresentation, check_flat,
+                        check_hopf, check_morphism, isomorphism_report, prune,
+                        special_fibre, tensor_ideal, tensor_ring)
 from neron.library import (additive_group, borel2, general_linear,
                            multiplicative_group, product, twisted_multiplicative)
+from neron.parser import print_group
+from neron.report import Report
 from neron.ring import PolyRing, Substitution, format_poly
 
 import suites
@@ -127,6 +132,23 @@ class TestAutomaticTruncation:
         assert tower.report.ok
         assert tower.level == level
 
+    @pytest.mark.parametrize("group, level, width", [
+        (multiplicative_group, 8, 5),
+        (lambda: product(multiplicative_group(), additive_group()), 3, 7),
+        (borel2, 2, 9), (general_linear, 2, 11),
+    ], ids=["gm-8", "gmxga-3", "b2-2", "gl2-2"])
+    def test_widest_walk_is_in_a_pruned_ring(self, monkeypatch, group, level, width):
+        # Each step divides in the pruned ring and its doubled ring, so no
+        # walk of a tower runs in the unpruned doubled ring (8, 12, 16 and
+        # 20 variables for these four).
+        widths = []
+        walk = neron.groebner._buchberger
+        monkeypatch.setattr(neron.groebner, "_buchberger",
+                            lambda gens, ring, *a, **k: widths.append(ring.nvars)
+                            or walk(gens, ring, *a, **k))
+        automatic_truncation(group(), level)
+        assert max(widths) == width
+
     def test_membership_bound(self):
         ga = additive_group()
         x = ga.ring.var("x")
@@ -234,3 +256,114 @@ class TestRandomizedSlices:
 
     def test_lifts(self):
         assert suites.lift_suite(8, seed=11) == 8
+
+
+def unpruned_blow(h, centre, gens, power, name):
+    """The blowup step with the divisions before the pruning: saturate,
+    divide in the unpruned ring and its doubled ring, then prune."""
+    carried = [g for g in gens
+               if not g.is_scalar() and not h.relations.contains(g)]
+    names = fresh_xi_names(h.ring, len(carried))
+    ring_b = h.ring.extend(tuple(names))
+    gens_b = [g.in_ring(ring_b) for g in h.relations.generators]
+    for nm, a in zip(names, carried):
+        gens_b.append(ring_b.var(nm).mul_pi(power) - a.in_ring(ring_b))
+    rels_b = saturate_pi(Ideal(ring_b, gens_b))
+    ring2_b = tensor_ring(ring_b, (PRIME1, PRIME2))
+    rels2_b = tensor_ideal(rels_b, ring2_b, (PRIME1, PRIME2))
+    comul = {v: h.comul.images[v].in_ring(ring2_b) for v in h.ring.variables}
+    counit = dict(h.counit.images)
+    anti = {v: h.antipode.images[v].in_ring(ring_b) for v in h.ring.variables}
+    for nm, a in zip(names, carried):
+        comul[nm] = certified_pi_division(h.comul(a).in_ring(ring2_b), power, rels2_b)
+        counit[nm] = h.eps_of(a).divide_pi(power)
+        anti[nm] = certified_pi_division(h.antipode(a).in_ring(ring_b), power, rels_b)
+    blown, eliminated = prune(HopfPresentation.from_images(
+        name, ring_b, rels_b, comul, counit, anti))
+
+    proj = {v: eliminated[v] if v in eliminated else blown.ring.var(v)
+            for v in h.ring.variables}
+    projection = GroupMorphism(f"{name}->{h.name}", blown, h,
+                               Substitution(h.ring, blown.ring, proj))
+    post = Report(f"blowup invariants for {name}")
+    for nm, a in zip(names, carried):
+        xi = eliminated[nm] if nm in eliminated else blown.ring.var(nm)
+        diff = xi.mul_pi(power) - projection.pullback(a)
+        post.add("pi-power multiple of the fresh variable is the centre generator",
+                 nm, blown.relations.contains(diff), format_poly(diff))
+    adjoined = tuple(nm for nm in names if nm in blown.ring.variables)
+    return BlowupResult(blown, projection, centre, adjoined, dict(zip(names, carried)),
+                        power, eliminated, post)
+
+
+def _suite_centre(i, j):
+    """Group i of the blowup suite's pool and its centre j."""
+    h = suites._group_pool()[i]
+    return h, suites._centres(h)[j]
+
+
+def _equivalence_cases():
+    cases = {}
+    for i, h in enumerate(suites._group_pool()):
+        for j in range(len(suites._centres(h))):
+            def blow(i=i, j=j):
+                h, centre = _suite_centre(i, j)
+                return neron_blowup(h, Ideal(h.ring, centre))
+
+            cases[f"{h.name}-centre{j}"] = blow
+            for n in (0, 1, 2):
+                def part(i=i, j=j, n=n):
+                    h, centre = _suite_centre(i, j)
+                    return partial_blowup(h, Ideal(h.ring, centre[1:]), n)
+
+                cases[f"{h.name}-centre{j}-level{n}"] = part
+    for group, level in ((multiplicative_group, 4),
+                         (lambda: product(multiplicative_group(), additive_group()), 3),
+                         (borel2, 2), (general_linear, 2)):
+        h = group()
+        cases[f"{h.name}^({level})"] = lambda group=group, level=level: (
+            automatic_truncation(group(), level))
+
+    def doubled_generator():
+        ga = additive_group()
+        x = ga.ring.var("x")
+        return neron_blowup(ga, Ideal(ga.ring, [ga.ring.pi(), x, x]))
+
+    cases["Ga-pi,x,x"] = doubled_generator
+    return cases
+
+
+EQUIVALENCE_CASES = _equivalence_cases()
+
+
+class TestPruneBeforeDividing:
+    """Dividing in the pruned rings gives what dividing before the pruning
+    gave: the normal form of an image modulo the saturated relations is
+    free of the solved variables, so it is the normal form of its pushed
+    image modulo the kept relations."""
+
+    @staticmethod
+    def outputs(res):
+        return (print_group(res.blown),
+                [(w, format_poly(g)) for w, g in res.eliminated.items()],
+                [(v, format_poly(g)) for v, g in res.projection.pullback.images.items()],
+                res.report.lines())
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_matches_the_unpruned_route(self, monkeypatch, case):
+        got = self.outputs(EQUIVALENCE_CASES[case]())
+        monkeypatch.setattr(neron.blowup, "_blow", unpruned_blow)
+        assert got == self.outputs(EQUIVALENCE_CASES[case]())
+
+    def test_an_eliminated_fresh_variable_is_still_divided(self, monkeypatch):
+        ga = additive_group()
+        x = ga.ring.var("x")
+        divided = []
+        divide = neron.blowup.certified_pi_division
+        monkeypatch.setattr(neron.blowup, "certified_pi_division",
+                            lambda f, *a: divided.append(f) or divide(f, *a))
+        b = neron_blowup(ga, Ideal(ga.ring, [ga.ring.pi(), x, x]))
+        assert b.adjoined == ("xi2",)
+        assert list(b.eliminated) == ["xi1", "x"]
+        # both fresh variables' comultiplication and antipode images
+        assert len(divided) == 4

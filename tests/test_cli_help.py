@@ -8,6 +8,10 @@ with the interpreters that printed it, and each case must match one of
 them.  To add the running interpreter's outputs:
 
     PYTHONPATH=src python tests/test_cli_help.py
+
+The module does not import pytest, so the recorder also runs on an
+interpreter without it; the cases are parametrized by the
+`pytest_generate_tests` hook below.
 """
 
 import contextlib
@@ -16,8 +20,6 @@ import json
 import os
 import platform
 from pathlib import Path
-
-import pytest
 
 from neron import cli
 from neron.cli import main
@@ -59,7 +61,11 @@ def load() -> list:
     return json.loads(RECORDING.read_text(encoding="utf-8"))["variants"]
 
 
-@pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "-")
+def pytest_generate_tests(metafunc):
+    if "argv" in metafunc.fixturenames:
+        metafunc.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "-")
+
+
 def test_help_and_usage_bytes(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     got = run(argv)

@@ -388,15 +388,18 @@ class TestPruneInOneSubstitution:
         u, v = gm.ring.var("u"), gm.ring.var("v")
         walks = self.count_walks(monkeypatch)
         seen = []
+        step = neron.blowup._prune_relations
 
-        def counted(h):
+        def counted(relations):
+            # the blowup prunes its saturated relations with the step that
+            # prune(h) uses, before it divides any structure map
             before = len(walks)
-            small, eliminated = prune(h)
-            small.relations.basis()
+            small, eliminated, sub = step(relations)
+            small.basis()
             seen.append((len(walks) - before, list(eliminated)))
-            return small, eliminated
+            return small, eliminated, sub
 
-        monkeypatch.setattr(neron.blowup, "prune", counted)
+        monkeypatch.setattr(neron.blowup, "_prune_relations", counted)
         neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u - 1, v - 1]))
         assert seen == [(0, ["v", "u"])]
 
