@@ -1,12 +1,20 @@
 """Dilatations: blow up a closed subgroup of a fibre and divide by pi.
 
 Each blowup adjoins one fresh variable per carried centre generator a,
-imposes pi^k * xi = a, and saturates at pi.  It then prunes the
-saturated relations (the relation step of `hopf.prune`), and divides the
-structure maps of the centre generators by pi^k with certified exactness
-in the pruned ring and its doubled ring.  The normal form of an image
-modulo the saturated relations is free of the solved variables, so it is
-the normal form of its pushed image modulo the kept relations: the
+imposes pi^k * xi = a, and saturates at pi.  A generator a = lam*v - c,
+with v a variable not charted yet, lam a nonzero rational and c in R,
+is charted instead: v = (c + pi^k * xi)/lam goes into the other
+equations before the saturation, which then runs in the chart ring.  In
+lex, v leads lam*v - c - pi^k * xi, since xi sorts after v and c is a
+constant, so the saturation in the full ring has the reduced basis
+v - NF((c + pi^k * xi)/lam) plus that of the chart's saturation: the
+charted v is that normal form, and the blowup is the one a saturation in
+the full ring gives.  The blowup then prunes the saturated relations
+(the relation step of `hopf.prune`), and divides the structure maps of
+the centre generators by pi^k with certified exactness in the pruned
+ring and its doubled ring.  The normal form of an image modulo the
+saturated relations is free of the solved variables, so it is the
+normal form of its pushed image modulo the kept relations: the
 divisions give what they would give before the pruning.
 """
 
@@ -20,7 +28,7 @@ from .groebner import Ideal, certified_pi_division, contract, saturate_pi, subal
 from .hopf import (PRIME1, PRIME2, GroupMorphism, HopfPresentation, _prune_relations,
                    doubled, hopf_ideal_report, tensor_ideal)
 from .report import Report
-from .ring import Poly, PolyRing, Substitution, format_poly
+from .ring import Poly, PolyRing, Substitution, format_poly, quotient
 
 _XI = re.compile(r"^xi(\d+)$")
 
@@ -46,18 +54,47 @@ def _require(rep: Report, what: str):
         raise NotASubgroup(f"{what}: " + "; ".join(c.line() for c in rep.failures()))
 
 
+def _chart_variable(a: Poly):
+    """(v, lam) when a = lam*v - c for a variable v, a nonzero rational lam
+    and c in R; otherwise None."""
+    moving = [(m, c) for m, c in a.terms.items() if any(m[:-1])]
+    if len(moving) == 1 and sum(moving[0][0]) == 1:
+        m, lam = moving[0]
+        return a.ring.variables[m.index(1)], lam
+    return None
+
+
 def _blow(h: HopfPresentation, centre: Ideal, gens, power: int, name: str) -> BlowupResult:
     carried = [g for g in gens
                if not g.is_scalar() and not h.relations.contains(g)]
     names = fresh_xi_names(h.ring, len(carried))
     ring_b = h.ring.extend(tuple(names))
-    gens_b = [g.in_ring(ring_b) for g in h.relations.generators]
+    # chart: a generator lam*v - c whose v is not charted yet puts
+    # v = (c + pi^power*xi)/lam, and its equation pi^power*xi = a becomes 0
+    exprs, equations = {}, []
     for nm, a in zip(names, carried):
-        gens_b.append(ring_b.var(nm).mul_pi(power) - a.in_ring(ring_b))
-    # saturate at pi, then prune: the solved variables go before any
-    # structure map is reduced, so every division runs in the pruned ring
-    # and its doubled ring
-    rels, eliminated, sub = _prune_relations(saturate_pi(Ideal(ring_b, gens_b)))
+        eq = ring_b.var(nm).mul_pi(power) - a.in_ring(ring_b)
+        lead = _chart_variable(a)
+        if lead is None or lead[0] in exprs:
+            equations.append(eq)
+        else:
+            v, lam = lead
+            exprs[v] = ring_b.var(v) + eq.scale(quotient(1, lam))
+    chart = ring_b.drop(exprs)
+    to_chart = Substitution(ring_b, chart, {w: chart.var(w) for w in chart.variables}
+                            | {v: e.in_ring(chart) for v, e in exprs.items()})
+    # saturate at pi in the chart, then prune: the solved variables go
+    # before any structure map is reduced, so every division runs in the
+    # pruned ring and its doubled ring
+    sat = saturate_pi(Ideal(chart, [to_chart(g) for g in
+                                    h.relations.generators + tuple(equations)]))
+    rels, solved, sub = _prune_relations(sat)
+    # a charted v is the normal form of its expression, which is free of
+    # the solved variables; the eliminated variables go in lex basis order
+    solved = solved | {v: sat.normal_form(to_chart.images[v]).in_ring(sub.target)
+                       for v in exprs}
+    eliminated = {w: solved[w] for w in reversed(ring_b.variables) if w in solved}
+    sub = Substitution(ring_b, sub.target, sub.images | eliminated)
     push = doubled(sub)
     rels2 = tensor_ideal(rels, push.target, (PRIME1, PRIME2))
 

@@ -44,9 +44,12 @@ eliminates the tag and is lex on the rest, so in a lex ring the tag-free
 part of the reduced basis is the saturation's reduced basis, and the
 result keeps it.  A saturation at pi makes pi a unit modulo the tag ideal,
 so that walk divides each element it adds by its power of pi, and the
-degree budget meets the element without it.  Elimination and contraction
-walk in their block orders and build their basis in the ring's order on
-first use.
+degree budget meets the element without it.  An ideal with at most one
+nonzero generator g saturates at pi with no walk: pi is prime in
+Q[pi][x], so the saturation is (g / pi^v), v the pi valuation of g, and
+its reduced basis is g / pi^v made monic, what the walk would return.
+Elimination and contraction walk in their block orders and build their
+basis in the ring's order on first use.
 """
 
 from __future__ import annotations
@@ -627,6 +630,26 @@ def _eliminate(gens, big: PolyRing, front: int, small: PolyRing,
                          if all(not any(m[:front]) for m in g.terms)])
 
 
+def _pi_content_free(held) -> list:
+    """The reduced lex basis of (g) : pi^infinity for the nonzero generators
+    `held`, at most one g, with no walk: pi is prime in Q[pi][x], so it is
+    g / pi^v, v = `g.pi_valuation()`, made monic in lex.  When v > 0 the
+    degree budget meets g / pi^v, the element a walk would add."""
+    if not held:
+        return []
+    (g,) = held
+    v = g.pi_valuation()
+    if v:
+        g = g.divide_pi(v)
+        degree = max(map(sum, g.terms))
+        limits = ACTIVE.get()
+        if degree > limits.max_degree:
+            raise ResourceLimit(
+                f"degree budget {limits.max_degree} exceeded by a basis element",
+                degree=degree)
+    return [g.scale(quotient(1, g.terms[max(g.terms)]))]
+
+
 def saturate(ideal: Ideal, f: Poly) -> Ideal:
     """Saturation (ideal : f^infinity) via a Rabinowitsch tag variable.
 
@@ -634,18 +657,24 @@ def saturate(ideal: Ideal, f: Poly) -> Ideal:
     lex on the rest.  In a lex ring the tag-free part of its reduced basis
     is therefore the result's reduced basis, and the result keeps it.  When
     f is pi, pi is a unit modulo the tag ideal, so the walk divides the pi
-    powers out of what it adds."""
+    powers out of what it adds; and an ideal with at most one nonzero
+    generator saturates at pi in closed form (`_pi_content_free`), with
+    the same result and no walk."""
     ring = ideal.ring
     if f.ring != ring:
         f = f.in_ring(ring)
-    (tag,) = _fresh_names(_TAG, 1, ring.variables)
-    big = ring.prepend((tag,), LEX)
-    gens = [g.in_ring(big) for g in ideal.generators]
-    gens.append(big.one() - big.var(tag) * f.in_ring(big))
-    sat = _eliminate(gens, big, 1, ring, pi_unit=f == ring.pi())
+    held = [g for g in ideal.generators if not g.is_zero()]
+    if len(held) <= 1 and f == ring.pi():
+        gens = _pi_content_free(held)
+    else:
+        (tag,) = _fresh_names(_TAG, 1, ring.variables)
+        big = ring.prepend((tag,), LEX)
+        gens = [g.in_ring(big) for g in held]
+        gens.append(big.one() - big.var(tag) * f.in_ring(big))
+        gens = _eliminate(gens, big, 1, ring, pi_unit=f == ring.pi()).generators
     if ring.order == LEX:
-        return Ideal.with_basis(ring, sat.generators, sat.generators)
-    return sat
+        return Ideal.with_basis(ring, gens, gens)
+    return Ideal(ring, gens)
 
 
 def saturate_pi(ideal: Ideal) -> Ideal:

@@ -346,9 +346,12 @@ def _prune_relations(relations: Ideal):
     no element turns solvable after a step, and the result keeps that
     basis.  The normal form of any f modulo `relations` is free of every
     solved w, so it is the normal form of its substitution modulo the
-    smaller ideal.  Returns the smaller ideal (`relations` itself when
-    nothing is solved), each eliminated variable's expression in the
-    survivors in basis order, and the substitution onto the smaller ring.
+    smaller ideal.  The smaller ideal is `relations` read in fewer
+    variables, so when `relations` is its own pi-saturation, so is the
+    smaller ideal, and it is marked so.  Returns the smaller ideal
+    (`relations` itself when nothing is solved), each eliminated
+    variable's expression in the survivors in basis order, and the
+    substitution onto the smaller ring.
     """
     ring = relations.ring
     if ring.order.kind != "lex":
@@ -367,7 +370,10 @@ def _prune_relations(relations: Ideal):
     eliminated = {w: g.in_ring(small) for w, g in solved.items()}
     sub = Substitution(ring, small, {v: small.var(v) for v in small.variables} | eliminated)
     kept = [g.in_ring(small) for g in kept]
-    return Ideal.with_basis(small, kept, kept), eliminated, sub
+    pruned = Ideal.with_basis(small, kept, kept)
+    if relations._saturation is relations:
+        pruned._saturation = pruned
+    return pruned, eliminated, sub
 
 
 def prune(h: HopfPresentation):

@@ -148,7 +148,7 @@ def _centres(h):
         u, v, x = (h.ring.var(n) for n in ("u", "v", "x"))
         out.append([h.ring.pi(), u - 1, v - 1])
         out.append([h.ring.pi(), x])
-    if h.name == "Ga2":
+    if h.name == "GaxGa2":
         out.append([h.ring.pi(), h.ring.var("x")])
         out.append([h.ring.pi(), h.ring.var("z")])
     return out

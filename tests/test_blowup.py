@@ -10,12 +10,12 @@ from neron.blowup import (BlowupResult, automatic_member, automatic_truncation,
 from neron.config import Limits, budget
 from neron.errors import LiftFailure, NotASubgroup
 from neron.groebner import Ideal, certified_pi_division, saturate_pi
-from neron.hopf import (PRIME1, PRIME2, GroupMorphism, HopfPresentation, check_flat,
-                        check_hopf, check_morphism, isomorphism_report, prune,
-                        special_fibre, tensor_ideal, tensor_ring)
+from neron.hopf import (PRIME1, PRIME2, GroupMorphism, HopfPresentation, _prune_relations,
+                        check_flat, check_hopf, check_morphism, doubled, isomorphism_report,
+                        prune, special_fibre, tensor_ideal, tensor_ring)
 from neron.library import (additive_group, borel2, general_linear,
                            multiplicative_group, product, twisted_multiplicative)
-from neron.parser import print_group
+from neron.parser import parse_poly_list, print_group
 from neron.report import Report
 from neron.ring import PolyRing, Substitution, format_poly
 
@@ -133,14 +133,16 @@ class TestAutomaticTruncation:
         assert tower.level == level
 
     @pytest.mark.parametrize("group, level, width", [
-        (multiplicative_group, 8, 5),
-        (lambda: product(multiplicative_group(), additive_group()), 3, 7),
-        (borel2, 2, 9), (general_linear, 2, 11),
+        (multiplicative_group, 8, 4),
+        (lambda: product(multiplicative_group(), additive_group()), 3, 6),
+        (borel2, 2, 8), (general_linear, 2, 10),
     ], ids=["gm-8", "gmxga-3", "b2-2", "gl2-2"])
     def test_widest_walk_is_in_a_pruned_ring(self, monkeypatch, group, level, width):
-        # Each step divides in the pruned ring and its doubled ring, so no
-        # walk of a tower runs in the unpruned doubled ring (8, 12, 16 and
-        # 20 variables for these four).
+        # Each step saturates in its chart and divides in the pruned ring
+        # and its doubled ring, so no walk of a tower runs in the unpruned
+        # doubled ring (8, 12, 16 and 20 variables for these four) or in
+        # the unpruned ring with a tag (5, 7, 9 and 11): the widest walk is
+        # the division walk in the pruned doubled ring.
         widths = []
         walk = neron.groebner._buchberger
         monkeypatch.setattr(neron.groebner, "_buchberger",
@@ -258,9 +260,9 @@ class TestRandomizedSlices:
         assert suites.lift_suite(8, seed=11) == 8
 
 
-def unpruned_blow(h, centre, gens, power, name):
-    """The blowup step with the divisions before the pruning: saturate,
-    divide in the unpruned ring and its doubled ring, then prune."""
+def _equations(h, gens, power):
+    """The carried centre generators, their fresh names, the ring with the
+    fresh variables and the generators pi^power * xi - a with the relations."""
     carried = [g for g in gens
                if not g.is_scalar() and not h.relations.contains(g)]
     names = fresh_xi_names(h.ring, len(carried))
@@ -268,6 +270,30 @@ def unpruned_blow(h, centre, gens, power, name):
     gens_b = [g.in_ring(ring_b) for g in h.relations.generators]
     for nm, a in zip(names, carried):
         gens_b.append(ring_b.var(nm).mul_pi(power) - a.in_ring(ring_b))
+    return carried, names, ring_b, gens_b
+
+
+def _result(h, centre, names, carried, power, blown, eliminated):
+    """The blowup result of a blown presentation and its eliminated variables."""
+    proj = {v: eliminated[v] if v in eliminated else blown.ring.var(v)
+            for v in h.ring.variables}
+    projection = GroupMorphism(f"{blown.name}->{h.name}", blown, h,
+                               Substitution(h.ring, blown.ring, proj))
+    post = Report(f"blowup invariants for {blown.name}")
+    for nm, a in zip(names, carried):
+        xi = eliminated[nm] if nm in eliminated else blown.ring.var(nm)
+        diff = xi.mul_pi(power) - projection.pullback(a)
+        post.add("pi-power multiple of the fresh variable is the centre generator",
+                 nm, blown.relations.contains(diff), format_poly(diff))
+    adjoined = tuple(nm for nm in names if nm in blown.ring.variables)
+    return BlowupResult(blown, projection, centre, adjoined, dict(zip(names, carried)),
+                        power, eliminated, post)
+
+
+def unpruned_blow(h, centre, gens, power, name):
+    """The blowup step with the divisions before the pruning: saturate,
+    divide in the unpruned ring and its doubled ring, then prune."""
+    carried, names, ring_b, gens_b = _equations(h, gens, power)
     rels_b = saturate_pi(Ideal(ring_b, gens_b))
     ring2_b = tensor_ring(ring_b, (PRIME1, PRIME2))
     rels2_b = tensor_ideal(rels_b, ring2_b, (PRIME1, PRIME2))
@@ -280,20 +306,39 @@ def unpruned_blow(h, centre, gens, power, name):
         anti[nm] = certified_pi_division(h.antipode(a).in_ring(ring_b), power, rels_b)
     blown, eliminated = prune(HopfPresentation.from_images(
         name, ring_b, rels_b, comul, counit, anti))
+    return _result(h, centre, names, carried, power, blown, eliminated)
 
-    proj = {v: eliminated[v] if v in eliminated else blown.ring.var(v)
-            for v in h.ring.variables}
-    projection = GroupMorphism(f"{name}->{h.name}", blown, h,
-                               Substitution(h.ring, blown.ring, proj))
-    post = Report(f"blowup invariants for {name}")
+
+def saturated_blow(h, centre, gens, power, name):
+    """The blowup step with the saturation before any chart: saturate in
+    the ring with every fresh variable, prune, then divide in the pruned
+    ring and its doubled ring."""
+    carried, names, ring_b, gens_b = _equations(h, gens, power)
+    rels, eliminated, sub = _prune_relations(saturate_pi(Ideal(ring_b, gens_b)))
+    push = doubled(sub)
+    rels2 = tensor_ideal(rels, push.target, (PRIME1, PRIME2))
+    comul, counit, anti = {}, {}, {}
+    for v in h.ring.variables:
+        if v not in eliminated:
+            comul[v] = push(h.comul.images[v])
+            counit[v] = h.eps(v)
+            anti[v] = sub(h.antipode.images[v])
     for nm, a in zip(names, carried):
-        xi = eliminated[nm] if nm in eliminated else blown.ring.var(nm)
-        diff = xi.mul_pi(power) - projection.pullback(a)
-        post.add("pi-power multiple of the fresh variable is the centre generator",
-                 nm, blown.relations.contains(diff), format_poly(diff))
-    adjoined = tuple(nm for nm in names if nm in blown.ring.variables)
-    return BlowupResult(blown, projection, centre, adjoined, dict(zip(names, carried)),
-                        power, eliminated, post)
+        divided = (certified_pi_division(push(h.comul(a)), power, rels2),
+                   h.eps_of(a).divide_pi(power),
+                   certified_pi_division(sub(h.antipode(a)), power, rels))
+        if nm not in eliminated:
+            comul[nm], counit[nm], anti[nm] = divided
+    blown = HopfPresentation.from_images(name, sub.target, rels, comul, counit, anti)
+    return _result(h, centre, names, carried, power, blown, eliminated)
+
+
+def gmxga():
+    return product(multiplicative_group(), additive_group())
+
+
+def parse_ideal(h, text):
+    return Ideal(h.ring, parse_poly_list(text, h.ring))
 
 
 def _suite_centre(i, j):
@@ -317,9 +362,8 @@ def _equivalence_cases():
                     return partial_blowup(h, Ideal(h.ring, centre[1:]), n)
 
                 cases[f"{h.name}-centre{j}-level{n}"] = part
-    for group, level in ((multiplicative_group, 4),
-                         (lambda: product(multiplicative_group(), additive_group()), 3),
-                         (borel2, 2), (general_linear, 2)):
+    for group, level in ((multiplicative_group, 4), (gmxga, 3), (borel2, 2),
+                         (general_linear, 2)):
         h = group()
         cases[f"{h.name}^({level})"] = lambda group=group, level=level: (
             automatic_truncation(group(), level))
@@ -330,10 +374,28 @@ def _equivalence_cases():
         return neron_blowup(ga, Ideal(ga.ring, [ga.ring.pi(), x, x]))
 
     cases["Ga-pi,x,x"] = doubled_generator
+    for centre, group in (("pi, 2*x", additive_group), ("pi, u - 1 + pi", multiplicative_group),
+                          ("pi, u^2 - 1, x", gmxga), ("pi, u - 1, pi*v - pi", multiplicative_group),
+                          ("pi, 3*u - 3 + pi^2, v - 1", multiplicative_group),
+                          ("pi, x, 2*x + pi", additive_group)):
+        cases[f"{group().name}-{centre}"] = lambda centre=centre, group=group: (
+            neron_blowup(group(), parse_ideal(group(), centre)))
+    for ideal, group in (("2*x", additive_group), ("u^2 - 1, v - u, x", gmxga)):
+        cases[f"{group().name}-{ideal}-level1"] = lambda ideal=ideal, group=group: (
+            partial_blowup(group(), parse_ideal(group(), ideal), 1))
     return cases
 
 
 EQUIVALENCE_CASES = _equivalence_cases()
+
+
+def outputs(res):
+    """What a blowup prints and returns, as text."""
+    return (print_group(res.blown),
+            [(w, format_poly(g)) for w, g in res.eliminated.items()],
+            [(v, format_poly(g)) for v, g in res.projection.pullback.images.items()],
+            [(nm, format_poly(a)) for nm, a in res.xi_map.items()], res.adjoined,
+            res.report.lines())
 
 
 class TestPruneBeforeDividing:
@@ -342,18 +404,11 @@ class TestPruneBeforeDividing:
     free of the solved variables, so it is the normal form of its pushed
     image modulo the kept relations."""
 
-    @staticmethod
-    def outputs(res):
-        return (print_group(res.blown),
-                [(w, format_poly(g)) for w, g in res.eliminated.items()],
-                [(v, format_poly(g)) for v, g in res.projection.pullback.images.items()],
-                res.report.lines())
-
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
     def test_matches_the_unpruned_route(self, monkeypatch, case):
-        got = self.outputs(EQUIVALENCE_CASES[case]())
+        got = outputs(EQUIVALENCE_CASES[case]())
         monkeypatch.setattr(neron.blowup, "_blow", unpruned_blow)
-        assert got == self.outputs(EQUIVALENCE_CASES[case]())
+        assert got == outputs(EQUIVALENCE_CASES[case]())
 
     def test_an_eliminated_fresh_variable_is_still_divided(self, monkeypatch):
         ga = additive_group()
@@ -367,3 +422,39 @@ class TestPruneBeforeDividing:
         assert list(b.eliminated) == ["xi1", "x"]
         # both fresh variables' comultiplication and antipode images
         assert len(divided) == 4
+
+
+class TestChartBeforeSaturating:
+    """A carried generator lam*v - c, c in R, with v not charted yet, puts
+    v = (c + pi^k*xi)/lam before the saturation, which then runs in the
+    chart ring.  In lex, v leads lam*v - c - pi^k*xi, so the saturation
+    in the full ring has the reduced basis v - NF((c + pi^k*xi)/lam) plus
+    that of the chart's saturation: the blowup is the one that saturates
+    first and prunes after."""
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_matches_the_saturate_then_prune_route(self, monkeypatch, case):
+        got = outputs(EQUIVALENCE_CASES[case]())
+        monkeypatch.setattr(neron.blowup, "_blow", saturated_blow)
+        assert got == outputs(EQUIVALENCE_CASES[case]())
+
+    @pytest.mark.parametrize("group, centre, chart, held", [
+        (multiplicative_group, "pi, u - 1, v - 1", ("xi1", "xi2"), 1),
+        (multiplicative_group, "pi, u - 1, pi*v - pi", ("v", "xi1", "xi2"), 2),
+        (multiplicative_group, "pi, u^2 - 1, v - u", ("u", "v", "xi1", "xi2"), 3),
+        (additive_group, "pi, 2*x", ("xi1",), 0),
+        (additive_group, "pi, x, x", ("xi1", "xi2"), 1),
+        (gmxga, "pi, u^2 - 1, x", ("u", "v", "xi1", "xi2"), 2),
+        (gmxga, "pi, x, u - 1", ("v", "xi1", "xi2"), 1),
+    ])
+    def test_linear_generators_are_charted(self, monkeypatch, group, centre, chart, held):
+        saturated = []
+        saturate = neron.blowup.saturate_pi
+        monkeypatch.setattr(neron.blowup, "saturate_pi",
+                            lambda ideal: saturated.append(ideal) or saturate(ideal))
+        h = group()
+        b = neron_blowup(h, parse_ideal(h, centre))
+        assert b.report.ok
+        (ideal,) = saturated
+        assert ideal.ring.variables == chart
+        assert sum(not g.is_zero() for g in ideal.generators) == held

@@ -15,6 +15,7 @@ from neron.groebner import (Ideal, _buchberger, _Overflow, _Packing, _reduce_ful
 from neron.hopf import PRIME1, PRIME2, PRIME3, copy_into, tensor_ideal, tensor_ring
 from neron.library import (additive_group, borel2, general_linear, multiplicative_group,
                            product)
+from neron.parser import parse_poly
 from neron.ring import GREVLEX, LEX, Poly, PolyRing, Substitution, elim_order
 
 import suites
@@ -230,6 +231,80 @@ class TestPiUnitWalk:
         assert max(sum(m) for g in relations for m in g.terms) == 40
         with pytest.raises(ResourceLimit):
             automatic_truncation(multiplicative_group(), 39)
+
+
+def _tag_walk_saturation(ideal):
+    """(ideal : pi^infinity) by the walk in lex with the tag first, whatever
+    the number of generators: the route two generators take."""
+    ring = ideal.ring
+    big = ring.prepend(("_t1",), LEX)
+    gens = [g.in_ring(big) for g in ideal.generators]
+    gens.append(big.one() - big.var("_t1") * big.pi())
+    return groebner._eliminate(gens, big, 1, ring, pi_unit=True)
+
+
+class TestClosedFormSaturation:
+    """An ideal with at most one nonzero generator g saturates at pi as
+    (g / pi^v), v the pi valuation of g, because pi is prime in Q[pi][x]:
+    the tag walk's result, with no walk."""
+
+    @staticmethod
+    def check(f, zeros=0):
+        ring = f.ring
+        walk = groebner._buchberger
+        groebner._buchberger = None  # the closed form walks nothing
+        try:
+            sat = saturate_pi(Ideal(ring, [ring.zero()] * zeros + [f]))
+        finally:
+            groebner._buchberger = walk
+        walked = _tag_walk_saturation(Ideal(ring, [f]))
+        assert sat.generators == walked.generators
+        if ring.order == LEX:
+            assert sat._basis == walked.generators
+        assert sat.basis() == Ideal(ring, walked.generators).basis()
+        assert saturate_pi(sat) is sat
+
+    @given(g=small_polys(RXY), power=st.integers(0, 3), zeros=st.integers(0, 2),
+           order=st.sampled_from([LEX, GREVLEX]))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_equals_the_tag_walk(self, g, power, zeros, order):
+        ring = PolyRing(RXY.variables, order)
+        self.check(Poly(ring, g.terms).mul_pi(power), zeros)
+
+    @pytest.mark.parametrize("order", [LEX, GREVLEX], ids=["lex", "grevlex"])
+    @pytest.mark.parametrize("text", ["0", "1", "pi", "pi^3", "-2*pi^2", "3*x*pi",
+                                      "pi^2*x*y + pi^3", "2*x*pi + y^2*pi^2",
+                                      "x*pi + y^5", "y^2/2 + x*pi"])
+    def test_edge_cases_equal_the_tag_walk(self, order, text):
+        self.check(parse_poly(text, PolyRing(RXY.variables, order)))
+
+    @pytest.mark.parametrize("text", ["x^3*pi", "pi^2*x^2*y + pi^2"])
+    def test_degree_budget_sees_the_pi_free_part(self, text):
+        # the closed form raises the walk's text on g / pi^v, of degree 3
+        f = parse_poly(text, RXY)
+        with budget(Limits(max_degree=2)):
+            with pytest.raises(ResourceLimit) as walked:
+                _tag_walk_saturation(Ideal(RXY, [f]))
+            with pytest.raises(ResourceLimit) as closed:
+                saturate_pi(Ideal(RXY, [f]))
+        assert str(closed.value) == str(walked.value)
+        assert closed.value.degree == 3
+        with budget(Limits(max_degree=3)):
+            assert saturate_pi(Ideal(RXY, [f])).generators == (f.divide_pi(f.pi_valuation()),)
+
+    def test_a_pi_free_generator_meets_no_budget(self):
+        # pi does not divide x^3 + pi, so nothing is added and nothing is checked
+        with budget(Limits(max_pairs=0, max_degree=1)):
+            f = parse_poly("x^3 + pi", RXY)
+            assert saturate_pi(Ideal(RXY, [f])).basis() == (f,)
+
+    def test_two_generators_honour_the_pair_budget(self):
+        x, pi = RXY.var("x"), RXY.pi()
+        with budget(Limits(max_pairs=0)):
+            assert saturate_pi(Ideal(RXY, [pi * x])).basis() == (x,)
+            with pytest.raises(ResourceLimit, match="pair budget 0 exhausted"):
+                saturate_pi(Ideal(RXY, [pi * x, pi * x * x]))
+        assert saturate_pi(Ideal(RXY, [pi * x, pi * x * x])).basis() == (x,)
 
 
 class TestElimination:

@@ -11,7 +11,7 @@ from neron.config import Limits, budget
 from neron.errors import ResourceLimit, UnknownVariable
 from neron.groebner import Ideal
 from neron.hopf import (PRIME1, PRIME2, PRIME3, GroupMorphism, HopfPresentation,
-                        check_flat, check_hopf, check_morphism, copy_into,
+                        _prune_relations, check_flat, check_hopf, check_morphism, copy_into,
                         generic_fibre, hopf_ideal_report, isomorphism_report,
                         prune, quotient_presentation, reduce_mod, special_fibre,
                         tensor_ring)
@@ -131,7 +131,9 @@ class TestTensorIdeals:
 
 
 class TestSaturationKept:
-    def test_check_flat_twice_saturates_once(self, monkeypatch):
+    def test_check_flat_of_a_blowup_saturates_nothing(self, monkeypatch):
+        # the blown relations are the pruned saturation of the chart, marked
+        # as their own saturation
         h = automatic_truncation(multiplicative_group(), 1).blown
         calls = []
         saturate = neron.groebner.saturate
@@ -139,7 +141,18 @@ class TestSaturationKept:
                             lambda *a: calls.append(a) or saturate(*a))
         assert check_hopf(h).ok
         assert check_flat(h).ok
-        assert len(calls) == 1
+        assert len(calls) == 0
+
+    def test_pruning_keeps_the_saturation_mark(self):
+        ring = PolyRing(("x", "y"))
+        x, y, pi = ring.var("x"), ring.var("y"), ring.pi()
+        sat = neron.groebner.saturate_pi(Ideal(ring, [pi * x - pi * y * y, y ** 3 - 1]))
+        assert [str(g) for g in sat.basis()] == ["y^3 - 1", "x - y^2"]
+        kept, eliminated, _ = _prune_relations(sat)
+        assert list(eliminated) == ["x"]
+        assert kept.basis() == (kept.ring.var("y") ** 3 - 1,)
+        # the kept ideal is the saturation read in fewer variables
+        assert neron.groebner.saturate_pi(kept) is kept
 
     def test_saturation_is_its_own_saturation(self):
         ring = PolyRing(("x",))
@@ -208,15 +221,16 @@ class TestFibres:
         assert fib.relations.contains(x)
 
     def test_generic_fibre_honours_the_pair_budget(self):
-        # Saturating (pi*x) walks the pair of pi*x and 1 - t*pi, whose
-        # leads share pi.
+        # Saturating (pi*x, pi*x^2) walks the pair of pi*x and 1 - t*pi,
+        # whose leads share pi; a single generator would saturate in closed
+        # form, with no pair.
         ring = PolyRing(("x",))
         x = ring.var("x")
         counit = Substitution(ring, PolyRing(()), {"x": PolyRing(()).zero()})
         ring2 = tensor_ring(ring, ("'", "''"))
         comul = Substitution(ring, ring2, {"x": ring2.var("x'") + ring2.var("x''")})
-        torsion = HopfPresentation("T", ring, Ideal(ring, [ring.pi() * x]), comul,
-                                   counit, Substitution(ring, ring, {"x": -x}))
+        torsion = HopfPresentation("T", ring, Ideal(ring, [ring.pi() * x, ring.pi() * x * x]),
+                                   comul, counit, Substitution(ring, ring, {"x": -x}))
         with pytest.raises(ResourceLimit), budget(Limits(max_pairs=0)):
             generic_fibre(torsion)
         assert generic_fibre(torsion).relations.contains(x)
@@ -400,6 +414,8 @@ class TestPruneInOneSubstitution:
             return small, eliminated, sub
 
         monkeypatch.setattr(neron.blowup, "_prune_relations", counted)
-        neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u - 1, v - 1]))
-        assert seen == [(0, ["v", "u"])]
+        b = neron_blowup(gm, Ideal(gm.ring, [gm.ring.pi(), u - 1, v - 1]))
+        # u and v are taken by the chart, so the pruning solves nothing more
+        assert seen == [(0, [])]
+        assert list(b.eliminated) == ["v", "u"]
 
