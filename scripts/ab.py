@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Alternating A/B pairs of the benchmark: a revision against this checkout.
 
-    python3 scripts/ab.py REV [--workload W] [--pairs N] [--seconds S] [--trace 0|1]
+    python3 scripts/ab.py REV [--workload W] [--pairs N] [--first-seed F]
+                              [--seconds S] [--trace 0|1]
 
 REV's committed files are exported with `git archive` into a temporary
 directory, removed on exit; the other side is this checkout as it stands,
 uncommitted edits included.  Both trees' `src` are byte-compiled first,
-so that no side's `setup_s` pays for compiling.  Pair i runs
-`perfbench/run.py` with seed i in both trees, REV first in odd pairs and
-this checkout first in even ones; each pair's end-to-end values go to
-stderr.  Only run.py's output is read: its last line (JSON) and, for the
+so that no side's `setup_s` pays for compiling.  Pair i (from 1) runs
+`perfbench/run.py` with seed F + i - 1 in both trees (F is --first-seed,
+default 1, so that a claim can be re-checked on seeds it was not built
+on), REV first in odd pairs and this checkout first in even ones; each
+pair's end-to-end values go to stderr.  Only run.py's output is read: its last line (JSON) and, for the
 raw times that run.py scales, the notes of `wall_s` and `setup_s`.
 
 --trace 0 prints, per end-to-end metric, each side's median and
@@ -132,6 +134,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=[w["name"] for w in BENCHMARK["workloads"]],
                     action="append", help="repeatable; default every workload")
     ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--first-seed", type=int, default=1,
+                    help="the seed of pair 1; pair i runs seed FIRST_SEED + i - 1")
     ap.add_argument("--seconds", type=float, default=8.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
@@ -145,8 +149,9 @@ def main(argv=None) -> int:
                             str(tree / "src")], check=True)
         for workload in workloads:
             pairs, incorrect = [], 0
-            for seed in range(1, args.pairs + 1):
-                order = ("rev", "here") if seed % 2 else ("here", "rev")
+            for pair in range(1, args.pairs + 1):
+                seed = args.first_seed + pair - 1
+                order = ("rev", "here") if pair % 2 else ("here", "rev")
                 got = {}
                 for side in order:
                     got[side], units = run(trees[side], workload, seed,

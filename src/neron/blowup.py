@@ -24,7 +24,7 @@ import re
 from collections import namedtuple
 
 from .errors import DivisionObstruction, LiftFailure, NotASubgroup
-from .groebner import Ideal, certified_pi_division, contract, saturate_pi, subalgebra_member
+from .groebner import Ideal, _Graph, certified_pi_division, contract, saturate_pi
 from .hopf import (PRIME1, PRIME2, GroupMorphism, HopfPresentation, _prune_relations,
                    doubled, hopf_ideal_report, tensor_ideal)
 from .report import Report
@@ -295,12 +295,21 @@ def standard_sequence(rho: GroupMorphism, depth: int) -> StandardSequence:
 def strict_transform(b: BlowupResult, subgroup: Ideal) -> Ideal:
     """Transform a flat closed subgroup of the original through a blowup.
 
-    Extends the subgroup ideal along the projection and saturates at pi;
-    the result is checked to be a Hopf ideal of the blown presentation.
+    The subgroup is checked to be flat and a Hopf ideal over the base
+    (`_flat_subgroup_checks`); then `_strict_transform` extends its ideal
+    along the projection, saturates at pi, and checks that the result is a
+    Hopf ideal of the blown presentation.
     """
     base = b.projection.target
     gens = list(subgroup.in_ring(base.ring).generators)
     _flat_subgroup_checks(base, gens)
+    return _strict_transform(b, gens)
+
+
+def _strict_transform(b: BlowupResult, gens) -> Ideal:
+    """The saturation at pi of the pulled-back generators and the blown
+    relations, certified as a Hopf ideal over the base on its whole basis;
+    a saturation is flat, so the result is a flat subgroup of b.blown."""
     pull = b.projection.pullback
     ext = [pull(g) for g in gens] + list(b.blown.relations.generators)
     out = saturate_pi(Ideal(b.blown.ring, ext))
@@ -314,7 +323,27 @@ def check_constancy(h: HopfPresentation, subgroup: Ideal, depth: int) -> Report:
 
     Each stage blows up the subgroup's special fibre, transforms the
     subgroup, and certifies that the projection identifies the new centre
-    fibre with the previous one.
+    fibre with the previous one: the contraction of the new centre fibre
+    is the previous one, and every new coordinate lies in the subalgebra
+    the pulled-back old ones generate modulo it.  Both come from one walk
+    of the projection's graph ideal (`groebner._Graph`).
+
+    Each subgroup fact is certified once.  The subgroup is checked flat
+    and a Hopf ideal over the base here, once; each stage then calls
+    `_blow` and `_strict_transform` directly, and what `neron_blowup` and
+    `strict_transform` would check again is implied:
+
+    - At stage 1, `strict_transform`'s `_flat_subgroup_checks` is the call
+      just made, on the same generators.
+    - At a stage i > 1, the generators are the previous transform's basis,
+      less the elements in the relations (or all of it), so they and the
+      relations generate that transform.  It was certified a Hopf ideal
+      over the base on its whole basis, and it is saturated, so flat.
+    - The centre (pi) + generators passes `neron_blowup`'s report at
+      pi_power=1: each membership that report tests lies in an ideal
+      containing the one the base-level report on the same generators
+      tested, and eps(pi) = pi has pi valuation 1.  The centre contains
+      pi as a generator.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -326,17 +355,14 @@ def check_constancy(h: HopfPresentation, subgroup: Ideal, depth: int) -> Report:
     for i in range(depth):
         stage = f"stage {i + 1}"
         centre = Ideal(current.ring, [current.ring.pi()] + cur_gens)
-        b = neron_blowup(current, centre)
-        transformed = strict_transform(b, Ideal(current.ring, cur_gens))
-        pull = b.projection.pullback
+        b = _blow(current, centre, list(centre.generators), 1, current.name + "'")
+        transformed = _strict_transform(b, cur_gens)
         before = current.relations.plus(cur_gens + [current.ring.pi()])
-        after = transformed.plus([b.blown.ring.pi()])
+        graph = _Graph.of(b.projection.pullback, transformed.plus([b.blown.ring.pi()]))
         rep.add("centre fibre contracts to the previous one", stage,
-                contract(pull, after).same_ideal(before))
-        images = [pull(current.ring.var(v)) for v in current.ring.variables]
-        onto = all(
-            subalgebra_member(b.blown.ring.var(w), images, after) is not None
-            for w in b.blown.ring.variables)
+                graph.contraction().same_ideal(before))
+        onto = all(graph.member(b.blown.ring.var(w)) is not None
+                   for w in b.blown.ring.variables)
         rep.add("centre fibre is covered by the previous one", stage, onto)
         current = b.blown
         cur_gens = [g for g in transformed.basis()

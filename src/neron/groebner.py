@@ -49,7 +49,9 @@ nonzero generator g saturates at pi with no walk: pi is prime in
 Q[pi][x], so the saturation is (g / pi^v), v the pi valuation of g, and
 its reduced basis is g / pi^v made monic, what the walk would return.
 Elimination and contraction walk in their block orders and build their
-basis in the ring's order on first use.
+basis in the ring's order on first use.  A contraction along a map and
+membership in the subalgebra its images generate walk the same graph
+ideal, so one walk (`_Graph`) answers both.
 """
 
 from __future__ import annotations
@@ -687,52 +689,82 @@ def saturate_pi(ideal: Ideal) -> Ideal:
     return ideal._saturation
 
 
+class _Graph:
+    """The graph ideal of a map into R/J, walked once.
+
+    The map sends the variables of `source` to `images` in R = J's ring.
+    The walk takes J's generators and then v - image(v) for each source
+    variable v, in R's variables renamed apart and then the source's, in
+    the order that eliminates R's.  A contraction along the map and a
+    membership test in the subalgebra the images generate walk this one
+    ideal, whatever the variables are named, so one `_Graph` serves a
+    contraction and any number of memberships.  By the Elimination
+    Theorem the basis elements free of R's variables generate the
+    preimage of J (`contraction`).  f is a polynomial in the images modulo
+    J exactly when its normal form is free of R's variables, and that
+    remainder, read in the source variables, is a witness (`member`).
+    """
+
+    __slots__ = ("source", "ring", "rename", "basis", "_divisors")
+
+    def __init__(self, source: PolyRing, images, ideal: Ideal):
+        target = ideal.ring
+        suffix = "@"
+        while any(suffix in v for v in target.variables + source.variables):
+            suffix += "@"
+        self.source = source
+        self.rename = rename = {v: v + suffix for v in target.variables}
+        self.ring = big = PolyRing(tuple(rename.values()) + source.variables,
+                                   elim_order(target.nvars))
+        gens = [g.in_ring(big, rename) for g in ideal.generators]
+        for v, image in zip(source.variables, images):
+            gens.append(big.var(v) - image.in_ring(big, rename))
+        self.basis, _ = _buchberger(gens, big, False)
+        self._divisors = _Divisors(self.basis)
+
+    @classmethod
+    def of(cls, phi: Substitution, ideal_target: Ideal) -> "_Graph":
+        """The graph of a total substitution into the ring of the ideal."""
+        if ideal_target.ring != phi.target:
+            raise UnknownVariable("contract: ideal does not live in the substitution target")
+        for v in phi.source.variables:
+            if v not in phi.images:
+                raise UnknownVariable(f"contract needs a total substitution; {v!r} has no image")
+        return cls(phi.source, [phi.images[v] for v in phi.source.variables], ideal_target)
+
+    @classmethod
+    def tagged(cls, gens, relations: Ideal) -> "_Graph":
+        """The graph of the map sending fresh tags, one per generator, to
+        `gens`; its `member` decides the subalgebra they generate."""
+        tags = _fresh_names("_z", len(gens), relations.ring.variables)
+        return cls(PolyRing(tuple(tags)), gens, relations)
+
+    def _free(self, g: Poly) -> bool:
+        front = len(self.rename)
+        return all(not any(m[:front]) for m in g.terms)
+
+    def contraction(self) -> Ideal:
+        """The preimage of the ideal, generated by the basis elements free
+        of the target variables, in increasing order of leading term."""
+        return Ideal(self.source, [g.in_ring(self.source) for g in self.basis
+                                   if self._free(g)])
+
+    def member(self, f: Poly):
+        """f, an element of the target ring, as a polynomial in the images
+        modulo the ideal, or None when it is not one."""
+        rem, _ = _reduce_full(f.in_ring(self.ring, self.rename), self._divisors)
+        return rem.in_ring(self.source) if self._free(rem) else None
+
+
 def contract(phi: Substitution, ideal_target: Ideal) -> Ideal:
     """Preimage of an ideal of the target presentation under a substitution.
 
     The target ideal should already include the target ring's relations when a
-    presented quotient is intended.
+    presented quotient is intended.  One walk of the graph ideal (`_Graph`);
+    a caller that also asks which target elements lie in the subalgebra
+    the images generate asks the same `_Graph`.
     """
-    A = phi.source
-    B = phi.target
-    if ideal_target.ring != B:
-        raise UnknownVariable("contract: ideal does not live in the substitution target")
-    for v in A.variables:
-        if v not in phi.images:
-            raise UnknownVariable(f"contract needs a total substitution; {v!r} has no image")
-    suffix = "@"
-    while any(suffix in v for v in B.variables):
-        suffix += "@"
-    rename = {v: v + suffix for v in B.variables}
-    bnames = tuple(rename[v] for v in B.variables)
-    big = PolyRing(bnames + A.variables, elim_order(len(bnames)))
-    gens = [g.in_ring(big, rename) for g in ideal_target.generators]
-    for v in A.variables:
-        gens.append(big.var(v) - phi.images[v].in_ring(big, rename))
-    return _eliminate(gens, big, len(bnames), A)
-
-
-def subalgebra_member(f: Poly, gens, relations: Ideal):
-    """Search for f as a polynomial in `gens` modulo `relations`.
-
-    Returns the witness expression over the tag ring (one variable per
-    generator) or None when undecided at the configured bounds.  A present
-    answer is always correct; absence is not a refutation.
-    """
-    ring = relations.ring
-    if f.ring != ring:
-        f = f.in_ring(ring)
-    tags = _fresh_names("_z", len(gens), ring.variables)
-    big = PolyRing(ring.variables + tuple(tags), elim_order(ring.nvars))
-    idgens = [g.in_ring(big) for g in relations.generators]
-    for tag, g in zip(tags, gens):
-        idgens.append(big.var(tag) - g.in_ring(big))
-    basis, _ = _buchberger(idgens, big, False)
-    rem, _ = _reduce_full(f.in_ring(big), basis)
-    n = ring.nvars
-    if any(any(m[:n]) for m in rem.terms):
-        return None
-    return rem.in_ring(PolyRing(tuple(tags)))
+    return _Graph.of(phi, ideal_target).contraction()
 
 
 def certified_pi_division(f: Poly, power: int, modulus: Ideal) -> Poly:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import UnknownVariable
-from .groebner import Ideal, contract, saturate_pi, subalgebra_member
+from .groebner import Ideal, _Graph, saturate_pi
 from .report import Report
 from .ring import SCALARS, Poly, PolyRing, Substitution, format_poly
 
@@ -403,14 +403,13 @@ def isomorphism_report(m: GroupMorphism) -> Report:
     The pullback must be a bijective ring map: injectivity is contraction
     of the source relations being exactly the target relations, and
     surjectivity is every source coordinate lying in the image subalgebra.
+    One walk of the pullback's graph ideal decides both.
     """
     rep = check_morphism(m)
     src, tgt = m.source, m.target
-    pulled = contract(m.pullback, src.relations)
+    graph = _Graph.of(m.pullback, src.relations)
     rep.add("pullback is injective", tgt.name,
-            pulled.same_ideal(tgt.relations))
-    gens = [m.pullback.images[v] for v in tgt.ring.variables]
+            graph.contraction().same_ideal(tgt.relations))
     for v in src.ring.variables:
-        expr = subalgebra_member(src.ring.var(v), gens, src.relations)
-        rep.add("pullback is surjective", v, expr is not None)
+        rep.add("pullback is surjective", v, graph.member(src.ring.var(v)) is not None)
     return rep

@@ -19,7 +19,9 @@ from .ring import Substitution, format_poly
 
 
 ImageResult = namedtuple("ImageResult", "group embed cover")
-Diptych = namedtuple("Diptych", "image stages projections stabilized report")
+# mod_pi_rels is the first centre: the contraction of the source's
+# special-fibre ideal along rho, the relations of rho's mod-pi image
+Diptych = namedtuple("Diptych", "image stages projections stabilized report mod_pi_rels")
 # into maps the image coordinates to the saturated fibre
 Triptych = namedtuple("Triptych", "diptych saturated_fibre mod_pi_image image_fibre report into")
 
@@ -69,9 +71,9 @@ def saturated_image(rho: GroupMorphism, steps: int) -> Diptych:
     pull = img.cover.pullback
     stabilized = False
     fibre_ideal = src.fibre_ideal()
+    mod_pi_rels = centre = contract(pull, fibre_ideal)
     for i in range(steps):
         current = stages[-1]
-        centre = contract(pull, fibre_ideal)
         if centre.same_ideal(current.fibre_ideal()):
             stabilized = True
             rep.add("tower stabilized", f"stage {i}", True,
@@ -86,8 +88,8 @@ def saturated_image(rho: GroupMorphism, steps: int) -> Diptych:
         projections.append(b.projection)
         lifts.append(GroupMorphism(f"{src.name}->{b.blown.name}", src,
                                    b.blown, pull))
-    else:
         centre = contract(pull, fibre_ideal)
+    else:
         stabilized = centre.same_ideal(stages[-1].fibre_ideal())
         rep.add("tower stabilized", f"stage {steps}", stabilized,
                 "" if stabilized else "the centre still exceeds the special fibre")
@@ -101,7 +103,7 @@ def saturated_image(rho: GroupMorphism, steps: int) -> Diptych:
             d = src.relations.normal_form(composed(g) - rho.pullback(g))
             ok = ok and d.is_zero()
         rep.add("stage factors the morphism", stages[i].name, ok)
-    return Diptych(img, stages, projections, stabilized, rep)
+    return Diptych(img, stages, projections, stabilized, rep, mod_pi_rels)
 
 
 def triptych(rho: GroupMorphism, steps: int = 8) -> Triptych:
@@ -125,7 +127,7 @@ def triptych(rho: GroupMorphism, steps: int = 8) -> Triptych:
         pull = pull.then(proj.pullback)
     saturated_fibre, to_fibre = _pruned_fibre(last)
 
-    mod_pi_rels = contract(rho.pullback, rho.source.fibre_ideal())
+    mod_pi_rels = dip.mod_pi_rels
     mod_pi_basis = mod_pi_rels.basis()
     mod_pi_image = img.group.with_relations(
         f"Im({rho.name}_k)", Ideal.with_basis(img.group.ring, mod_pi_basis, mod_pi_basis))

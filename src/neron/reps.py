@@ -13,7 +13,7 @@ from collections import namedtuple
 from .blowup import BlowupResult, universal_lift
 from .errors import (DivisionObstruction, NotASubgroup, NotFiniteDimensional,
                      ShapeMismatch)
-from .groebner import Ideal, certified_pi_division, membership, subalgebra_member
+from .groebner import Ideal, _Graph, certified_pi_division, membership
 from .hopf import (PRIME1, PRIME2, PRIME3, GroupMorphism, HopfPresentation,
                    comul_squared, copy_into, quotient_presentation, tensor_ring)
 from .linalg import canonical_point, independent_rows
@@ -110,8 +110,9 @@ def verify_faithful(m: RepMatrix) -> FaithfulResult:
     gens = [e for row in m.entries for e in row] + [m.det_inverse_witness]
     rep = Report(f"generation of {h.name} by matrix entries")
     undecided = []
+    graph = _Graph.tagged(gens, h.relations)
     for v in h.ring.variables:
-        expr = subalgebra_member(h.ring.var(v), gens, h.relations)
+        expr = graph.member(h.ring.var(v))
         rep.add("variable generated by entries", v, expr is not None)
         if expr is None:
             undecided.append(v)

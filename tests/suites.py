@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from neron.blowup import neron_blowup, universal_lift
 from neron.errors import LiftFailure
-from neron.groebner import Ideal, _eliminate, membership, saturate
+from neron.groebner import (Ideal, _buchberger, _eliminate, _fresh_names, _reduce_full,
+                            membership, saturate)
 from neron.hopf import GroupMorphism, ReduceResult, check_flat, check_hopf, check_morphism
 from neron.library import (additive_group, multiplicative_group, product,
                            roots_of_unity, twisted_multiplicative)
@@ -48,6 +49,25 @@ def eliminate(ideal: Ideal, drop) -> Ideal:
     big = PolyRing(tuple(drop) + tuple(keep), elim_order(len(drop)))
     gens = [g.in_ring(big) for g in ideal.generators]
     return _eliminate(gens, big, len(drop), PolyRing(tuple(keep), ideal.ring.order))
+
+
+def subalgebra_walk(f: Poly, gens, relations: Ideal):
+    """f as a polynomial in `gens` modulo `relations`, or None, by a walk
+    of its own: one tag `_z` per generator after the ring's variables, in
+    the order that eliminates the ring's, then the normal form of f must
+    be free of the ring's variables.  The reference that
+    `groebner._Graph.member`, sharing one walk among many f, must match."""
+    ring = relations.ring
+    tags = _fresh_names("_z", len(gens), ring.variables)
+    big = PolyRing(ring.variables + tuple(tags), elim_order(ring.nvars))
+    idgens = [g.in_ring(big) for g in relations.generators]
+    for tag, g in zip(tags, gens):
+        idgens.append(big.var(tag) - g.in_ring(big))
+    basis, _ = _buchberger(idgens, big, False)
+    rem, _ = _reduce_full(f.in_ring(big), basis)
+    if any(any(m[:ring.nvars]) for m in rem.terms):
+        return None
+    return rem.in_ring(PolyRing(tuple(tags)))
 
 
 def reduce_mod_image(m: GroupMorphism, n: int) -> ReduceResult:

@@ -9,7 +9,7 @@ from neron.blowup import (BlowupResult, automatic_member, automatic_truncation,
                           standard_sequence, strict_transform, universal_lift)
 from neron.config import Limits, budget
 from neron.errors import LiftFailure, NotASubgroup
-from neron.groebner import Ideal, certified_pi_division, saturate_pi
+from neron.groebner import Ideal, certified_pi_division, contract, saturate_pi
 from neron.hopf import (PRIME1, PRIME2, GroupMorphism, HopfPresentation, _prune_relations,
                         check_flat, check_hopf, check_morphism, doubled, isomorphism_report,
                         prune, special_fibre, tensor_ideal, tensor_ring)
@@ -218,6 +218,54 @@ class TestStrictTransform:
         assert saturate_pi(out).same_ideal(out)
 
 
+def reference_constancy(h, subgroup, depth):
+    """`check_constancy` by the route that shares nothing: each stage runs
+    `neron_blowup` and `strict_transform`, with every check they make, a
+    contraction, and one subalgebra walk per new variable."""
+    gens = list(subgroup.in_ring(h.ring).generators)
+    neron.blowup._flat_subgroup_checks(h, gens)
+    rep = Report(f"centre fibres along {depth} blowups of {h.name}")
+    current, cur_gens = h, gens
+    for i in range(depth):
+        stage = f"stage {i + 1}"
+        b = neron_blowup(current, Ideal(current.ring, [current.ring.pi()] + cur_gens))
+        transformed = strict_transform(b, Ideal(current.ring, cur_gens))
+        pull = b.projection.pullback
+        before = current.relations.plus(cur_gens + [current.ring.pi()])
+        after = transformed.plus([b.blown.ring.pi()])
+        rep.add("centre fibre contracts to the previous one", stage,
+                contract(pull, after).same_ideal(before))
+        images = [pull(current.ring.var(v)) for v in current.ring.variables]
+        onto = all(suites.subalgebra_walk(b.blown.ring.var(w), images, after) is not None
+                   for w in b.blown.ring.variables)
+        rep.add("centre fibre is covered by the previous one", stage, onto)
+        current = b.blown
+        cur_gens = [g for g in transformed.basis() if not b.blown.relations.contains(g)]
+        if not cur_gens:
+            cur_gens = list(transformed.basis())
+    return rep
+
+
+def _subgroups():
+    """Flat subgroups of the blowup suite's groups (each centre less pi),
+    and the torus and the unipotent radical of B2."""
+    cases = {}
+    for i, h in enumerate(suites._group_pool()):
+        for j in range(len(suites._centres(h))):
+            def subgroup(i=i, j=j):
+                h, centre = _suite_centre(i, j)
+                return h, centre[1:]
+
+            cases[f"{h.name}-centre{j}"] = subgroup
+    for text in ("a12", "a11 - 1, a22 - 1, e - 1"):
+        cases[f"B2-{text.replace(' ', '')}"] = lambda text=text: (
+            borel2(), list(parse_ideal(borel2(), text).generators))
+    return cases
+
+
+_SUBGROUPS = _subgroups()
+
+
 class TestConstancy:
     def test_multiplicative_identity(self):
         gm = multiplicative_group()
@@ -229,6 +277,40 @@ class TestConstancy:
         both = product(multiplicative_group(), additive_group())
         rep = check_constancy(both, Ideal(both.ring, [both.ring.var("x")]), 2)
         assert rep.ok
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(_SUBGROUPS))
+    def test_matches_the_reference_route(self, case, depth):
+        h, gens = _SUBGROUPS[case]()
+        got = check_constancy(h, Ideal(h.ring, gens), depth)
+        assert got.lines() == reference_constancy(h, Ideal(h.ring, gens), depth).lines()
+        assert got.ok
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("case", ["Gm-centre0", "GmxGa-centre1", "B2-a12"])
+    def test_one_graph_walk_and_one_certificate_per_stage(self, monkeypatch, case, depth):
+        # The graph walks are the only ones in an elimination order: one a
+        # stage serves the contraction and every membership.  The Hopf
+        # ideal report runs on the subgroup once, and once on each
+        # transform, and never at pi_power 1.
+        graph_walks, reports = [], []
+        walk, report = neron.groebner._buchberger, neron.blowup.hopf_ideal_report
+
+        def counting_walk(gens, ring, *args, **kwargs):
+            if ring.order.kind == "elim":
+                graph_walks.append(ring.nvars)
+            return walk(gens, ring, *args, **kwargs)
+
+        def counting_report(h, gens, pi_power=0):
+            reports.append(pi_power)
+            return report(h, gens, pi_power)
+
+        monkeypatch.setattr(neron.groebner, "_buchberger", counting_walk)
+        monkeypatch.setattr(neron.blowup, "hopf_ideal_report", counting_report)
+        h, gens = _SUBGROUPS[case]()
+        assert check_constancy(h, Ideal(h.ring, gens), depth).ok
+        assert len(graph_walks) == depth
+        assert reports == [0] * (depth + 1)
 
 
 class TestUniversalLift:

@@ -9,9 +9,9 @@ from neron.blowup import automatic_truncation
 from neron.config import ACTIVE, DEFAULT_LIMITS, Limits, budget
 from neron.errors import DivisionObstruction, ResourceLimit
 import neron.groebner as groebner
-from neron.groebner import (Ideal, _buchberger, _Overflow, _Packing, _reduce_full,
+from neron.groebner import (Ideal, _buchberger, _Graph, _Overflow, _Packing, _reduce_full,
                             certified_pi_division, contract, membership,
-                            saturate, saturate_pi, subalgebra_member)
+                            saturate, saturate_pi)
 from neron.hopf import PRIME1, PRIME2, PRIME3, copy_into, tensor_ideal, tensor_ring
 from neron.library import (additive_group, borel2, general_linear, multiplicative_group,
                            product)
@@ -328,20 +328,63 @@ class TestElimination:
         assert none.is_zero()
 
 
+def _tiny_polys(ring: PolyRing):
+    mono = st.tuples(*([st.integers(0, 2)] * ring.nvars), st.integers(0, 1))
+    coeff = st.integers(-2, 2).filter(bool)
+    return st.dictionaries(mono, coeff, max_size=3).map(lambda t: Poly(ring, t))
+
+
 class TestSubalgebra:
+    """Membership in the subalgebra that some generators span modulo
+    relations: one `_Graph` walk shared by every f."""
+
     def test_member_and_non_member(self, rxy):
         x, y = rxy.var("x"), rxy.var("y")
-        rels = Ideal(rxy, [])
-        expr = subalgebra_member(x * x * y + y, [x * x, y], rels)
+        graph = _Graph.tagged([x * x, y], Ideal(rxy, []))
+        expr = graph.member(x * x * y + y)
         assert expr is not None
         assert expr.ring.variables == ("_z1", "_z2")
-        assert subalgebra_member(x, [x * x, y], rels) is None
+        assert graph.member(x) is None
 
     def test_relations_help(self, rxy):
         # mod (x^2 - y), x^2 lies in the subalgebra generated by y
         x, y = rxy.var("x"), rxy.var("y")
-        rels = Ideal(rxy, [x * x - y])
-        assert subalgebra_member(x * x, [y], rels) is not None
+        assert _Graph.tagged([y], Ideal(rxy, [x * x - y])).member(x * x) is not None
+
+    @given(gens=st.lists(_tiny_polys(RXY), min_size=1, max_size=2),
+           rels=st.lists(_tiny_polys(RXY), max_size=1),
+           coeffs=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+           extra=_tiny_polys(RXY))
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_shared_walk_equals_a_walk_per_element(self, gens, rels, coeffs, extra):
+        relations = Ideal(RXY, rels)
+        a, b, c = coeffs
+        inside = a + gens[0].scale(b) + gens[0] * gens[-1].scale(c)
+        fs = [inside, inside + extra, extra, RXY.var("x"), RXY.var("y")]
+        with budget(Limits(max_pairs=300, max_degree=14)):
+            try:
+                expected = [suites.subalgebra_walk(f, gens, relations) for f in fs]
+            except ResourceLimit:
+                with pytest.raises(ResourceLimit):
+                    _Graph.tagged(gens, relations)
+                return
+            graph = _Graph.tagged(gens, relations)
+        got = [graph.member(f) for f in fs]
+        assert got == expected
+        assert got[0] is not None
+        tags = Substitution(got[0].ring, RXY, dict(zip(got[0].ring.variables, gens)))
+        for f, expr in zip(fs, got):
+            if expr is not None:
+                assert relations.normal_form(tags(expr) - f).is_zero()
+
+    def test_shared_walk_returns_none_where_a_walk_per_element_does(self, rxy):
+        x, y = rxy.var("x"), rxy.var("y")
+        gens, relations = [x * x, x * y], Ideal(rxy, [y * y - 1])
+        graph = _Graph.tagged(gens, relations)
+        for f in (x, y, x + y * y, x ** 3 * y, x * x + 1):
+            assert graph.member(f) == suites.subalgebra_walk(f, gens, relations)
+        assert graph.member(x) is None and graph.member(y) is None
+        assert graph.member(x ** 3 * y) is not None
 
 
 class TestPiDivision:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import neron.groebner
 from neron.blowup import automatic_truncation, neron_blowup
 from neron.cli import main
 from neron.errors import DivisionObstruction, NotASubgroup, ShapeMismatch
@@ -80,6 +81,22 @@ class TestFaithful:
         res = verify_faithful(pulled)
         assert res.verdict == "not-at-bound"
         assert res.undecided == ["xi1"]
+
+    def test_one_walk_decides_every_variable(self, monkeypatch, gm, standard_gm):
+        # the graph walk is the only one in an elimination order
+        elim_walks = []
+        walk = neron.groebner._buchberger
+
+        def counting_walk(gens, ring, *args, **kwargs):
+            elim_walks.append(ring.order.kind == "elim")
+            return walk(gens, ring, *args, **kwargs)
+
+        monkeypatch.setattr(neron.groebner, "_buchberger", counting_walk)
+        w = identity_blowup_rep(standard_gm, gm_unit_blowup(gm))
+        elim_walks.clear()
+        assert verify_faithful(w).verdict == "faithful"
+        assert len(w.group.ring.variables) > 1
+        assert sum(elim_walks) == 1
 
 
 class TestIdentityBlowup:
