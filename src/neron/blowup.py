@@ -16,6 +16,16 @@ ring and its doubled ring.  The normal form of an image modulo the
 saturated relations is free of the solved variables, so it is the
 normal form of its pushed image modulo the kept relations: the
 divisions give what they would give before the pruning.
+
+In the doubled ring the division reduces a comultiplication image by
+the two copies of the kept relations alone, and builds the doubled
+ideal's basis only when that remainder is not termwise divisible by
+pi^k (`groebner.certified_pi_division`).  A blowup's comultiplication
+images are therefore reduced modulo the two copies, not modulo the
+doubled basis.  They are still the normal-form route's images up to the
+doubled ideal J: the kept relations are pi-saturated, so J is too, all
+exact quotients agree modulo J, and a standard monomial divided by pi
+stays standard, so NF_J(f) / pi^k = NF_J(d) for the quotient d taken.
 """
 
 from __future__ import annotations

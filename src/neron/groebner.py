@@ -32,8 +32,12 @@ pair whose leading monomials share no variable (Gebauer-Moeller 1988).  An
 ideal whose basis is not built yet answers a normal form by dividing by what
 it holds first, and builds the basis only when that leaves a remainder.  The
 reduced basis and the normal forms are unique, so every answer is the one a
-basis from scratch gives.  Tracked bases and membership certificates always
-walk from the generators.
+basis from scratch gives.  A certified pi-division modulo a seeded ideal
+divides by the blocks first too, and returns that remainder's quotient
+when pi^k divides it termwise: an exact quotient, reduced modulo the
+blocks, whose normal form is the full route's answer in a pi-saturated
+ideal.  Tracked bases and membership certificates always walk from the
+generators.
 
 Every walk spends the budget active when it starts (`config.budget`), so
 a basis built lazily honours the scope of its first use, not the scope
@@ -480,11 +484,14 @@ class Ideal:
     """Finitely generated ideal with a cached reduced basis.
 
     The basis is built on first use.  Until then a normal form first divides
-    by the elements the ideal already holds (its seed blocks, or else its
-    nonzero generators): a zero remainder proves membership, so the answer
-    is zero without any basis.  Both divisor lists are kept packed
-    (`_held_divisors`, `_basis_divisors`), so repeated normal forms pack
-    each once per field width.
+    by the elements the ideal already holds (`held_remainder`: its seed
+    blocks, or else its nonzero generators): a zero remainder proves
+    membership, so the answer is zero without any basis.  A certified
+    pi-division modulo a seeded ideal takes the same remainder and, when
+    it is divisible by the power, its quotient, with no basis; otherwise
+    it reduces that remainder by the basis, not f again.  Both divisor
+    lists are kept packed (`_held_divisors`, `_basis_divisors`), so
+    repeated normal forms pack each once per field width.
     """
 
     __slots__ = ("ring", "generators", "_basis", "_tracked", "_seed", "_saturation",
@@ -541,15 +548,27 @@ class Ideal:
             self._tracked = _buchberger(list(self.generators), self.ring, True)
         return self._tracked
 
-    def normal_form(self, f: Poly) -> Poly:
+    def held_remainder(self, f: Poly) -> Poly:
+        """f, in the ideal's ring, reduced by the elements held before the
+        basis is built; f minus the result lies in the ideal."""
         if f.ring != self.ring:
             f = f.in_ring(self.ring)
+        if self._held_divisors is None:
+            self._held_divisors = _Divisors(self._held()[0])
+        rem, _ = _reduce_full(f, self._held_divisors)
+        return rem
+
+    def normal_form(self, f: Poly) -> Poly:
         if self._basis is None:
-            if self._held_divisors is None:
-                self._held_divisors = _Divisors(self._held()[0])
-            f, _ = _reduce_full(f, self._held_divisors)
+            f = self.held_remainder(f)
             if f.is_zero():
                 return f
+        return self._basis_remainder(f)
+
+    def _basis_remainder(self, f: Poly) -> Poly:
+        """f reduced by the reduced basis, built if it is not yet."""
+        if f.ring != self.ring:
+            f = f.in_ring(self.ring)
         basis = self.basis()
         if self._basis_divisors is None:
             self._basis_divisors = _Divisors(basis)
@@ -770,10 +789,29 @@ def contract(phi: Substitution, ideal_target: Ideal) -> Ideal:
 def certified_pi_division(f: Poly, power: int, modulus: Ideal) -> Poly:
     """Find d with pi^power * d == f modulo the ideal, or raise.
 
-    First tries the termwise route on the normal form; otherwise extracts the
-    pi^power cofactor from a membership certificate.
+    A seeded modulus whose basis is not built yet (the doubled ideal of
+    `hopf.tensor_ideal`, seeded with its two copies) first reduces f by
+    the copies alone (`Ideal.held_remainder`).  When that remainder is
+    termwise divisible by pi^power, its quotient is the answer and no
+    basis is built: f minus the remainder lies in the ideal, so
+    pi^power * d == f holds exactly.  Such a d is reduced modulo the
+    copies, not modulo the whole basis, and its normal form is the full
+    route's answer: the ideal J of a tensor power of a flat algebra is
+    pi-saturated, so all exact quotients agree modulo J; and a standard
+    monomial divided by pi stays standard, so NF_J(f) / pi^power, when
+    termwise, is NF_J(d).
+
+    Otherwise the termwise route runs on the normal form (reducing the
+    held remainder by the basis, not f again), and last the pi^power
+    cofactor is extracted from a membership certificate.
     """
-    nf = modulus.normal_form(f)
+    if modulus._seed is not None and modulus._basis is None:
+        rem = modulus.held_remainder(f)
+        if rem.pi_valuation() >= power:
+            return rem.divide_pi(power)
+        nf = modulus._basis_remainder(rem)
+    else:
+        nf = modulus.normal_form(f)
     if nf.pi_valuation() >= power:
         return nf.divide_pi(power)
     ring = modulus.ring

@@ -48,8 +48,13 @@ def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes) -> Ideal:
     terms, so the ideal is seeded with the copies: each is a Groebner
     basis in the tensor ring, and the basis, built on first use, reduces
     only the pairs between copies.  A normal form of a member reduces to
-    zero by the copies alone and builds no basis.  The copies are also the
-    generators, so each relation is renamed once per copy.
+    zero by the copies alone and builds no basis.  A certified pi-division
+    reduces by the copies alone too, and builds the basis only when that
+    remainder is not termwise divisible: for relations with no
+    pi-torsion the ideal is pi-saturated (a tensor power of a flat
+    algebra is flat), so such a quotient has the full route's normal
+    form, though it is reduced modulo the copies only.  The copies are
+    also the generators, so each relation is renamed once per copy.
     """
     rel_basis = relations.basis()
     blocks = []

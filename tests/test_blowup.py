@@ -4,12 +4,13 @@ import pytest
 
 import neron.blowup
 import neron.groebner
+from neron import cli
 from neron.blowup import (BlowupResult, automatic_member, automatic_truncation,
                           check_constancy, fresh_xi_names, neron_blowup, partial_blowup,
                           standard_sequence, strict_transform, universal_lift)
 from neron.config import Limits, budget
-from neron.errors import LiftFailure, NotASubgroup
-from neron.groebner import Ideal, certified_pi_division, contract, saturate_pi
+from neron.errors import DivisionObstruction, LiftFailure, NotASubgroup
+from neron.groebner import Ideal, certified_pi_division, contract, membership, saturate_pi
 from neron.hopf import (PRIME1, PRIME2, GroupMorphism, HopfPresentation, _prune_relations,
                         check_flat, check_hopf, check_morphism, doubled, isomorphism_report,
                         prune, special_fibre, tensor_ideal, tensor_ring)
@@ -133,23 +134,25 @@ class TestAutomaticTruncation:
         assert tower.level == level
 
     @pytest.mark.parametrize("group, level, width", [
-        (multiplicative_group, 8, 4),
-        (lambda: product(multiplicative_group(), additive_group()), 3, 6),
-        (borel2, 2, 8), (general_linear, 2, 10),
+        (multiplicative_group, 8, 2),
+        (lambda: product(multiplicative_group(), additive_group()), 3, 3),
+        (borel2, 2, 4), (general_linear, 2, 5),
     ], ids=["gm-8", "gmxga-3", "b2-2", "gl2-2"])
     def test_widest_walk_is_in_a_pruned_ring(self, monkeypatch, group, level, width):
-        # Each step saturates in its chart and divides in the pruned ring
-        # and its doubled ring, so no walk of a tower runs in the unpruned
-        # doubled ring (8, 12, 16 and 20 variables for these four) or in
-        # the unpruned ring with a tag (5, 7, 9 and 11): the widest walk is
-        # the division walk in the pruned doubled ring.
-        widths = []
+        # Each step saturates in its chart, prunes, and divides its
+        # comultiplication images by the two relation copies alone, so no
+        # walk of a tower runs in a doubled ring (no primed variable), in
+        # the unpruned ring with a tag (5, 7, 9 and 11 variables for these
+        # four), or in the pruned doubled ring (4, 6, 8 and 10): the widest
+        # walk is a base group's relation basis.
+        rings = []
         walk = neron.groebner._buchberger
         monkeypatch.setattr(neron.groebner, "_buchberger",
-                            lambda gens, ring, *a, **k: widths.append(ring.nvars)
+                            lambda gens, ring, *a, **k: rings.append(ring.variables)
                             or walk(gens, ring, *a, **k))
         automatic_truncation(group(), level)
-        assert max(widths) == width
+        assert max(map(len, rings)) == width
+        assert not [r for r in rings if any("'" in v for v in r)]
 
     def test_membership_bound(self):
         ga = additive_group()
@@ -540,3 +543,74 @@ class TestChartBeforeSaturating:
         (ideal,) = saturated
         assert ideal.ring.variables == chart
         assert sum(not g.is_zero() for g in ideal.generators) == held
+
+
+def reference_division(f, power, modulus):
+    """The full-basis route: f reduced by the reduced basis of the
+    modulus, always built, divided termwise by pi^power, or else the
+    pi^power cofactor of a membership certificate."""
+    ring = modulus.ring
+    basis = modulus.basis()
+    full = Ideal.with_basis(ring, modulus.generators, basis)
+    nf = full.normal_form(f)
+    if nf.pi_valuation() >= power:
+        return nf.divide_pi(power)
+    cert = membership(nf, Ideal(ring, [ring.pi(power)] + list(basis)))
+    if not cert.member:
+        raise DivisionObstruction("reference division fails", witness=format_poly(nf))
+    return full.normal_form(cert.cofactors[0])
+
+
+def _division_cases():
+    """The equivalence cases (every group and centre of the blowup suite,
+    partial blowups, towers), and the tower rungs Gm 1-8 and GL3 2."""
+    cases = dict(EQUIVALENCE_CASES)
+    for group, level in [(multiplicative_group, n) for n in range(1, 9)] + [
+            (lambda: general_linear(3), 2)]:
+        h = group()
+        cases[f"{h.name}^({level})"] = lambda group=group, level=level: (
+            automatic_truncation(group(), level))
+    return cases
+
+
+DIVISION_CASES = _division_cases()
+
+
+class TestCopiesFirstDivision:
+    """A blowup divides its comultiplication images in the doubled ring by
+    the two relation copies alone.  The doubled ideal J is pi-saturated
+    and a standard monomial divided by pi stays standard, so the full
+    route's quotient is the normal form of the new one; the new one is
+    pinned to equal it byte for byte, as every blowup here does today."""
+
+    @pytest.mark.parametrize("case", sorted(DIVISION_CASES))
+    def test_matches_the_full_basis_route(self, monkeypatch, case):
+        made = []
+        divide = neron.blowup.certified_pi_division
+
+        def recording(f, power, modulus):
+            out = divide(f, power, modulus)
+            made.append((f, power, modulus, out))
+            return out
+
+        monkeypatch.setattr(neron.blowup, "certified_pi_division", recording)
+        DIVISION_CASES[case]()
+        assert made
+        # every basis is built after the run, so none changed its divisions
+        for f, power, modulus, new in made:
+            old = reference_division(f, power, modulus)
+            assert modulus.normal_form(new) == old
+            assert format_poly(new) == format_poly(old)
+
+    def test_gl4_truncation_builds_no_doubled_basis(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "gl4.grp"
+        path.write_text(print_group(general_linear(4)))
+        rings = []
+        walk = neron.groebner._buchberger
+        monkeypatch.setattr(neron.groebner, "_buchberger",
+                            lambda gens, ring, *a, **k: rings.append(ring.variables)
+                            or walk(gens, ring, *a, **k))
+        assert cli.main(["auto-trunc", str(path), "--level", "1"]) == 0
+        assert "GL4^(1)" in capsys.readouterr().out
+        assert rings
+        assert not [r for r in rings if any("'" in v for v in r)]

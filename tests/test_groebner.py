@@ -403,6 +403,29 @@ class TestPiDivision:
         with pytest.raises(DivisionObstruction):
             certified_pi_division(x, 1, Ideal(rxy, [y]))
 
+    def test_copies_first_falls_back_to_the_full_basis(self):
+        # Gm's level-1 doubled ideal J: the copies of x*y*pi + x + y lead
+        # with pi, and their cross S-polynomial s lies in J, has no pi and
+        # is reduced by neither copy, so pi*g + s leaves the copies with
+        # pi valuation 0 and the division takes the full route.
+        blown = automatic_truncation(multiplicative_group(), 1).blown
+        ring2 = blown.doubled_ring()
+        x1, y1, x2, y2 = (ring2.var(v) for v in ("xi1'", "xi2'", "xi1''", "xi2''"))
+        s = x2 * y2 * (x1 + y1) - x1 * y1 * (x2 + y2)
+        doubled = lambda: tensor_ideal(blown.relations, ring2, (PRIME1, PRIME2))
+        scratch = Ideal(ring2, doubled().generators)
+        assert scratch.contains(s)
+        g = x1 * x1 * y2 + x2 + 3
+        rels2 = doubled()
+        assert rels2.held_remainder(s) == s
+        assert certified_pi_division(ring2.pi() * g + s, 1, rels2) == scratch.normal_form(g)
+        assert rels2._basis is not None
+        # the same witness as the full route of an unseeded modulus
+        for modulus in (doubled(), scratch):
+            with pytest.raises(DivisionObstruction) as exc:
+                certified_pi_division(s + 1, 1, modulus)
+            assert exc.value.witness == "1"
+
 
 def _twisted_cubic():
     """An ideal whose basis walk reduces more than one pair."""
