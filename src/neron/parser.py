@@ -22,6 +22,13 @@ it into tokens; its character classes are all ASCII, so any other
 character outside a quoted name is an `unexpected character` error at its
 line:column.  One list reader (`_Parser.items`, and `_Parser.bracketed`
 for square brackets) reads every list, with optional commas between items.
+
+An expression means its value.  One evaluator (`_Parser.value`) reads it
+in a group ring, where a divisor is c*pi^e, and on `dgal.LINE`, where it
+is c*x^e; e may be negative, so `pi/pi` is 1 and `u/(1/pi)` is u*pi.
+Inside the parser a value may carry a negative exponent in that slot,
+but no negative pi exponent leaves it: `plain_poly` rejects a value with
+pi in its denominator, and `parse_fraction` returns one in lowest terms.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .dgal import AFFINE, LINE, PUNCTURED, X, Connection, format_laurent
 from .errors import ParseError, UndefinedName
 from .groebner import Ideal
 from .hopf import PRIME1, PRIME2, SCALARS, GroupMorphism, HopfPresentation, tensor_ring
-from .ring import Poly, PolyRing, Substitution, format_poly, quotient
+from .ring import PI, Poly, PolyRing, Substitution, format_poly, quotient, rational
 
 KEYWORDS = ("group", "morphism", "rep", "connection")
 PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -129,6 +136,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.blame = None  # see `plain_poly`
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -236,12 +244,75 @@ class _Parser:
             return node
         self.fail(t, f"expected a value, found {t.text!r}")
 
-    def plain_poly(self, node, ring, allowed) -> Poly:
-        """A polynomial with no pi in a denominator; the error points at
-        the `/` whose denominator carries pi."""
-        f, m = _eval_poly(node, ring, allowed)
-        if m:
-            self.fail(_pi_division(node, ring, allowed), "pi cannot appear in a denominator here")
+    def value(self, node, ring: PolyRing) -> Poly:
+        """The value of an expression over `ring`, in one walk of `_spine`;
+        the exponent of its divisible variable (pi, or x on `LINE`) may be
+        negative."""
+        node, spine = _spine(node)
+        kind = node[0]
+        if kind == "num":
+            f = ring.scalar(node[1])
+        elif kind == "name":
+            text, tok = node[1], node[2]
+            if text == PI:
+                f = ring.pi()
+            elif text in ring.variables:
+                f = ring.var(text)
+            elif ring is LINE:
+                self.fail(tok, f"connection entries use only {X!r} and 'pi'")
+            else:
+                self.fail(tok, f"unknown variable {text!r} here")
+        elif kind == "neg":
+            f = -self.value(node[1], ring)
+        else:  # pow
+            f = self.value(node[1], ring) ** node[2]
+        terms = None  # a running sum's terms while the spine adds
+        for node in spine:
+            kind = node[0]
+            b = self.value(node[2], ring)
+            if kind in ("add", "sub"):
+                if terms is None:
+                    terms = dict(f.terms)
+                for mono, c in b.terms.items():
+                    if kind == "sub":
+                        c = -c
+                    terms[mono] = terms[mono] + c if mono in terms else c
+                continue
+            if terms is not None:
+                f, terms = Poly(ring, terms), None
+            f = f * b if kind == "mul" else self.divide(f, b, node[3])
+        if terms is not None:
+            f = Poly(ring, terms)
+        return f
+
+    def divide(self, f: Poly, b: Poly, op: Token) -> Poly:
+        """f / b, where b must be one term c*v^e in the divisible variable
+        v, e of any sign; the division shifts exponents.  On the line the
+        exponents of x are checked first, which decides x/(1+pi)."""
+        ring = f.ring
+        line = ring is LINE
+        v = 0 if line else ring.nvars  # the divisible slot
+        bad = "can only divide by rationals or powers of pi"
+        if len({mono[v] for mono in b.terms}) != 1:
+            self.fail(op, "can only divide by rationals and powers of x" if line else bad)
+        (mono, c), *rest = b.terms.items()
+        if rest or any(mono[:v] + mono[v + 1:]):
+            self.fail(op, "cannot divide by pi" if line else bad)
+        e, q = mono[v], quotient(1, c)
+        blame = self.blame
+        if e > 0 and (blame is None or (op.line, op.column) < (blame.line, blame.column)):
+            self.blame = op
+        return Poly(ring, {m[:v] + (m[v] - e,) + m[v + 1:]: rational(a * q)
+                           for m, a in f.terms.items()})
+
+    def plain_poly(self, node, ring: PolyRing) -> Poly:
+        """A polynomial whose value has no pi in a denominator; the error
+        points at the first `/` in the text whose divisor carries pi, which
+        `divide` keeps by position, since it meets inner divisors first."""
+        self.blame = None
+        f = self.value(node, ring)
+        if f.pi_valuation() < 0:
+            self.fail(self.blame, "pi cannot appear in a denominator here")
         return f
 
 
@@ -259,127 +330,6 @@ def _spine(node):
         node = node[1]
     spine.reverse()
     return node, spine
-
-
-def _eval_poly(node, ring: PolyRing, allowed):
-    """Evaluate to (numerator, pi_power) standing for numerator / pi^power."""
-    node, spine = _spine(node)
-    kind = node[0]
-    if kind == "num":
-        f, m = ring.scalar(node[1]), 0
-    elif kind == "name":
-        text, tok = node[1], node[2]
-        if text == "pi":
-            f, m = ring.pi(), 0
-        elif text not in allowed:
-            raise ParseError(f"unknown variable {text!r} here", tok.line, tok.column)
-        else:
-            f, m = ring.var(text), 0
-    elif kind == "neg":
-        f, m = _eval_poly(node[1], ring, allowed)
-        f = -f
-    else:  # pow
-        f, m = _eval_poly(node[1], ring, allowed)
-        f, m = f ** node[2], m * node[2]
-    terms = None  # a running sum's terms, over pi^m, while the spine adds
-    for node in spine:
-        kind = node[0]
-        b, mb = _eval_poly(node[2], ring, allowed)
-        if kind in ("add", "sub"):
-            if terms is None:
-                terms = dict(f.terms)
-            if mb > m:
-                terms = {mono[:-1] + (mono[-1] + mb - m,): c
-                         for mono, c in terms.items()}
-                m = mb
-            shift = m - mb
-            for mono, c in b.terms.items():
-                if shift:
-                    mono = mono[:-1] + (mono[-1] + shift,)
-                if kind == "sub":
-                    c = -c
-                terms[mono] = terms[mono] + c if mono in terms else c
-            continue
-        if terms is not None:
-            f, terms = Poly(ring, terms), None
-        if kind == "mul":
-            f, m = f * b, m + mb
-            continue
-        op = node[3]
-        if mb:
-            raise ParseError("nested fractions", op.line, op.column)
-        if len(b.terms) != 1 or not b.is_scalar():
-            raise ParseError("can only divide by rationals or powers of pi", op.line, op.column)
-        (mono, q), = b.terms.items()
-        f, m = f.scale(quotient(1, q)), m + mono[-1]
-    if terms is not None:
-        f = Poly(ring, terms)
-    return f, m
-
-
-def _pi_division(node, ring, allowed):
-    """The first `/` in `node`, in text order, whose denominator carries
-    pi, or None; every division in `node` is one `_eval_poly` accepts."""
-    spine = []
-    while node[0] not in ("num", "name"):
-        spine.append(node)
-        node = node[1]
-    for node in reversed(spine):
-        if node[0] == "div" and _eval_poly(node[2], ring, allowed)[0].pi_valuation() > 0:
-            return node[3]
-        if node[0] in _CHAINS:
-            found = _pi_division(node[2], ring, allowed)
-            if found is not None:
-                return found
-    return None
-
-
-def _eval_laurent(node):
-    """A connection entry over `LINE`; a divisor must be a rational times
-    a power of x."""
-    node, spine = _spine(node)
-    kind = node[0]
-    if kind == "num":
-        f = LINE.scalar(node[1])
-    elif kind == "name":
-        text, tok = node[1], node[2]
-        if text == "pi":
-            f = LINE.pi()
-        elif text == X:
-            f = LINE.var(X)
-        else:
-            raise ParseError(f"connection entries use only {X!r} and 'pi'", tok.line, tok.column)
-    elif kind == "neg":
-        f = -_eval_laurent(node[1])
-    else:  # pow
-        f = _eval_laurent(node[1]) ** node[2]
-    terms = None  # a running sum's terms while the spine adds
-    for node in spine:
-        kind = node[0]
-        b = _eval_laurent(node[2])
-        if kind in ("add", "sub"):
-            if terms is None:
-                terms = dict(f.terms)
-            for mono, c in b.terms.items():
-                if kind == "sub":
-                    c = -c
-                terms[mono] = terms[mono] + c if mono in terms else c
-            continue
-        if terms is not None:
-            f, terms = Poly(LINE, terms), None
-        if kind == "mul":
-            f = f * b
-            continue
-        op = node[3]
-        if len({e for e, _ in b.terms}) != 1:
-            raise ParseError("can only divide by rationals and powers of x", op.line, op.column)
-        (e, p), q = next(iter(b.terms.items()))
-        if p or len(b.terms) > 1:
-            raise ParseError("cannot divide by pi", op.line, op.column)
-        f = f.scale(quotient(1, q)) * LINE.monomial((-e, 0))
-    if terms is not None:
-        f = Poly(LINE, terms)
-    return f
 
 
 class _FileParser(_Parser):
@@ -456,7 +406,7 @@ class _FileParser(_Parser):
         for key, (tok, _) in entries.items():
             self.fail(tok, f"{kind} blocks do not take a {key!r} key")
 
-    def images_for(self, pairs, variables, ring, allowed, what: str):
+    def images_for(self, pairs, variables, ring, what: str):
         images = {}
         for key, node in pairs:
             v = key.text
@@ -464,7 +414,7 @@ class _FileParser(_Parser):
                 self.fail(key, f"{what} names unknown variable {v!r}")
             if v in images:
                 self.fail(key, f"{what} repeats variable {v!r}")
-            images[v] = self.plain_poly(node, ring, allowed)
+            images[v] = self.plain_poly(node, ring)
         for v in variables:
             if v not in images:
                 raise UndefinedName(f"{what} is missing an image for {v!r}")
@@ -488,14 +438,12 @@ class _FileParser(_Parser):
             names.append(t.text)
         ring = PolyRing(tuple(names))
         ring2 = tensor_ring(ring, (PRIME1, PRIME2))
-        allowed = set(names)
-        allowed2 = {v + s for v in names for s in (PRIME1, PRIME2)}
-        rel_ideal = Ideal(ring, [self.plain_poly(r, ring, allowed) for r in relations])
+        rel_ideal = Ideal(ring, [self.plain_poly(r, ring) for r in relations])
         return HopfPresentation.from_images(
             name, ring, rel_ideal,
-            self.images_for(comul, names, ring2, allowed2, "comul"),
-            self.images_for(counit, names, SCALARS, set(), "counit"),
-            self.images_for(antipode, names, ring, allowed, "antipode"))
+            self.images_for(comul, names, ring2, "comul"),
+            self.images_for(counit, names, SCALARS, "counit"),
+            self.images_for(antipode, names, ring, "antipode"))
 
     def build_morphism(self, name, entries, opener) -> GroupMorphism:
         source = self.file.groups.get(self.take(entries, "source", opener))
@@ -505,8 +453,7 @@ class _FileParser(_Parser):
         self.reject_extras(entries, "morphism")
         if source is None or target is None:
             raise UndefinedName(f"morphism {name!r} references an undefined group")
-        images = self.images_for(pull, target.ring.variables, source.ring,
-                                 set(source.ring.variables), "pullback")
+        images = self.images_for(pull, target.ring.variables, source.ring, "pullback")
         return GroupMorphism(name, source, target,
                              Substitution(target.ring, source.ring, images))
 
@@ -518,10 +465,9 @@ class _FileParser(_Parser):
         group = self.file.groups.get(group_name)
         if group is None:
             raise UndefinedName(f"rep {name!r} references an undefined group")
-        allowed = set(group.ring.variables)
-        rows = [[self.plain_poly(e, group.ring, allowed) for e in row]
+        rows = [[self.plain_poly(e, group.ring) for e in row]
                 for row in self.square(matrix, opener)]
-        wit = self.plain_poly(witness, group.ring, allowed) if witness else None
+        wit = self.plain_poly(witness, group.ring) if witness else None
         return RepBlock(name, group, rows, wit)
 
     def build_connection(self, name, entries, opener) -> Connection:
@@ -531,7 +477,7 @@ class _FileParser(_Parser):
         self.reject_extras(entries, "connection")
         if base not in (AFFINE, PUNCTURED):
             self.fail(opener, f"base must be {AFFINE!r} or {PUNCTURED!r}")
-        rows = [[_eval_laurent(e) for e in row] for row in matrix]
+        rows = [[self.value(e, LINE) for e in row] for row in matrix]
         try:
             conn = Connection(base, rows)
         except Exception as exc:
@@ -547,25 +493,29 @@ def parse(text: str) -> PresentationFile:
 
 
 def parse_poly(text: str, ring: PolyRing) -> Poly:
-    """One polynomial over the given ring; pi denominators are rejected."""
+    """One polynomial over the given ring; a value with pi in its
+    denominator is rejected, so `pi/pi` is 1 and `u/pi` an error."""
     p = _Parser(text)
     node = p.expression()
     p.expect("eof")
-    return p.plain_poly(node, ring, set(ring.variables))
+    return p.plain_poly(node, ring)
 
 
 def parse_fraction(text: str, ring: PolyRing):
-    """An element numerator / pi^power of the generic fibre."""
+    """An element of the generic fibre as (numerator, power), standing for
+    numerator / pi^power in lowest terms: the power is 0 or the numerator
+    is not divisible by pi, so `pi*u/pi^2` gives (u, 1)."""
     p = _Parser(text)
     node = p.expression()
     p.expect("eof")
-    return _eval_poly(node, ring, set(ring.variables))
+    f = p.value(node, ring)
+    power = max(0, -f.pi_valuation())  # 0 for f = 0, of valuation infinity
+    return f.mul_pi(power), power
 
 
 def parse_poly_list(text: str, ring: PolyRing):
     p = _Parser(text)
-    allowed = set(ring.variables)
-    return p.items("eof", lambda: p.plain_poly(p.expression(), ring, allowed))
+    return p.items("eof", lambda: p.plain_poly(p.expression(), ring))
 
 
 def parse_matrix(text: str, ring: PolyRing):
@@ -574,8 +524,7 @@ def parse_matrix(text: str, ring: PolyRing):
     start = p.peek()
     rows = p.bracketed(lambda: p.bracketed(p.expression))
     p.expect("eof")
-    allowed = set(ring.variables)
-    return [[p.plain_poly(e, ring, allowed) for e in row] for row in p.square(rows, start)]
+    return [[p.plain_poly(e, ring) for e in row] for row in p.square(rows, start)]
 
 
 def _name_text(name: str) -> str:

@@ -10,11 +10,12 @@ ranking higher.  The Groebner kernel packs these tuples into ints
 (`groebner._Packing`); nothing outside it sees the packed form.
 
 Exponents are nonnegative except in `dgal.LINE`, the ring of R[x, 1/x],
-whose x exponent may be negative.  Arithmetic, `**`, `in_ring` and `==`
-never read an exponent's sign.  `groebner._Packing` and `format_poly`
-assume nonnegative exponents and never receive a negative one: no `LINE`
-poly reaches a Groebner basis, and `dgal.format_laurent` prints one by
-its coefficients in R.
+whose x exponent may be negative, and in a value inside the parser,
+whose pi exponent may be.  Arithmetic, `**`, `in_ring` and `==` never
+read an exponent's sign.  `groebner._Packing` and `format_poly` assume
+nonnegative exponents and never receive a negative one: no `LINE` poly
+reaches a Groebner basis, `dgal.format_laurent` prints one by its
+coefficients in R, and no negative pi exponent leaves the parser.
 
 An element of R is a `Poly` over `SCALARS`, the ring with no variables:
 its pi exponent is the monomial's only slot.  Counits land there, so
@@ -186,9 +187,10 @@ class Poly:
     """Polynomial over Q[pi]; immutable by convention.
 
     Each coefficient is an int when integral, else a Fraction, never a
-    float (see the module docstring).  Only a poly over `dgal.LINE`
-    carries a negative exponent; `groebner._Packing` and `format_poly`
-    never receive one.
+    float (see the module docstring).  A poly over `dgal.LINE` may carry
+    a negative x exponent, and a parser intermediate a negative pi
+    exponent, which never leaves the parser; `groebner._Packing` and
+    `format_poly` never receive one.
 
     Nothing writes `terms` after construction, which is what lets the leading
     monomial be computed once, on first use, and kept in `_lead`.

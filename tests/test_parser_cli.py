@@ -95,6 +95,26 @@ class TestParse:
         rows = parse_matrix("[[u, 0], [0, v]]", ring)
         assert [[format_poly(e) for e in r] for r in rows] == [
             ["u", "0"], ["0", "v"]]
+        # an expression means its value, however its fractions are written
+        for text, value in [("pi/pi", "1"), ("pi*(u/pi)", "u"),
+                            ("u/pi - u/pi", "0"), ("u/(1/pi)", "u*pi")]:
+            assert format_poly(parse_poly(text, ring)) == value, text
+        num, m = parse_fraction("pi*(u-1)/pi^3", ring)
+        assert format_poly(num) == "u - 1" and m == 2
+        # the line keeps its nested divisors too
+        pf = parse("connection c { base: punctured-line; matrix: [[x/(1/x)]]; }")
+        assert pf.connections["c"].matrix == [[LINE.monomial((2, 0))]]
+
+    @given(f=small_polys(PolyRing(("u", "v"))), k=st.integers(0, 4))
+    @settings(max_examples=60, derandomize=True)
+    def test_fractions_in_lowest_terms(self, f, k):
+        ring = f.ring
+        num, m = parse_fraction(f"({format_poly(f)})/pi^{k}", ring)
+        assert num.mul_pi(k) == f.mul_pi(m)  # num / pi^m == f / pi^k
+        assert m == 0 or num.pi_valuation() == 0
+        g = parse_poly(f"pi^{k}*({format_poly(f)})/pi^{k}", ring)
+        assert g == f
+        assert all(e >= 0 for h in (num, g) for mono in h.terms for e in mono)
 
     @pytest.mark.parametrize("bad,kind,message", [
         ("group G { vars: pi; }", ParseError,
@@ -168,6 +188,8 @@ class TestParse:
         (parse_poly, "u + (v/2)/pi", "1:10"),
         (parse_poly_list, "pi, (u-1)/pi^2", "1:10"),
         (parse_matrix, "[[u, 0], [1, v/pi]]", "1:15"),
+        # the first `/` in the text, not the inner one evaluation reaches first
+        (parse_poly, "1/(pi^2/pi)/pi^3", "1:2"),
     ], ids=lambda a: getattr(a, "__name__", None))
     def test_pi_denominator_points_at_its_division(self, parser, text, where):
         with pytest.raises(ParseError) as exc:
