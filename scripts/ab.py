@@ -6,8 +6,9 @@
 
 REV's committed files are exported with `git archive` into a temporary
 directory, removed on exit; the other side is this checkout as it stands,
-uncommitted edits included.  Both trees' `src` are byte-compiled first,
-so that no side's `setup_s` pays for compiling.  Pair i (from 1) runs
+uncommitted edits included.  Both trees' `src` are byte-compiled before
+each pair, so that no side's `setup_s` pays for compiling, not even
+after an edit made during the run.  Pair i (from 1) runs
 `perfbench/run.py` with seed F + i - 1 in both trees (F is --first-seed,
 default 1, so that a claim can be re-checked on seeds it was not built
 on), REV first in odd pairs and this checkout first in even ones; each
@@ -144,12 +145,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="neron-ab-") as tmp:
         trees = {"rev": Path(tmp) / "tree", "here": ROOT}
         export(args.rev, trees["rev"])
-        for tree in trees.values():
-            subprocess.run([sys.executable, "-m", "compileall", "-q",
-                            str(tree / "src")], check=True)
         for workload in workloads:
             pairs, incorrect = [], 0
             for pair in range(1, args.pairs + 1):
+                for tree in trees.values():
+                    subprocess.run([sys.executable, "-m", "compileall", "-q",
+                                    str(tree / "src")], check=True)
                 seed = args.first_seed + pair - 1
                 order = ("rev", "here") if pair % 2 else ("here", "rev")
                 got = {}

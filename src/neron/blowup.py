@@ -106,7 +106,7 @@ def _blow(h: HopfPresentation, centre: Ideal, gens, power: int, name: str) -> Bl
     eliminated = {w: solved[w] for w in reversed(ring_b.variables) if w in solved}
     sub = Substitution(ring_b, sub.target, sub.images | eliminated)
     push = doubled(sub)
-    rels2 = tensor_ideal(rels, push.target, (PRIME1, PRIME2))
+    rels2 = tensor_ideal(rels, (PRIME1, PRIME2))
 
     comul_images, counit_images, anti_images = {}, {}, {}
     for v in h.ring.variables:

@@ -492,9 +492,13 @@ class Ideal:
     it reduces that remainder by the basis, not f again.  Both divisor
     lists are kept packed (`_held_divisors`, `_basis_divisors`), so
     repeated normal forms pack each once per field width.
+
+    Ideals derived from this one are kept in `_derived`, built once per
+    ideal object: its pi-saturation under the key `saturate_pi`, its
+    tensor powers under their suffixes (`hopf.tensor_ideal`).
     """
 
-    __slots__ = ("ring", "generators", "_basis", "_tracked", "_seed", "_saturation",
+    __slots__ = ("ring", "generators", "_basis", "_tracked", "_seed", "_derived",
                  "_held_divisors", "_basis_divisors")
 
     def __init__(self, ring: PolyRing, generators):
@@ -510,7 +514,7 @@ class Ideal:
         self._basis = None
         self._tracked = None
         self._seed = None
-        self._saturation = None
+        self._derived = {}
         self._held_divisors = None
         self._basis_divisors = None
 
@@ -699,13 +703,13 @@ def saturate(ideal: Ideal, f: Poly) -> Ideal:
 
 
 def saturate_pi(ideal: Ideal) -> Ideal:
-    """(ideal : pi^infinity), computed once per ideal object and kept on it;
-    a saturation is its own saturation."""
-    if ideal._saturation is None:
+    """(ideal : pi^infinity), computed once per ideal object and kept on it
+    under the key `saturate_pi`; a saturation is its own saturation."""
+    if saturate_pi not in ideal._derived:
         sat = saturate(ideal, ideal.ring.pi())
-        sat._saturation = sat
-        ideal._saturation = sat
-    return ideal._saturation
+        sat._derived[saturate_pi] = sat
+        ideal._derived[saturate_pi] = sat
+    return ideal._derived[saturate_pi]
 
 
 class _Graph:

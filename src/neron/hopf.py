@@ -39,16 +39,19 @@ def doubled(sub: Substitution) -> Substitution:
                          for v, img in sub.images.items() for s in (PRIME1, PRIME2)})
 
 
-def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes) -> Ideal:
-    """Relations of a tensor power, one renamed copy per factor.
+def tensor_ideal(relations: Ideal, suffixes: tuple) -> Ideal:
+    """Relations of a tensor power, one renamed copy per factor, in
+    `tensor_ring(relations.ring, suffixes)`.
 
-    When no leading term involves pi, the copies' leading terms live on
-    disjoint variable blocks and the union of the copies is already the
-    reduced basis.  Otherwise pi is shared between the copies' leading
-    terms, so the ideal is seeded with the copies: each is a Groebner
-    basis in the tensor ring, and the basis, built on first use, reduces
-    only the pairs between copies.  A normal form of a member reduces to
-    zero by the copies alone and builds no basis.  A certified pi-division
+    Built once per relations object and suffixes and kept on it, so every
+    presentation, blowup and check over it shares one tensor ideal, its
+    basis and its packed divisors.  The ideal is seeded with the copies:
+    each is a Groebner basis in the tensor ring, and the basis, built on
+    first use, reduces only the pairs between copies.  When no leading
+    term involves pi, the copies' leading terms live on disjoint variable
+    blocks, the product criterion drops every such pair, and the basis is
+    the copies sorted by lead.  A normal form of a member reduces to zero
+    by the copies alone and builds no basis.  A certified pi-division
     reduces by the copies alone too, and builds the basis only when that
     remainder is not termwise divisible: for relations with no
     pi-torsion the ideal is pi-saturated (a tensor power of a flat
@@ -56,20 +59,19 @@ def tensor_ideal(relations: Ideal, ring_t: PolyRing, suffixes) -> Ideal:
     form, though it is reduced modulo the copies only.  The copies are
     also the generators, so each relation is renamed once per copy.
     """
-    rel_basis = relations.basis()
-    blocks = []
-    for s in suffixes:
-        rename = {v: v + s for v in relations.ring.variables}
-        blocks.append([g.in_ring(ring_t, rename) for g in rel_basis])
-    gens = [g for block in blocks for g in block]
-    if not any(g.lead_monomial()[-1] for g in rel_basis):
-        basis = sorted(gens, key=lambda g: ring_t.order.key(g.lead_monomial()))
-        return Ideal.with_basis(ring_t, gens, basis)
-    return Ideal.seeded(ring_t, gens, blocks)
+    kept = relations._derived.get(suffixes)
+    if kept is None:
+        ring_t = tensor_ring(relations.ring, suffixes)
+        rel_basis = relations.basis()
+        blocks = [[g.in_ring(ring_t, {v: v + s for v in relations.ring.variables})
+                   for g in rel_basis] for s in suffixes]
+        kept = Ideal.seeded(ring_t, [g for block in blocks for g in block], blocks)
+        relations._derived[suffixes] = kept
+    return kept
 
 
 class HopfPresentation:
-    __slots__ = ("name", "ring", "relations", "comul", "counit", "antipode", "_memo")
+    __slots__ = ("name", "ring", "relations", "comul", "counit", "antipode")
 
     def __init__(self, name: str, ring: PolyRing, relations: Ideal, comul: Substitution,
                  counit: Substitution, antipode: Substitution):
@@ -86,7 +88,6 @@ class HopfPresentation:
         self.comul = comul
         self.counit = counit
         self.antipode = antipode
-        self._memo = {}
 
     @classmethod
     def from_images(cls, name: str, ring: PolyRing, relations: Ideal,
@@ -107,21 +108,13 @@ class HopfPresentation:
         return self.comul.target
 
     def doubled_ideal(self) -> Ideal:
-        if "ideal2" not in self._memo:
-            self._memo["ideal2"] = tensor_ideal(self.relations, self.doubled_ring(),
-                                                (PRIME1, PRIME2))
-        return self._memo["ideal2"]
+        return tensor_ideal(self.relations, (PRIME1, PRIME2))
 
     def tripled_ring(self) -> PolyRing:
-        if "ring3" not in self._memo:
-            self._memo["ring3"] = tensor_ring(self.ring, (PRIME1, PRIME2, PRIME3))
-        return self._memo["ring3"]
+        return tensor_ring(self.ring, (PRIME1, PRIME2, PRIME3))
 
     def tripled_ideal(self) -> Ideal:
-        if "ideal3" not in self._memo:
-            self._memo["ideal3"] = tensor_ideal(self.relations, self.tripled_ring(),
-                                                (PRIME1, PRIME2, PRIME3))
-        return self._memo["ideal3"]
+        return tensor_ideal(self.relations, (PRIME1, PRIME2, PRIME3))
 
     def eps(self, v: str) -> Poly:
         return self.counit.images[v]
@@ -376,8 +369,8 @@ def _prune_relations(relations: Ideal):
     sub = Substitution(ring, small, {v: small.var(v) for v in small.variables} | eliminated)
     kept = [g.in_ring(small) for g in kept]
     pruned = Ideal.with_basis(small, kept, kept)
-    if relations._saturation is relations:
-        pruned._saturation = pruned
+    if relations._derived.get(saturate_pi) is relations:
+        pruned._derived[saturate_pi] = pruned
     return pruned, eliminated, sub
 
 

@@ -381,7 +381,7 @@ def unpruned_blow(h, centre, gens, power, name):
     carried, names, ring_b, gens_b = _equations(h, gens, power)
     rels_b = saturate_pi(Ideal(ring_b, gens_b))
     ring2_b = tensor_ring(ring_b, (PRIME1, PRIME2))
-    rels2_b = tensor_ideal(rels_b, ring2_b, (PRIME1, PRIME2))
+    rels2_b = tensor_ideal(rels_b, (PRIME1, PRIME2))
     comul = {v: h.comul.images[v].in_ring(ring2_b) for v in h.ring.variables}
     counit = dict(h.counit.images)
     anti = {v: h.antipode.images[v].in_ring(ring_b) for v in h.ring.variables}
@@ -401,7 +401,7 @@ def saturated_blow(h, centre, gens, power, name):
     carried, names, ring_b, gens_b = _equations(h, gens, power)
     rels, eliminated, sub = _prune_relations(saturate_pi(Ideal(ring_b, gens_b)))
     push = doubled(sub)
-    rels2 = tensor_ideal(rels, push.target, (PRIME1, PRIME2))
+    rels2 = tensor_ideal(rels, (PRIME1, PRIME2))
     comul, counit, anti = {}, {}, {}
     for v in h.ring.variables:
         if v not in eliminated:

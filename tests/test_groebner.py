@@ -412,7 +412,7 @@ class TestPiDivision:
         ring2 = blown.doubled_ring()
         x1, y1, x2, y2 = (ring2.var(v) for v in ("xi1'", "xi2'", "xi1''", "xi2''"))
         s = x2 * y2 * (x1 + y1) - x1 * y1 * (x2 + y2)
-        doubled = lambda: tensor_ideal(blown.relations, ring2, (PRIME1, PRIME2))
+        doubled = lambda: tensor_ideal(blown.relations, (PRIME1, PRIME2))
         scratch = Ideal(ring2, doubled().generators)
         assert scratch.contains(s)
         g = x1 * x1 * y2 + x2 + 3
@@ -568,20 +568,34 @@ class TestSeededWalk:
     seeded with the two renamed copies of their reduced basis, the walk
     reduces only pairs between the copies.  Both counts are the smallest
     pair budget that succeeds.  (The saturated relations would not show
-    the difference: a saturation's generators are its reduced basis.)"""
+    the difference: a saturation's generators are its reduced basis.)
+    Each seeded walk doubles fresh relations: a tensor ideal is kept on
+    its relations object, so doubling the same object again walks
+    nothing."""
 
     def test_seeded_walk_reduces_fewer_pairs(self):
         rels = _gl2_blowup_ideal()
         ring2 = tensor_ring(rels.ring, (PRIME1, PRIME2))
         gens = [copy_into(g, ring2, s) for s in (PRIME1, PRIME2) for g in rels.generators]
         scratch = lambda: Ideal(ring2, gens).basis()
-        seeded = lambda: tensor_ideal(rels, ring2, (PRIME1, PRIME2)).basis()
+        seeded = lambda: tensor_ideal(_gl2_blowup_ideal(), (PRIME1, PRIME2)).basis()
         for compute, pairs in ((scratch, 7), (seeded, 5)):
             with budget(Limits(max_pairs=pairs)):
                 compute()
             with pytest.raises(ResourceLimit), budget(Limits(max_pairs=pairs - 1)):
                 compute()
         assert seeded() == scratch()
+
+    def test_copies_whose_leads_hold_no_pi_are_the_basis(self):
+        # Gm's leads hold no pi, so the two copies' leads share no variable
+        # and the product criterion drops every pair between them
+        gm = multiplicative_group()
+        assert not any(g.lead_monomial()[-1] for g in gm.relations.basis())
+        doubled = tensor_ideal(gm.relations, (PRIME1, PRIME2))
+        with budget(Limits(max_pairs=0)):
+            basis = doubled.basis()
+        key = doubled.ring.order.key
+        assert basis == tuple(sorted(doubled.generators, key=lambda g: key(g.lead_monomial())))
 
     def test_pairs_inside_a_block_are_not_reduced(self, rxy):
         # x^2 and x*y share x, so a walk from scratch reduces their pair;

@@ -118,6 +118,23 @@ class TestTensorIdeals:
         assert check_hopf(h).ok
         assert h.tripled_ideal()._basis is None
 
+    def test_one_build_per_relations_and_suffixes(self, monkeypatch):
+        # a tensor ideal is kept on its relations: a blowup's doubled ideal
+        # is the blown group's, so the next step's centre check and the
+        # check of the tower top build none again
+        built, moduli = [], []
+        seeded, divide = Ideal.seeded, neron.blowup.certified_pi_division
+        monkeypatch.setattr(Ideal, "seeded", classmethod(
+            lambda cls, ring, gens, blocks: built.append((ring, tuple(gens)))
+            or seeded(ring, gens, blocks)))
+        monkeypatch.setattr(neron.blowup, "certified_pi_division",
+                            lambda f, power, modulus: moduli.append(modulus)
+                            or divide(f, power, modulus))
+        b = automatic_truncation(general_linear(2), 2)
+        assert check_hopf(b.blown).ok
+        assert built and len(built) == len(set(built))
+        assert any(m is b.blown.doubled_ideal() for m in moduli)
+
     def test_comultiplication_must_land_in_the_doubled_ring(self):
         gm = multiplicative_group()
         for target in (tensor_ring(gm.ring, (PRIME2, PRIME1)),
